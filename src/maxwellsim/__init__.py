@@ -14,6 +14,7 @@ from .errors import (
     GridCoverageError,
     MaxwellSimError,
     NumericalGuardError,
+    ParameterError,
     TruncationError,
 )
 from .ion_emulator import (

@@ -1,6 +1,6 @@
 """Command-line front end: run orchestration and deterministic CSV emission.
 
-``maxwellsim <command> --config <path> [--output <path>] [--threads N]``
+``maxwellsim <command> --config <path> [--output <path>]``
 
 Commands
 --------
@@ -15,8 +15,8 @@ configuration followed by an exact header line.  Floats are written with
 shortest round-trip formatting and no timestamps appear anywhere, so a rerun
 of the same configuration is byte-identical.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical-guard violation,
-4 I/O error.
+Exit codes: 0 success, 2 configuration error (including a parameter value a
+library validator rejects), 3 numerical-guard violation, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -69,7 +68,6 @@ def _write_csv(path: str, columns, rows, config: RunConfig):
     lines = [f"# command = {config.command}"]
     for key in sorted(config.values):
         lines.append(f"# {key} = {_format_value(config.values[key])}")
-    lines.append(f"# threads = {config.threads}")
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(_format_value(v) for v in row))
@@ -87,12 +85,7 @@ def _run_sweep_transmission(config: RunConfig) -> list[str]:
     params = _physical(v)
     spin = 1.0 if v["spin"] == "1" else 0.5
     thetas = np.linspace(v["theta_min"], v["theta_max"], v["theta_points"])
-    with ThreadPoolExecutor(max_workers=config.threads) as pool:
-        chunks = list(pool.map(
-            lambda theta: landau_zener.angle_sweep(params, spin, v["p0"], [theta])[0],
-            thetas,
-        ))
-    rows = sorted(chunks, key=lambda row: row[0])
+    rows = landau_zener.angle_sweep(params, spin, v["p0"], thetas)
     _write_csv(config.output_path, landau_zener.SWEEP_COLUMNS,
                [tuple(float(x) for x in row) for row in rows], config)
     return [config.output_path]
@@ -280,7 +273,6 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=True, help="key = value file")
     parser.add_argument("--output", help="output CSV path")
-    parser.add_argument("--threads", type=int, default=None)
     args = parser.parse_args(argv)
 
     try:
@@ -293,10 +285,6 @@ def main(argv=None) -> int:
         config = parse_config(text, args.command)
         if args.output is not None:
             config.output_path = args.output
-        if args.threads is not None:
-            if args.threads < 1:
-                raise ConfigError("threads must be at least 1")
-            config.threads = args.threads
         run(config)
     except ConfigError as exc:
         print(f"error[config]: {exc}", file=sys.stderr)

@@ -127,7 +127,6 @@ COMMANDS: dict[str, dict[str, _Key]] = {
         "t_final": _Key(float, check=_positive),
         "n_records": _Key(int, 50, _positive),
         "grid_points": _Key(int, 2048, _positive),
-        "x_c": _Key(float, 0.0),
     },
 }
 
@@ -139,7 +138,6 @@ class RunConfig:
     command: str
     values: dict = field(default_factory=dict)
     output_path: str | None = None
-    threads: int = 1
 
     def __getitem__(self, key):
         return self.values[key]
@@ -187,17 +185,8 @@ def parse_config(text: str, command: str | None = None) -> RunConfig:
     schema = COMMANDS[command]
 
     output_path = None
-    threads = 1
     if "output" in raw:
         output_path, _ = raw.pop("output")
-    if "threads" in raw:
-        value, lineno = raw.pop("threads")
-        try:
-            threads = int(value)
-        except ValueError:
-            raise ConfigError(f"line {lineno}: threads: not an integer: {value!r}")
-        if threads < 1:
-            raise ConfigError(f"line {lineno}: threads must be at least 1")
 
     unknown = sorted(set(raw) - set(schema))
     if unknown:
@@ -227,4 +216,4 @@ def parse_config(text: str, command: str | None = None) -> RunConfig:
         raise ConfigError(
             f"missing required keys for {command}: {', '.join(missing)}"
         )
-    return RunConfig(command, values, output_path, threads)
+    return RunConfig(command, values, output_path)

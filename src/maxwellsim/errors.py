@@ -15,6 +15,10 @@ class ConfigError(MaxwellSimError):
     """Invalid or incomplete run configuration."""
 
 
+class ParameterError(MaxwellSimError, ValueError):
+    """A library validator rejected a parameter value (a configuration error)."""
+
+
 class NumericalGuardError(MaxwellSimError):
     """A runtime numerical-safety guard was violated."""
 

@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import GridCoverageError, TruncationError
+from .errors import GridCoverageError, ParameterError, TruncationError
 from .spin_algebra import PhysicalParams
 from .wavepacket import Grid1D, SpinorField, band_components, band_populations
 
@@ -332,7 +332,7 @@ def coherent_initial_state(
     """
     xi = np.asarray(spinor, dtype=complex)
     if xi.shape != (3,) or np.linalg.norm(xi) == 0:
-        raise ValueError("spinor must be a nonzero 3-vector")
+        raise ParameterError("spinor must be a nonzero 3-vector")
     xi = xi / np.linalg.norm(xi)
 
     alpha = 1j * p0 * ion.delta_spread / _HBAR

@@ -82,27 +82,33 @@ def effective_mass(params: PhysicalParams, ky: float) -> float:
     return math.sqrt(params.rest_energy**2 + (params.hbar * ky * params.c) ** 2)
 
 
-def _check_slope(params: PhysicalParams):
+def _closed_forms(r, flat_band: bool):
+    """``(gamma_pp, gamma_p0, gamma_pm)`` at gap ratio ``r`` (scalar or array)."""
+    gamma_pm = np.exp(-np.pi * r)
+    if flat_band:
+        y = np.exp(-np.pi * r / 2.0)
+        gamma_p0 = 2.0 * y * (1.0 - y)
+    else:
+        gamma_p0 = np.zeros_like(gamma_pm)
+    return 1.0 - gamma_pm - gamma_p0, gamma_p0, gamma_pm
+
+
+def _gap_ratio(params: PhysicalParams, mtilde_c2):
     if params.g <= 0:
         raise ValueError("transition probabilities require a positive slope g")
+    return mtilde_c2**2 / (params.hbar * params.c * params.g)
 
 
 def lz_spin1(params: PhysicalParams, mtilde_c2: float) -> TransitionProbabilities:
     """Three-band transition probabilities at effective rest energy ``mtilde_c2``."""
-    _check_slope(params)
-    r = mtilde_c2**2 / (params.hbar * params.c * params.g)
-    gamma_pm = math.exp(-math.pi * r)
-    y = math.exp(-math.pi * r / 2.0)
-    gamma_p0 = 2.0 * y * (1.0 - y)
-    return TransitionProbabilities(1.0 - gamma_pm - gamma_p0, gamma_p0, gamma_pm)
+    gammas = _closed_forms(_gap_ratio(params, mtilde_c2), flat_band=True)
+    return TransitionProbabilities(*map(float, gammas))
 
 
 def lz_spin_half(params: PhysicalParams, mtilde_c2: float) -> TransitionProbabilities:
     """Two-level transition probabilities; no flat band, ``T = exp(-pi r)``."""
-    _check_slope(params)
-    r = mtilde_c2**2 / (params.hbar * params.c * params.g)
-    transmission = math.exp(-math.pi * r)
-    return TransitionProbabilities(1.0 - transmission, 0.0, transmission)
+    gammas = _closed_forms(_gap_ratio(params, mtilde_c2), flat_band=False)
+    return TransitionProbabilities(*map(float, gammas))
 
 
 def angle_sweep(
@@ -116,24 +122,11 @@ def angle_sweep(
     0.5.  Returns an array of shape ``(len(thetas), 5)`` with columns
     :data:`SWEEP_COLUMNS`.
     """
-    _check_slope(params)
-    if spin == 1:
-        formula = lz_spin1
-    elif spin == 0.5:
-        formula = lz_spin_half
-    else:
+    if spin not in (1, 0.5):
         raise ValueError(f"spin must be 1 or 0.5, got {spin}")
-
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     if np.any(np.abs(thetas) >= np.pi / 2):
         raise ValueError("incident angles must lie strictly inside (-pi/2, pi/2)")
-
-    rows = np.empty((thetas.size, 5))
-    for i, theta in enumerate(thetas):
-        mtilde_c2 = math.sqrt(
-            params.rest_energy**2 + (p0 * params.c * math.sin(theta)) ** 2
-        )
-        probs = formula(params, mtilde_c2)
-        rows[i] = (theta, probs.gamma_pp, probs.gamma_p0, probs.gamma_pm,
-                   probs.transmission)
-    return rows
+    mtilde_c2 = np.sqrt(params.rest_energy**2 + (p0 * params.c * np.sin(thetas)) ** 2)
+    gammas = np.clip(_closed_forms(_gap_ratio(params, mtilde_c2), spin == 1), 0.0, 1.0)
+    return np.column_stack([thetas, *gammas, gammas[1] + gammas[2]])

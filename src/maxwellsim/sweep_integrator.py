@@ -18,8 +18,10 @@ x-axis preserves both the spectrum and the ``Cx`` coupling), so the default
 integrates with ``Cz`` and a flag retains the literal combination for
 cross-checking.
 
-Integration is fixed-step classical Runge-Kutta (RK4) on the complex
-amplitudes, always run twice (dt and dt/2) as a built-in convergence check.
+Integration is a fixed-step 4th-order Magnus scheme (Blanes, Casas, Oteo
+& Ros, Phys. Rep. 470, 151 (2009)) whose step exponentials stay in the
+spin algebra, so the propagator is unitary to rounding.  It always runs
+twice (dt and dt/2) as a built-in convergence check.
 No closed-form transition probabilities enter anywhere here, which is what
 makes this module an independent check of the analytic formulas in
 :mod:`maxwellsim.landau_zener`.
@@ -32,16 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, NumericalGuardError
+from .errors import ConvergenceError, NumericalGuardError, ParameterError
 from .landau_zener import TransitionProbabilities, effective_mass
 from .spin_algebra import PhysicalParams, SpinAlgebra, adiabatic_projectors
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAVE_NUMBA = False
 
 __all__ = ["SweepProblem", "sweep_problem", "integrate_sweep", "transition_matrix"]
 
@@ -50,9 +45,14 @@ _MIN_ENDPOINT_FACTOR = 20.0
 # Default endpoint multiple; chosen so that doubling it moves the final
 # populations by well under 1e-3.
 _DEFAULT_ENDPOINT_FACTOR = 30.0
-# Default dt in units of hbar / max|H|; keeps RK4 norm drift below 1e-8
-# over the longest sweeps used in practice.
-_DEFAULT_DT_FACTOR = 0.01
+# Default dt in units of hbar / max|H|; the Magnus step's halving delta
+# stays below 1e-6 over r in [0, 3] at the default endpoints.
+_DEFAULT_DT_FACTOR = 1.0
+# The Magnus series converges for dt * max|H| / hbar < pi.
+_MAX_DT_FACTOR = math.pi
+# Magnus steps per block of step propagators; bounds the kernel's memory
+# (a few arrays of this many d x d matrices) whatever the step count.
+_BLOCK = 1024
 
 _NORM_DRIFT_TOL = 1e-8
 _CONVERGENCE_TOL = 1e-4
@@ -77,23 +77,23 @@ class SweepProblem:
 
     def __post_init__(self):
         if not self.kx_start > 0 > self.kx_end:
-            raise ValueError("sweep must run from kx_start > 0 to kx_end < 0")
+            raise ParameterError("sweep must run from kx_start > 0 to kx_end < 0")
         if self.mtilde_c2 < 0:
-            raise ValueError("effective rest energy must be nonnegative")
+            raise ParameterError("effective rest energy must be nonnegative")
         chbar = self.params.c * self.params.hbar
         closest = min(self.kx_start, -self.kx_end)
         if chbar * closest < _MIN_ENDPOINT_FACTOR * self.mtilde_c2:
-            raise ValueError(
+            raise ParameterError(
                 f"sweep endpoints too close to the crossing: need c*hbar*|kx| >= "
                 f"{_MIN_ENDPOINT_FACTOR} * mtilde_c2 at both ends"
             )
         if self.initial_band not in self.algebra.band_labels:
-            raise ValueError(f"unknown initial band {self.initial_band!r}")
+            raise ParameterError(f"unknown initial band {self.initial_band!r}")
         ny, nz = self.tilde_axis
         if abs(ny**2 + nz**2 - 1.0) > 1e-12:
-            raise ValueError("tilde_axis must be a unit vector (ny, nz)")
+            raise ParameterError("tilde_axis must be a unit vector (ny, nz)")
         if self.params.g <= 0:
-            raise ValueError("sweep requires a positive slope g")
+            raise ParameterError("sweep requires a positive slope g")
 
 
 def sweep_problem(
@@ -120,7 +120,7 @@ def sweep_problem(
     kx_start = endpoint_factor * energy_scale / chbar
     if literal_tilde_axis:
         if mtilde_c2 == 0:
-            raise ValueError("literal tilde axis undefined for a massless sweep")
+            raise ParameterError("literal tilde axis undefined for a massless sweep")
         ny = params.hbar * ky * params.c / mtilde_c2
         nz = params.rest_energy / mtilde_c2
         axis = (ny, nz)
@@ -131,65 +131,31 @@ def sweep_problem(
     )
 
 
-if _HAVE_NUMBA:
+def _magnus_sweep(a, b, psi0, kx_start, rate, dt, n_steps, hbar):
+    """Propagate the columns of ``psi0`` through ``n_steps`` Magnus steps.
 
-    @njit(cache=True)
-    def _deriv(a, b, y, kval, inv_hbar, out):
-        d, m = y.shape
-        for i in range(d):
-            for col in range(m):
-                acc = 0.0 + 0.0j
-                for j in range(d):
-                    acc += (kval * a[i, j] + b[i, j]) * y[j, col]
-                out[i, col] = -1j * inv_hbar * acc
-
-    @njit(cache=True)
-    def _rk4_sweep(a, b, psi0, kx_start, rate, dt, n_steps, inv_hbar):
-        d, m = psi0.shape
-        y = psi0.copy()
-        k1 = np.empty((d, m), np.complex128)
-        k2 = np.empty((d, m), np.complex128)
-        k3 = np.empty((d, m), np.complex128)
-        k4 = np.empty((d, m), np.complex128)
-        tmp = np.empty((d, m), np.complex128)
-        for step in range(n_steps):
-            t0 = step * dt
-            _deriv(a, b, y, kx_start - rate * t0, inv_hbar, k1)
-            for i in range(d):
-                for col in range(m):
-                    tmp[i, col] = y[i, col] + 0.5 * dt * k1[i, col]
-            k_mid = kx_start - rate * (t0 + 0.5 * dt)
-            _deriv(a, b, tmp, k_mid, inv_hbar, k2)
-            for i in range(d):
-                for col in range(m):
-                    tmp[i, col] = y[i, col] + 0.5 * dt * k2[i, col]
-            _deriv(a, b, tmp, k_mid, inv_hbar, k3)
-            for i in range(d):
-                for col in range(m):
-                    tmp[i, col] = y[i, col] + dt * k3[i, col]
-            _deriv(a, b, tmp, kx_start - rate * (t0 + dt), inv_hbar, k4)
-            for i in range(d):
-                for col in range(m):
-                    y[i, col] += (dt / 6.0) * (
-                        k1[i, col] + 2.0 * k2[i, col] + 2.0 * k3[i, col] + k4[i, col]
-                    )
-        return y
-
-else:  # pragma: no cover - exercised only when numba is unavailable
-
-    def _rk4_sweep(a, b, psi0, kx_start, rate, dt, n_steps, inv_hbar):
-        y = psi0.copy()
-        for step in range(n_steps):
-            t0 = step * dt
-            h_0 = (kx_start - rate * t0) * a + b
-            h_m = (kx_start - rate * (t0 + 0.5 * dt)) * a + b
-            h_1 = (kx_start - rate * (t0 + dt)) * a + b
-            k1 = -1j * inv_hbar * (h_0 @ y)
-            k2 = -1j * inv_hbar * (h_m @ (y + 0.5 * dt * k1))
-            k3 = -1j * inv_hbar * (h_m @ (y + 0.5 * dt * k2))
-            k4 = -1j * inv_hbar * (h_1 @ (y + dt * k3))
-            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return y
+    For ``H(t) = (kx_start - rate t) a + b`` the 4th-order Magnus generator
+    of one step is ``h H(t_mid) + (i h^3 rate / 12 hbar) [a, b]``: Hermitian
+    and in the span of the coupling matrices, so its spectrum is
+    ``{+e, 0, -e}`` (``{+e, -e}`` for spin 1/2) with ``e^2 = tr(G^2) / 2``
+    and its exponential is a sum over the band projectors.  Step propagators
+    are built in blocks of ``_BLOCK`` and multiplied pairwise.
+    """
+    correction = (1j * dt**3 * rate / (12.0 * hbar)) * (a @ b - b @ a)
+    signs = (1.0, 0.0, -1.0) if a.shape[0] == 3 else (1.0, -1.0)
+    psi = psi0
+    for first in range(0, n_steps, _BLOCK):
+        steps = np.arange(first, min(first + _BLOCK, n_steps))
+        k_mid = kx_start - rate * (steps + 0.5) * dt
+        gen = dt * (k_mid[:, None, None] * a + b) + correction
+        e = np.sqrt(np.einsum("nij,nji->n", gen, gen).real / 2.0)
+        u = sum(np.exp(-1j * sign * e / hbar)[:, None, None] * p
+                for sign, p in zip(signs, adiabatic_projectors(gen, e)))
+        while len(u) > 1:
+            pairs = u[1::2] @ u[0:-1:2]
+            u = np.concatenate([pairs, u[-1:]]) if len(u) % 2 else pairs
+        psi = u[0] @ psi
+    return psi
 
 
 def _coupling_and_mass(problem: SweepProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -237,9 +203,9 @@ def _integrate_all_bands(problem: SweepProblem, dt: float | None) -> np.ndarray:
     if dt is None:
         dt = _DEFAULT_DT_FACTOR * problem.params.hbar / e_max
     if dt <= 0:
-        raise ValueError("dt must be positive")
-    if dt * e_max / problem.params.hbar >= 0.1:
-        raise ValueError("dt too large: require dt * max|H| / hbar < 0.1")
+        raise ParameterError("dt must be positive")
+    if dt * e_max / problem.params.hbar >= _MAX_DT_FACTOR:
+        raise ParameterError("dt too large: require dt * max|H| / hbar < pi")
 
     rate = problem.params.g / problem.params.hbar
     total_time = (problem.kx_start - problem.kx_end) / rate
@@ -248,10 +214,10 @@ def _integrate_all_bands(problem: SweepProblem, dt: float | None) -> np.ndarray:
 
     psi0 = _band_states(_edge_projectors(problem, problem.kx_start)).astype(complex)
     end_projectors = _edge_projectors(problem, problem.kx_end)
-    inv_hbar = 1.0 / problem.params.hbar
 
     def populations(step: float, count: int) -> tuple[np.ndarray, float]:
-        psi = _rk4_sweep(a, b, psi0, problem.kx_start, rate, step, count, inv_hbar)
+        psi = _magnus_sweep(a, b, psi0, problem.kx_start, rate, step, count,
+                            problem.params.hbar)
         norms = np.sum(np.abs(psi) ** 2, axis=0)
         w = np.empty((len(end_projectors), psi.shape[1]))
         for fi, p in enumerate(end_projectors):

@@ -28,7 +28,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import BoundaryContaminationError, NumericalGuardError
+from .errors import BoundaryContaminationError, NumericalGuardError, ParameterError
 from .spin_algebra import (
     PhysicalParams,
     SpinAlgebra,
@@ -75,9 +75,9 @@ class Grid1D:
 
     def __post_init__(self):
         if self.length <= 0:
-            raise ValueError("grid length must be positive")
+            raise ParameterError("grid length must be positive")
         if self.points < _MIN_POINTS or self.points & (self.points - 1):
-            raise ValueError(
+            raise ParameterError(
                 f"points must be a power of two >= {_MIN_POINTS}, got {self.points}"
             )
 
@@ -235,14 +235,14 @@ def gaussian_packet(
     branch leaves nothing and raises ``ValueError``.
     """
     if width <= 4 * grid.dx:
-        raise ValueError("packet width must exceed 4 grid spacings")
+        raise ParameterError("packet width must exceed 4 grid spacings")
     if abs(center) + 5 * width >= grid.length / 2:
-        raise ValueError("packet support (center +- 5 width) must fit in the grid")
+        raise ParameterError("packet support (center +- 5 width) must fit in the grid")
     xi = np.asarray(spinor, dtype=complex)
     if xi.ndim != 1 or xi.size not in (2, 3):
-        raise ValueError("spinor must be a 2- or 3-vector")
+        raise ParameterError("spinor must be a 2- or 3-vector")
     if np.linalg.norm(xi) == 0:
-        raise ValueError("spinor must be nonzero")
+        raise ParameterError("spinor must be nonzero")
 
     x = grid.x
     envelope = np.exp(1j * p0 * x / params.hbar
@@ -255,11 +255,11 @@ def gaussian_packet(
         comps = band_components(fld, params)
         labels = _algebra_for(fld.dimension).band_labels
         if project_band not in labels:
-            raise ValueError(f"unknown band {project_band!r}")
+            raise ParameterError(f"unknown band {project_band!r}")
         projected = comps[labels.index(project_band)]
         norm = math.sqrt(np.sum(np.abs(projected) ** 2) * grid.dx)
         if norm < 1e-6:
-            raise ValueError(
+            raise ParameterError(
                 f"spinor has no weight on band {project_band!r}; cannot project"
             )
         fld = SpinorField(grid, projected / norm)

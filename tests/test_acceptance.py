@@ -94,10 +94,10 @@ def test_criterion_2_integrator_matches_closed_forms():
         half = integrate_sweep(sweep_problem(pauli_algebra(), params, mtilde))
         worst_half = max(worst_half,
                          abs(half.transmission - math.exp(-math.pi * ratio)))
-    ok = worst1 < 0.01 and worst_half < 0.01
+    ok = worst1 < 1e-4 and worst_half < 1e-4
     report(2, "integrator vs closed forms", ok,
            f"max |spin-1 deviation| = {worst1:.2e}, "
-           f"max |spin-1/2 deviation| = {worst_half:.2e} (want < 0.01)")
+           f"max |spin-1/2 deviation| = {worst_half:.2e} (want < 1e-4)")
 
 
 def test_criterion_3_packet_dynamics_match_closed_forms(scattering_final):

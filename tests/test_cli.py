@@ -8,6 +8,8 @@ from maxwellsim.config import parse_config
 from maxwellsim.errors import ConfigError
 
 TWO_PI = 2.0 * math.pi
+# README demonstration packet (width 2)
+DEMO = "p0 = 10.0\nwidth = 2.0\nm = 0.85\ng = 1.5\n"
 
 
 def read_csv(path):
@@ -60,6 +62,14 @@ class TestParseConfig:
                "t_final = 1.0\nwdith = 3.0\n"
         with pytest.raises(ConfigError, match="wdith"):
             parse_config(text)
+        # keys that configured nothing are gone from the schemas
+        with pytest.raises(ConfigError, match="x_c"):
+            parse_config("eta = 0.05\nomega1_tilde = 1.0\nomega1 = 1.0\n"
+                         "omega2_tilde = 1.0\nt_final = 1.0\nx_c = 0.0\n",
+                         command="crosscheck")
+        with pytest.raises(ConfigError, match="threads"):
+            parse_config("m = 1.0\ng = 1.0\np0 = 1.0\nthreads = 2\n",
+                         command="sweep-transmission")
 
     def test_type_error_carries_line_number(self):
         text = "command = evolve\np0 = ten\n"
@@ -93,13 +103,8 @@ class TestCliRuns:
         assert main(["sweep-transmission", "--config", str(cfg),
                      "--output", str(out1)]) == 0
         assert main(["sweep-transmission", "--config", str(cfg),
-                     "--output", str(out2), "--threads", "4"]) == 0
-        # parallel dispatch must not change ordering; bytes match except
-        # for the echoed thread count
-        strip = lambda p: [l for l in p.read_text().splitlines()
-                           if not l.startswith("# threads")]
-        assert strip(out1) == strip(out2)
-        assert out1.read_text() == out1.read_text()
+                     "--output", str(out2)]) == 0
+        assert out1.read_text() == out2.read_text()
 
         comments, header, rows = read_csv(out1)
         assert header == ["theta", "gamma_pp", "gamma_p0", "gamma_pm",
@@ -215,6 +220,23 @@ class TestExitCodes:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("m = 1.0\ng = -1\np0 = 1.0\n")
         code = main(["sweep-transmission", "--config", str(cfg),
+                     "--output", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "error[config]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, text", [
+        ("evolve", DEMO + "spinor = 1,0,0,0\n"),
+        ("evolve", DEMO + "grid_points = 1000\n"),
+        ("evolve", DEMO + "grid_length = 15\n"),
+        ("ion-evolve", "eta = 0.05\nomega1_tilde = 62.8\nomega1 = 6.28\n"
+                       "omega2_tilde = 314.0\np0 = 3.0\nt_final = 0.1\n"
+                       "spinor = 1,0\n"),
+    ], ids=["spinor-4", "grid-points", "grid-length", "ion-spinor-2"])
+    def test_rejected_parameter_is_2(self, tmp_path, capsys, command, text):
+        # parseable values that a library validator rejects
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        code = main([command, "--config", str(cfg),
                      "--output", str(tmp_path / "x.csv")])
         assert code == 2
         assert "error[config]" in capsys.readouterr().err

@@ -91,9 +91,17 @@ class TestAngleSweep:
         assert row[4] == pytest.approx(0.859, abs=1e-3)
 
     def test_columns_and_shape(self):
-        rows = angle_sweep(PhysicalParams(m=1.0, g=1.0), 0.5, 1.0,
-                           np.linspace(-1.0, 1.0, 11))
-        assert rows.shape == (11, len(SWEEP_COLUMNS))
+        params = PhysicalParams(m=1.0, g=1.0)
+        thetas = np.linspace(-1.0, 1.0, 11)
+        for spin, formula in ((0.5, lz_spin_half), (1, lz_spin1)):
+            rows = angle_sweep(params, spin, 1.0, thetas)
+            assert rows.shape == (11, len(SWEEP_COLUMNS))
+            # the vectorised rows match the scalar formula angle by angle
+            for theta, row in zip(thetas, rows):
+                probs = formula(params, effective_mass(params, math.sin(theta)))
+                assert row[0] == theta
+                assert row[1:] == pytest.approx(
+                    [*probs.as_tuple(), probs.transmission], abs=1e-15)
 
     def test_angle_domain(self):
         with pytest.raises(ValueError):
