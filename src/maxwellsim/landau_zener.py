@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ParameterError
 from .spin_algebra import PhysicalParams
 
 __all__ = [
@@ -123,10 +124,10 @@ def angle_sweep(
     :data:`SWEEP_COLUMNS`.
     """
     if spin not in (1, 0.5):
-        raise ValueError(f"spin must be 1 or 0.5, got {spin}")
+        raise ParameterError(f"spin must be 1 or 0.5, got {spin}")
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     if np.any(np.abs(thetas) >= np.pi / 2):
-        raise ValueError("incident angles must lie strictly inside (-pi/2, pi/2)")
+        raise ParameterError("incident angles must lie strictly inside (-pi/2, pi/2)")
     mtilde_c2 = np.sqrt(params.rest_energy**2 + (p0 * params.c * np.sin(thetas)) ** 2)
     gammas = np.clip(_closed_forms(_gap_ratio(params, mtilde_c2), spin == 1), 0.0, 1.0)
     return np.column_stack([thetas, *gammas, gammas[1] + gammas[2]])

@@ -279,7 +279,7 @@ def _check_boundary(amplitudes: np.ndarray, grid: Grid1D, time: float):
 
 def _validate_step_dt(grid: Grid1D, params: PhysicalParams, dt: float):
     if dt <= 0:
-        raise ValueError("dt must be positive")
+        raise ParameterError("dt must be positive")
     if params.g == 0:
         # Free evolution is spectrally exact for any dt; the bound below
         # only controls the splitting error of the potential factor.
@@ -287,7 +287,7 @@ def _validate_step_dt(grid: Grid1D, params: PhysicalParams, dt: float):
     k_max = np.pi / grid.dx
     e_max = float(band_energies(k_max, 0.0, params)[0])
     if dt * (e_max + params.g * grid.length / 2.0) / params.hbar >= 0.5:
-        raise ValueError(
+        raise ParameterError(
             "dt too large for this grid: require dt (E_max + g L/2) / hbar < 0.5"
         )
 
@@ -325,7 +325,7 @@ def evolve(
     off by default.  The edge-contamination guard runs every step.
     """
     if t_final < 0:
-        raise ValueError("t_final must be nonnegative")
+        raise ParameterError("t_final must be nonnegative")
     if dt is None:
         dt = default_time_step(fld.grid, params)
     n_steps = max(1, math.ceil(t_final / dt)) if t_final > 0 else 0

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import maxwellsim
 from maxwellsim.cli import main
 from maxwellsim.config import parse_config
 from maxwellsim.errors import ConfigError
@@ -10,6 +15,9 @@ from maxwellsim.errors import ConfigError
 TWO_PI = 2.0 * math.pi
 # README demonstration packet (width 2)
 DEMO = "p0 = 10.0\nwidth = 2.0\nm = 0.85\ng = 1.5\n"
+# feasibility-scale ion run, short
+ION = ("eta = 0.05\nomega1_tilde = 62.8\nomega1 = 6.28\nomega2_tilde = 314.0\n"
+       "p0 = 3.0\nt_final = 0.1\n")
 
 
 def read_csv(path):
@@ -228,10 +236,18 @@ class TestExitCodes:
         ("evolve", DEMO + "spinor = 1,0,0,0\n"),
         ("evolve", DEMO + "grid_points = 1000\n"),
         ("evolve", DEMO + "grid_length = 15\n"),
-        ("ion-evolve", "eta = 0.05\nomega1_tilde = 62.8\nomega1 = 6.28\n"
-                       "omega2_tilde = 314.0\np0 = 3.0\nt_final = 0.1\n"
-                       "spinor = 1,0\n"),
-    ], ids=["spinor-4", "grid-points", "grid-length", "ion-spinor-2"])
+        ("ion-evolve", ION + "spinor = 1,0\n"),
+        ("evolve", DEMO + "dt = 1.0\n"),
+        ("ion-evolve", ION + "n_fock = 8\n"),
+        ("ion-evolve", ION + "n_records = 1\n"),
+        ("ion-evolve", "eta = 0.05\nomega1_tilde = 62.8\nomega1 = 0.0\n"
+                       "omega2_tilde = 314.0\np0 = 5.0\nt_final = 0.1\n"
+                       "n_fock = 256\nspinor = 1,0,1\nproject_band = 0\n"),
+        ("sweep-transmission", "spin = 1\nm = 1.0\ng = 1.0\np0 = 1.0\n"
+                               "theta_max = 1.6\n"),
+    ], ids=["spinor-4", "grid-points", "grid-length", "ion-spinor-2",
+            "evolve-dt", "ion-n-fock-8", "ion-one-record", "ion-empty-band",
+            "sweep-angle"])
     def test_rejected_parameter_is_2(self, tmp_path, capsys, command, text):
         # parseable values that a library validator rejects
         cfg = tmp_path / "bad.cfg"
@@ -281,3 +297,16 @@ class TestExitCodes:
         cfg.write_text("spin = 1\nm = 1.0\ng = 1.0\np0 = 1.0\n")
         assert main(["sweep-transmission", "--config", str(cfg)]) == 2
         assert "output" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_sparse_unloaded():
+    # Every command imports the ion emulator; only the ion commands may pay
+    # for loading scipy.sparse (start-up time and resident memory).
+    src = str(Path(maxwellsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, maxwellsim.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith('scipy.sparse')))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert done.stdout.strip() == "[]"

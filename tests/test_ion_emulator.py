@@ -71,13 +71,13 @@ class TestQuadratures:
             1.0 / (4.0 * 1.3**2))
 
     def test_hermitian(self):
-        x, p = quadratures(0.7, 16)
+        x, p = (op.toarray() for op in quadratures(0.7, 16))
         assert np.allclose(x, x.conj().T)
         assert np.allclose(p, p.conj().T)
 
     def test_commutator_truncation(self):
         n = 20
-        x, p = quadratures(1.0, n)
+        x, p = (op.toarray() for op in quadratures(1.0, n))
         commutator = (x @ p - p @ x) / 1j
         expected = np.eye(n)
         expected[-1, -1] = -(n - 1)
@@ -95,7 +95,7 @@ class TestSidebandToolbox:
 
     def test_carrier_is_pair_coupling(self):
         ion = small_ion()
-        h = sideband_toolbox(ion, "ab", "carrier", 2.0, 0.0)
+        h = sideband_toolbox(ion, "ab", "carrier", 2.0, 0.0).toarray()
         sx_ab = np.zeros((3, 3), dtype=complex)
         sx_ab[0, 1] = sx_ab[1, 0] = 1.0
         assert np.allclose(h, np.kron(sx_ab, np.eye(ion.n_fock)))
@@ -104,10 +104,10 @@ class TestSidebandToolbox:
         ion = small_ion()
         rabi = 1.7
         h = (sideband_toolbox(ion, "ab", "red", rabi, -math.pi / 2)
-             + sideband_toolbox(ion, "ab", "blue", rabi, +math.pi / 2))
+             + sideband_toolbox(ion, "ab", "blue", rabi, +math.pi / 2)).toarray()
         sx_ab = np.zeros((3, 3), dtype=complex)
         sx_ab[0, 1] = sx_ab[1, 0] = 1.0
-        _, p = quadratures(ion.delta_spread, ion.n_fock)
+        p = quadratures(ion.delta_spread, ion.n_fock)[1].toarray()
         target = ion.delta_spread * rabi * ion.eta * np.kron(sx_ab, p)
         assert np.max(np.abs(h - target)) < 1e-14
 
@@ -115,9 +115,9 @@ class TestSidebandToolbox:
         ion = small_ion(reduce_ion2=False)
         rabi = 0.9
         h = (sideband_toolbox(ion, "a'b'", "red", rabi, 0.0)
-             + sideband_toolbox(ion, "a'b'", "blue", rabi, 0.0))
+             + sideband_toolbox(ion, "a'b'", "blue", rabi, 0.0)).toarray()
         sigma_x = np.array([[0, 1], [1, 0]], dtype=complex)
-        x, _ = quadratures(ion.delta_spread, ion.n_fock)
+        x = quadratures(ion.delta_spread, ion.n_fock)[0].toarray()
         target = (rabi * ion.eta / 2.0) * np.kron(
             np.kron(np.eye(3), sigma_x), x) / ion.delta_spread
         assert np.max(np.abs(h - target)) < 1e-14
@@ -147,9 +147,9 @@ class TestCompositeHamiltonian:
 
     def test_direct_assembly_matches_toolbox(self):
         ion = small_ion(reduce_ion2=False)
-        h = build_maxwell_hamiltonian(ion)
+        h = build_maxwell_hamiltonian(ion).toarray()
         alg = spin1_matrices()
-        x, p = quadratures(ion.delta_spread, ion.n_fock)
+        x, p = (op.toarray() for op in quadratures(ion.delta_spread, ion.n_fock))
         eye2 = np.eye(2)
         eye_n = np.eye(ion.n_fock)
         sigma_x = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -172,7 +172,8 @@ class TestCompositeHamiltonian:
 
     def test_mass_only_spectrum(self):
         ion = small_ion(omega1_tilde=0.0, omega2_tilde=0.0, omega1=2.0)
-        eigenvalues = np.sort(np.linalg.eigvalsh(build_maxwell_hamiltonian(ion)))
+        eigenvalues = np.sort(np.linalg.eigvalsh(
+            build_maxwell_hamiltonian(ion).toarray()))
         n = ion.n_fock
         expected = np.sort(np.concatenate(
             [-2.0 * np.ones(n), np.zeros(n), 2.0 * np.ones(n)]))
@@ -223,7 +224,7 @@ class TestCoherentState:
     def test_displacement_expectations(self):
         ion = small_ion(n_fock=64, delta_spread=1.4)
         state = coherent_initial_state(ion, 3.0, (0, 1, 0))
-        x, p = quadratures(ion.delta_spread, ion.n_fock)
+        x, p = (op.toarray() for op in quadratures(ion.delta_spread, ion.n_fock))
         amps = state.amplitudes
         x_mean = np.real(np.einsum("sjn,nm,sjm->", amps.conj(), x, amps))
         p_mean = np.real(np.einsum("sjn,nm,sjm->", amps.conj(), p, amps))
@@ -321,6 +322,17 @@ class TestIonEvolution:
         run_r = evolve_ion(state_r, reduced, 0.2, n_records=6)
         run_f = evolve_ion(state_f, full, 0.2, n_records=6)
         assert np.max(np.abs(run_r.trace - run_f.trace)) < 1e-10
+
+    def test_zero_duration_repeats_initial_row(self):
+        ion = small_ion(n_fock=24)
+        state = coherent_initial_state(ion, 1.0, (0, 1, 0))
+        trajectory = evolve_ion(state, ion, 0.0, n_records=4)
+        assert trajectory.trace.shape == (4, 9)
+        assert np.array_equal(trajectory.trace,
+                              np.tile(trajectory.trace[0], (4, 1)))
+        assert np.array_equal(trajectory.trace[0, 1:4],
+                              state.internal_populations())
+        assert np.array_equal(trajectory.final.amplitudes, state.amplitudes)
 
     def test_trajectory_layout(self):
         ion = small_ion(n_fock=24)
