@@ -2,12 +2,14 @@
 
 Each command has a fixed schema.  Unknown keys are rejected (typo safety),
 missing required keys are reported all at once, and value errors carry the
-offending line number.  Simple range constraints (signs, bounds) are checked
-here so a bad configuration never reaches the numerics.
+offending line number.  Numbers must be finite, and simple range constraints
+(signs, bounds) are checked here so a bad configuration never reaches the
+numerics.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -34,8 +36,15 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
 def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(","))
+    return tuple(_parse_float(part) for part in text.split(","))
 
 
 def _positive(value) -> str | None:
@@ -55,19 +64,19 @@ def _spin_choice(value) -> str | None:
 
 
 _PHYSICAL = {
-    "c": _Key(float, 1.0, _positive),
-    "hbar": _Key(float, 1.0, _positive),
+    "c": _Key(_parse_float, 1.0, _positive),
+    "hbar": _Key(_parse_float, 1.0, _positive),
 }
 
 _ION_KEYS = {
-    "eta": _Key(float, check=_positive),
-    "omega1_tilde": _Key(float, check=_nonnegative,
+    "eta": _Key(_parse_float, check=_positive),
+    "omega1_tilde": _Key(_parse_float, check=_nonnegative,
                          help="kinetic-coupling Rabi frequency, rad per time unit"),
-    "omega1": _Key(float, check=_nonnegative,
+    "omega1": _Key(_parse_float, check=_nonnegative,
                    help="mass-term splitting, rad per time unit"),
-    "omega2_tilde": _Key(float, check=_nonnegative,
+    "omega2_tilde": _Key(_parse_float, check=_nonnegative,
                          help="slope-drive Rabi frequency, rad per time unit"),
-    "delta": _Key(float, 1.0, _positive, help="motional ground-state spread"),
+    "delta": _Key(_parse_float, 1.0, _positive, help="motional ground-state spread"),
     "n_fock": _Key(int, 128, _positive),
     "reduce_ion2": _Key(_parse_bool, True),
 }
@@ -76,36 +85,38 @@ _ION_KEYS = {
 COMMANDS: dict[str, dict[str, _Key]] = {
     "sweep-transmission": {
         "spin": _Key(str, "1", _spin_choice),
-        "m": _Key(float, check=_nonnegative),
-        "g": _Key(float, check=_positive),
-        "p0": _Key(float, check=_nonnegative),
-        "theta_min": _Key(float, -1.5),
-        "theta_max": _Key(float, 1.5),
+        "m": _Key(_parse_float, check=_nonnegative),
+        "g": _Key(_parse_float, check=_positive),
+        "p0": _Key(_parse_float, check=_nonnegative),
+        "theta_min": _Key(_parse_float, -1.5),
+        "theta_max": _Key(_parse_float, 1.5),
         "theta_points": _Key(int, 181, _positive),
         **_PHYSICAL,
     },
     "lz-oracle": {
         "spin": _Key(str, "1", _spin_choice),
-        "mtilde_c2": _Key(float, check=_nonnegative),
-        "g": _Key(float, check=_positive),
+        "mtilde_c2": _Key(_parse_float, check=_nonnegative),
+        "g": _Key(_parse_float, check=_positive),
         "initial_band": _Key(str, "+", _band_choice),
-        "endpoint_factor": _Key(float, 30.0, _positive),
-        "dt": _Key(float, 0.0, _nonnegative, help="0 selects the automatic step"),
+        "endpoint_factor": _Key(_parse_float, 30.0, _positive),
+        "dt": _Key(_parse_float, 0.0, _nonnegative,
+                   help="0 selects the automatic step"),
         **_PHYSICAL,
     },
     "evolve": {
-        "p0": _Key(float),
-        "width": _Key(float, check=_positive),
-        "center": _Key(float, 0.0),
-        "m": _Key(float, check=_nonnegative),
-        "g": _Key(float, check=_nonnegative),
+        "p0": _Key(_parse_float),
+        "width": _Key(_parse_float, check=_positive),
+        "center": _Key(_parse_float, 0.0),
+        "m": _Key(_parse_float, check=_nonnegative),
+        "g": _Key(_parse_float, check=_nonnegative),
         "spinor": _Key(_parse_float_list, (1.0, 0.0, 0.0)),
         "project_band": _Key(str, "none", _band_choice),
-        "t_final": _Key(float, 0.0, _nonnegative,
+        "t_final": _Key(_parse_float, 0.0, _nonnegative,
                         help="0 selects 7x the packet width (the demo horizon)"),
-        "dt": _Key(float, 0.0, _nonnegative, help="0 selects the automatic step"),
+        "dt": _Key(_parse_float, 0.0, _nonnegative,
+                   help="0 selects the automatic step"),
         "grid_points": _Key(int, 4096, _positive),
-        "grid_length": _Key(float, 0.0, _nonnegative,
+        "grid_length": _Key(_parse_float, 0.0, _nonnegative,
                             help="0 selects 40x the packet width"),
         "record_stride": _Key(int, 0, _nonnegative, help="0 selects ~200 records"),
         "snapshot_path": _Key(str, ""),
@@ -113,18 +124,18 @@ COMMANDS: dict[str, dict[str, _Key]] = {
     },
     "ion-evolve": {
         **_ION_KEYS,
-        "p0": _Key(float, help="initial momentum in hbar / delta"),
+        "p0": _Key(_parse_float, help="initial momentum in hbar / delta"),
         "spinor": _Key(_parse_float_list, (1.0, 0.0, 0.0)),
         "project_band": _Key(str, "none", _band_choice),
-        "t_final": _Key(float, check=_nonnegative),
+        "t_final": _Key(_parse_float, check=_nonnegative),
         "n_records": _Key(int, 50, _positive),
         "snapshot_path": _Key(str, ""),
     },
     "crosscheck": {
         **_ION_KEYS,
-        "p0": _Key(float, 0.0, _nonnegative,
+        "p0": _Key(_parse_float, 0.0, _nonnegative,
                    help="0 selects 10 hbar over the packet width"),
-        "t_final": _Key(float, check=_positive),
+        "t_final": _Key(_parse_float, check=_positive),
         "n_records": _Key(int, 50, _positive),
         "grid_points": _Key(int, 2048, _positive),
     },

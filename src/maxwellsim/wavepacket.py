@@ -14,6 +14,20 @@ to round-off and band populations are conserved exactly.  Every factor is
 unitary, hence the norm is conserved to round-off for any dt; the dt only
 controls the splitting error in the presence of the potential.
 
+That error has a closed-form bound (Jahnke & Lubich, BIT 40, 735 (2000)).
+With ``T = c hbar k Cx + m c^2 Cz`` and ``V = g x`` the double commutators are
+``[V, [V, T]] = 0`` and ``[T, [T, V]] = -i g c hbar m c^2 [Cz, Cx]``, which
+depends on neither k nor the grid, so Strang steps of length dt over a time t
+stay within
+
+    t dt^2 g c m c^2 ||[Cz, Cx]|| / (12 hbar^2)
+
+in L2 (``||[Cz, Cx]||`` is 1 for spin 1 and 2 for spin 1/2).  Runs are
+rejected when this bound exceeds 1e-4, the oracle's halving tolerance, and
+the default dt is the largest one that keeps it there.  The default is also
+capped at ``c dt <= 3 dx``: no band moves faster than c, so no part of the
+packet can cross the guarded edge strip between two checks.
+
 The linear potential is discontinuous across the periodic boundary, which is
 harmless as a pointwise phase but means the packet must never reach the
 edge; a per-step contamination guard enforces this instead of an absorbing
@@ -33,7 +47,6 @@ from .spin_algebra import (
     PhysicalParams,
     SpinAlgebra,
     adiabatic_projectors,
-    band_energies,
     pauli_algebra,
     spin1_matrices,
 )
@@ -61,6 +74,11 @@ __all__ = [
 TRACE_COLUMNS = ("t", "norm", "x_mean", "w_plus", "w_zero", "w_minus")
 
 _NORM_STEP_TOL = 1e-10
+#: Largest admissible bound on a run's L2 splitting error.
+_SPLIT_ERROR_TOL = 1e-4
+#: Spectral norm of ``[Cz, Cx]`` by dimension: ``[Sz, Sx] = i Sy`` for spin 1,
+#: ``[sigma_z, sigma_x] = 2 i sigma_y`` for spin 1/2.
+_COMMUTATOR_NORM = {3: 1.0, 2: 2.0}
 _EDGE_CELLS = 3
 _EDGE_WEIGHT_TOL = 1e-6
 _MIN_POINTS = 256
@@ -115,7 +133,7 @@ class SpinorField:
 
     def norm(self) -> float:
         """Total probability ``sum |Psi|^2 dx``."""
-        return float(np.sum(np.abs(self.amplitudes) ** 2) * self.grid.dx)
+        return float(np.vdot(self.amplitudes, self.amplitudes).real * self.grid.dx)
 
     def copy(self) -> "SpinorField":
         return SpinorField(self.grid, self.amplitudes.copy(), self.time)
@@ -158,11 +176,23 @@ class ScatteringBreakdown:
 
 @dataclass
 class EvolveResult:
-    """Recorded trajectory: trace rows follow :data:`TRACE_COLUMNS`."""
+    """Recorded trajectory: trace rows follow :data:`TRACE_COLUMNS`.
+
+    ``dt`` and ``steps`` are the step actually taken and their number
+    (``steps * dt == t_final``).  ``split_error_bound`` is the closed-form
+    bound on the run's L2 splitting error, which the guard keeps at or below
+    ``split_error_limit``; ``edge_weight_max`` is the largest fraction of the
+    norm seen in the guarded edge cells, which must stay below 1e-6.
+    """
 
     trace: np.ndarray
     snapshots: list
     final: SpinorField
+    dt: float
+    steps: int
+    split_error_bound: float
+    split_error_limit: float
+    edge_weight_max: float
 
 
 def _algebra_for(dimension: int) -> SpinAlgebra:
@@ -190,6 +220,7 @@ def _grid_projectors(grid: Grid1D, params: PhysicalParams, dimension: int):
 def _kinetic_propagator(
     grid: Grid1D, params: PhysicalParams, dt: float, dimension: int
 ) -> np.ndarray:
+    """``exp(-i H(k) dt / hbar)`` stacked by column: ``out[j, k, i] = U(k)[i, j]``."""
     projectors, e_plus = _grid_projectors(grid, params, dimension)
     if dimension == 3:
         energies = (e_plus, np.zeros_like(e_plus), -e_plus)
@@ -198,7 +229,7 @@ def _kinetic_propagator(
     u = np.zeros_like(projectors[0])
     for e_band, p in zip(energies, projectors):
         u += np.exp(-1j * e_band * dt / params.hbar)[:, None, None] * p
-    return u
+    return np.ascontiguousarray(u.transpose(2, 0, 1))
 
 
 @lru_cache(maxsize=16)
@@ -208,14 +239,35 @@ def _potential_half_phase(
     return np.exp(-0.5j * params.g * grid.x * dt / params.hbar)
 
 
-def default_time_step(grid: Grid1D, params: PhysicalParams) -> float:
-    """dt resolving the largest grid energy: 0.1 hbar / E+(k_max), capped by
-    the splitting stability bound ``dt (E_max + g L / 2) / hbar < 0.5``."""
-    k_max = np.pi / grid.dx
-    e_max = float(band_energies(k_max, 0.0, params)[0])
-    dt_resolve = 0.1 * params.hbar / e_max
-    dt_stable = 0.4 * params.hbar / (e_max + params.g * grid.length / 2.0)
-    return min(dt_resolve, dt_stable)
+def _split_error_bound(
+    params: PhysicalParams, dimension: int, dt: float, duration: float
+) -> float:
+    """Bound on the L2 error of Strang steps of length dt over ``duration``:
+    ``duration dt^2 g c m c^2 ||[Cz, Cx]|| / (12 hbar^2)``."""
+    return (duration * dt**2 * params.g * params.c * params.rest_energy
+            * _COMMUTATOR_NORM[dimension] / (12.0 * params.hbar**2))
+
+
+def default_time_step(
+    grid: Grid1D, params: PhysicalParams, t_final: float, dimension: int = 3
+) -> float:
+    """Default step for a run of length ``t_final``.
+
+    The largest dt that divides ``t_final`` into whole steps and keeps the
+    run's splitting error bound ``t_final dt^2 g c m c^2 ||[Cz, Cx]|| /
+    (12 hbar^2)`` at or below 1e-4, capped at ``c dt <= 3 dx`` so that no
+    part of the packet can cross the guarded edge strip between two
+    boundary checks.  The cap alone sets dt when m = 0 or g = 0.
+    """
+    dt = _EDGE_CELLS * grid.dx / params.c
+    bound_at_cap = _split_error_bound(params, dimension, dt, t_final)
+    if bound_at_cap > _SPLIT_ERROR_TOL:
+        dt *= math.sqrt(_SPLIT_ERROR_TOL / bound_at_cap)
+    if t_final <= 0:
+        return dt
+    # One step more than the bound needs keeps dt strictly inside it,
+    # whatever the rounding of t_final / dt.
+    return t_final / (math.floor(t_final / dt) + 1)
 
 
 def gaussian_packet(
@@ -266,46 +318,63 @@ def gaussian_packet(
     return fld
 
 
-def _check_boundary(amplitudes: np.ndarray, grid: Grid1D, time: float):
-    rho = np.sum(np.abs(amplitudes) ** 2, axis=1)
-    edge = float(np.sum(rho[:_EDGE_CELLS]) + np.sum(rho[-_EDGE_CELLS:])) * grid.dx
-    total = float(np.sum(rho)) * grid.dx
-    if edge > _EDGE_WEIGHT_TOL * total:
+def _edge_weight(fld: SpinorField, norm: float) -> float:
+    """Fraction of ``norm`` in the guarded cells at both grid edges; raises
+    :class:`BoundaryContaminationError` above 1e-6."""
+    head = fld.amplitudes[:_EDGE_CELLS]
+    tail = fld.amplitudes[-_EDGE_CELLS:]
+    weight = float((np.vdot(head, head) + np.vdot(tail, tail)).real)
+    weight *= fld.grid.dx / norm
+    if weight > _EDGE_WEIGHT_TOL:
         raise BoundaryContaminationError(
-            f"packet reached the grid edge at t = {time:.6g} "
-            f"(edge weight {edge / total:.3e}); enlarge the grid"
+            f"packet reached the grid edge at t = {fld.time:.6g} "
+            f"(edge weight {weight:.3e}); enlarge the grid"
         )
+    return weight
 
 
-def _validate_step_dt(grid: Grid1D, params: PhysicalParams, dt: float):
+def _validate_step_dt(
+    params: PhysicalParams, dimension: int, dt: float, duration: float
+) -> float:
+    """Reject a dt whose splitting error bound over ``duration`` exceeds 1e-4;
+    return the bound."""
     if dt <= 0:
         raise ParameterError("dt must be positive")
-    if params.g == 0:
-        # Free evolution is spectrally exact for any dt; the bound below
-        # only controls the splitting error of the potential factor.
-        return
-    k_max = np.pi / grid.dx
-    e_max = float(band_energies(k_max, 0.0, params)[0])
-    if dt * (e_max + params.g * grid.length / 2.0) / params.hbar >= 0.5:
+    bound = _split_error_bound(params, dimension, dt, duration)
+    if bound > _SPLIT_ERROR_TOL:
         raise ParameterError(
-            "dt too large for this grid: require dt (E_max + g L/2) / hbar < 0.5"
+            f"dt = {dt:.6g} too large: the splitting error bound over "
+            f"t = {duration:.6g} is {bound:.3e} > {_SPLIT_ERROR_TOL:.0e}"
         )
+    return bound
 
 
-def step(fld: SpinorField, dt: float, params: PhysicalParams) -> SpinorField:
-    """One Strang-split step; unitary to round-off (guarded at 1e-10)."""
-    _validate_step_dt(fld.grid, params, dt)
-    half = _potential_half_phase(fld.grid, params, dt)
-    u = _kinetic_propagator(fld.grid, params, dt, fld.dimension)
-    norm_before = fld.norm()
-    amps = fld.amplitudes * half[:, None]
-    amps = np.fft.ifft(
-        np.einsum("kij,kj->ki", u, np.fft.fft(amps, axis=0)), axis=0
-    )
-    amps *= half[:, None]
+def step(
+    fld: SpinorField, dt: float, params: PhysicalParams, norm: float | None = None
+) -> SpinorField:
+    """One Strang-split step; unitary to round-off (guarded at 1e-10).
+
+    A step counts as a run of length dt: it is rejected with
+    :class:`ParameterError` when ``dt^3 g c m c^2 ||[Cz, Cx]|| / (12 hbar^2)``
+    exceeds 1e-4.  A step has no boundary guard and no cap on dt.  ``norm``
+    is the norm the step must preserve, ``fld.norm()`` when omitted;
+    :func:`evolve` passes its initial norm, so there the 1e-10 guard bounds
+    the drift accumulated over the whole run.
+    """
+    _validate_step_dt(params, fld.dimension, dt, dt)
+    if norm is None:
+        norm = fld.norm()
+    half = _potential_half_phase(fld.grid, params, dt)[:, None]
+    columns = _kinetic_propagator(fld.grid, params, dt, fld.dimension)
+    psi_k = np.fft.fft(fld.amplitudes * half, axis=0)
+    mixed = columns[0] * psi_k[:, :1]
+    for j in range(1, fld.dimension):
+        mixed += columns[j] * psi_k[:, j:j + 1]
+    amps = np.fft.ifft(mixed, axis=0)
+    amps *= half
     out = SpinorField(fld.grid, amps, fld.time + dt)
-    if abs(out.norm() - norm_before) > _NORM_STEP_TOL * max(norm_before, 1.0):
-        raise NumericalGuardError("norm drifted by more than 1e-10 in one step")
+    if abs(out.norm() - norm) > _NORM_STEP_TOL * max(norm, 1.0):
+        raise NumericalGuardError("norm drifted by more than 1e-10")
     return out
 
 
@@ -319,34 +388,51 @@ def evolve(
 ) -> EvolveResult:
     """Propagate for ``t_final`` and record observables.
 
-    The trace (one row per record, columns :data:`TRACE_COLUMNS`) always
-    includes the initial and final states.  ``record_stride`` and
-    ``snapshot_stride`` are in steps; snapshots are full field copies and are
-    off by default.  The edge-contamination guard runs every step.
+    ``dt`` defaults to :func:`default_time_step`; any dt is shortened to
+    divide ``t_final`` into whole steps.  :class:`ParameterError` rejects a
+    step whose splitting error bound over ``t_final`` exceeds 1e-4, or with
+    ``c dt`` beyond the 3 guarded edge cells, which a packet could jump
+    across between two checks.  The trace (one row per record, columns
+    :data:`TRACE_COLUMNS`) always includes the initial and final states.
+    ``record_stride`` and ``snapshot_stride`` are in steps; snapshots are
+    full field copies and are off by default.  The edge-contamination guard
+    runs every step.
     """
     if t_final < 0:
         raise ParameterError("t_final must be nonnegative")
     if dt is None:
-        dt = default_time_step(fld.grid, params)
+        dt = default_time_step(fld.grid, params, t_final, fld.dimension)
+    elif dt <= 0:
+        raise ParameterError("dt must be positive")
     n_steps = max(1, math.ceil(t_final / dt)) if t_final > 0 else 0
-    dt_eff = t_final / n_steps if n_steps else 0.0
+    dt_eff = t_final / n_steps if n_steps else dt
+    bound = _validate_step_dt(params, fld.dimension, dt_eff, t_final)
+    if n_steps and params.c * dt_eff > _EDGE_CELLS * fld.grid.dx:
+        raise ParameterError(
+            f"dt = {dt_eff:.6g} too large: c dt exceeds the {_EDGE_CELLS} "
+            f"guarded edge cells ({_EDGE_CELLS * fld.grid.dx:.6g})"
+        )
     if record_stride is None:
         record_stride = max(1, n_steps // 200) if n_steps else 1
 
     current = fld.copy()
-    _check_boundary(current.amplitudes, current.grid, current.time)
+    norm = current.norm()
+    if not norm > 0:
+        raise ParameterError("the field must have a nonzero norm")
+    edge_max = _edge_weight(current, norm)
     rows = [_trace_row(current, params)]
     snapshots = [current.copy()] if snapshot_stride else []
 
     for i in range(1, n_steps + 1):
-        current = step(current, dt_eff, params)
-        _check_boundary(current.amplitudes, current.grid, current.time)
+        current = step(current, dt_eff, params, norm)
+        edge_max = max(edge_max, _edge_weight(current, norm))
         if i % record_stride == 0 or i == n_steps:
             rows.append(_trace_row(current, params))
         if snapshot_stride and (i % snapshot_stride == 0 or i == n_steps):
             snapshots.append(current.copy())
 
-    return EvolveResult(np.array(rows), snapshots, current)
+    return EvolveResult(np.array(rows), snapshots, current, dt_eff, n_steps,
+                        bound, _SPLIT_ERROR_TOL, edge_max)
 
 
 def _trace_row(fld: SpinorField, params: PhysicalParams) -> tuple:

@@ -234,7 +234,7 @@ class TestCriterion7PropertySuites:
         grid = Grid1D(80.0, 1024)
         fld = gaussian_packet(grid, PACKET_P0, PACKET_WIDTH, 0.0, (1, 0, 0),
                               SCATTER, project_band="+")
-        dt0 = default_time_step(grid, SCATTER)
+        dt0 = default_time_step(grid, SCATTER, 2.0)
         base = evolve(fld, 2.0, SCATTER, dt=dt0, record_stride=10**9)
         halved = evolve(fld, 2.0, SCATTER, dt=dt0 / 2, record_stride=10**9)
         dt_change = float(np.max(np.abs(base.trace[-1] - halved.trace[-1])))

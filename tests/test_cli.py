@@ -6,10 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import maxwellsim
 from maxwellsim.cli import main
-from maxwellsim.config import parse_config
+from maxwellsim.config import COMMANDS, RunConfig, parse_config
 from maxwellsim.errors import ConfigError
 
 TWO_PI = 2.0 * math.pi
@@ -84,6 +85,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="line 2"):
             parse_config(text)
 
+    def test_non_finite_number_rejected(self):
+        base = "command = sweep-transmission\nm = 1.0\ng = 1.0\np0 = 1.0\n"
+        for line in ("theta_max = nan", "theta_min = -inf", "c = 1e999"):
+            with pytest.raises(ConfigError, match="line 5"):
+                parse_config(base + line + "\n")
+        with pytest.raises(ConfigError, match="finite"):
+            parse_config("p0 = 1.0\nwidth = 2.0\nm = 0.0\ng = 0.0\n"
+                         "spinor = 1,nan,0\n", command="evolve")
+
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config("p0 = 1.0\np0 = 2.0\n", command="evolve")
@@ -99,6 +109,74 @@ class TestParseConfig:
     def test_malformed_line(self):
         with pytest.raises(ConfigError, match="line 1"):
             parse_config("just some words\n", command="evolve")
+
+
+_KEYS = sorted({key for schema in COMMANDS.values() for key in schema}
+               | {"command", "output"})
+_VALUES = st.one_of(
+    st.sampled_from(sorted(COMMANDS) + ["+", "0", "-", "none", "1/2", "yes"]),
+    st.sampled_from(["nan", "inf", "-inf", "1e999", "-0.0", "1,nan,0"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.lists(st.floats(-2.0, 2.0).map(repr), min_size=1, max_size=4).map(",".join),
+    st.text(max_size=12),
+)
+_LINES = st.one_of(
+    st.tuples(st.sampled_from(_KEYS), st.sampled_from(["=", " = ", "=="]), _VALUES)
+    .map("".join),
+    st.text(max_size=20),
+)
+# a complete config for each command, whose values the draws then replace
+_BASE = {
+    "sweep-transmission": {"m": "1.0", "g": "1.0", "p0": "1.0"},
+    "lz-oracle": {"mtilde_c2": "1.0", "g": "1.0"},
+    "evolve": {"p0": "10.0", "width": "2.0", "m": "0.85", "g": "1.5"},
+    "ion-evolve": {"eta": "0.05", "omega1_tilde": "62.8", "omega1": "6.28",
+                   "omega2_tilde": "314.0", "p0": "3.0", "t_final": "0.1"},
+    "crosscheck": {"eta": "0.05", "omega1_tilde": "62.8", "omega1": "6.28",
+                   "omega2_tilde": "314.0", "t_final": "0.1"},
+}
+
+
+@st.composite
+def _edited_configs(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    values = {**_BASE[command],
+              **draw(st.dictionaries(st.sampled_from(sorted(COMMANDS[command])),
+                                     _VALUES, max_size=3))}
+    return "\n".join(f"{key} = {value}" for key, value in values.items()), command
+
+
+_CONFIG_TEXTS = st.one_of(st.text(), st.lists(_LINES, max_size=12).map("\n".join))
+
+
+class TestParseConfigProperties:
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(text=_CONFIG_TEXTS,
+           command=st.one_of(st.none(), st.sampled_from(sorted(COMMANDS))))
+    def test_any_text(self, text, command):
+        self._result_or_config_error(text, command)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(edited=_edited_configs())
+    def test_edited_valid_config(self, edited):
+        self._result_or_config_error(*edited)
+
+    @staticmethod
+    def _result_or_config_error(text, command):
+        # any text parses to a RunConfig with finite numbers, or is refused
+        try:
+            config = parse_config(text, command)
+        except ConfigError:
+            return
+        assert isinstance(config, RunConfig)
+        assert config.command in COMMANDS
+        for value in config.values.values():
+            numbers = value if isinstance(value, tuple) else (value,)
+            for number in numbers:
+                if isinstance(number, float):
+                    assert math.isfinite(number)
 
 
 class TestCliRuns:
@@ -245,9 +323,12 @@ class TestExitCodes:
                        "n_fock = 256\nspinor = 1,0,1\nproject_band = 0\n"),
         ("sweep-transmission", "spin = 1\nm = 1.0\ng = 1.0\np0 = 1.0\n"
                                "theta_max = 1.6\n"),
+        ("evolve", "p0 = 20.0\nwidth = 1.0\ncenter = 10.0\nm = 0.0\ng = 0.0\n"
+                   "t_final = 15.0\ndt = 15.0\ngrid_points = 512\n"
+                   "grid_length = 40.0\nproject_band = +\n"),
     ], ids=["spinor-4", "grid-points", "grid-length", "ion-spinor-2",
             "evolve-dt", "ion-n-fock-8", "ion-one-record", "ion-empty-band",
-            "sweep-angle"])
+            "sweep-angle", "evolve-edge-jump"])
     def test_rejected_parameter_is_2(self, tmp_path, capsys, command, text):
         # parseable values that a library validator rejects
         cfg = tmp_path / "bad.cfg"

@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.signal import find_peaks
 
 from maxwellsim import (
     BoundaryContaminationError,
     Grid1D,
+    ParameterError,
     PhysicalParams,
     band_components,
     band_populations,
@@ -15,7 +19,9 @@ from maxwellsim import (
     gaussian_packet,
     lz_spin1,
     momentum_mean,
+    pauli_algebra,
     position_mean,
+    spin1_matrices,
     step,
 )
 from maxwellsim.wavepacket import TRACE_COLUMNS
@@ -174,7 +180,7 @@ class TestEvolve:
     def test_convergence_under_refinement(self, grid):
         fld = gaussian_packet(grid, 10.0, 2.0, 0.0, (1, 0, 0), SCATTER,
                               project_band="+")
-        dt0 = default_time_step(grid, SCATTER)
+        dt0 = default_time_step(grid, SCATTER, 2.0)
         coarse = evolve(fld, 2.0, SCATTER, dt=dt0, record_stride=10**9)
         fine = evolve(fld, 2.0, SCATTER, dt=dt0 / 2, record_stride=10**9)
         assert np.max(np.abs(coarse.trace[-1] - fine.trace[-1])) < 1e-6
@@ -193,6 +199,97 @@ class TestEvolve:
                               project_band="+")
         with pytest.raises(BoundaryContaminationError):
             evolve(fld, 10.0, params, dt=0.02)
+
+    def test_step_cannot_jump_the_edge_guard(self):
+        # one 15-unit step would carry the packet across the periodic edge
+        # between two checks (x_mean 10 -> -15), so it must be refused; the
+        # default step, capped at c dt <= 3 dx, trips the guard instead
+        params = PhysicalParams(c=1.0, m=0.0, g=0.0)
+        small = Grid1D(40.0, 512)
+        fld = gaussian_packet(small, 20.0, 1.0, 10.0, (1, 0, 0), params,
+                              project_band="+")
+        with pytest.raises(ParameterError, match="edge"):
+            evolve(fld, 15.0, params, dt=15.0)
+        with pytest.raises(ParameterError):
+            evolve(fld, 3.01 * small.dx, params, dt=3.01 * small.dx)
+        assert evolve(fld, 2.99 * small.dx, params, dt=2.99 * small.dx).steps == 1
+        with pytest.raises(BoundaryContaminationError):
+            evolve(fld, 15.0, params)
+
+    def test_reports_steps_and_error_bound(self):
+        # README demo: the bound sets dt (the 3 dx cap is 7x looser)
+        grid = Grid1D(80.0, 4096)
+        fld = gaussian_packet(grid, 10.0, 2.0, 0.0, (1, 0, 0), SCATTER,
+                              project_band="+")
+        result = evolve(fld, 14.0, SCATTER)
+        assert result.steps == 1708
+        assert result.steps * result.dt == pytest.approx(14.0, rel=1e-14)
+        assert result.dt == pytest.approx(default_time_step(grid, SCATTER, 14.0),
+                                          rel=1e-14)
+        assert result.split_error_limit == 1e-4
+        assert 0.99e-4 < result.split_error_bound <= result.split_error_limit
+        assert 0.0 <= result.edge_weight_max < 1e-6
+        assert result.trace[-1, 0] == pytest.approx(14.0, abs=1e-9)
+
+
+def _splitting_constant(params, dimension):
+    """g c m c^2 ||[Cz, Cx]|| / hbar^2, the norm taken from the matrices."""
+    algebra = spin1_matrices() if dimension == 3 else pauli_algebra()
+    cx, _, cz = algebra.coupling_matrices
+    commutator = np.linalg.norm(cz @ cx - cx @ cz, 2)
+    return (params.g * params.c * params.rest_energy * commutator
+            / params.hbar**2)
+
+
+_SPINORS = {3: (0.6, 0.3, 0.74), 2: (0.8, 0.6)}
+
+
+class TestSplittingBoundProperties:
+    """The closed-form Strang bound over both spins, m and g in [0, 2]."""
+
+    small = Grid1D(40.0, 256)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(dimension=st.sampled_from([3, 2]), m=st.floats(0.0, 2.0),
+           g=st.floats(0.0, 2.0), p0=st.floats(-3.0, 3.0),
+           fraction=st.floats(0.05, 0.99))
+    def test_one_step_defect_within_local_bound(self, dimension, m, g, p0,
+                                                fraction):
+        params = PhysicalParams(c=1.0, m=m, g=g)
+        constant = _splitting_constant(params, dimension)
+        # under the transport cap and the step's own 1e-4 guard
+        dt_max = 3 * self.small.dx / params.c
+        if constant > 0:
+            dt_max = min(dt_max, (12e-4 / constant) ** (1 / 3))
+        dt = fraction * dt_max
+        fld = gaussian_packet(self.small, p0, 2.0, 0.0, _SPINORS[dimension],
+                              params)
+        once = step(fld, dt, params)
+        twice = step(step(fld, dt / 2, params), dt / 2, params)
+        defect = math.sqrt(np.sum(np.abs(once.amplitudes - twice.amplitudes) ** 2)
+                           * self.small.dx)
+        # the bound for dt plus the bound for two steps of dt/2, plus round-off
+        local = dt**3 * constant / 12.0
+        assert defect <= 1.25 * local + 1e-12
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(dimension=st.sampled_from([3, 2]), m=st.floats(0.0, 2.0),
+           g=st.floats(0.0, 2.0), p0=st.floats(-3.0, 3.0))
+    def test_default_step_within_tolerance_of_halved(self, dimension, m, g, p0):
+        params = PhysicalParams(c=1.0, m=m, g=g)
+        fld = gaussian_packet(self.small, p0, 2.0, 0.0, _SPINORS[dimension],
+                              params)
+        coarse = evolve(fld, 2.0, params, record_stride=10**9)
+        assert coarse.split_error_bound == pytest.approx(
+            2.0 * coarse.dt**2 * _splitting_constant(params, dimension) / 12.0,
+            rel=1e-12)
+        assert coarse.split_error_bound <= coarse.split_error_limit
+        fine = evolve(fld, 2.0, params, dt=coarse.dt / 2, record_stride=10**9)
+        assert fine.steps == 2 * coarse.steps
+        distance = math.sqrt(np.sum(np.abs(coarse.final.amplitudes
+                                           - fine.final.amplitudes) ** 2)
+                             * self.small.dx)
+        assert distance < 1e-4
 
 
 class TestBandStructureObservables:
