@@ -141,18 +141,9 @@ def _write_snapshot(path: str, fld: wavepacket.SpinorField,
         raise ConfigError("snapshot output is defined for three-component fields")
     comps = wavepacket.band_components(fld, params)
     band_dens = [np.sum(np.abs(c) ** 2, axis=1) for c in comps]
-    total = wavepacket.density(fld)
     amp = fld.amplitudes
-    rows = []
-    for i, x in enumerate(fld.grid.x):
-        rows.append((
-            float(x),
-            float(amp[i, 0].real), float(amp[i, 0].imag),
-            float(amp[i, 1].real), float(amp[i, 1].imag),
-            float(amp[i, 2].real), float(amp[i, 2].imag),
-            float(band_dens[0][i]), float(band_dens[1][i]),
-            float(band_dens[2][i]), float(total[i]),
-        ))
+    parts = np.stack([amp.real, amp.imag], axis=2).reshape(len(amp), 6)
+    rows = np.column_stack([fld.grid.x, parts, *band_dens, wavepacket.density(fld)])
     _write_csv(path, SNAPSHOT_COLUMNS, rows, config)
 
 

@@ -20,8 +20,12 @@ blue-sideband interactions (the Lamb-Dicke toolbox); the composite builder
 assembles them with the phase and Rabi choices that realize the
 correspondence above exactly.  Operators are ``scipy.sparse`` CSR arrays
 built with ``scipy.sparse.kron``, and evolution applies ``expm_multiply`` to
-the state.  The sparse modules load only inside the functions that use them,
-which keeps them off the start-up path of every CLI command.
+the state.  Band readout and filtering use the eigenbasis of the truncated
+``p`` (the Gauss-Hermite discrete variable representation; Light, Hamilton &
+Lill, J. Chem. Phys. 82, 1400 (1985)), on whose vector j ``H`` acts as the
+mapped ``H(k)`` at ``k = p_j / hbar``; the position grid serves only
+:func:`position_wavefunction`.  scipy loads only inside the functions that
+use it, which keeps it off the start-up path of every CLI command.
 
 Units: hbar = 1 and lengths in units of ``delta_spread`` unless stated;
 quote Rabi frequencies in angular kHz (rad/ms) and times come out in ms,
@@ -36,11 +40,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import GridCoverageError, ParameterError, TruncationError
 from .spin_algebra import PhysicalParams
-from .wavepacket import Grid1D, SpinorField, band_components, band_populations
+from .wavepacket import Grid1D, SpinorField, _momentum_projectors
+# Unused here, but bench/tracing.py wraps them under these names.
+from .wavepacket import band_components, band_populations  # noqa: F401
 
 __all__ = [
     "IonParams",
@@ -150,10 +155,6 @@ class IonState:
     def ravel(self) -> np.ndarray:
         return self.amplitudes.reshape(-1)
 
-    def fock_tail(self) -> float:
-        """Weight in the top Fock levels; must stay below 1e-6."""
-        return float(np.sum(np.abs(self.amplitudes[..., -_TAIL_LEVELS:]) ** 2))
-
     def internal_populations(self) -> np.ndarray:
         """Occupations of the three ion-1 levels (a, b, c)."""
         return np.sum(np.abs(self.amplitudes) ** 2, axis=(1, 2))
@@ -201,10 +202,7 @@ def quadratures(delta_spread: float, n_fock: int):
 def _sigma_plus_ion1(pair: str) -> np.ndarray:
     """Raising operator on the named ion-1 level pair, basis order (a, b, c)."""
     op = np.zeros((3, 3), dtype=complex)
-    if pair == "ab":
-        op[0, 1] = 1.0
-    else:  # "bc"
-        op[1, 2] = 1.0
+    op[(0, 1) if pair == "ab" else (1, 2)] = 1.0  # "bc" otherwise
     return op
 
 
@@ -289,29 +287,24 @@ def map_parameters(ion: IonParams) -> MappedParams:
     """Continuum parameters (hbar = 1, lengths in Delta) for an ion setup."""
     c = math.sqrt(2.0) * ion.eta * ion.delta_spread * ion.omega1_tilde
     if c == 0:
-        raise ValueError("mapping requires positive eta and omega1_tilde")
+        raise ParameterError("mapping requires positive eta and omega1_tilde")
     m = _HBAR * ion.omega1 / c**2
     g = _HBAR * ion.eta * ion.omega2_tilde / ion.delta_spread
     physical = PhysicalParams(c=c, m=m, g=g, hbar=_HBAR)
-    if ion.omega1 == 0:
-        ratio = 0.0
-    elif ion.omega2_tilde == 0:
-        ratio = math.inf
+    if g == 0:
+        ratio = 0.0 if ion.omega1 == 0 else math.inf
     else:
-        ratio = ion.omega1**2 / (
-            math.sqrt(2.0) * ion.eta**2 * ion.omega1_tilde * ion.omega2_tilde
-        )
+        ratio = physical.rest_energy**2 / (_HBAR * c * g)
     return MappedParams(physical, ratio)
 
 
 def _coherent_amplitudes(alpha: complex, n_fock: int) -> np.ndarray:
     """Fock amplitudes of |alpha>, evaluated in log space for stability."""
-    n = np.arange(n_fock)
     if alpha == 0:
-        out = np.zeros(n_fock, dtype=complex)
-        out[0] = 1.0
-        return out
-    log_mod = -abs(alpha) ** 2 / 2.0 + n * math.log(abs(alpha)) - gammaln(n + 1) / 2.0
+        return np.eye(1, n_fock, dtype=complex)[0]  # the vacuum
+    n = np.arange(n_fock)
+    log_factorial = np.array([math.lgamma(k + 1.0) for k in range(n_fock)])
+    log_mod = -abs(alpha) ** 2 / 2.0 + n * math.log(abs(alpha)) - log_factorial / 2.0
     return np.exp(log_mod) * np.exp(1j * n * np.angle(alpha))
 
 
@@ -320,9 +313,7 @@ def default_readout_grid(ion: IonParams) -> Grid1D:
     delta = ion.delta_spread
     half_span = (math.sqrt(2.0 * ion.n_fock) + 6.0) * delta
     # Resolve twice the largest momentum representable at the truncation.
-    dx_needed = math.pi * math.sqrt(2.0) * delta / (
-        2.0 * math.sqrt(2.0 * ion.n_fock + 1.0)
-    )
+    dx_needed = math.pi * delta / math.sqrt(4.0 * ion.n_fock + 2.0)
     points = 2 ** math.ceil(math.log2(max(1024, 2.0 * half_span / dx_needed)))
     return Grid1D(2.0 * half_span, points)
 
@@ -338,7 +329,7 @@ def coherent_initial_state(
     ``p0`` is in units of hbar / Delta.  The displacement is purely along
     momentum (``alpha = i p0 Delta / hbar``).  Optional ``project_band``
     filters the state onto one dispersion branch of the mapped continuum
-    model by a position-space round trip.
+    model in the truncated momentum eigenbasis.
     """
     xi = np.asarray(spinor, dtype=complex)
     if xi.shape != (3,) or np.linalg.norm(xi) == 0:
@@ -355,44 +346,71 @@ def coherent_initial_state(
 
     amps = xi[:, None, None] * ion.ion2_plus[None, :, None] * motional[None, None, :]
     state = IonState(amps, ion)
-    _check_tail(state)
+    _fock_tail(amps)
 
     if project_band is not None:
         state = _project_band(state, project_band)
     return state
 
 
-def _check_tail(state: IonState):
-    tail = state.fock_tail()
-    if tail > _TAIL_TOL:
+def _fock_tail(amplitudes: np.ndarray) -> np.ndarray:
+    """Weight in the top Fock levels of each state in ``(..., 3, n_ion2,
+    n_fock)``; raises :class:`TruncationError` where it exceeds 1e-6."""
+    tail = np.sum(np.abs(amplitudes[..., -_TAIL_LEVELS:]) ** 2, axis=(-3, -2, -1))
+    if np.max(tail) > _TAIL_TOL:
         raise TruncationError(
-            f"weight {tail:.3e} in the top {_TAIL_LEVELS} Fock levels exceeds "
-            f"{_TAIL_TOL}; raise n_fock"
+            f"weight {np.max(tail):.3e} in the top {_TAIL_LEVELS} Fock levels "
+            f"exceeds {_TAIL_TOL}; raise n_fock"
         )
+    return tail
+
+
+@lru_cache(maxsize=8)
+def _momentum_basis(ion: IonParams) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Unitary ``to_p`` (``fock @ to_p`` = amplitudes on the eigenvectors
+    p_j of the truncated ``p``) and the mapped band projectors ``(P+, P0, P-)``
+    at ``k = p_j / hbar``, each ``(n_fock, 3, 3)``.  With the phase ``i^n`` on
+    Fock state n, ``p`` is real tridiagonal: ``<n-1|p|n> = hbar sqrt(n) / 2 Delta``.
+    """
+    from scipy.linalg import eigh_tridiagonal
+
+    n = np.arange(ion.n_fock)
+    off = _HBAR * np.sqrt(n[1:]) / (2.0 * ion.delta_spread)
+    p, vectors = eigh_tridiagonal(np.zeros(ion.n_fock), off)
+    to_p = np.array([1.0, -1j, -1.0, 1j])[n % 4, None] * vectors
+    projectors, _ = _momentum_projectors(p / _HBAR, map_parameters(ion).physical, 3)
+    return to_p, projectors
+
+
+def _sector_amplitudes(state: IonState) -> np.ndarray:
+    """Spinor-by-Fock amplitudes ``(3, n_fock)`` of ion 2's +sigma2_x sector;
+    raises ``ValueError`` when more than 1e-10 of the weight lies outside it."""
+    fock = np.einsum("j,sjn->sn", state.params.ion2_plus, state.amplitudes)
+    discarded = state.norm() - float(np.sum(np.abs(fock) ** 2))
+    if discarded > 1e-10:
+        raise ValueError(
+            f"ion 2 carries weight {discarded:.3e} outside the +sigma2_x "
+            "sector; no spinor-field representation exists"
+        )
+    return fock
 
 
 def _project_band(state: IonState, band: str) -> IonState:
-    """Filter onto one dispersion branch via the position-space representation."""
+    """Filter onto one dispersion branch in the truncated momentum eigenbasis."""
     ion = state.params
-    grid = default_readout_grid(ion)
-    mapped = map_parameters(ion)
-    fld = position_wavefunction(state, grid)
     labels = ("+", "0", "-")
     if band not in labels:
         raise ParameterError(f"unknown band {band!r}")
-    comps = band_components(fld, mapped.physical)
-    projected = comps[labels.index(band)]
-    weight = float(np.sum(np.abs(projected) ** 2) * grid.dx)
+    to_p, projectors = _momentum_basis(ion)
+    momentum = _sector_amplitudes(state) @ to_p  # (3, n_fock)
+    projected = np.einsum("jst,tj->sj", projectors[labels.index(band)], momentum)
+    weight = float(np.sum(np.abs(projected) ** 2))
     if weight < 1e-12:
         raise ParameterError(f"state has no weight on band {band!r}")
-
-    basis = _hermite_basis(grid, ion.n_fock, ion.delta_spread)
-    fock = (basis @ projected) * grid.dx  # (n_fock, 3)
-    amps = fock.T[:, None, :] * ion.ion2_plus[None, :, None]
-    amps /= math.sqrt(np.sum(np.abs(amps) ** 2))
-    out = IonState(amps, ion, state.time)
-    _check_tail(out)
-    return out
+    fock = projected @ to_p.conj().T / math.sqrt(weight)
+    amps = fock[:, None, :] * ion.ion2_plus[None, :, None]
+    _fock_tail(amps)
+    return IonState(amps, ion, state.time)
 
 
 @lru_cache(maxsize=8)
@@ -428,13 +446,7 @@ def position_wavefunction(state: IonState, grid: Grid1D) -> SpinorField:
         raise GridCoverageError(
             f"grid half-length {grid.length / 2:.1f} below the required {needed:.1f}"
         )
-    fock = np.einsum("j,sjn->sn", ion.ion2_plus, state.amplitudes)
-    discarded = state.norm() - float(np.sum(np.abs(fock) ** 2))
-    if discarded > 1e-10:
-        raise ValueError(
-            f"ion 2 carries weight {discarded:.3e} outside the +sigma2_x "
-            "sector; no spinor-field representation exists"
-        )
+    fock = _sector_amplitudes(state)
     basis = _hermite_basis(grid, ion.n_fock, ion.delta_spread)
     amplitudes = (fock @ basis).T  # (points, 3)
     return SpinorField(grid, amplitudes.astype(complex), state.time)
@@ -454,9 +466,11 @@ def evolve_ion(
     One ``scipy.sparse.linalg.expm_multiply`` call (Al-Mohy & Higham, SIAM J.
     Sci. Comput. 33, 488 (2011)) applies ``exp(-i H t / hbar)`` to the state
     at ``n_records`` uniform times from 0 to ``t_final``, to double precision;
-    its work grows with ``||H|| t_final``.  Records internal populations,
-    ``<x>``, mapped-model band populations, and the Fock-tail weight (guarded
-    at 1e-6) at each time.
+    its work grows with ``||H|| t_final``.  Every record is read at once:
+    internal populations, ``<x> = 2 Delta Re sum sqrt(n+1) c_n* c_{n+1}``,
+    mapped-model band populations in the truncated momentum eigenbasis, and
+    the Fock-tail weight (guarded at 1e-6).  ``H`` conserves sigma2_x, so only
+    the input state is checked to lie in ion 2's +sigma2_x sector.
     """
     from scipy.sparse.linalg import expm_multiply
 
@@ -464,24 +478,22 @@ def evolve_ion(
         raise ParameterError("t_final must be nonnegative")
     if n_records < 2:
         raise ParameterError("need at least two record times")
+    _sector_amplitudes(state)
+    to_p, projectors = _momentum_basis(ion)
     h = build_maxwell_hamiltonian(ion)
     states = expm_multiply(-1j * h / _HBAR, state.ravel(), start=0.0,
                            stop=t_final, num=n_records, endpoint=True)
 
-    grid = default_readout_grid(ion)
-    mapped = map_parameters(ion)
-    x_op = _embed(ion, None, None, quadratures(ion.delta_spread, ion.n_fock)[0])
+    amps = states.reshape((n_records,) + state.amplitudes.shape)
+    tails = _fock_tail(amps)
+    pops = np.sum(np.abs(amps) ** 2, axis=(2, 3))
+    x_mean = 2.0 * ion.delta_spread * np.einsum(
+        "rsjn,n,rsjn->r", amps[..., :-1].conj(),
+        np.sqrt(np.arange(1.0, ion.n_fock)), amps[..., 1:]).real
+    momentum = np.einsum("j,rsjn->rsn", ion.ion2_plus, amps) @ to_p
+    bands = [np.einsum("rsj,jst,rtj->r", momentum.conj(), p, momentum).real
+             for p in projectors]
 
-    times = np.linspace(0.0, t_final, n_records)
-    rows = np.empty((n_records, len(ION_TRACE_COLUMNS)))
-    for i, (t, psi_t) in enumerate(zip(times, states)):
-        current = IonState(
-            psi_t.reshape(state.amplitudes.shape), ion, state.time + t
-        )
-        _check_tail(current)
-        pops = current.internal_populations()
-        x_mean = float(np.real(np.vdot(psi_t, x_op @ psi_t)))
-        bands = band_populations(position_wavefunction(current, grid), mapped.physical)
-        rows[i] = (current.time, pops[0], pops[1], pops[2], x_mean,
-                   bands.w_plus, bands.w_zero, bands.w_minus, current.fock_tail())
-    return IonTrajectory(rows, current)
+    times = state.time + np.linspace(0.0, t_final, n_records)
+    rows = np.column_stack([times, pops, x_mean, *bands, tails])
+    return IonTrajectory(rows, IonState(amps[-1].copy(), ion, times[-1]))

@@ -96,7 +96,7 @@ def _closed_forms(r, flat_band: bool):
 
 def _gap_ratio(params: PhysicalParams, mtilde_c2):
     if params.g <= 0:
-        raise ValueError("transition probabilities require a positive slope g")
+        raise ParameterError("transition probabilities require a positive slope g")
     return mtilde_c2**2 / (params.hbar * params.c * params.g)
 
 

@@ -186,7 +186,6 @@ class EvolveResult:
     """
 
     trace: np.ndarray
-    snapshots: list
     final: SpinorField
     dt: float
     steps: int
@@ -199,9 +198,9 @@ def _algebra_for(dimension: int) -> SpinAlgebra:
     return spin1_matrices() if dimension == 3 else pauli_algebra()
 
 
-@lru_cache(maxsize=16)
-def _grid_projectors(grid: Grid1D, params: PhysicalParams, dimension: int):
-    """Band projectors at every grid wavenumber, stacked as ``(points, d, d)``.
+def _momentum_projectors(k: np.ndarray, params: PhysicalParams, dimension: int):
+    """Band projectors of ``H(k)`` at every wavenumber in ``k``, stacked as
+    ``(len(k), d, d)``, and ``E+(k)``.
 
     The fully degenerate point k = 0 of a massless spectrum is mapped to
     ``P+- = 0`` (and ``P0 = 1`` for spin 1); packets are never built with
@@ -209,11 +208,16 @@ def _grid_projectors(grid: Grid1D, params: PhysicalParams, dimension: int):
     """
     algebra = _algebra_for(dimension)
     cx, _, cz = algebra.coupling_matrices
-    k = grid.k
     chbar = params.c * params.hbar
     h = chbar * k[:, None, None] * cx + params.rest_energy * cz
     e_plus = np.sqrt((chbar * k) ** 2 + params.rest_energy**2)
     return adiabatic_projectors(h, e_plus), e_plus
+
+
+@lru_cache(maxsize=16)
+def _grid_projectors(grid: Grid1D, params: PhysicalParams, dimension: int):
+    """:func:`_momentum_projectors` at the grid wavenumbers."""
+    return _momentum_projectors(grid.k, params, dimension)
 
 
 @lru_cache(maxsize=16)
@@ -222,13 +226,9 @@ def _kinetic_propagator(
 ) -> np.ndarray:
     """``exp(-i H(k) dt / hbar)`` stacked by column: ``out[j, k, i] = U(k)[i, j]``."""
     projectors, e_plus = _grid_projectors(grid, params, dimension)
-    if dimension == 3:
-        energies = (e_plus, np.zeros_like(e_plus), -e_plus)
-    else:
-        energies = (e_plus, -e_plus)
-    u = np.zeros_like(projectors[0])
-    for e_band, p in zip(energies, projectors):
-        u += np.exp(-1j * e_band * dt / params.hbar)[:, None, None] * p
+    signs = (1.0, 0.0, -1.0) if dimension == 3 else (1.0, -1.0)
+    u = sum(np.exp(-1j * sign * e_plus * dt / params.hbar)[:, None, None] * p
+            for sign, p in zip(signs, projectors))
     return np.ascontiguousarray(u.transpose(2, 0, 1))
 
 
@@ -384,7 +384,6 @@ def evolve(
     params: PhysicalParams,
     dt: float | None = None,
     record_stride: int | None = None,
-    snapshot_stride: int | None = None,
 ) -> EvolveResult:
     """Propagate for ``t_final`` and record observables.
 
@@ -393,10 +392,10 @@ def evolve(
     step whose splitting error bound over ``t_final`` exceeds 1e-4, or with
     ``c dt`` beyond the 3 guarded edge cells, which a packet could jump
     across between two checks.  The trace (one row per record, columns
-    :data:`TRACE_COLUMNS`) always includes the initial and final states.
-    ``record_stride`` and ``snapshot_stride`` are in steps; snapshots are
-    full field copies and are off by default.  The edge-contamination guard
-    runs every step.
+    :data:`TRACE_COLUMNS`) always includes the initial and final states;
+    ``record_stride`` is in steps.  Step i of n ends at
+    ``t0 + t_final * (i / n)``, so the last record sits at ``t0 + t_final``
+    exactly.  The edge-contamination guard runs every step.
     """
     if t_final < 0:
         raise ParameterError("t_final must be nonnegative")
@@ -421,17 +420,15 @@ def evolve(
         raise ParameterError("the field must have a nonzero norm")
     edge_max = _edge_weight(current, norm)
     rows = [_trace_row(current, params)]
-    snapshots = [current.copy()] if snapshot_stride else []
 
     for i in range(1, n_steps + 1):
         current = step(current, dt_eff, params, norm)
+        current.time = fld.time + t_final * (i / n_steps)
         edge_max = max(edge_max, _edge_weight(current, norm))
         if i % record_stride == 0 or i == n_steps:
             rows.append(_trace_row(current, params))
-        if snapshot_stride and (i % snapshot_stride == 0 or i == n_steps):
-            snapshots.append(current.copy())
 
-    return EvolveResult(np.array(rows), snapshots, current, dt_eff, n_steps,
+    return EvolveResult(np.array(rows), current, dt_eff, n_steps,
                         bound, _SPLIT_ERROR_TOL, edge_max)
 
 

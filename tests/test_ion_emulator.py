@@ -8,6 +8,7 @@ from maxwellsim import (
     GridCoverageError,
     IonParams,
     TruncationError,
+    band_components,
     band_populations,
     build_maxwell_hamiltonian,
     coherent_initial_state,
@@ -343,3 +344,52 @@ class TestIonEvolution:
         assert trajectory.trace[-1, 0] == pytest.approx(0.5)
         pops = trajectory.trace[:, 1:4].sum(axis=1)
         assert np.allclose(pops, 1.0, atol=1e-10)
+
+
+class TestMomentumReadout:
+    """evolve_ion reads bands in the truncated-p eigenbasis; the position-grid
+    readout (position_wavefunction plus band_populations) is the reference."""
+
+    @pytest.mark.parametrize("reduce_ion2", [True, False], ids=["reduced", "full"])
+    @pytest.mark.parametrize("omega2_tilde, spinor, band", [
+        (TWO_PI * 50.0, (1, 1, 1), None),
+        (0.0, (1, 1, 1), None),
+        (TWO_PI * 50.0, (1, 0, 0), "+"),
+    ], ids=["slope", "free", "projected"])
+    def test_matches_grid_readout(self, reduce_ion2, omega2_tilde, spinor, band):
+        ion = IonParams(**{**PAPER_ION, "omega2_tilde": omega2_tilde},
+                        n_fock=256, reduce_ion2=reduce_ion2)
+        state = coherent_initial_state(ion, 7.0, spinor, project_band=band)
+        trajectory = evolve_ion(state, ion, 0.5, n_records=3)
+        grid = default_readout_grid(ion)
+        physical = map_parameters(ion).physical
+        x = quadratures(ion.delta_spread, ion.n_fock)[0].toarray()
+        for row, current in ((trajectory.trace[0], state),
+                             (trajectory.trace[-1], trajectory.final)):
+            reference = band_populations(position_wavefunction(current, grid),
+                                         physical)
+            assert np.max(np.abs(row[5:8] - reference.as_tuple())) < 1e-12
+            x_mean = np.real(np.sum(current.amplitudes.conj()
+                                    * (current.amplitudes @ x.T)))
+            assert row[4] == pytest.approx(x_mean, rel=1e-12, abs=1e-12)
+            assert np.max(np.abs(row[1:4] - current.internal_populations())) < 1e-14
+
+    def test_projection_matches_grid_filter(self):
+        # the grid filter of the initial state, taken back to the Fock basis
+        ion = IonParams(**PAPER_ION, n_fock=256)
+        state = coherent_initial_state(ion, 7.0, (1, 1, 1))
+        projected = coherent_initial_state(ion, 7.0, (1, 1, 1), project_band="0")
+        grid = default_readout_grid(ion)
+        comps = band_components(position_wavefunction(state, grid),
+                                map_parameters(ion).physical)
+        basis = _hermite_basis(grid, ion.n_fock, ion.delta_spread)
+        fock = (basis @ comps[1]).T * grid.dx
+        fock /= np.linalg.norm(fock)
+        assert np.max(np.abs(projected.amplitudes[:, 0] - fock)) < 1e-12
+
+    def test_rejects_state_outside_ion2_sector(self):
+        ion = small_ion(n_fock=24, reduce_ion2=False)
+        state = coherent_initial_state(ion, 1.0, (1, 0, 0))
+        state.amplitudes[:, 1] *= -1.0  # ion 2 along -sigma2_x
+        with pytest.raises(ValueError, match="sigma2_x"):
+            evolve_ion(state, ion, 0.1, n_records=2)

@@ -229,7 +229,21 @@ class TestEvolve:
         assert result.split_error_limit == 1e-4
         assert 0.99e-4 < result.split_error_bound <= result.split_error_limit
         assert 0.0 <= result.edge_weight_max < 1e-6
-        assert result.trace[-1, 0] == pytest.approx(14.0, abs=1e-9)
+        assert result.trace[-1, 0] == 14.0
+        assert result.final.time == 14.0
+
+    @pytest.mark.parametrize("t0, t_final", [(0.0, 0.7), (0.0, 2.9), (0.3, 1.3)])
+    def test_record_times_do_not_drift(self, t0, t_final):
+        # times are t0 + t_final * i / steps, not a running sum of dt
+        grid = Grid1D(40.0, 512)
+        fld = gaussian_packet(grid, 2.0, 2.0, -5.0, (1, 0, 0), SCATTER)
+        fld.time = t0
+        result = evolve(fld, t_final, SCATTER, dt=0.01, record_stride=7)
+        assert result.trace[-1, 0] == t0 + t_final
+        assert result.final.time == t0 + t_final
+        steps = np.append(np.arange(0, result.steps, 7), result.steps)
+        assert np.array_equal(result.trace[:, 0],
+                              t0 + t_final * (steps / result.steps))
 
 
 def _splitting_constant(params, dimension):
