@@ -24,7 +24,6 @@ class _Key:
     parse: object                 # callable str -> value
     default: object = _REQUIRED   # _REQUIRED, or the default value
     check: object = None          # optional callable value -> error string or None
-    help: str = ""
 
 
 def _parse_bool(text: str) -> bool:
@@ -68,15 +67,13 @@ _PHYSICAL = {
     "hbar": _Key(_parse_float, 1.0, _positive),
 }
 
+# Frequencies are angular, in rad per time unit; lengths in units of delta.
 _ION_KEYS = {
     "eta": _Key(_parse_float, check=_positive),
-    "omega1_tilde": _Key(_parse_float, check=_nonnegative,
-                         help="kinetic-coupling Rabi frequency, rad per time unit"),
-    "omega1": _Key(_parse_float, check=_nonnegative,
-                   help="mass-term splitting, rad per time unit"),
-    "omega2_tilde": _Key(_parse_float, check=_nonnegative,
-                         help="slope-drive Rabi frequency, rad per time unit"),
-    "delta": _Key(_parse_float, 1.0, _positive, help="motional ground-state spread"),
+    "omega1_tilde": _Key(_parse_float, check=_nonnegative),  # kinetic coupling
+    "omega1": _Key(_parse_float, check=_nonnegative),        # mass-term splitting
+    "omega2_tilde": _Key(_parse_float, check=_nonnegative),  # slope drive
+    "delta": _Key(_parse_float, 1.0, _positive),  # motional ground-state spread
     "n_fock": _Key(int, 128, _positive),
     "reduce_ion2": _Key(_parse_bool, True),
 }
@@ -99,8 +96,7 @@ COMMANDS: dict[str, dict[str, _Key]] = {
         "g": _Key(_parse_float, check=_positive),
         "initial_band": _Key(str, "+", _band_choice),
         "endpoint_factor": _Key(_parse_float, 30.0, _positive),
-        "dt": _Key(_parse_float, 0.0, _nonnegative,
-                   help="0 selects the automatic step"),
+        "dt": _Key(_parse_float, 0.0, _nonnegative),  # 0: automatic step
         **_PHYSICAL,
     },
     "evolve": {
@@ -111,20 +107,17 @@ COMMANDS: dict[str, dict[str, _Key]] = {
         "g": _Key(_parse_float, check=_nonnegative),
         "spinor": _Key(_parse_float_list, (1.0, 0.0, 0.0)),
         "project_band": _Key(str, "none", _band_choice),
-        "t_final": _Key(_parse_float, 0.0, _nonnegative,
-                        help="0 selects 7x the packet width (the demo horizon)"),
-        "dt": _Key(_parse_float, 0.0, _nonnegative,
-                   help="0 selects the automatic step"),
+        "t_final": _Key(_parse_float, 0.0, _nonnegative),  # 0: 7 x width
+        "dt": _Key(_parse_float, 0.0, _nonnegative),       # 0: automatic step
         "grid_points": _Key(int, 4096, _positive),
-        "grid_length": _Key(_parse_float, 0.0, _nonnegative,
-                            help="0 selects 40x the packet width"),
-        "record_stride": _Key(int, 0, _nonnegative, help="0 selects ~200 records"),
+        "grid_length": _Key(_parse_float, 0.0, _nonnegative),  # 0: 40 x width
+        "record_stride": _Key(int, 0, _nonnegative),  # 0: max(1, steps // 200)
         "snapshot_path": _Key(str, ""),
         **_PHYSICAL,
     },
     "ion-evolve": {
         **_ION_KEYS,
-        "p0": _Key(_parse_float, help="initial momentum in hbar / delta"),
+        "p0": _Key(_parse_float),  # initial momentum in hbar / delta
         "spinor": _Key(_parse_float_list, (1.0, 0.0, 0.0)),
         "project_band": _Key(str, "none", _band_choice),
         "t_final": _Key(_parse_float, check=_nonnegative),
@@ -133,8 +126,7 @@ COMMANDS: dict[str, dict[str, _Key]] = {
     },
     "crosscheck": {
         **_ION_KEYS,
-        "p0": _Key(_parse_float, 0.0, _nonnegative,
-                   help="0 selects 10 hbar over the packet width"),
+        "p0": _Key(_parse_float, 0.0, _nonnegative),  # 0: 10 hbar / width
         "t_final": _Key(_parse_float, check=_positive),
         "n_records": _Key(int, 50, _positive),
         "grid_points": _Key(int, 2048, _positive),

@@ -286,10 +286,13 @@ def build_maxwell_hamiltonian(ion: IonParams):
 def map_parameters(ion: IonParams) -> MappedParams:
     """Continuum parameters (hbar = 1, lengths in Delta) for an ion setup."""
     c = math.sqrt(2.0) * ion.eta * ion.delta_spread * ion.omega1_tilde
-    if c == 0:
-        raise ParameterError("mapping requires positive eta and omega1_tilde")
+    if c**2 == 0:
+        raise ParameterError("mapping requires positive eta and omega1_tilde, "
+                             "with c^2 nonzero in floating point")
     m = _HBAR * ion.omega1 / c**2
     g = _HBAR * ion.eta * ion.omega2_tilde / ion.delta_spread
+    if not (math.isfinite(m) and math.isfinite(g)):
+        raise ParameterError("mapped mass or slope out of floating-point range")
     physical = PhysicalParams(c=c, m=m, g=g, hbar=_HBAR)
     if g == 0:
         ratio = 0.0 if ion.omega1 == 0 else math.inf
@@ -366,20 +369,30 @@ def _fock_tail(amplitudes: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _momentum_basis(ion: IonParams) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """Unitary ``to_p`` (``fock @ to_p`` = amplitudes on the eigenvectors
-    p_j of the truncated ``p``) and the mapped band projectors ``(P+, P0, P-)``
-    at ``k = p_j / hbar``, each ``(n_fock, 3, 3)``.  With the phase ``i^n`` on
-    Fock state n, ``p`` is real tridiagonal: ``<n-1|p|n> = hbar sqrt(n) / 2 Delta``.
+def _momentum_basis(ion: IonParams):
+    """``(phase, vectors, projectors)``: the unitary ``to_p = diag(phase) @
+    vectors`` (``fock @ to_p`` = amplitudes on the eigenvectors p_j of the
+    truncated ``p``) with ``phase = (-i)^n`` and real ``vectors``, and the
+    mapped band projectors ``(P+, P0, P-)`` at ``k = p_j / hbar``, each
+    ``(n_fock, 3, 3)``.  With the phase ``i^n`` on Fock state n, ``p`` is
+    real tridiagonal: ``<n-1|p|n> = hbar sqrt(n) / 2 Delta``.
     """
     from scipy.linalg import eigh_tridiagonal
 
     n = np.arange(ion.n_fock)
     off = _HBAR * np.sqrt(n[1:]) / (2.0 * ion.delta_spread)
     p, vectors = eigh_tridiagonal(np.zeros(ion.n_fock), off)
-    to_p = np.array([1.0, -1j, -1.0, 1j])[n % 4, None] * vectors
+    phase = np.array([1.0, -1j, -1.0, 1j])[n % 4]
     projectors, _ = _momentum_projectors(p / _HBAR, map_parameters(ion).physical, 3)
-    return to_p, projectors
+    return phase, vectors, projectors
+
+
+def _real_matmul(z: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``z @ m`` for a real matrix ``m``: the real and imaginary rows of z,
+    flattened to two dimensions, go through one real matrix product."""
+    rows = z.reshape(-1, z.shape[-1])
+    out = np.concatenate([rows.real, rows.imag]) @ m
+    return (out[:len(rows)] + 1j * out[len(rows):]).reshape(z.shape[:-1] + (-1,))
 
 
 def _sector_amplitudes(state: IonState) -> np.ndarray:
@@ -401,13 +414,13 @@ def _project_band(state: IonState, band: str) -> IonState:
     labels = ("+", "0", "-")
     if band not in labels:
         raise ParameterError(f"unknown band {band!r}")
-    to_p, projectors = _momentum_basis(ion)
-    momentum = _sector_amplitudes(state) @ to_p  # (3, n_fock)
+    phase, vectors, projectors = _momentum_basis(ion)
+    momentum = _real_matmul(_sector_amplitudes(state) * phase, vectors)  # (3, n_fock)
     projected = np.einsum("jst,tj->sj", projectors[labels.index(band)], momentum)
     weight = float(np.sum(np.abs(projected) ** 2))
     if weight < 1e-12:
         raise ParameterError(f"state has no weight on band {band!r}")
-    fock = projected @ to_p.conj().T / math.sqrt(weight)
+    fock = _real_matmul(projected, vectors.T) * phase.conj() / math.sqrt(weight)
     amps = fock[:, None, :] * ion.ion2_plus[None, :, None]
     _fock_tail(amps)
     return IonState(amps, ion, state.time)
@@ -479,7 +492,7 @@ def evolve_ion(
     if n_records < 2:
         raise ParameterError("need at least two record times")
     _sector_amplitudes(state)
-    to_p, projectors = _momentum_basis(ion)
+    phase, vectors, projectors = _momentum_basis(ion)
     h = build_maxwell_hamiltonian(ion)
     states = expm_multiply(-1j * h / _HBAR, state.ravel(), start=0.0,
                            stop=t_final, num=n_records, endpoint=True)
@@ -490,7 +503,8 @@ def evolve_ion(
     x_mean = 2.0 * ion.delta_spread * np.einsum(
         "rsjn,n,rsjn->r", amps[..., :-1].conj(),
         np.sqrt(np.arange(1.0, ion.n_fock)), amps[..., 1:]).real
-    momentum = np.einsum("j,rsjn->rsn", ion.ion2_plus, amps) @ to_p
+    momentum = _real_matmul(
+        np.einsum("j,rsjn->rsn", ion.ion2_plus, amps) * phase, vectors)
     bands = [np.einsum("rsj,jst,rtj->r", momentum.conj(), p, momentum).real
              for p in projectors]
 

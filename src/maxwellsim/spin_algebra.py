@@ -13,6 +13,12 @@ the objects defined here.  Two representations are supported:
 Projectors are evaluated from the closed polynomial in ``H/E+`` rather than
 from an eigen-solver, which keeps them free of eigenvector phase ambiguity
 and lets them vectorize over momentum grids.
+
+Every propagator the package needs, ``exp(-i omega . S)`` with a real
+vector omega, is a rotation.  It is held as the unit quaternion of its
+SU(2) element (a "rotor"), so products of many step propagators are a few
+array operations on 4-vectors, and the d x d matrix (the SU(2) matrix itself
+for spin 1/2, its symmetric square for spin 1) is formed once at the end.
 """
 
 from __future__ import annotations
@@ -32,6 +38,10 @@ __all__ = [
     "band_energies",
     "band_projectors",
     "adiabatic_projectors",
+    "spin_components",
+    "rotor",
+    "rotor_product",
+    "rotor_matrix",
 ]
 
 _SQRT2 = np.sqrt(2.0)
@@ -183,3 +193,50 @@ def band_projectors(
         )
     h = bloch_hamiltonian(algebra, kx, ky, params)
     return adiabatic_projectors(h, e_plus)
+
+
+def spin_components(matrices: np.ndarray, algebra: SpinAlgebra) -> np.ndarray:
+    """Real coefficients ``omega`` with ``matrices = omega . (sx, sy, sz)``,
+    shape ``(..., 3)``.  The matrices must lie in the span of the spin
+    components (which are orthogonal under the trace)."""
+    spins = np.stack([algebra.sx, algebra.sy, algebra.sz])
+    norms = np.einsum("aij,aji->a", spins, spins).real
+    return np.einsum("...ij,aji->...a", matrices, spins).real / norms
+
+
+def rotor(omega) -> np.ndarray:
+    """Quaternion ``(w, x, y, z)`` of ``exp(-i omega . S)``, shape ``(..., 4)``:
+    its SU(2) element is ``w - i (x sigma_x + y sigma_y + z sigma_z)``
+    ``= exp(-i omega . sigma / 2)``."""
+    omega = np.asarray(omega, dtype=float)
+    angle = np.sqrt(np.sum(omega**2, axis=-1, keepdims=True))
+    # sin(angle / 2) omega / angle, finite at angle = 0
+    return np.concatenate(
+        [np.cos(angle / 2.0), 0.5 * np.sinc(angle / (2.0 * np.pi)) * omega], axis=-1)
+
+
+def rotor_product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Quaternion of the product ``U_p U_q`` of two rotors."""
+    pw, pv = p[..., :1], p[..., 1:]
+    qw, qv = q[..., :1], q[..., 1:]
+    return np.concatenate([pw * qw - np.sum(pv * qv, axis=-1, keepdims=True),
+                           pw * qv + qw * pv + np.cross(pv, qv)], axis=-1)
+
+
+def rotor_matrix(q: np.ndarray, dimension: int) -> np.ndarray:
+    """The ``(..., d, d)`` matrices ``exp(-i omega . S)`` of rotors ``q``.
+
+    For spin 1 this is the symmetric square of the SU(2) matrix
+    ``[[a, b], [c, d]]`` in the basis ``|1> = |uu>``,
+    ``|0> = (|ud> + |du>) / sqrt(2)``, ``|-1> = |dd>``, which is the basis
+    of :func:`spin1_matrices`.
+    """
+    w, x, y, z = np.moveaxis(np.asarray(q), -1, 0)
+    a, b, c, d = w - 1j * z, -y - 1j * x, y - 1j * x, w + 1j * z
+    if dimension == 2:
+        rows = [[a, b], [c, d]]
+    else:
+        rows = [[a * a, _SQRT2 * a * b, b * b],
+                [_SQRT2 * a * c, a * d + b * c, _SQRT2 * b * d],
+                [c * c, _SQRT2 * c * d, d * d]]
+    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)

@@ -20,8 +20,9 @@ cross-checking.
 
 Integration is a fixed-step 4th-order Magnus scheme (Blanes, Casas, Oteo
 & Ros, Phys. Rep. 470, 151 (2009)) whose step exponentials stay in the
-spin algebra, so the propagator is unitary to rounding.  It always runs
-twice (dt and dt/2) as a built-in convergence check.
+spin algebra: each is a rotation, multiplied as a unit quaternion, so the
+propagator is unitary to rounding.  It always runs twice (dt and dt/2) as a
+built-in convergence check.
 No closed-form transition probabilities enter anywhere here, which is what
 makes this module an independent check of the analytic formulas in
 :mod:`maxwellsim.landau_zener`.
@@ -36,7 +37,17 @@ import numpy as np
 
 from .errors import ConvergenceError, NumericalGuardError, ParameterError
 from .landau_zener import TransitionProbabilities, effective_mass
-from .spin_algebra import PhysicalParams, SpinAlgebra, adiabatic_projectors
+from .spin_algebra import (
+    PhysicalParams,
+    SpinAlgebra,
+    adiabatic_projectors,
+    pauli_algebra,
+    rotor,
+    rotor_matrix,
+    rotor_product,
+    spin1_matrices,
+    spin_components,
+)
 
 __all__ = ["SweepProblem", "sweep_problem", "integrate_sweep", "transition_matrix"]
 
@@ -50,9 +61,9 @@ _DEFAULT_ENDPOINT_FACTOR = 30.0
 _DEFAULT_DT_FACTOR = 1.0
 # The Magnus series converges for dt * max|H| / hbar < pi.
 _MAX_DT_FACTOR = math.pi
-# Magnus steps per block of step propagators; bounds the kernel's memory
-# (a few arrays of this many d x d matrices) whatever the step count.
-_BLOCK = 1024
+# Step rotors per block; bounds the kernel's memory (a few arrays of this
+# many 4-vectors) whatever the step and column counts.
+_BLOCK = 16384
 
 _NORM_DRIFT_TOL = 1e-8
 _CONVERGENCE_TOL = 1e-4
@@ -131,31 +142,46 @@ def sweep_problem(
     )
 
 
+def _sweep_columns(step_rotors, psi0, kx_start, rate, dt, n_steps):
+    """Apply ``n_steps`` step propagators along ``kx(t) = kx_start - rate t``
+    to the columns of ``psi0``.
+
+    ``step_rotors(k_mid)`` maps an array of step-midpoint wavenumbers to the
+    rotors (``k_mid.shape + (4,)``) of the step propagators.  ``kx_start``
+    is a scalar shared by every column or one start per column.  Rotors are
+    built in blocks of at most ``_BLOCK`` and multiplied pairwise, so the
+    memory stays bounded whatever the step and column counts; the d x d
+    propagator of each column is formed once, at the end.
+    """
+    kx = np.atleast_1d(np.asarray(kx_start, dtype=float))
+    total = rotor(np.zeros((kx.size, 3)))
+    block = max(1, _BLOCK // kx.size)
+    for first in range(0, n_steps, block):
+        steps = np.arange(first, min(first + block, n_steps))
+        q = step_rotors(kx - rate * (steps[:, None] + 0.5) * dt)
+        while len(q) > 1:
+            pairs = rotor_product(q[1::2], q[0:-1:2])
+            q = np.concatenate([pairs, q[-1:]]) if len(q) % 2 else pairs
+        total = rotor_product(q[0], total)
+    u = rotor_matrix(total, psi0.shape[0])
+    return (u @ psi0.T[:, :, None])[:, :, 0].T
+
+
 def _magnus_sweep(a, b, psi0, kx_start, rate, dt, n_steps, hbar):
     """Propagate the columns of ``psi0`` through ``n_steps`` Magnus steps.
 
     For ``H(t) = (kx_start - rate t) a + b`` the 4th-order Magnus generator
     of one step is ``h H(t_mid) + (i h^3 rate / 12 hbar) [a, b]``: Hermitian
-    and in the span of the coupling matrices, so its spectrum is
-    ``{+e, 0, -e}`` (``{+e, -e}`` for spin 1/2) with ``e^2 = tr(G^2) / 2``
-    and its exponential is a sum over the band projectors.  Step propagators
-    are built in blocks of ``_BLOCK`` and multiplied pairwise.
+    and in the span of the spin components, so its exponential is a rotor
+    whose vector is linear in ``k_mid``.  ``kx_start`` is a scalar or one
+    start per column (see :func:`_sweep_columns`).
     """
+    algebra = spin1_matrices() if a.shape[0] == 3 else pauli_algebra()
     correction = (1j * dt**3 * rate / (12.0 * hbar)) * (a @ b - b @ a)
-    signs = (1.0, 0.0, -1.0) if a.shape[0] == 3 else (1.0, -1.0)
-    psi = psi0
-    for first in range(0, n_steps, _BLOCK):
-        steps = np.arange(first, min(first + _BLOCK, n_steps))
-        k_mid = kx_start - rate * (steps + 0.5) * dt
-        gen = dt * (k_mid[:, None, None] * a + b) + correction
-        e = np.sqrt(np.einsum("nij,nji->n", gen, gen).real / 2.0)
-        u = sum(np.exp(-1j * sign * e / hbar)[:, None, None] * p
-                for sign, p in zip(signs, adiabatic_projectors(gen, e)))
-        while len(u) > 1:
-            pairs = u[1::2] @ u[0:-1:2]
-            u = np.concatenate([pairs, u[-1:]]) if len(u) % 2 else pairs
-        psi = u[0] @ psi
-    return psi
+    slope = spin_components(dt * a / hbar, algebra)
+    offset = spin_components((dt * b + correction) / hbar, algebra)
+    return _sweep_columns(lambda k_mid: rotor(k_mid[..., None] * slope + offset),
+                          psi0, kx_start, rate, dt, n_steps)
 
 
 def _coupling_and_mass(problem: SweepProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -200,6 +226,8 @@ def _integrate_all_bands(problem: SweepProblem, dt: float | None) -> np.ndarray:
     chbar = problem.params.c * problem.params.hbar
     k_extreme = max(problem.kx_start, -problem.kx_end)
     e_max = math.sqrt((chbar * k_extreme) ** 2 + problem.mtilde_c2**2)
+    if not 0 < e_max < math.inf:
+        raise ParameterError("sweep window out of floating-point range")
     if dt is None:
         dt = _DEFAULT_DT_FACTOR * problem.params.hbar / e_max
     if dt <= 0:

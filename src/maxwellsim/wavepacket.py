@@ -2,31 +2,42 @@
 
 The equation of motion is ``i hbar dPsi/dt = [c hbar k Cx + m c^2 Cz + g x] Psi``
 for a two- or three-component spinor on a uniform periodic grid.  Evolution
-uses Strang splitting:
+uses corrected Strang splitting:
 
     exp(-i g x dt / 2 hbar)          pointwise in position space
-    exp(-i H(k) dt / hbar)           pointwise in momentum space
+    K exp(-i H(k) dt / hbar) K       pointwise in momentum space
     exp(-i g x dt / 2 hbar)          pointwise in position space
 
-The kinetic factor is exact per wavenumber, built from the band projectors as
-``sum_j exp(-i E_j(k) dt / hbar) P_j(k)``, so free evolution (g = 0) is exact
-to round-off and band populations are conserved exactly.  Every factor is
-unitary, hence the norm is conserved to round-off for any dt; the dt only
-controls the splitting error in the presence of the potential.
+With ``T = c hbar k Cx + m c^2 Cz`` and ``V = g x`` the double commutators
+are ``[V, [V, T]] = 0`` and ``[T, [T, V]] = -i g c hbar m c^2 [Cz, Cx]``,
+which depends on neither k nor the grid.  So the logarithm of one Strang
+step is the exact generator plus the constant ``dt^3 C / 12`` with
+``C = (g c m c^2 / hbar^2) [Cz, Cx]``, plus O(dt^5).  The factor
+``K = exp(-dt^3 C / 24)`` on both sides cancels that term and leaves a
+symmetric fourth-order scheme (the modified-potential idea of Chin, Phys.
+Lett. A 226, 344 (1997)); K commutes with the potential, so it folds into
+the kinetic factor at no cost per step.  The kinetic factor is exact per
+wavenumber, so free evolution (g = 0) is exact to round-off.  Every factor
+is unitary, hence the norm is conserved to round-off for any dt.
 
-That error has a closed-form bound (Jahnke & Lubich, BIT 40, 735 (2000)).
-With ``T = c hbar k Cx + m c^2 Cz`` and ``V = g x`` the double commutators are
-``[V, [V, T]] = 0`` and ``[T, [T, V]] = -i g c hbar m c^2 [Cz, Cx]``, which
-depends on neither k nor the grid, so Strang steps of length dt over a time t
-stay within
+Two guards bound the splitting error in L2 by 1e-4, the oracle's halving
+tolerance:
 
-    t dt^2 g c m c^2 ||[Cz, Cx]|| / (12 hbar^2)
+* one step is within ``dt^3 g c m c^2 ||[Cz, Cx]|| / (6 hbar^2)`` of the
+  exact step: Strang's ``dt^3 / 12`` (Jahnke & Lubich, BIT 40, 735 (2000))
+  plus ``dt^3 / 24`` for each K (``||[Cz, Cx]||`` is 1 for spin 1 and 2 for
+  spin 1/2).  :func:`step` refuses a dt above this limit.
+* a run's error is measured before stepping.  In momentum space
+  ``g x = i g d/dk``, so each Fourier component k0 moves along
+  ``k(t) = k0 - g t / hbar`` under ``H(k(t))``, and along that path the run
+  is a product of d x d matrices.  :func:`evolve` compares it with the
+  swept-level oracle's Magnus kernel at dt / 4, for every component but a
+  tail of weight w at most 1e-22 of the norm, which adds ``2 sqrt(w)``.
+  The result is ``EvolveResult.split_error``.
 
-in L2 (``||[Cz, Cx]||`` is 1 for spin 1 and 2 for spin 1/2).  Runs are
-rejected when this bound exceeds 1e-4, the oracle's halving tolerance, and
-the default dt is the largest one that keeps it there.  The default is also
-capped at ``c dt <= 3 dx``: no band moves faster than c, so no part of the
-packet can cross the guarded edge strip between two checks.
+The default dt is the largest one within the one-step limit and the cap
+``c dt <= 3 dx``: no band moves faster than c, so no part of the packet can
+cross the guarded edge strip between two checks.
 
 The linear potential is discontinuous across the periodic boundary, which is
 harmless as a pointwise phase but means the packet must never reach the
@@ -48,8 +59,13 @@ from .spin_algebra import (
     SpinAlgebra,
     adiabatic_projectors,
     pauli_algebra,
+    rotor,
+    rotor_matrix,
+    rotor_product,
     spin1_matrices,
+    spin_components,
 )
+from .sweep_integrator import _magnus_sweep, _sweep_columns
 
 __all__ = [
     "Grid1D",
@@ -74,11 +90,16 @@ __all__ = [
 TRACE_COLUMNS = ("t", "norm", "x_mean", "w_plus", "w_zero", "w_minus")
 
 _NORM_STEP_TOL = 1e-10
-#: Largest admissible bound on a run's L2 splitting error.
-_SPLIT_ERROR_TOL = 1e-4
 #: Spectral norm of ``[Cz, Cx]`` by dimension: ``[Sz, Sx] = i Sy`` for spin 1,
 #: ``[sigma_z, sigma_x] = 2 i sigma_y`` for spin 1/2.
 _COMMUTATOR_NORM = {3: 1.0, 2: 2.0}
+#: Largest admissible L2 splitting error: one step's proven bound, and a
+#: run's measured error.
+_SPLIT_ERROR_TOL = 1e-4
+#: Fraction of the norm the measured error may leave to its 2 sqrt(w) term.
+_DROPPED_WEIGHT = 1e-22
+#: Times the default dt shrinks before a run's measured error is an error.
+_SHRINK_TRIES = 3
 _EDGE_CELLS = 3
 _EDGE_WEIGHT_TOL = 1e-6
 _MIN_POINTS = 256
@@ -179,17 +200,18 @@ class EvolveResult:
     """Recorded trajectory: trace rows follow :data:`TRACE_COLUMNS`.
 
     ``dt`` and ``steps`` are the step actually taken and their number
-    (``steps * dt == t_final``).  ``split_error_bound`` is the closed-form
-    bound on the run's L2 splitting error, which the guard keeps at or below
-    ``split_error_limit``; ``edge_weight_max`` is the largest fraction of the
-    norm seen in the guarded edge cells, which must stay below 1e-6.
+    (``steps * dt == t_final``).  ``split_error`` is the run's L2 splitting
+    error measured along the characteristics of the initial field, which the
+    guard keeps at or below ``split_error_limit``; ``edge_weight_max`` is the
+    largest fraction of the norm seen in the guarded edge cells, which must
+    stay below 1e-6.
     """
 
     trace: np.ndarray
     final: SpinorField
     dt: float
     steps: int
-    split_error_bound: float
+    split_error: float
     split_error_limit: float
     edge_weight_max: float
 
@@ -220,15 +242,33 @@ def _grid_projectors(grid: Grid1D, params: PhysicalParams, dimension: int):
     return _momentum_projectors(grid.k, params, dimension)
 
 
+def _splitting_rate(params: PhysicalParams) -> float:
+    """``g c m c^2 / hbar^2``, the scale of the constant dt^3 term."""
+    return params.g * params.c * params.rest_energy / params.hbar**2
+
+
+def _corrected_rotors(k, params: PhysicalParams, dt: float, dimension: int):
+    """Rotors of the corrected kinetic factor ``K U(k) K`` at every k, with
+    ``U(k) = exp(-i H(k) dt / hbar)`` and ``K = exp(-dt^3 C / 24)``,
+    ``C = (g c m c^2 / hbar^2) [Cz, Cx]`` (anti-Hermitian, so K is unitary)."""
+    algebra = _algebra_for(dimension)
+    cx, _, cz = algebra.coupling_matrices
+    kinetic = spin_components(params.c * dt * cx, algebra)
+    mass = spin_components(params.rest_energy * dt / params.hbar * cz, algebra)
+    # K = exp(-i M) with the Hermitian M = -i dt^3 C / 24
+    m = (-1j * dt**3 * _splitting_rate(params) / 24.0) * (cz @ cx - cx @ cz)
+    half = rotor(spin_components(m, algebra))
+    u = rotor(np.asarray(k)[..., None] * kinetic + mass)
+    return rotor_product(half, rotor_product(u, half))
+
+
 @lru_cache(maxsize=16)
 def _kinetic_propagator(
     grid: Grid1D, params: PhysicalParams, dt: float, dimension: int
 ) -> np.ndarray:
-    """``exp(-i H(k) dt / hbar)`` stacked by column: ``out[j, k, i] = U(k)[i, j]``."""
-    projectors, e_plus = _grid_projectors(grid, params, dimension)
-    signs = (1.0, 0.0, -1.0) if dimension == 3 else (1.0, -1.0)
-    u = sum(np.exp(-1j * sign * e_plus * dt / params.hbar)[:, None, None] * p
-            for sign, p in zip(signs, projectors))
+    """Corrected kinetic factor ``K U(k) K`` at the grid wavenumbers, stacked
+    by column: ``out[j, k, i] = (K U(k) K)[i, j]``."""
+    u = rotor_matrix(_corrected_rotors(grid.k, params, dt, dimension), dimension)
     return np.ascontiguousarray(u.transpose(2, 0, 1))
 
 
@@ -239,13 +279,12 @@ def _potential_half_phase(
     return np.exp(-0.5j * params.g * grid.x * dt / params.hbar)
 
 
-def _split_error_bound(
-    params: PhysicalParams, dimension: int, dt: float, duration: float
-) -> float:
-    """Bound on the L2 error of Strang steps of length dt over ``duration``:
-    ``duration dt^2 g c m c^2 ||[Cz, Cx]|| / (12 hbar^2)``."""
-    return (duration * dt**2 * params.g * params.c * params.rest_energy
-            * _COMMUTATOR_NORM[dimension] / (12.0 * params.hbar**2))
+def _step_error_bound(params: PhysicalParams, dimension: int, dt: float) -> float:
+    """Proven bound on one corrected step's L2 error,
+    ``dt^3 g c m c^2 ||[Cz, Cx]|| / (6 hbar^2)``: the Strang step's
+    ``dt^3 / 12`` plus ``dt^3 / 24`` for each correction factor."""
+    rate = _splitting_rate(params) * _COMMUTATOR_NORM[dimension]
+    return dt * dt * dt * rate / 6.0  # overflows to inf where dt**3 would raise
 
 
 def default_time_step(
@@ -253,19 +292,19 @@ def default_time_step(
 ) -> float:
     """Default step for a run of length ``t_final``.
 
-    The largest dt that divides ``t_final`` into whole steps and keeps the
-    run's splitting error bound ``t_final dt^2 g c m c^2 ||[Cz, Cx]|| /
-    (12 hbar^2)`` at or below 1e-4, capped at ``c dt <= 3 dx`` so that no
-    part of the packet can cross the guarded edge strip between two
-    boundary checks.  The cap alone sets dt when m = 0 or g = 0.
+    The largest dt that divides ``t_final`` into whole steps and stays
+    within both the transport cap ``c dt <= 3 dx`` (no part of the packet
+    can cross the guarded edge strip between two boundary checks) and the
+    one-step limit ``dt^3 g c m c^2 ||[Cz, Cx]|| / (6 hbar^2) <= 1e-4``.
+    The cap alone sets dt when m = 0 or g = 0.
     """
     dt = _EDGE_CELLS * grid.dx / params.c
-    bound_at_cap = _split_error_bound(params, dimension, dt, t_final)
-    if bound_at_cap > _SPLIT_ERROR_TOL:
-        dt *= math.sqrt(_SPLIT_ERROR_TOL / bound_at_cap)
+    rate = _splitting_rate(params) * _COMMUTATOR_NORM[dimension]
+    if rate > 0:
+        dt = min(dt, (6.0 * _SPLIT_ERROR_TOL / rate) ** (1.0 / 3.0))
     if t_final <= 0:
         return dt
-    # One step more than the bound needs keeps dt strictly inside it,
+    # One step more than the limits need keeps dt strictly inside them,
     # whatever the rounding of t_final / dt.
     return t_final / (math.floor(t_final / dt) + 1)
 
@@ -333,35 +372,72 @@ def _edge_weight(fld: SpinorField, norm: float) -> float:
     return weight
 
 
-def _validate_step_dt(
-    params: PhysicalParams, dimension: int, dt: float, duration: float
-) -> float:
-    """Reject a dt whose splitting error bound over ``duration`` exceeds 1e-4;
-    return the bound."""
+def _validate_step_dt(params: PhysicalParams, dimension: int, dt: float) -> float:
+    """Reject a dt whose one-step error bound exceeds 1e-4; return the bound."""
     if dt <= 0:
         raise ParameterError("dt must be positive")
-    bound = _split_error_bound(params, dimension, dt, duration)
+    bound = _step_error_bound(params, dimension, dt)
     if bound > _SPLIT_ERROR_TOL:
         raise ParameterError(
-            f"dt = {dt:.6g} too large: the splitting error bound over "
-            f"t = {duration:.6g} is {bound:.3e} > {_SPLIT_ERROR_TOL:.0e}"
+            f"dt = {dt:.6g} too large: the one-step splitting error bound is "
+            f"{bound:.3e} > {_SPLIT_ERROR_TOL:.0e}"
         )
     return bound
+
+
+def _measured_split_error(
+    fld: SpinorField, params: PhysicalParams, dt: float, n_steps: int
+) -> float:
+    """L2 distance between ``n_steps`` corrected steps of dt and the exact
+    evolution of ``fld``, measured along the characteristics.
+
+    In momentum space ``g x = i g d/dk``, so the Fourier component at k0
+    moves along ``k(t) = k0 - g t / hbar`` under ``H(k(t))``.  Along that
+    path a step is the d x d matrix ``K U(k_mid) K`` at the step's midpoint,
+    and the exact evolution is the swept-level problem, integrated here by
+    the oracle's Magnus kernel at dt / 4.  Components are kept from the
+    largest weight down until the dropped weight w is at most 1e-22 of the
+    norm; they can carry at most ``2 sqrt(w)`` of error, which is added.
+    """
+    if n_steps == 0 or _splitting_rate(params) == 0:
+        return 0.0  # without the double commutator the splitting is exact
+    grid = fld.grid
+    scale = grid.dx / grid.points
+    psi_k = np.fft.fft(fld.amplitudes, axis=0)
+    weights = np.sum(np.abs(psi_k) ** 2, axis=1) * scale
+    order = np.argsort(weights)
+    tail = np.cumsum(weights[order])
+    n_dropped = int(np.searchsorted(tail, _DROPPED_WEIGHT * tail[-1], "right"))
+    dropped = float(tail[n_dropped - 1]) if n_dropped else 0.0
+    keep = order[n_dropped:]
+    k0, psi0 = grid.k[keep], psi_k[keep].T
+
+    dimension = fld.dimension
+    rate = params.g / params.hbar
+
+    split = _sweep_columns(
+        lambda k_mid: _corrected_rotors(k_mid, params, dt, dimension),
+        psi0, k0, rate, dt, n_steps)
+    cx, _, cz = _algebra_for(dimension).coupling_matrices
+    exact = _magnus_sweep(params.c * params.hbar * cx, params.rest_energy * cz,
+                          psi0, k0, rate, dt / 4.0, 4 * n_steps, params.hbar)
+    distance = float(np.sum(np.abs(split - exact) ** 2) * scale)
+    return math.sqrt(distance) + 2.0 * math.sqrt(dropped)
 
 
 def step(
     fld: SpinorField, dt: float, params: PhysicalParams, norm: float | None = None
 ) -> SpinorField:
-    """One Strang-split step; unitary to round-off (guarded at 1e-10).
+    """One corrected Strang step; unitary to round-off (guarded at 1e-10).
 
-    A step counts as a run of length dt: it is rejected with
-    :class:`ParameterError` when ``dt^3 g c m c^2 ||[Cz, Cx]|| / (12 hbar^2)``
-    exceeds 1e-4.  A step has no boundary guard and no cap on dt.  ``norm``
-    is the norm the step must preserve, ``fld.norm()`` when omitted;
-    :func:`evolve` passes its initial norm, so there the 1e-10 guard bounds
-    the drift accumulated over the whole run.
+    The step is rejected with :class:`ParameterError` when its proven error
+    bound ``dt^3 g c m c^2 ||[Cz, Cx]|| / (6 hbar^2)`` exceeds 1e-4.  A step
+    has no boundary guard and no cap on dt.  ``norm`` is the norm the step
+    must preserve, ``fld.norm()`` when omitted; :func:`evolve` passes its
+    initial norm, so there the 1e-10 guard bounds the drift accumulated over
+    the whole run.
     """
-    _validate_step_dt(params, fld.dimension, dt, dt)
+    _validate_step_dt(params, fld.dimension, dt)
     if norm is None:
         norm = fld.norm()
     half = _potential_half_phase(fld.grid, params, dt)[:, None]
@@ -378,6 +454,12 @@ def step(
     return out
 
 
+def _whole_steps(t_final: float, dt: float) -> tuple[int, float]:
+    """Step count and the step that divides ``t_final`` into that many."""
+    n_steps = max(1, math.ceil(t_final / dt)) if t_final > 0 else 0
+    return n_steps, (t_final / n_steps if n_steps else dt)
+
+
 def evolve(
     fld: SpinorField,
     t_final: float,
@@ -389,35 +471,54 @@ def evolve(
 
     ``dt`` defaults to :func:`default_time_step`; any dt is shortened to
     divide ``t_final`` into whole steps.  :class:`ParameterError` rejects a
-    step whose splitting error bound over ``t_final`` exceeds 1e-4, or with
-    ``c dt`` beyond the 3 guarded edge cells, which a packet could jump
-    across between two checks.  The trace (one row per record, columns
-    :data:`TRACE_COLUMNS`) always includes the initial and final states;
-    ``record_stride`` is in steps.  Step i of n ends at
+    step with ``c dt`` beyond the 3 guarded edge cells, which a packet could
+    jump across between two checks, or above the one-step error limit.
+    Before stepping, the run's splitting error is measured along the
+    characteristics of the initial field (``EvolveResult.split_error``).
+    Above 1e-4, an explicit dt raises :class:`ParameterError`; the default
+    dt shrinks by ``0.9 (1e-4 / error)^(1/4)`` and is measured again, up to
+    3 times, before :class:`NumericalGuardError`.  The trace (one row per
+    record, columns :data:`TRACE_COLUMNS`) always includes the initial and
+    final states; ``record_stride`` is in steps.  Step i of n ends at
     ``t0 + t_final * (i / n)``, so the last record sits at ``t0 + t_final``
     exactly.  The edge-contamination guard runs every step.
     """
     if t_final < 0:
         raise ParameterError("t_final must be nonnegative")
+    explicit = dt is not None
     if dt is None:
         dt = default_time_step(fld.grid, params, t_final, fld.dimension)
     elif dt <= 0:
         raise ParameterError("dt must be positive")
-    n_steps = max(1, math.ceil(t_final / dt)) if t_final > 0 else 0
-    dt_eff = t_final / n_steps if n_steps else dt
-    bound = _validate_step_dt(params, fld.dimension, dt_eff, t_final)
+    n_steps, dt_eff = _whole_steps(t_final, dt)
     if n_steps and params.c * dt_eff > _EDGE_CELLS * fld.grid.dx:
         raise ParameterError(
             f"dt = {dt_eff:.6g} too large: c dt exceeds the {_EDGE_CELLS} "
             f"guarded edge cells ({_EDGE_CELLS * fld.grid.dx:.6g})"
         )
-    if record_stride is None:
-        record_stride = max(1, n_steps // 200) if n_steps else 1
+    _validate_step_dt(params, fld.dimension, dt_eff)
 
     current = fld.copy()
     norm = current.norm()
     if not norm > 0:
         raise ParameterError("the field must have a nonzero norm")
+    error = _measured_split_error(current, params, dt_eff, n_steps)
+    for _ in range(_SHRINK_TRIES):
+        if error <= _SPLIT_ERROR_TOL or explicit:
+            break
+        n_steps, dt_eff = _whole_steps(
+            t_final, 0.9 * dt_eff * (_SPLIT_ERROR_TOL / error) ** 0.25)
+        error = _measured_split_error(current, params, dt_eff, n_steps)
+    if error > _SPLIT_ERROR_TOL:
+        message = (f"measured splitting error {error:.3e} over t = "
+                   f"{t_final:.6g} exceeds {_SPLIT_ERROR_TOL:.0e} at dt = "
+                   f"{dt_eff:.6g}")
+        if explicit:
+            raise ParameterError(message)
+        raise NumericalGuardError(message)
+    if record_stride is None:
+        record_stride = max(1, n_steps // 200) if n_steps else 1
+
     edge_max = _edge_weight(current, norm)
     rows = [_trace_row(current, params)]
 
@@ -429,7 +530,7 @@ def evolve(
             rows.append(_trace_row(current, params))
 
     return EvolveResult(np.array(rows), current, dt_eff, n_steps,
-                        bound, _SPLIT_ERROR_TOL, edge_max)
+                        error, _SPLIT_ERROR_TOL, edge_max)
 
 
 def _trace_row(fld: SpinorField, params: PhysicalParams) -> tuple:
@@ -469,18 +570,29 @@ def band_components(fld: SpinorField, params: PhysicalParams) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=16)
+def _stacked_projectors(grid: Grid1D, params: PhysicalParams, dimension: int):
+    """The grid projectors as one real ``(bands, N d d)`` matrix.  ``H(k)``
+    is real symmetric for both algebras, hence so are its projectors."""
+    projectors, _ = _grid_projectors(grid, params, dimension)
+    return np.stack([p.real.ravel() for p in projectors])
+
+
 def band_populations(fld: SpinorField, params: PhysicalParams) -> BandPopulations:
-    """Branch weights from momentum-space projection; they sum to the norm."""
-    projectors, _ = _grid_projectors(fld.grid, params, fld.dimension)
+    """Branch weights from momentum-space projection; they sum to the norm.
+
+    For a real symmetric projector ``psi^dagger P psi`` equals
+    ``sum P * Re(psi^* psi^T)``, so all weights come from one real outer
+    product and one matrix-vector product.
+    """
     psi_k = np.fft.fft(fld.amplitudes, axis=0)
+    outer = (psi_k.conj()[:, :, None] * psi_k[:, None, :]).real
     scale = fld.grid.dx / fld.grid.points
-    weights = [
-        float(np.real(np.einsum("ki,kij,kj->", psi_k.conj(), p, psi_k)) * scale)
-        for p in projectors
-    ]
+    weights = (_stacked_projectors(fld.grid, params, fld.dimension)
+               @ outer.ravel()) * scale
     if fld.dimension == 2:
-        return BandPopulations(weights[0], 0.0, weights[1])
-    return BandPopulations(weights[0], weights[1], weights[2])
+        return BandPopulations(float(weights[0]), 0.0, float(weights[1]))
+    return BandPopulations(*(float(w) for w in weights))
 
 
 def classify_scattering(

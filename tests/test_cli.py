@@ -1,12 +1,14 @@
+import contextlib
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import maxwellsim
 from maxwellsim.cli import main
@@ -139,11 +141,11 @@ _BASE = {
 
 
 @st.composite
-def _edited_configs(draw):
+def _edited_configs(draw, values_strategy=_VALUES, base=_BASE):
     command = draw(st.sampled_from(sorted(COMMANDS)))
-    values = {**_BASE[command],
+    values = {**base[command],
               **draw(st.dictionaries(st.sampled_from(sorted(COMMANDS[command])),
-                                     _VALUES, max_size=3))}
+                                     values_strategy, max_size=3))}
     return "\n".join(f"{key} = {value}" for key, value in values.items()), command
 
 
@@ -177,6 +179,99 @@ class TestParseConfigProperties:
             for number in numbers:
                 if isinstance(number, float):
                     assert math.isfinite(number)
+
+
+def _oracle_steps(mtilde_c2, g, c, hbar, endpoint_factor, dt):
+    """Magnus steps of one swept-level call (dt and dt/2 runs)."""
+    scale = max(mtilde_c2, math.sqrt(hbar * c * g))
+    kx = endpoint_factor * scale / (c * hbar)
+    step = dt or hbar / math.hypot(c * hbar * kx, mtilde_c2)
+    return 3.0 * (2.0 * kx * hbar / g) / step
+
+
+def _packet_steps(length, points, t_final, c, rate, dt):
+    """Steps of an evolve run; ``rate`` is g c m c^2 ||[Cz, Cx]|| / hbar^2."""
+    step = dt or min(3.0 * length / points / c,
+                     (6e-4 / rate) ** (1 / 3) if rate > 0 else math.inf)
+    return t_final / step
+
+
+def _affordable(config) -> bool:
+    """Whether a parsed config runs in well under a second: small grids,
+    Fock spaces and record counts, and few steps."""
+    try:
+        return _cheap_run(config.command, config.values)
+    except (ArithmeticError, ValueError):
+        return False  # an estimate out of float range
+
+
+def _cheap_run(command, v) -> bool:
+    if command == "sweep-transmission":
+        return v["theta_points"] <= 2000
+    if command == "lz-oracle":
+        return _oracle_steps(v["mtilde_c2"], v["g"], v["c"], v["hbar"],
+                             v["endpoint_factor"], v["dt"]) <= 1e5
+    if command == "evolve":
+        width = v["width"]
+        rate = 2.0 * v["g"] * v["c"] ** 3 * v["m"] / v["hbar"] ** 2  # norm <= 2
+        steps = _packet_steps(v["grid_length"] or 40.0 * width, v["grid_points"],
+                              v["t_final"] or 7.0 * width, v["c"], rate, v["dt"])
+        return v["grid_points"] <= 1024 and steps <= 2000
+    eta, w1t, w1, w2t = (v[k] for k in ("eta", "omega1_tilde", "omega1",
+                                         "omega2_tilde"))
+    # ||H|| t_final sets the expm_multiply work
+    ion_work = (eta * (w1t + 3.0 * w2t) * math.sqrt(v["n_fock"]) + w1) * v["t_final"]
+    affordable = v["n_fock"] <= 256 and v["n_records"] <= 200 and ion_work <= 1000
+    if command == "ion-evolve" or not affordable:
+        return affordable
+    # crosscheck also runs the oracle and a packet on the mapped parameters
+    delta = v["delta"]
+    c, g = math.sqrt(2.0) * eta * delta * w1t, eta * w2t / delta
+    if c == 0 or g == 0:
+        return True  # refused before any run
+    width = math.sqrt(2.0) * delta
+    return (v["grid_points"] <= 2048
+            and _oracle_steps(w1, g, c, 1.0, 30.0, 0.0) <= 1e5
+            and _packet_steps(40.0 * width, v["grid_points"], v["t_final"], c,
+                              g * c * w1, 0.0) <= 2000)
+
+
+# values a schema accepts more often than arbitrary text, mixed into _VALUES
+_PLAUSIBLE = st.one_of(
+    st.integers(0, 600).map(str),
+    st.floats(0.0, 3.0).map(repr),
+    st.floats(-3.0, 3.0).map(repr),
+    st.sampled_from(["0", "1", "1/2", "+", "-", "none", "true", "1,0,1", "0.6,0.8"]),
+)
+
+
+# three plausible values to one of _VALUES
+_CLI_VALUES = st.integers(0, 3).flatmap(lambda i: _PLAUSIBLE if i else _VALUES)
+# _BASE on small grids and Fock spaces
+_SMALL_BASE = {
+    **_BASE,
+    "evolve": {**_BASE["evolve"], "grid_points": "512", "t_final": "1.0"},
+    "ion-evolve": {**_BASE["ion-evolve"], "n_fock": "64"},
+    "crosscheck": {**_BASE["crosscheck"], "grid_points": "512"},
+}
+
+
+class TestCliProperties:
+    """``main()`` ends every config on a documented exit code."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(edited=_edited_configs(_CLI_VALUES, _SMALL_BASE))
+    def test_accepted_config_never_exits_1(self, edited):
+        text, command = edited
+        try:
+            assume(_affordable(parse_config(text, command)))
+        except ConfigError:
+            pass  # refused by the parser: main() must say so with exit 2
+        with tempfile.TemporaryDirectory() as work, contextlib.chdir(work):
+            Path("run.cfg").write_text(text)
+            # an escaping exception is exit 1 with a traceback
+            assert main([command, "--config", "run.cfg",
+                         "--output", "out.csv"]) in (0, 2, 3, 4)
 
 
 class TestCliRuns:
@@ -329,10 +424,13 @@ class TestExitCodes:
         ("ion-evolve", ION.replace("omega1_tilde = 62.8", "omega1_tilde = 0.0")),
         ("crosscheck", ION.replace("omega1_tilde = 62.8", "omega1_tilde = 0.0")),
         ("crosscheck", ION.replace("omega2_tilde = 314.0", "omega2_tilde = 0.0")),
+        ("lz-oracle", "mtilde_c2 = 0\ng = 1.0\nendpoint_factor = 1e-175\n"),
+        ("crosscheck", ION + "delta = 1e-175\n"),
     ], ids=["spinor-4", "grid-points", "grid-length", "ion-spinor-2",
             "evolve-dt", "ion-n-fock-8", "ion-one-record", "ion-empty-band",
             "sweep-angle", "evolve-edge-jump", "ion-no-kinetic-drive",
-            "crosscheck-no-kinetic-drive", "crosscheck-no-slope"])
+            "crosscheck-no-kinetic-drive", "crosscheck-no-slope",
+            "oracle-window-underflow", "crosscheck-mass-overflow"])
     def test_rejected_parameter_is_2(self, tmp_path, capsys, command, text):
         # parseable values that a library validator rejects
         cfg = tmp_path / "bad.cfg"
@@ -384,14 +482,31 @@ class TestExitCodes:
         assert "output" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_scipy_sparse_unloaded():
-    # Every command imports the ion emulator; only the ion commands may pay
-    # for loading scipy (start-up time and resident memory).
+def _loaded_scipy_modules(code: str) -> str:
+    """Run ``code`` in a fresh interpreter that then prints the sorted names
+    of the loaded scipy modules; return that output."""
     src = str(Path(maxwellsim.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = ("import sys, maxwellsim.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'scipy'))")
+    code += ("\nimport sys; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy'))")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True, timeout=60,
                           env={**os.environ, "PYTHONPATH": path})
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_sparse_unloaded():
+    # Every command imports the ion emulator; only the ion commands may pay
+    # for loading scipy (start-up time and resident memory).
+    assert _loaded_scipy_modules("import maxwellsim.cli") == "[]"
+
+
+def test_evolve_leaves_scipy_unloaded(tmp_path):
+    # the corrected step and the measured guard use numpy alone
+    cfg = tmp_path / "evolve.cfg"
+    cfg.write_text(DEMO + "t_final = 1.0\ngrid_points = 512\n")
+    code = ("from maxwellsim.cli import main\n"
+            f"assert main(['evolve', '--config', {str(cfg)!r}, "
+            f"'--output', {str(tmp_path / 'trace.csv')!r}]) == 0")
+    assert _loaded_scipy_modules(code) == "[]"
+    assert (tmp_path / "trace.csv").exists()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from maxwellsim import (
     DegenerateBandsError,
@@ -10,6 +11,12 @@ from maxwellsim import (
     bloch_hamiltonian,
     pauli_algebra,
     spin1_matrices,
+)
+from maxwellsim.spin_algebra import (
+    rotor,
+    rotor_matrix,
+    rotor_product,
+    spin_components,
 )
 
 
@@ -200,3 +207,24 @@ class TestProjectorPropertySuite:
             else [e_plus, -e_plus]
         for e_band, p in zip(bands, projectors):
             assert np.max(np.abs(h @ p - e_band[:, None, None] * p)) < self.TOL
+
+
+class TestRotors:
+    """Quaternion propagators against the dense matrix exponential."""
+
+    @pytest.mark.parametrize("algebra", [spin1_matrices(), pauli_algebra()],
+                             ids=["spin1", "spin-half"])
+    def test_match_matrix_exponential(self, algebra):
+        rng = np.random.default_rng(7)
+        omega = rng.normal(scale=2.0, size=(6, 3))
+        omega[0] = 0.0  # the identity, where the rotation axis is undefined
+        spins = np.stack([algebra.sx, algebra.sy, algebra.sz])
+        generators = np.einsum("na,aij->nij", omega, spins)
+        exact = np.array([expm(-1j * h) for h in generators])
+        assert np.allclose(spin_components(generators, algebra), omega,
+                           atol=1e-14)
+        d = algebra.dimension
+        q = rotor(omega)
+        assert np.max(np.abs(rotor_matrix(q, d) - exact)) < 1e-14
+        product = rotor_matrix(rotor_product(q[1:4], q[3:]), d)
+        assert np.max(np.abs(product - exact[1:4] @ exact[3:])) < 1e-14

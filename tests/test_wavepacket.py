@@ -24,7 +24,7 @@ from maxwellsim import (
     spin1_matrices,
     step,
 )
-from maxwellsim.wavepacket import TRACE_COLUMNS
+from maxwellsim.wavepacket import TRACE_COLUMNS, _grid_projectors
 
 SCATTER = PhysicalParams(c=1.0, m=0.85, g=1.5)
 FREE = PhysicalParams(c=1.0, m=0.85, g=0.0)
@@ -119,7 +119,9 @@ class TestStep:
         assert position_mean(moved) - position_mean(fld) == pytest.approx(
             dt, abs=1e-8)
 
-    def test_strang_third_order(self, grid):
+    def test_corrected_step_fifth_order(self, grid):
+        # K S K cancels Strang's constant dt^3 term: the symmetric scheme's
+        # local defect is O(dt^5), so halving dt divides it by 32
         fld = gaussian_packet(grid, 10.0, 2.0, 0.0, (1, 0, 0), SCATTER,
                               project_band="+")
 
@@ -129,14 +131,24 @@ class TestStep:
             return np.sqrt(np.sum(np.abs(once.amplitudes - twice.amplitudes) ** 2)
                            * grid.dx)
 
-        errs = [split_defect(dt) for dt in (2e-3, 1e-3, 5e-4)]
-        assert errs[0] / errs[1] == pytest.approx(8.0, rel=0.15)
-        assert errs[1] / errs[2] == pytest.approx(8.0, rel=0.15)
+        errs = [split_defect(dt) for dt in (0.06, 0.03, 0.015)]
+        assert errs[0] / errs[1] == pytest.approx(32.0, rel=0.15)
+        assert errs[1] / errs[2] == pytest.approx(32.0, rel=0.15)
 
     def test_dt_guard(self, grid):
         fld = gaussian_packet(grid, 10.0, 2.0, 0.0, (1, 0, 0), SCATTER)
         with pytest.raises(ValueError):
             step(fld, 1.0, SCATTER)
+        # a bound beyond the float range reads inf and is refused
+        with pytest.raises(ParameterError):
+            step(fld, 1e120, SCATTER)
+
+    def test_default_step_at_extreme_speed(self, grid):
+        # the transport cap c dt <= 3 dx is 1e129 here: the step is the run
+        slow = PhysicalParams(c=2e-130, m=0.85, g=1.5)
+        assert default_time_step(grid, slow, 1.0) == 1.0
+        assert default_time_step(grid, SCATTER, 1.0) == pytest.approx(
+            1.0 / 13)  # the one-step limit, (6e-4 / (1.5 * 0.85))^(1/3) = 0.0778
 
 
 class TestEvolve:
@@ -217,17 +229,24 @@ class TestEvolve:
             evolve(fld, 15.0, params)
 
     def test_reports_steps_and_error_bound(self):
-        # README demo: the bound sets dt (the 3 dx cap is 7x looser)
+        # README demo: the transport cap sets dt (the one-step limit is 1.3x
+        # looser), and the measured splitting error is the true one
         grid = Grid1D(80.0, 4096)
         fld = gaussian_packet(grid, 10.0, 2.0, 0.0, (1, 0, 0), SCATTER,
                               project_band="+")
         result = evolve(fld, 14.0, SCATTER)
-        assert result.steps == 1708
+        assert result.steps == 239
         assert result.steps * result.dt == pytest.approx(14.0, rel=1e-14)
         assert result.dt == pytest.approx(default_time_step(grid, SCATTER, 14.0),
                                           rel=1e-14)
         assert result.split_error_limit == 1e-4
-        assert 0.99e-4 < result.split_error_bound <= result.split_error_limit
+        assert 0.0 < result.split_error <= result.split_error_limit
+        reference = evolve(fld, 14.0, SCATTER, dt=result.dt / 4,
+                           record_stride=10**9)
+        distance = math.sqrt(np.sum(np.abs(result.final.amplitudes
+                                           - reference.final.amplitudes) ** 2)
+                             * grid.dx)
+        assert result.split_error == pytest.approx(distance, rel=0.05)
         assert 0.0 <= result.edge_weight_max < 1e-6
         assert result.trace[-1, 0] == 14.0
         assert result.final.time == 14.0
@@ -259,7 +278,8 @@ _SPINORS = {3: (0.6, 0.3, 0.74), 2: (0.8, 0.6)}
 
 
 class TestSplittingBoundProperties:
-    """The closed-form Strang bound over both spins, m and g in [0, 2]."""
+    """The proven one-step bound and the measured run error over both spins,
+    m and g in [0, 2]."""
 
     small = Grid1D(40.0, 256)
 
@@ -274,7 +294,7 @@ class TestSplittingBoundProperties:
         # under the transport cap and the step's own 1e-4 guard
         dt_max = 3 * self.small.dx / params.c
         if constant > 0:
-            dt_max = min(dt_max, (12e-4 / constant) ** (1 / 3))
+            dt_max = min(dt_max, (6e-4 / constant) ** (1 / 3))
         dt = fraction * dt_max
         fld = gaussian_packet(self.small, p0, 2.0, 0.0, _SPINORS[dimension],
                               params)
@@ -283,27 +303,24 @@ class TestSplittingBoundProperties:
         defect = math.sqrt(np.sum(np.abs(once.amplitudes - twice.amplitudes) ** 2)
                            * self.small.dx)
         # the bound for dt plus the bound for two steps of dt/2, plus round-off
-        local = dt**3 * constant / 12.0
+        local = dt**3 * constant / 6.0
         assert defect <= 1.25 * local + 1e-12
 
     @settings(max_examples=20, deadline=None, derandomize=True, database=None)
     @given(dimension=st.sampled_from([3, 2]), m=st.floats(0.0, 2.0),
            g=st.floats(0.0, 2.0), p0=st.floats(-3.0, 3.0))
-    def test_default_step_within_tolerance_of_halved(self, dimension, m, g, p0):
+    def test_measured_error_matches_refined_run(self, dimension, m, g, p0):
         params = PhysicalParams(c=1.0, m=m, g=g)
         fld = gaussian_packet(self.small, p0, 2.0, 0.0, _SPINORS[dimension],
                               params)
         coarse = evolve(fld, 2.0, params, record_stride=10**9)
-        assert coarse.split_error_bound == pytest.approx(
-            2.0 * coarse.dt**2 * _splitting_constant(params, dimension) / 12.0,
-            rel=1e-12)
-        assert coarse.split_error_bound <= coarse.split_error_limit
-        fine = evolve(fld, 2.0, params, dt=coarse.dt / 2, record_stride=10**9)
-        assert fine.steps == 2 * coarse.steps
+        assert coarse.split_error <= coarse.split_error_limit
+        fine = evolve(fld, 2.0, params, dt=coarse.dt / 8, record_stride=10**9)
+        assert fine.steps == 8 * coarse.steps
         distance = math.sqrt(np.sum(np.abs(coarse.final.amplitudes
                                            - fine.final.amplitudes) ** 2)
                              * self.small.dx)
-        assert distance < 1e-4
+        assert abs(coarse.split_error - distance) <= 0.1 * distance + 1e-10
 
 
 class TestBandStructureObservables:
@@ -315,6 +332,20 @@ class TestBandStructureObservables:
         overlaps = np.abs(
             np.einsum("axs,bxs->ab", comps.conj(), comps) * grid.dx)
         assert np.max(overlaps - np.diag(np.diag(overlaps))) < 1e-12
+
+    @pytest.mark.parametrize("spinor", [(0.4, 0.2, 0.9), (0.8, 0.6)])
+    def test_band_populations_match_projector_sum(self, grid, spinor):
+        # reference: psi^dagger P psi summed over k, one band at a time
+        fld = gaussian_packet(grid, 6.0, 2.0, 0.0, spinor, SCATTER)
+        fld.amplitudes *= np.exp(0.3j * grid.x)[:, None]
+        projectors, _ = _grid_projectors(grid, SCATTER, fld.dimension)
+        psi_k = np.fft.fft(fld.amplitudes, axis=0)
+        reference = [np.einsum("ki,kij,kj->", psi_k.conj(), p, psi_k).real
+                     * grid.dx / grid.points for p in projectors]
+        pops = band_populations(fld, SCATTER).as_tuple()
+        if fld.dimension == 2:
+            pops = (pops[0], pops[2])
+        assert np.allclose(pops, reference, rtol=0, atol=1e-14)
 
     def test_five_peak_structure(self, grid):
         xi = np.array([1.0, 0.0, 1.0]) / np.sqrt(2.0)
