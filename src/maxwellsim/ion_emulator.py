@@ -18,14 +18,19 @@ reproduces the continuum model with the correspondence
 All couplings are combinations of the standard carrier / red-sideband /
 blue-sideband interactions (the Lamb-Dicke toolbox); the composite builder
 assembles them with the phase and Rabi choices that realize the
-correspondence above exactly.  Operators are ``scipy.sparse`` CSR arrays
-built with ``scipy.sparse.kron``, and evolution applies ``expm_multiply`` to
-the state.  Band readout and filtering use the eigenbasis of the truncated
-``p`` (the Gauss-Hermite discrete variable representation; Light, Hamilton &
-Lill, J. Chem. Phys. 82, 1400 (1985)), on whose vector j ``H`` acts as the
-mapped ``H(k)`` at ``k = p_j / hbar``; the position grid serves only
-:func:`position_wavefunction`.  scipy loads only inside the functions that
-use it, which keeps it off the start-up path of every CLI command.
+correspondence above exactly.  The toolbox (:func:`quadratures`,
+:func:`sideband_toolbox`, :func:`build_maxwell_hamiltonian`) returns
+``scipy.sparse`` CSR arrays and is the only code here that imports scipy.
+Propagation and :func:`energy_expectation` never assemble ``H``: they apply
+it matrix-free as ``mass x 1 + A x a + A^dag x ad`` with ``A`` a
+``(3 n_ion2)``-square matrix, and :func:`evolve_ion` expands
+``exp(-i H t / hbar)`` in Chebyshev polynomials.  Band readout and filtering
+use the eigenbasis of the truncated ``p`` (the Gauss-Hermite discrete
+variable representation; Light, Hamilton & Lill, J. Chem. Phys. 82, 1400
+(1985)), on whose vector j ``H`` acts as the mapped ``H(k)`` at
+``k = p_j / hbar``; the position grid serves only
+:func:`position_wavefunction`.  Preparing, evolving and reading out a run
+therefore needs numpy alone.
 
 Units: hbar = 1 and lengths in units of ``delta_spread`` unless stated;
 quote Rabi frequencies in angular kHz (rad/ms) and times come out in ms,
@@ -41,7 +46,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import GridCoverageError, ParameterError, TruncationError
+from .errors import (GridCoverageError, NumericalGuardError, ParameterError,
+                     TruncationError)
 from .spin_algebra import PhysicalParams
 from .wavepacket import Grid1D, SpinorField, _momentum_projectors
 # Unused here, but bench/tracing.py wraps them under these names.
@@ -74,6 +80,15 @@ _HBAR = 1.0
 # Weight allowed in the top 4 Fock levels before truncation is declared broken.
 _TAIL_LEVELS = 4
 _TAIL_TOL = 1e-6
+# Largest relative change of any record's norm before propagation is
+# declared broken (an underestimated spectral bound makes the Chebyshev
+# series diverge).
+_NORM_TOL = 1e-10
+# Chebyshev blocks: every record of a block is expanded from the block's
+# first state over at most this many units of R t / hbar, and the series is
+# cut where every coefficient falls below _COEFF_CUT.
+_BLOCK_Z = 64.0
+_COEFF_CUT = 1e-14
 
 _LEVEL_PAIRS = ("ab", "bc", "a'b'")
 _KINDS = ("carrier", "red", "blue")
@@ -170,10 +185,19 @@ class MappedParams:
 
 @dataclass
 class IonTrajectory:
-    """Recorded ion evolution; trace rows follow :data:`ION_TRACE_COLUMNS`."""
+    """Recorded ion evolution; trace rows follow :data:`ION_TRACE_COLUMNS`.
+
+    ``norm_drift`` is the largest relative change of a record's norm from the
+    input's (guarded at 1e-10), ``fock_tail_max`` the largest ``fock_tail``
+    (guarded at 1e-6), and ``matvecs`` the number of Hamiltonian
+    applications the Chebyshev expansion made.
+    """
 
     trace: np.ndarray
     final: IonState
+    norm_drift: float
+    fock_tail_max: float
+    matvecs: int
 
 
 def _destroy(n_fock: int):
@@ -370,21 +394,135 @@ def _fock_tail(amplitudes: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _momentum_basis(ion: IonParams):
-    """``(phase, vectors, projectors)``: the unitary ``to_p = diag(phase) @
-    vectors`` (``fock @ to_p`` = amplitudes on the eigenvectors p_j of the
-    truncated ``p``) with ``phase = (-i)^n`` and real ``vectors``, and the
-    mapped band projectors ``(P+, P0, P-)`` at ``k = p_j / hbar``, each
-    ``(n_fock, 3, 3)``.  With the phase ``i^n`` on Fock state n, ``p`` is
-    real tridiagonal: ``<n-1|p|n> = hbar sqrt(n) / 2 Delta``.
+    """``(p, phase, vectors, projectors)``: the eigenvalues ``p`` (ascending)
+    of the truncated momentum quadrature, the unitary ``to_p = diag(phase) @
+    vectors`` (``fock @ to_p`` = amplitudes on the eigenvectors p_j) with
+    ``phase = (-i)^n`` and real ``vectors``, and the mapped band projectors
+    ``(P+, P0, P-)`` at ``k = p_j / hbar``, each ``(n_fock, 3, 3)``.  With
+    the phase ``i^n`` on Fock state n, ``p`` is real tridiagonal:
+    ``<n-1|p|n> = hbar sqrt(n) / 2 Delta``.
     """
-    from scipy.linalg import eigh_tridiagonal
-
     n = np.arange(ion.n_fock)
     off = _HBAR * np.sqrt(n[1:]) / (2.0 * ion.delta_spread)
-    p, vectors = eigh_tridiagonal(np.zeros(ion.n_fock), off)
+    p, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
     phase = np.array([1.0, -1j, -1.0, 1j])[n % 4]
     projectors, _ = _momentum_projectors(p / _HBAR, map_parameters(ion).physical, 3)
-    return phase, vectors, projectors
+    return p, phase, vectors, projectors
+
+
+def _ladder_terms(ion: IonParams) -> tuple[np.ndarray, np.ndarray]:
+    """``(mass, coupling)`` with ``H = diag(mass) x 1 + A x a + A^dag x ad``
+    on (ion 1 x ion 2) x motion, ``A = coupling``: the matrix-free form of
+    :func:`build_maxwell_hamiltonian`.
+
+    ``A`` is the kinetic ``eta W1t hbar (sx_ab + sx_bc) / 2i`` (the red and
+    blue sidebands at phases -pi/2 and +pi/2) plus the slope
+    ``hbar eta W2t`` (times ion 2's ``sigma_x`` unless it is reduced).
+    """
+    pairs = np.zeros((3, 3))
+    pairs[0, 1] = pairs[1, 0] = pairs[1, 2] = pairs[2, 1] = 1.0
+    ion2_x = np.ones((1, 1)) if ion.reduce_ion2 else np.array([[0.0, 1.0], [1.0, 0.0]])
+    coupling = (np.kron(ion.eta * ion.omega1_tilde * _HBAR / 2j * pairs,
+                        np.eye(ion.n_ion2))
+                + _HBAR * ion.eta * ion.omega2_tilde * np.kron(np.eye(3), ion2_x))
+    mass = np.repeat(_HBAR * ion.omega1 * np.array([1.0, 0.0, -1.0]), ion.n_ion2)
+    return mass, coupling
+
+
+def _apply_ladder(v: np.ndarray, mass: np.ndarray, up: np.ndarray,
+                  down: np.ndarray, sqrt_n: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out = diag(mass) v + up (a v) + down (ad v)`` for ``v`` of shape
+    ``(3 n_ion2, n_fock)``, with ``a`` the mode's annihilator and ``sqrt_n =
+    sqrt(1, ..., n_fock - 1)`` its matrix elements."""
+    np.multiply(mass[:, None], v, out=out)
+    out[:, :-1] += up @ (v[:, 1:] * sqrt_n)
+    out[:, 1:] += down @ (v[:, :-1] * sqrt_n)
+    return out
+
+
+def _spectral_bound(ion: IonParams, p_max: float) -> float:
+    """``R >= ||H||`` by the triangle inequality over the mass, kinetic and
+    slope terms: ``hbar W1 + c max|p| + g max|x|``, where the truncated ``x``
+    has the spectrum of ``p`` scaled by ``2 Delta^2 / hbar``."""
+    c = math.sqrt(2.0) * ion.eta * ion.delta_spread * ion.omega1_tilde
+    g = _HBAR * ion.eta * ion.omega2_tilde / ion.delta_spread
+    x_max = 2.0 * ion.delta_spread**2 / _HBAR * p_max
+    bound = _HBAR * ion.omega1 + c * p_max + g * x_max
+    if not math.isfinite(bound):
+        raise ParameterError("Hamiltonian norm bound out of floating-point range")
+    return bound
+
+
+def _bessel_weights(z: np.ndarray) -> np.ndarray:
+    """``(2 - delta_k0) J_k(z_r)`` for each ``z_r``, shape ``(len(z), K)``,
+    cut after the last ``k`` where some weight reaches 1e-14.
+
+    ``J_k(z)`` is the k-th Fourier coefficient of ``exp(i z sin theta)``
+    (the Bessel generating function), taken by one FFT on enough points
+    that aliasing stays below round-off.
+    """
+    points = 2 ** math.ceil(math.log2(2.0 * float(np.max(z)) + 128.0))
+    theta = 2.0 * np.pi * np.arange(points) / points
+    bessel = np.fft.fft(np.exp(1j * np.outer(z, np.sin(theta))), axis=1).real / points
+    bessel = bessel[:, :points // 2]
+    keep = np.flatnonzero(np.max(np.abs(bessel), axis=0) >= _COEFF_CUT)
+    weights = bessel[:, :keep[-1] + 1]
+    weights[:, 1:] *= 2.0
+    return weights
+
+
+def _chebyshev_records(psi: np.ndarray, ion: IonParams, bound: float,
+                       t_final: float, n_records: int) -> tuple[np.ndarray, int]:
+    """States ``exp(-i H t_r / hbar) psi`` at ``n_records`` uniform times
+    from 0 to ``t_final``, and the number of ``H`` applications made.
+
+    ``psi`` has shape ``(3 n_ion2, n_fock)``.  With ``G = -i H / R`` and
+    ``S_k = (-i)^k T_k(H / R) psi`` (so ``S_{k+1} = 2 G S_k + S_{k-1}``),
+    ``exp(-i z H / R) psi = sum_k (2 - delta_k0) J_k(z) S_k`` (Tal-Ezer &
+    Kosloff, J. Chem. Phys. 81, 3967 (1984)).  The records are grouped into
+    blocks spanning at most ``R t / hbar = 64``; one stack of ``S_k`` from a
+    block's first state and one real matrix product with the Bessel weights
+    give every record in the block.  A record interval longer than that is
+    split into equal substeps.
+    """
+    records = np.empty((n_records,) + psi.shape, dtype=complex)
+    records[:] = psi
+    z_record = bound * t_final / (n_records - 1) / _HBAR
+    if z_record == 0.0:
+        return records, 0
+    substeps = math.ceil(z_record / _BLOCK_Z)
+    z_step = z_record / substeps
+    per_block = max(1, int(_BLOCK_Z // z_step))
+    steps = (n_records - 1) * substeps
+
+    mass, coupling = _ladder_terms(ion)
+    scale = -1j / bound
+    ops = [(scale * mass, scale * coupling, scale * coupling.conj().T)]
+    ops.append(tuple(2.0 * op for op in ops[0]))  # 2 G, for k >= 2
+    sqrt_n = np.sqrt(np.arange(1.0, ion.n_fock))
+    weights = {}
+    matvecs = 0
+    current = psi
+    for start in range(0, steps, per_block):
+        length = min(per_block, steps - start)
+        if length not in weights:
+            weights[length] = _bessel_weights(z_step * np.arange(1, length + 1))
+        block = weights[length]
+        stack = np.empty((block.shape[1],) + psi.shape, dtype=complex)
+        stack[0] = current
+        for k in range(1, len(stack)):
+            _apply_ladder(stack[k - 1], *ops[k > 1], sqrt_n, out=stack[k])
+            if k > 1:
+                stack[k] += stack[k - 2]
+        matvecs += len(stack) - 1
+        # Real weights on the interleaved real/imaginary parts of the stack.
+        states = (block @ stack.reshape(len(stack), -1).view(float)).view(complex)
+        states = states.reshape((length,) + psi.shape)
+        step = np.arange(start + 1, start + length + 1)
+        recorded = step % substeps == 0
+        records[step[recorded] // substeps] = states[recorded]
+        current = states[-1]
+    return records, matvecs
 
 
 def _real_matmul(z: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -414,7 +552,7 @@ def _project_band(state: IonState, band: str) -> IonState:
     labels = ("+", "0", "-")
     if band not in labels:
         raise ParameterError(f"unknown band {band!r}")
-    phase, vectors, projectors = _momentum_basis(ion)
+    _, phase, vectors, projectors = _momentum_basis(ion)
     momentum = _real_matmul(_sector_amplitudes(state) * phase, vectors)  # (3, n_fock)
     projected = np.einsum("jst,tj->sj", projectors[labels.index(band)], momentum)
     weight = float(np.sum(np.abs(projected) ** 2))
@@ -466,9 +604,12 @@ def position_wavefunction(state: IonState, grid: Grid1D) -> SpinorField:
 
 
 def energy_expectation(state: IonState, ion: IonParams) -> float:
-    h = build_maxwell_hamiltonian(ion)
-    v = state.ravel()
-    return float(np.real(v.conj() @ (h @ v)))
+    """``<psi|H|psi>``, with ``H`` applied matrix-free."""
+    mass, coupling = _ladder_terms(ion)
+    v = state.amplitudes.reshape(len(mass), ion.n_fock)
+    hv = _apply_ladder(v, mass, coupling, coupling.conj().T,
+                       np.sqrt(np.arange(1.0, ion.n_fock)), np.empty_like(v))
+    return float(np.real(np.vdot(v, hv)))
 
 
 def evolve_ion(
@@ -476,38 +617,50 @@ def evolve_ion(
 ) -> IonTrajectory:
     """Evolution under the static composite Hamiltonian.
 
-    One ``scipy.sparse.linalg.expm_multiply`` call (Al-Mohy & Higham, SIAM J.
-    Sci. Comput. 33, 488 (2011)) applies ``exp(-i H t / hbar)`` to the state
-    at ``n_records`` uniform times from 0 to ``t_final``, to double precision;
-    its work grows with ``||H|| t_final``.  Every record is read at once:
+    A Chebyshev expansion of ``exp(-i H t / hbar)`` (see
+    :func:`_chebyshev_records`) gives the state at ``n_records`` uniform
+    times from 0 to ``t_final`` to double precision, with ``H`` applied
+    matrix-free; its work grows with ``R t_final`` for the spectral bound
+    ``R = hbar W1 + c max|p| + g max|x|``.  Every record is read at once:
     internal populations, ``<x> = 2 Delta Re sum sqrt(n+1) c_n* c_{n+1}``,
     mapped-model band populations in the truncated momentum eigenbasis, and
-    the Fock-tail weight (guarded at 1e-6).  ``H`` conserves sigma2_x, so only
-    the input state is checked to lie in ion 2's +sigma2_x sector.
+    the Fock-tail weight (guarded at 1e-6).  A record whose norm differs
+    from the input's by more than 1e-10 (relative) raises
+    :class:`NumericalGuardError`.  ``H`` conserves sigma2_x, so only the input
+    state is checked to lie in ion 2's +sigma2_x sector.
     """
-    from scipy.sparse.linalg import expm_multiply
-
     if t_final < 0:
         raise ParameterError("t_final must be nonnegative")
     if n_records < 2:
         raise ParameterError("need at least two record times")
     _sector_amplitudes(state)
-    phase, vectors, projectors = _momentum_basis(ion)
-    h = build_maxwell_hamiltonian(ion)
-    states = expm_multiply(-1j * h / _HBAR, state.ravel(), start=0.0,
-                           stop=t_final, num=n_records, endpoint=True)
+    norm = state.norm()
+    if norm == 0:
+        raise ParameterError("state has zero norm")
+    p, phase, vectors, projectors = _momentum_basis(ion)
+    bound = _spectral_bound(ion, float(np.max(np.abs(p))))
+    records, matvecs = _chebyshev_records(
+        state.amplitudes.reshape(-1, ion.n_fock), ion, bound, t_final, n_records)
 
-    amps = states.reshape((n_records,) + state.amplitudes.shape)
-    tails = _fock_tail(amps)
+    amps = records.reshape((n_records,) + state.amplitudes.shape)
     pops = np.sum(np.abs(amps) ** 2, axis=(2, 3))
+    drift = float(np.max(np.abs(pops.sum(axis=1) / norm - 1.0)))
+    if not drift <= _NORM_TOL:  # also catches a series that overflowed to nan
+        raise NumericalGuardError(
+            f"record norm drifted by {drift:.3e} (relative), above {_NORM_TOL}; "
+            "the Chebyshev propagation is not converged"
+        )
+    tails = _fock_tail(amps)
     x_mean = 2.0 * ion.delta_spread * np.einsum(
         "rsjn,n,rsjn->r", amps[..., :-1].conj(),
         np.sqrt(np.arange(1.0, ion.n_fock)), amps[..., 1:]).real
     momentum = _real_matmul(
         np.einsum("j,rsjn->rsn", ion.ion2_plus, amps) * phase, vectors)
-    bands = [np.einsum("rsj,jst,rtj->r", momentum.conj(), p, momentum).real
-             for p in projectors]
+    bands = [np.einsum("rsj,jst,rtj->r", momentum.conj(), proj, momentum).real
+             for proj in projectors]
 
     times = state.time + np.linspace(0.0, t_final, n_records)
     rows = np.column_stack([times, pops, x_mean, *bands, tails])
-    return IonTrajectory(rows, IonState(amps[-1].copy(), ion, times[-1]))
+    return IonTrajectory(rows, IonState(amps[-1].copy(), ion, times[-1]),
+                         norm_drift=drift, fock_tail_max=float(np.max(tails)),
+                         matvecs=matvecs)

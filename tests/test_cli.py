@@ -510,3 +510,23 @@ def test_evolve_leaves_scipy_unloaded(tmp_path):
             f"'--output', {str(tmp_path / 'trace.csv')!r}]) == 0")
     assert _loaded_scipy_modules(code) == "[]"
     assert (tmp_path / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("command, text", [
+    ("ion-evolve", ION + "project_band = +\nsnapshot_path = {snapshot}\n"),
+    ("crosscheck", f"eta = 0.05\nomega1_tilde = {TWO_PI * 10}\n"
+     f"omega1 = {TWO_PI * 0.5}\nomega2_tilde = {TWO_PI * 50}\nn_fock = 128\n"
+     "p0 = 4.0\nt_final = 0.8\ngrid_points = 1024\n"),
+], ids=["ion-evolve", "crosscheck"])
+def test_ion_commands_leave_scipy_unloaded(tmp_path, command, text):
+    # preparation, Chebyshev propagation and readout use numpy alone; only
+    # the sideband toolbox, which no command calls, imports scipy
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text.format(snapshot=tmp_path / "snapshot.csv"))
+    code = ("from maxwellsim.cli import main\n"
+            f"assert main([{command!r}, '--config', {str(cfg)!r}, "
+            f"'--output', {str(tmp_path / 'out.csv')!r}]) == 0")
+    assert _loaded_scipy_modules(code) == "[]"
+    assert (tmp_path / "out.csv").exists()
+    if "snapshot_path" in text:
+        assert (tmp_path / "snapshot.csv").exists()

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from maxwellsim import (
     Grid1D,
     GridCoverageError,
     IonParams,
+    NumericalGuardError,
     TruncationError,
     band_components,
     band_populations,
@@ -22,7 +24,13 @@ from maxwellsim import (
     sideband_toolbox,
     spin1_matrices,
 )
-from maxwellsim.ion_emulator import _hermite_basis
+from maxwellsim import ion_emulator
+from maxwellsim.ion_emulator import (
+    _apply_ladder,
+    _bessel_weights,
+    _hermite_basis,
+    _ladder_terms,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -393,3 +401,135 @@ class TestMomentumReadout:
         state.amplitudes[:, 1] *= -1.0  # ion 2 along -sigma2_x
         with pytest.raises(ValueError, match="sigma2_x"):
             evolve_ion(state, ion, 0.1, n_records=2)
+
+
+def _dense_records(state, ion, times):
+    """Reference: dense ``expm(-i H t)`` of the assembled toolbox Hamiltonian."""
+    from scipy.linalg import expm
+
+    h = build_maxwell_hamiltonian(ion).toarray()
+    return [(expm(-1j * h * t) @ state.ravel()).reshape(state.amplitudes.shape)
+            for t in times]
+
+
+class TestMatrixFreeHamiltonian:
+    """``mass x 1 + A x a + A^dag x ad`` against the assembled toolbox."""
+
+    @pytest.mark.parametrize("reduce_ion2", [True, False], ids=["reduced", "full"])
+    @pytest.mark.parametrize("zeroed", [None, "omega1", "omega1_tilde", "omega2_tilde"])
+    def test_matches_assembled_hamiltonian(self, reduce_ion2, zeroed):
+        overrides = {zeroed: 0.0} if zeroed else {}
+        ion = IonParams(**{**PAPER_ION, **overrides}, n_fock=24,
+                        reduce_ion2=reduce_ion2)
+        mass, coupling = _ladder_terms(ion)
+        rng = np.random.default_rng(7)
+        v = (rng.normal(size=(len(mass), ion.n_fock))
+             + 1j * rng.normal(size=(len(mass), ion.n_fock)))
+        got = _apply_ladder(v, mass, coupling, coupling.conj().T,
+                            np.sqrt(np.arange(1.0, ion.n_fock)), np.empty_like(v))
+        want = build_maxwell_hamiltonian(ion) @ v.ravel()
+        assert np.max(np.abs(got.ravel() - want)) < 1e-13
+
+    @pytest.mark.parametrize("reduce_ion2", [True, False], ids=["reduced", "full"])
+    def test_energy_expectation_matches_assembled(self, reduce_ion2):
+        ion = IonParams(**PAPER_ION, n_fock=48, reduce_ion2=reduce_ion2)
+        state = coherent_initial_state(ion, 2.0, (1, 1j, 0.5))
+        v = state.ravel()
+        want = np.real(v.conj() @ (build_maxwell_hamiltonian(ion) @ v))
+        assert energy_expectation(state, ion) == pytest.approx(want, rel=1e-13)
+
+
+# Large mass (which moves nothing in Fock space) makes R t span several
+# Chebyshev blocks while the packet stays far from the truncation.
+_BLOCKS_ION = dict(eta=0.05, omega1_tilde=TWO_PI * 10.0, omega1=TWO_PI * 40.0,
+                   omega2_tilde=TWO_PI * 5.0)
+
+
+class TestChebyshevPropagation:
+
+    def test_bessel_weights(self):
+        from scipy.special import jv
+
+        z = np.array([1e-3, 0.5, 7.3, 33.0, 64.0])
+        weights = _bessel_weights(z)
+        k = np.arange(weights.shape[1] + 40)
+        want = (2.0 - (k == 0)) * jv(k[None, :], z[:, None])
+        assert np.max(np.abs(weights - want[:, :weights.shape[1]])) < 1e-14
+        # the cut drops only weights below 1e-14
+        assert np.max(np.abs(want[:, weights.shape[1]:])) < 1e-14
+
+    @pytest.mark.parametrize("reduce_ion2", [True, False], ids=["reduced", "full"])
+    @pytest.mark.parametrize("n_records", [2, 9, 60])
+    def test_matches_dense_expm(self, reduce_ion2, n_records):
+        ion = IonParams(**_BLOCKS_ION, n_fock=24, reduce_ion2=reduce_ion2)
+        state = coherent_initial_state(ion, 1.0, (1, 1, 0))
+        trajectory = evolve_ion(state, ion, 0.5, n_records=n_records)
+        times = trajectory.trace[:, 0]
+        reference = _dense_records(state, ion, times)
+        pops = [np.sum(np.abs(r) ** 2, axis=(1, 2)) for r in reference]
+        assert np.max(np.abs(trajectory.trace[:, 1:4] - pops)) < 1e-12
+        assert np.max(np.abs(trajectory.final.amplitudes - reference[-1])) < 1e-12
+
+    def test_blocks_compose(self):
+        # one run across several blocks equals three chained shorter runs
+        ion = IonParams(**_BLOCKS_ION, n_fock=32)
+        state = coherent_initial_state(ion, 1.0, (1, 0, 0), project_band="+")
+        whole = evolve_ion(state, ion, 0.6, n_records=61)
+        rows, current = [whole.trace[0]], state
+        for _ in range(3):
+            part = evolve_ion(current, ion, 0.2, n_records=21)
+            rows.extend(part.trace[1:])
+            current = part.final
+        assert whole.matvecs > 0
+        assert np.max(np.abs(whole.trace - np.array(rows))) < 1e-12
+        assert np.max(np.abs(whole.final.amplitudes - current.amplitudes)) < 1e-12
+
+    def test_reports_diagnostics(self):
+        ion = IonParams(**PAPER_ION, n_fock=128)
+        state = coherent_initial_state(ion, 4.0, (1, 0, 0), project_band="+")
+        trajectory = evolve_ion(state, ion, 0.3, n_records=11)
+        assert trajectory.fock_tail_max == np.max(trajectory.trace[:, 8])
+        assert 0.0 <= trajectory.norm_drift < 1e-12
+        assert trajectory.matvecs > 0
+        idle = evolve_ion(state, ion, 0.0, n_records=3)
+        assert (idle.matvecs, idle.norm_drift) == (0, 0.0)
+
+    def test_underestimated_bound_is_a_guard_violation(self, monkeypatch):
+        # a spectral bound below ||H|| makes the series diverge
+        bound = ion_emulator._spectral_bound
+        monkeypatch.setattr(ion_emulator, "_spectral_bound",
+                            lambda ion, p_max: bound(ion, p_max) / 3.0)
+        ion = small_ion(n_fock=24)
+        state = coherent_initial_state(ion, 1.0, (1, 0, 0))
+        with pytest.raises(NumericalGuardError, match="norm"):
+            evolve_ion(state, ion, 20.0, n_records=3)
+
+    def test_rejects_zero_state(self):
+        ion = small_ion(n_fock=24)
+        state = coherent_initial_state(ion, 1.0, (1, 0, 0))
+        state.amplitudes[:] = 0.0
+        with pytest.raises(ValueError, match="zero norm"):
+            evolve_ion(state, ion, 0.1, n_records=2)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(eta=st.floats(0.01, 0.2), omega1_tilde=st.floats(0.5, 10.0),
+           omega1=st.floats(0.0, 200.0), omega2_tilde=st.floats(0.0, 10.0),
+           n_fock=st.integers(32, 64), t_final=st.floats(0.0, 1.0),
+           n_records=st.integers(2, 20))
+    def test_norm_kept_and_reduced_matches_full(self, eta, omega1_tilde, omega1,
+                                                omega2_tilde, n_fock, t_final,
+                                                n_records):
+        kwargs = dict(eta=eta, omega1_tilde=omega1_tilde, omega1=omega1,
+                      omega2_tilde=omega2_tilde, n_fock=n_fock)
+        runs = []
+        for reduce_ion2 in (True, False):
+            ion = IonParams(**kwargs, reduce_ion2=reduce_ion2)
+            state = coherent_initial_state(ion, 1.0, (1, 1, 1))
+            try:
+                runs.append(evolve_ion(state, ion, t_final, n_records=n_records))
+            except TruncationError:
+                assume(False)
+        for run in runs:
+            assert run.norm_drift < 1e-12
+            assert np.max(np.abs(run.trace[:, 1:4].sum(axis=1) - 1.0)) < 1e-12
+        assert np.max(np.abs(runs[0].trace - runs[1].trace)) < 1e-10

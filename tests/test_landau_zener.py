@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from maxwellsim import (
     PhysicalParams,
@@ -153,3 +154,54 @@ class TestFormulaProperties:
     def test_clamp_guard(self):
         with pytest.raises(ValueError):
             TransitionProbabilities(0.5, 0.7, 0.2)  # sums beyond 1 by > 1e-12
+
+
+_RATIOS = st.floats(0.0, 5.0)
+_SCALES = st.floats(0.25, 4.0)
+_SPINS = st.sampled_from([1, 0.5])
+_ANGLES = st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=8)
+_FORMULAS = {1: lz_spin1, 0.5: lz_spin_half}
+
+
+def _at_ratio(ratio, c=1.0, g=1.0, hbar=1.0):
+    """Parameters and effective rest energy with gap ratio ``ratio``."""
+    return PhysicalParams(c=c, g=g, hbar=hbar), math.sqrt(ratio * hbar * c * g)
+
+
+class TestClosedFormPropertySuite:
+    """lz_spin1, lz_spin_half and angle_sweep over the parameter space."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(ratio=_RATIOS, spin=_SPINS, m=st.floats(0.0, 3.0),
+           g=st.floats(0.01, 10.0), p0=st.floats(0.0, 5.0), thetas=_ANGLES)
+    def test_rows_sum_to_one(self, ratio, spin, m, g, p0, thetas):
+        probs = _FORMULAS[spin](*_at_ratio(ratio))
+        assert sum(probs.as_tuple()) == pytest.approx(1.0, abs=1e-12)
+        assert probs.transmission == probs.gamma_p0 + probs.gamma_pm
+        rows = angle_sweep(PhysicalParams(m=m, g=g), spin, p0, thetas)
+        assert np.allclose(rows[:, 1:4].sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+        assert np.array_equal(rows[:, 4], rows[:, 2] + rows[:, 3])
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(ratios=st.lists(_RATIOS, min_size=2, max_size=8), spin=_SPINS)
+    def test_transmission_does_not_rise_with_ratio(self, ratios, spin):
+        ratios = sorted(ratios)
+        t = [_FORMULAS[spin](*_at_ratio(r)).transmission for r in ratios]
+        assert np.all(np.diff(t) <= 1e-15)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(ratio=_RATIOS, spin=_SPINS, c=_SCALES, g=_SCALES, hbar=_SCALES,
+           p0=st.floats(0.0, 5.0), thetas=_ANGLES)
+    def test_invariant_under_rescaling_at_fixed_ratio(self, ratio, spin, c, g,
+                                                      hbar, p0, thetas):
+        unit = _FORMULAS[spin](*_at_ratio(ratio))
+        scaled = _FORMULAS[spin](*_at_ratio(ratio, c, g, hbar))
+        assert scaled.as_tuple() == pytest.approx(unit.as_tuple(), abs=1e-12)
+        # angle sweep: m c^2 and p0 c carry the energy unit sqrt(hbar c g)
+        unit_energy = math.sqrt(hbar * c * g)
+        base = PhysicalParams(m=math.sqrt(ratio), g=1.0)
+        rescaled = PhysicalParams(c=c, m=math.sqrt(ratio) * unit_energy / c**2,
+                                  g=g, hbar=hbar)
+        rows = angle_sweep(base, spin, p0, thetas)
+        rows_scaled = angle_sweep(rescaled, spin, p0 * unit_energy / c, thetas)
+        assert np.allclose(rows_scaled, rows, rtol=0.0, atol=1e-12)
