@@ -30,7 +30,7 @@ import numpy as np
 from . import ion_emulator, landau_zener, sweep_integrator, wavepacket
 from .config import COMMANDS, RunConfig, parse_config
 from .errors import ConfigError, MaxwellSimError, NumericalGuardError
-from .spin_algebra import PhysicalParams, pauli_algebra, spin1_matrices
+from .spin_algebra import PhysicalParams, algebra_for, spin1_matrices
 
 __all__ = ["main", "run"]
 
@@ -50,6 +50,7 @@ ORACLE_COLUMNS = (
     "analytic_transmission",
 )
 CROSSCHECK_COLUMNS = ("method", "w_plus", "w_zero", "w_minus", "transmission")
+_STATIONARY_TOL = 0.01
 
 
 def _format_value(value) -> str:
@@ -94,7 +95,7 @@ def _run_sweep_transmission(config: RunConfig) -> list[str]:
 def _run_lz_oracle(config: RunConfig) -> list[str]:
     v = config.values
     params = PhysicalParams(c=v["c"], m=0.0, g=v["g"], hbar=v["hbar"])
-    algebra = spin1_matrices() if v["spin"] == "1" else pauli_algebra()
+    algebra = algebra_for(3 if v["spin"] == "1" else 2)
     problem = sweep_integrator.sweep_problem(
         algebra, params, v["mtilde_c2"],
         endpoint_factor=v["endpoint_factor"], initial_band=v["initial_band"],
@@ -103,7 +104,7 @@ def _run_lz_oracle(config: RunConfig) -> list[str]:
     oracle = sweep_integrator.integrate_sweep(problem, dt)
     formula = landau_zener.lz_spin1 if v["spin"] == "1" else landau_zener.lz_spin_half
     analytic = formula(params, v["mtilde_c2"])
-    ratio = v["mtilde_c2"] ** 2 / (v["hbar"] * v["c"] * v["g"])
+    ratio = landau_zener._gap_ratio(params, v["mtilde_c2"])
     row = (ratio, oracle.gamma_pp, oracle.gamma_p0, oracle.gamma_pm,
            oracle.transmission, analytic.gamma_pp, analytic.gamma_p0,
            analytic.gamma_pm, analytic.transmission)
@@ -227,8 +228,8 @@ def _run_crosscheck(config: RunConfig) -> list[str]:
     return [config.output_path]
 
 
-def _band_weights_stationary(trace: np.ndarray, tol: float = 0.01) -> bool:
-    """True when each band weight moves < tol over the last 10% of the trace.
+def _band_weights_stationary(trace: np.ndarray) -> bool:
+    """True when each band weight moves < _STATIONARY_TOL over the last 10%.
 
     Finite-time band weights carry a first-order nonadiabatic ripple that
     decays only as the sweep leaves the crossing, so the comparison guard
@@ -237,7 +238,7 @@ def _band_weights_stationary(trace: np.ndarray, tol: float = 0.01) -> bool:
     """
     tail = max(2, int(math.ceil(0.1 * trace.shape[0])))
     window = trace[-tail:, 3:6]
-    return bool(np.max(window.max(axis=0) - window.min(axis=0)) < tol)
+    return bool(np.max(window.max(axis=0) - window.min(axis=0)) < _STATIONARY_TOL)
 
 
 _RUNNERS = {

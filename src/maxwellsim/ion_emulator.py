@@ -28,9 +28,9 @@ it matrix-free as ``mass x 1 + A x a + A^dag x ad`` with ``A`` a
 use the eigenbasis of the truncated ``p`` (the Gauss-Hermite discrete
 variable representation; Light, Hamilton & Lill, J. Chem. Phys. 82, 1400
 (1985)), on whose vector j ``H`` acts as the mapped ``H(k)`` at
-``k = p_j / hbar``; the position grid serves only
-:func:`position_wavefunction`.  Preparing, evolving and reading out a run
-therefore needs numpy alone.
+``k = p_j / hbar``, and the band layer of :mod:`maxwellsim.spin_algebra`
+reads them out; the position grid serves only :func:`position_wavefunction`.
+Preparing, evolving and reading out a run therefore needs numpy alone.
 
 Units: hbar = 1 and lengths in units of ``delta_spread`` unless stated;
 quote Rabi frequencies in angular kHz (rad/ms) and times come out in ms,
@@ -48,8 +48,9 @@ import numpy as np
 
 from .errors import (GridCoverageError, NumericalGuardError, ParameterError,
                      TruncationError)
-from .spin_algebra import PhysicalParams
-from .wavepacket import Grid1D, SpinorField, _momentum_projectors
+from .spin_algebra import (PhysicalParams, band_weights, bloch_field,
+                           field_projectors, spin1_matrices)
+from .wavepacket import Grid1D, SpinorField
 # Unused here, but bench/tracing.py wraps them under these names.
 from .wavepacket import band_components, band_populations  # noqa: F401
 
@@ -166,9 +167,6 @@ class IonState:
 
     def norm(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2))
-
-    def ravel(self) -> np.ndarray:
-        return self.amplitudes.reshape(-1)
 
     def internal_populations(self) -> np.ndarray:
         """Occupations of the three ion-1 levels (a, b, c)."""
@@ -397,16 +395,17 @@ def _momentum_basis(ion: IonParams):
     """``(p, phase, vectors, projectors)``: the eigenvalues ``p`` (ascending)
     of the truncated momentum quadrature, the unitary ``to_p = diag(phase) @
     vectors`` (``fock @ to_p`` = amplitudes on the eigenvectors p_j) with
-    ``phase = (-i)^n`` and real ``vectors``, and the mapped band projectors
-    ``(P+, P0, P-)`` at ``k = p_j / hbar``, each ``(n_fock, 3, 3)``.  With
-    the phase ``i^n`` on Fock state n, ``p`` is real tridiagonal:
+    ``phase = (-i)^n`` and real ``vectors``, and the real band projectors
+    ``(bands, n_fock, 3, 3)`` of the mapped ``H(k)`` at ``k = p_j / hbar``.
+    With the phase ``i^n`` on Fock state n, ``p`` is real tridiagonal:
     ``<n-1|p|n> = hbar sqrt(n) / 2 Delta``.
     """
     n = np.arange(ion.n_fock)
     off = _HBAR * np.sqrt(n[1:]) / (2.0 * ion.delta_spread)
     p, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
     phase = np.array([1.0, -1j, -1.0, 1j])[n % 4]
-    projectors, _ = _momentum_projectors(p / _HBAR, map_parameters(ion).physical, 3)
+    projectors = field_projectors(
+        spin1_matrices(), bloch_field(map_parameters(ion).physical, p / _HBAR))
     return p, phase, vectors, projectors
 
 
@@ -444,10 +443,9 @@ def _spectral_bound(ion: IonParams, p_max: float) -> float:
     """``R >= ||H||`` by the triangle inequality over the mass, kinetic and
     slope terms: ``hbar W1 + c max|p| + g max|x|``, where the truncated ``x``
     has the spectrum of ``p`` scaled by ``2 Delta^2 / hbar``."""
-    c = math.sqrt(2.0) * ion.eta * ion.delta_spread * ion.omega1_tilde
-    g = _HBAR * ion.eta * ion.omega2_tilde / ion.delta_spread
+    physical = map_parameters(ion).physical
     x_max = 2.0 * ion.delta_spread**2 / _HBAR * p_max
-    bound = _HBAR * ion.omega1 + c * p_max + g * x_max
+    bound = _HBAR * ion.omega1 + physical.c * p_max + physical.g * x_max
     if not math.isfinite(bound):
         raise ParameterError("Hamiltonian norm bound out of floating-point range")
     return bound
@@ -554,7 +552,7 @@ def _project_band(state: IonState, band: str) -> IonState:
         raise ParameterError(f"unknown band {band!r}")
     _, phase, vectors, projectors = _momentum_basis(ion)
     momentum = _real_matmul(_sector_amplitudes(state) * phase, vectors)  # (3, n_fock)
-    projected = np.einsum("jst,tj->sj", projectors[labels.index(band)], momentum)
+    projected = (projectors[labels.index(band)] @ momentum.T[..., None])[..., 0].T
     weight = float(np.sum(np.abs(projected) ** 2))
     if weight < 1e-12:
         raise ParameterError(f"state has no weight on band {band!r}")
@@ -656,11 +654,10 @@ def evolve_ion(
         np.sqrt(np.arange(1.0, ion.n_fock)), amps[..., 1:]).real
     momentum = _real_matmul(
         np.einsum("j,rsjn->rsn", ion.ion2_plus, amps) * phase, vectors)
-    bands = [np.einsum("rsj,jst,rtj->r", momentum.conj(), proj, momentum).real
-             for proj in projectors]
+    bands = band_weights(momentum.transpose(0, 2, 1), projectors)
 
     times = state.time + np.linspace(0.0, t_final, n_records)
-    rows = np.column_stack([times, pops, x_mean, *bands, tails])
+    rows = np.column_stack([times, pops, x_mean, bands, tails])
     return IonTrajectory(rows, IonState(amps[-1].copy(), ion, times[-1]),
                          norm_drift=drift, fock_tail_max=float(np.max(tails)),
                          matvecs=matvecs)

@@ -1,8 +1,11 @@
-"""Spin matrices, Bloch Hamiltonians, band energies and band projectors.
+"""Spin matrices, Bloch Hamiltonians, band energies, band projectors and
+band weights.
 
 Everything downstream (analytic transition probabilities, the swept-level
 integrator, the spectral propagator, the trapped-ion emulator) is built on
-the objects defined here.  Two representations are supported:
+the objects defined here, and every route reads its bands out through
+:func:`field_projectors` and :func:`band_weights`.  Two representations are
+supported:
 
 * spin 1 (dimension 3): standard angular-momentum basis, ``Sz = diag(1, 0, -1)``,
   giving the three bands ``E+ > E0 = 0 > E-``;
@@ -12,7 +15,8 @@ the objects defined here.  Two representations are supported:
 
 Projectors are evaluated from the closed polynomial in ``H/E+`` rather than
 from an eigen-solver, which keeps them free of eigenvector phase ambiguity
-and lets them vectorize over momentum grids.
+and lets them vectorize over momentum grids.  ``Cx`` and ``Cz`` are real in
+both bases, so without a ``Cy`` term ``H`` and its projectors are real.
 
 Every propagator the package needs, ``exp(-i omega . S)`` with a real
 vector omega, is a rotation.  It is held as the unit quaternion of its
@@ -34,10 +38,15 @@ __all__ = [
     "PhysicalParams",
     "spin1_matrices",
     "pauli_algebra",
+    "algebra_for",
+    "bloch_field",
+    "field_hamiltonian",
     "bloch_hamiltonian",
     "band_energies",
     "band_projectors",
     "adiabatic_projectors",
+    "field_projectors",
+    "band_weights",
     "spin_components",
     "rotor",
     "rotor_product",
@@ -45,6 +54,7 @@ __all__ = [
 ]
 
 _SQRT2 = np.sqrt(2.0)
+_WEIGHT_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -129,13 +139,32 @@ def pauli_algebra() -> SpinAlgebra:
     return SpinAlgebra(2, sx / 2, sy / 2, sz / 2, np.eye(2, dtype=complex))
 
 
+def algebra_for(dimension: int) -> SpinAlgebra:
+    """The spin-1 algebra for dimension 3, the Pauli algebra for 2."""
+    return spin1_matrices() if dimension == 3 else pauli_algebra()
+
+
+def bloch_field(params: PhysicalParams, kx, ky=0.0) -> np.ndarray:
+    """Fields ``(c hbar kx, c hbar ky, m c^2)``, shape ``(..., 3)``, with
+    ``H(k) = field . (Cx, Cy, Cz)``."""
+    chbar = params.c * params.hbar
+    return np.stack(np.broadcast_arrays(chbar * kx, chbar * ky, params.rest_energy), -1)
+
+
+def field_hamiltonian(algebra: SpinAlgebra, field) -> np.ndarray:
+    """``field . (Cx, Cy, Cz)`` for real fields ``(..., 3)``; real where no
+    field has a y component."""
+    couplings = np.stack(algebra.coupling_matrices)
+    if not np.any(field[..., 1]):
+        couplings = couplings.real
+    return np.tensordot(field, couplings, 1)
+
+
 def bloch_hamiltonian(
     algebra: SpinAlgebra, kx: float, ky: float, params: PhysicalParams
 ) -> np.ndarray:
     """Kinetic-plus-mass Bloch Hamiltonian ``c hbar (kx Sx + ky Sy) + m c^2 Sz``."""
-    cx, cy, cz = algebra.coupling_matrices
-    chbar = params.c * params.hbar
-    return chbar * kx * cx + chbar * ky * cy + params.rest_energy * cz
+    return field_hamiltonian(algebra, bloch_field(params, kx, ky)).astype(complex)
 
 
 def band_energies(kx, ky, params: PhysicalParams):
@@ -145,8 +174,7 @@ def band_energies(kx, ky, params: PhysicalParams):
     spin-1/2 spectrum consists of the outer pair alone.  Accepts scalars or
     arrays.
     """
-    chbar = params.c * params.hbar
-    e_plus = np.sqrt((chbar * kx) ** 2 + (chbar * ky) ** 2 + params.rest_energy**2)
+    e_plus = np.linalg.norm(bloch_field(params, kx, ky), axis=-1)
     return e_plus, np.zeros_like(e_plus), -e_plus
 
 
@@ -155,25 +183,30 @@ def adiabatic_projectors(h: np.ndarray, e_plus) -> tuple[np.ndarray, ...]:
 
     ``h`` may carry leading batch axes (``(..., d, d)`` with matching
     ``e_plus`` of shape ``(...)``).  Batch entries with ``e_plus == 0`` are
-    fully degenerate: there the outer projectors are set to zero and, for
-    dimension 3, the flat-band projector absorbs the identity.  Scalar
-    callers are expected to reject that case beforehand.
+    fully degenerate (``h = 0``): there the outer projectors vanish and the
+    flat-band projector is the identity for dimension 3, and both
+    projectors are half the identity for dimension 2.  Scalar callers are
+    expected to reject that case beforehand.
 
     Returns ``(P+, P0, P-)`` for dimension 3 and ``(P+, P-)`` for dimension 2.
     """
     e = np.asarray(e_plus, dtype=float)
-    dim = h.shape[-1]
-    safe = np.where(e == 0.0, 1.0, e)
-    hn = h / safe[..., None, None]
-    hn = np.where((e == 0.0)[..., None, None], 0.0, hn)
-    eye = np.broadcast_to(np.eye(dim, dtype=complex), h.shape)
-    if dim == 2:
+    hn = h / np.where(e == 0.0, 1.0, e)[..., None, None]
+    eye = np.broadcast_to(np.eye(h.shape[-1], dtype=h.dtype), h.shape)
+    if h.shape[-1] == 2:
         return (eye + hn) / 2.0, (eye - hn) / 2.0
     hn2 = hn @ hn
-    p_plus = (hn2 + hn) / 2.0
-    p_minus = (hn2 - hn) / 2.0
-    p_zero = eye - hn2
-    return p_plus, p_zero, p_minus
+    return (hn2 + hn) / 2.0, eye - hn2, (hn2 - hn) / 2.0
+
+
+def field_projectors(algebra: SpinAlgebra, field) -> np.ndarray:
+    """Band projectors of ``H = field . (Cx, Cy, Cz)`` at real fields of
+    shape ``(..., 3)``, stacked ``(bands, ..., d, d)`` in the order of
+    ``algebra.band_labels``.  A zero field maps as in
+    :func:`adiabatic_projectors`, so the projectors always sum to 1."""
+    field = np.asarray(field, dtype=float)
+    e_plus = np.linalg.norm(field, axis=-1)
+    return np.stack(adiabatic_projectors(field_hamiltonian(algebra, field), e_plus))
 
 
 def band_projectors(
@@ -186,13 +219,33 @@ def band_projectors(
     """
     if algebra is None:
         algebra = spin1_matrices()
-    e_plus = band_energies(kx, ky, params)[0]
-    if e_plus == 0.0:
+    field = bloch_field(params, kx, ky)
+    if np.linalg.norm(field) == 0.0:
         raise DegenerateBandsError(
             "band projectors undefined at kx = ky = m = 0 (all bands degenerate)"
         )
-    h = bloch_hamiltonian(algebra, kx, ky, params)
-    return adiabatic_projectors(h, e_plus)
+    return tuple(field_projectors(algebra, field).astype(complex))
+
+
+def band_weights(psi: np.ndarray, projectors: np.ndarray) -> np.ndarray:
+    """``sum_n psi_n^dagger P_bn psi_n`` for every band b, ``(..., bands)``,
+    for ``psi`` of shape ``(..., *sites, d)`` with any leading batch axes.
+
+    It equals ``sum P * (psi^* psi^T)``: one outer product and one matrix
+    product, both real for real projectors, over blocks of the batch that
+    bound the outer product to ``_WEIGHT_BLOCK`` entries.
+    """
+    stack = projectors.reshape(len(projectors), -1)
+    batch = psi.shape[:psi.ndim - projectors.ndim + 2]
+    rows = psi.reshape((-1,) + psi.shape[len(batch):])
+    block = max(1, _WEIGHT_BLOCK // stack.shape[1])
+    out = np.empty((len(rows), len(stack)))
+    for first in range(0, len(rows), block):
+        part = rows[first:first + block]
+        outer = part.conj()[..., :, None] * part[..., None, :]
+        outer = outer.real if np.isrealobj(projectors) else outer
+        out[first:first + block] = (outer.reshape(len(part), -1) @ stack.T).real
+    return out.reshape(batch + (len(stack),))
 
 
 def spin_components(matrices: np.ndarray, algebra: SpinAlgebra) -> np.ndarray:

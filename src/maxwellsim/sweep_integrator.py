@@ -40,12 +40,13 @@ from .landau_zener import TransitionProbabilities, effective_mass
 from .spin_algebra import (
     PhysicalParams,
     SpinAlgebra,
-    adiabatic_projectors,
-    pauli_algebra,
+    algebra_for,
+    band_weights,
+    field_hamiltonian,
+    field_projectors,
     rotor,
     rotor_matrix,
     rotor_product,
-    spin1_matrices,
     spin_components,
 )
 
@@ -176,28 +177,12 @@ def _magnus_sweep(a, b, psi0, kx_start, rate, dt, n_steps, hbar):
     whose vector is linear in ``k_mid``.  ``kx_start`` is a scalar or one
     start per column (see :func:`_sweep_columns`).
     """
-    algebra = spin1_matrices() if a.shape[0] == 3 else pauli_algebra()
+    algebra = algebra_for(a.shape[0])
     correction = (1j * dt**3 * rate / (12.0 * hbar)) * (a @ b - b @ a)
     slope = spin_components(dt * a / hbar, algebra)
     offset = spin_components((dt * b + correction) / hbar, algebra)
     return _sweep_columns(lambda k_mid: rotor(k_mid[..., None] * slope + offset),
                           psi0, kx_start, rate, dt, n_steps)
-
-
-def _coupling_and_mass(problem: SweepProblem) -> tuple[np.ndarray, np.ndarray]:
-    cx, cy, cz = problem.algebra.coupling_matrices
-    ny, nz = problem.tilde_axis
-    a = problem.params.c * problem.params.hbar * cx
-    b = problem.mtilde_c2 * (ny * cy + nz * cz)
-    return a, b
-
-
-def _edge_projectors(problem: SweepProblem, kx: float) -> tuple[np.ndarray, ...]:
-    a, b = _coupling_and_mass(problem)
-    h = kx * a + b
-    e_plus = math.sqrt((problem.params.c * problem.params.hbar * kx) ** 2
-                       + problem.mtilde_c2**2)
-    return adiabatic_projectors(h, e_plus)
 
 
 def _band_states(projectors) -> np.ndarray:
@@ -207,12 +192,9 @@ def _band_states(projectors) -> np.ndarray:
     in-band weight (the projector's largest diagonal entry), which is
     deterministic and avoids eigen-solver phase conventions.
     """
-    columns = []
-    for p in projectors:
-        j = int(np.argmax(np.real(np.diagonal(p))))
-        v = p[:, j]
-        columns.append(v / np.linalg.norm(v))
-    return np.column_stack(columns)
+    j = np.argmax(np.real(np.diagonal(projectors, axis1=1, axis2=2)), axis=1)
+    v = projectors[np.arange(len(projectors)), :, j]
+    return (v / np.linalg.norm(v, axis=1, keepdims=True)).T
 
 
 def _integrate_all_bands(problem: SweepProblem, dt: float | None) -> np.ndarray:
@@ -222,8 +204,11 @@ def _integrate_all_bands(problem: SweepProblem, dt: float | None) -> np.ndarray:
     any population moves by more than the convergence tolerance between the
     two resolutions.
     """
-    a, b = _coupling_and_mass(problem)
     chbar = problem.params.c * problem.params.hbar
+    # H(kx) = kx a + b; a and b as fields over (Cx, Cy, Cz)
+    slope = np.array([chbar, 0.0, 0.0])
+    offset = problem.mtilde_c2 * np.array([0.0, *problem.tilde_axis])
+    a, b = field_hamiltonian(problem.algebra, np.stack([slope, offset]))
     k_extreme = max(problem.kx_start, -problem.kx_end)
     e_max = math.sqrt((chbar * k_extreme) ** 2 + problem.mtilde_c2**2)
     if not 0 < e_max < math.inf:
@@ -240,16 +225,15 @@ def _integrate_all_bands(problem: SweepProblem, dt: float | None) -> np.ndarray:
     n_steps = max(1, math.ceil(total_time / dt))
     dt_eff = total_time / n_steps
 
-    psi0 = _band_states(_edge_projectors(problem, problem.kx_start)).astype(complex)
-    end_projectors = _edge_projectors(problem, problem.kx_end)
+    edges = [kx * slope + offset for kx in (problem.kx_start, problem.kx_end)]
+    projectors = field_projectors(problem.algebra, edges)
+    psi0 = _band_states(projectors[:, 0]).astype(complex)
 
     def populations(step: float, count: int) -> tuple[np.ndarray, float]:
         psi = _magnus_sweep(a, b, psi0, problem.kx_start, rate, step, count,
                             problem.params.hbar)
         norms = np.sum(np.abs(psi) ** 2, axis=0)
-        w = np.empty((len(end_projectors), psi.shape[1]))
-        for fi, p in enumerate(end_projectors):
-            w[fi] = np.real(np.einsum("ic,ij,jc->c", psi.conj(), p, psi))
+        w = band_weights(psi.T, projectors[:, 1]).T
         return w, float(np.max(np.abs(norms - 1.0)))
 
     w_coarse, _ = populations(dt_eff, n_steps)

@@ -56,13 +56,13 @@ import numpy as np
 from .errors import BoundaryContaminationError, NumericalGuardError, ParameterError
 from .spin_algebra import (
     PhysicalParams,
-    SpinAlgebra,
-    adiabatic_projectors,
-    pauli_algebra,
+    algebra_for,
+    band_weights,
+    bloch_field,
+    field_projectors,
     rotor,
     rotor_matrix,
     rotor_product,
-    spin1_matrices,
     spin_components,
 )
 from .sweep_integrator import _magnus_sweep, _sweep_columns
@@ -216,30 +216,11 @@ class EvolveResult:
     edge_weight_max: float
 
 
-def _algebra_for(dimension: int) -> SpinAlgebra:
-    return spin1_matrices() if dimension == 3 else pauli_algebra()
-
-
-def _momentum_projectors(k: np.ndarray, params: PhysicalParams, dimension: int):
-    """Band projectors of ``H(k)`` at every wavenumber in ``k``, stacked as
-    ``(len(k), d, d)``, and ``E+(k)``.
-
-    The fully degenerate point k = 0 of a massless spectrum is mapped to
-    ``P+- = 0`` (and ``P0 = 1`` for spin 1); packets are never built with
-    weight there.
-    """
-    algebra = _algebra_for(dimension)
-    cx, _, cz = algebra.coupling_matrices
-    chbar = params.c * params.hbar
-    h = chbar * k[:, None, None] * cx + params.rest_energy * cz
-    e_plus = np.sqrt((chbar * k) ** 2 + params.rest_energy**2)
-    return adiabatic_projectors(h, e_plus), e_plus
-
-
 @lru_cache(maxsize=16)
 def _grid_projectors(grid: Grid1D, params: PhysicalParams, dimension: int):
-    """:func:`_momentum_projectors` at the grid wavenumbers."""
-    return _momentum_projectors(grid.k, params, dimension)
+    """Real ``(bands, N, d, d)`` band projectors of ``H(k)`` at the grid
+    wavenumbers (:func:`~maxwellsim.spin_algebra.field_projectors`)."""
+    return field_projectors(algebra_for(dimension), bloch_field(params, grid.k))
 
 
 def _splitting_rate(params: PhysicalParams) -> float:
@@ -251,7 +232,7 @@ def _corrected_rotors(k, params: PhysicalParams, dt: float, dimension: int):
     """Rotors of the corrected kinetic factor ``K U(k) K`` at every k, with
     ``U(k) = exp(-i H(k) dt / hbar)`` and ``K = exp(-dt^3 C / 24)``,
     ``C = (g c m c^2 / hbar^2) [Cz, Cx]`` (anti-Hermitian, so K is unitary)."""
-    algebra = _algebra_for(dimension)
+    algebra = algebra_for(dimension)
     cx, _, cz = algebra.coupling_matrices
     kinetic = spin_components(params.c * dt * cx, algebra)
     mass = spin_components(params.rest_energy * dt / params.hbar * cz, algebra)
@@ -344,7 +325,7 @@ def gaussian_packet(
 
     if project_band is not None:
         comps = band_components(fld, params)
-        labels = _algebra_for(fld.dimension).band_labels
+        labels = algebra_for(fld.dimension).band_labels
         if project_band not in labels:
             raise ParameterError(f"unknown band {project_band!r}")
         projected = comps[labels.index(project_band)]
@@ -418,7 +399,7 @@ def _measured_split_error(
     split = _sweep_columns(
         lambda k_mid: _corrected_rotors(k_mid, params, dt, dimension),
         psi0, k0, rate, dt, n_steps)
-    cx, _, cz = _algebra_for(dimension).coupling_matrices
+    cx, _, cz = algebra_for(dimension).coupling_matrices
     exact = _magnus_sweep(params.c * params.hbar * cx, params.rest_energy * cz,
                           psi0, k0, rate, dt / 4.0, 4 * n_steps, params.hbar)
     distance = float(np.sum(np.abs(split - exact) ** 2) * scale)
@@ -562,34 +543,16 @@ def band_components(fld: SpinorField, params: PhysicalParams) -> np.ndarray:
     The components sum to the original field and are mutually orthogonal
     under the full-line inner product.
     """
-    projectors, _ = _grid_projectors(fld.grid, params, fld.dimension)
     psi_k = np.fft.fft(fld.amplitudes, axis=0)
-    out = np.empty((len(projectors),) + fld.amplitudes.shape, dtype=complex)
-    for j, p in enumerate(projectors):
-        out[j] = np.fft.ifft(np.einsum("kij,kj->ki", p, psi_k), axis=0)
-    return out
-
-
-@lru_cache(maxsize=16)
-def _stacked_projectors(grid: Grid1D, params: PhysicalParams, dimension: int):
-    """The grid projectors as one real ``(bands, N d d)`` matrix.  ``H(k)``
-    is real symmetric for both algebras, hence so are its projectors."""
-    projectors, _ = _grid_projectors(grid, params, dimension)
-    return np.stack([p.real.ravel() for p in projectors])
+    projectors = _grid_projectors(fld.grid, params, fld.dimension)
+    return np.fft.ifft(projectors @ psi_k[..., None], axis=1)[..., 0]
 
 
 def band_populations(fld: SpinorField, params: PhysicalParams) -> BandPopulations:
-    """Branch weights from momentum-space projection; they sum to the norm.
-
-    For a real symmetric projector ``psi^dagger P psi`` equals
-    ``sum P * Re(psi^* psi^T)``, so all weights come from one real outer
-    product and one matrix-vector product.
-    """
+    """Branch weights from momentum-space projection; they sum to the norm."""
     psi_k = np.fft.fft(fld.amplitudes, axis=0)
-    outer = (psi_k.conj()[:, :, None] * psi_k[:, None, :]).real
-    scale = fld.grid.dx / fld.grid.points
-    weights = (_stacked_projectors(fld.grid, params, fld.dimension)
-               @ outer.ravel()) * scale
+    weights = band_weights(psi_k, _grid_projectors(fld.grid, params, fld.dimension))
+    weights *= fld.grid.dx / fld.grid.points
     if fld.dimension == 2:
         return BandPopulations(float(weights[0]), 0.0, float(weights[1]))
     return BandPopulations(*(float(w) for w in weights))

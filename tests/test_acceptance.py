@@ -44,9 +44,6 @@ SCATTER = PhysicalParams(c=1.0, m=0.85, g=1.5)
 PACKET_P0 = 10.0
 PACKET_WIDTH = 2.0
 
-# closed-form targets at ratio 0.85^2 / 1.5 = 0.4817
-TARGET = (0.2817, 0.4981, 0.2202)
-
 
 def report(criterion: int, name: str, ok: bool, details: str):
     print(f"[criterion {criterion}] {name}: {'PASS' if ok else 'FAIL'} - {details}")
@@ -103,11 +100,13 @@ def test_criterion_2_integrator_matches_closed_forms():
 def test_criterion_3_packet_dynamics_match_closed_forms(scattering_final):
     """Band-projected packet after the crossing lands on the closed forms."""
     pops = band_populations(scattering_final, SCATTER).as_tuple()
-    deviations = [abs(w - t) for w, t in zip(pops, TARGET)]
-    ok = max(deviations) <= 0.05
+    exact = lz_spin1(SCATTER, SCATTER.rest_energy).as_tuple()
+    deviation = max(abs(w - t) for w, t in zip(pops, exact))
+    ok = deviation <= 1e-4
     report(3, "packet dynamics vs closed forms", ok,
            f"(w+, w0, w-) = ({pops[0]:.4f}, {pops[1]:.4f}, {pops[2]:.4f}) "
-           f"vs {TARGET}, max |dev| = {max(deviations):.4f} (want <= 0.05)")
+           f"vs the closed forms at ratio 0.85^2 / 1.5 = 0.4817, "
+           f"max |dev| = {deviation:.2e} (want <= 1e-4)")
 
 
 def test_criterion_4_five_peaks_and_flat_band_at_rest(fig_grid):
@@ -184,9 +183,9 @@ def test_criterion_6_ion_continuum_equivalence():
 
     dev_continuum = max(abs(a - b) for a, b in zip(ion_bands, continuum))
     dev_formula = max(abs(a - b) for a, b in zip(ion_bands, formula))
-    ok = dev_continuum < 0.03 and dev_formula < 0.07 and settle < 0.01
+    ok = dev_continuum < 1e-6 and dev_formula < 0.07 and settle < 0.01
     report(6, "ion-continuum equivalence", ok,
-           f"|ion - continuum| = {dev_continuum:.2e} (want < 0.03), "
+           f"|ion - continuum| = {dev_continuum:.2e} (want < 1e-6), "
            f"|ion - closed form| = {dev_formula:.2e} (want < 0.07), "
            f"band-weight settle over final 15% = {settle:.2e} (want < 0.01, "
            f"saturated within 1 ms)")

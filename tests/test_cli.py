@@ -1,4 +1,6 @@
 import contextlib
+import importlib
+import importlib.util
 import math
 import os
 import subprocess
@@ -530,3 +532,15 @@ def test_ion_commands_leave_scipy_unloaded(tmp_path, command, text):
     assert (tmp_path / "out.csv").exists()
     if "snapshot_path" in text:
         assert (tmp_path / "snapshot.csv").exists()
+
+
+def test_bench_traced_names_resolve():
+    # bench/tracing.py wraps these lookups for `bench/run.py --trace 1`; a
+    # rename in the package would otherwise surface only there.
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module, attribute in tracing.TRACED + tracing.PARSE:
+        target = getattr(importlib.import_module(module), attribute, None)
+        assert callable(target), f"{module}.{attribute}"

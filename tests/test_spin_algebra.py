@@ -1,5 +1,8 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from maxwellsim import (
@@ -12,7 +15,12 @@ from maxwellsim import (
     pauli_algebra,
     spin1_matrices,
 )
+from maxwellsim import spin_algebra
 from maxwellsim.spin_algebra import (
+    algebra_for,
+    band_weights,
+    bloch_field,
+    field_projectors,
     rotor,
     rotor_matrix,
     rotor_product,
@@ -207,6 +215,39 @@ class TestProjectorPropertySuite:
             else [e_plus, -e_plus]
         for e_band, p in zip(bands, projectors):
             assert np.max(np.abs(h @ p - e_band[:, None, None] * p)) < self.TOL
+
+
+class TestBandLayerPropertySuite:
+    """``band_weights`` against one einsum per band."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(dim=st.sampled_from([3, 2]),
+           batch=st.lists(st.integers(1, 5), max_size=2).map(tuple),
+           sites=st.integers(1, 12),
+           m=st.sampled_from([0.0, 0.85]) | st.floats(0.0, 3.0),
+           ky=st.sampled_from([0.0, 0.7]),
+           block=st.sampled_from([1 << 16, 1, 37]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_band_weights_match_per_band_einsum(self, dim, batch, sites, m, ky,
+                                                block, seed):
+        rng = np.random.default_rng(seed)
+        params = PhysicalParams(c=1.3, m=m, hbar=0.8)
+        k = rng.uniform(-20.0, 20.0, sites)
+        k[0] = 0.0  # fully degenerate when m = ky = 0
+        projectors = field_projectors(algebra_for(dim), bloch_field(params, k, ky))
+        assert projectors.shape == (dim, sites, dim, dim)
+        assert np.isrealobj(projectors) == (ky == 0.0)
+        psi = (rng.normal(size=batch + (sites, dim))
+               + 1j * rng.normal(size=batch + (sites, dim)))
+        psi /= np.sqrt(np.sum(np.abs(psi) ** 2, axis=(-2, -1), keepdims=True))
+
+        with mock.patch.object(spin_algebra, "_WEIGHT_BLOCK", block):
+            weights = band_weights(psi, projectors)
+        reference = np.stack([np.einsum("...ni,nij,...nj->...", psi.conj(), p, psi).real
+                              for p in projectors], axis=-1)
+        assert weights.shape == batch + (dim,)
+        assert np.max(np.abs(weights - reference)) < 1e-14
+        assert np.max(np.abs(weights.sum(axis=-1) - 1.0)) < 1e-14
 
 
 class TestRotors:

@@ -338,7 +338,7 @@ class TestBandStructureObservables:
         # reference: psi^dagger P psi summed over k, one band at a time
         fld = gaussian_packet(grid, 6.0, 2.0, 0.0, spinor, SCATTER)
         fld.amplitudes *= np.exp(0.3j * grid.x)[:, None]
-        projectors, _ = _grid_projectors(grid, SCATTER, fld.dimension)
+        projectors = _grid_projectors(grid, SCATTER, fld.dimension)
         psi_k = np.fft.fft(fld.amplitudes, axis=0)
         reference = [np.einsum("ki,kij,kj->", psi_k.conj(), p, psi_k).real
                      * grid.dx / grid.points for p in projectors]
