@@ -22,6 +22,7 @@ from .ion_emulator import (
     IonParams,
     IonState,
     IonTrajectory,
+    LadderOperator,
     MappedParams,
     build_maxwell_hamiltonian,
     coherent_initial_state,

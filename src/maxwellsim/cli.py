@@ -16,7 +16,8 @@ shortest round-trip formatting and no timestamps appear anywhere, so a rerun
 of the same configuration is byte-identical.
 
 Exit codes: 0 success, 2 configuration error (including a parameter value a
-library validator rejects), 3 numerical-guard violation, 4 I/O error.
+library validator rejects, or one that drives a float operation out of
+range), 3 numerical-guard violation, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -289,6 +290,10 @@ def main(argv=None) -> int:
         return EXIT_IO
     except MaxwellSimError as exc:
         print(f"error[config]: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except ArithmeticError as exc:
+        print(f"error[config]: {exc!r}: a derived quantity is out of "
+              "floating-point range", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_OK
 

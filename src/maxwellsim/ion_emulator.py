@@ -18,19 +18,19 @@ reproduces the continuum model with the correspondence
 All couplings are combinations of the standard carrier / red-sideband /
 blue-sideband interactions (the Lamb-Dicke toolbox); the composite builder
 assembles them with the phase and Rabi choices that realize the
-correspondence above exactly.  The toolbox (:func:`quadratures`,
-:func:`sideband_toolbox`, :func:`build_maxwell_hamiltonian`) returns
-``scipy.sparse`` CSR arrays and is the only code here that imports scipy.
-Propagation and :func:`energy_expectation` never assemble ``H``: they apply
-it matrix-free as ``mass x 1 + A x a + A^dag x ad`` with ``A`` a
-``(3 n_ion2)``-square matrix, and :func:`evolve_ion` expands
+correspondence above exactly.  Every toolbox term, and so ``H``, has the
+ladder form ``zero x 1 + up x a + up^dag x ad`` on (ion 1 x ion 2) x motion
+with ``(3 n_ion2)``-square ``zero`` and ``up``: :func:`sideband_toolbox`
+and :func:`build_maxwell_hamiltonian` return it as a
+:class:`LadderOperator`.  Propagation and :func:`energy_expectation` take
+``H`` from :func:`build_maxwell_hamiltonian` and apply it in that form,
+never assembling the full matrix, and :func:`evolve_ion` expands
 ``exp(-i H t / hbar)`` in Chebyshev polynomials.  Band readout and filtering
 use the eigenbasis of the truncated ``p`` (the Gauss-Hermite discrete
 variable representation; Light, Hamilton & Lill, J. Chem. Phys. 82, 1400
 (1985)), on whose vector j ``H`` acts as the mapped ``H(k)`` at
 ``k = p_j / hbar``, and the band layer of :mod:`maxwellsim.spin_algebra`
 reads them out; the position grid serves only :func:`position_wavefunction`.
-Preparing, evolving and reading out a run therefore needs numpy alone.
 
 Units: hbar = 1 and lengths in units of ``delta_spread`` unless stated;
 quote Rabi frequencies in angular kHz (rad/ms) and times come out in ms,
@@ -48,8 +48,8 @@ import numpy as np
 
 from .errors import (GridCoverageError, NumericalGuardError, ParameterError,
                      TruncationError)
-from .spin_algebra import (PhysicalParams, band_weights, bloch_field,
-                           field_projectors, spin1_matrices)
+from .spin_algebra import (PhysicalParams, apply_projectors, band_weights,
+                           bloch_field, field_projectors, spin1_matrices)
 from .wavepacket import Grid1D, SpinorField
 # Unused here, but bench/tracing.py wraps them under these names.
 from .wavepacket import band_components, band_populations  # noqa: F401
@@ -60,6 +60,7 @@ __all__ = [
     "MappedParams",
     "ION_TRACE_COLUMNS",
     "IonTrajectory",
+    "LadderOperator",
     "quadratures",
     "sideband_toolbox",
     "build_maxwell_hamiltonian",
@@ -198,15 +199,31 @@ class IonTrajectory:
     matvecs: int
 
 
-def _destroy(n_fock: int):
-    import scipy.sparse as sp
+@dataclass(frozen=True, eq=False)
+class LadderOperator:
+    """``zero x 1 + up x a + up^dag x ad`` on (ion 1 x ion 2) x motion, with
+    ``a`` the mode's annihilator and ``(3 n_ion2)``-square ``zero`` and
+    ``up``; ``zero`` is Hermitian."""
 
-    return sp.diags_array(np.sqrt(np.arange(1, n_fock, dtype=float)), offsets=1,
-                          dtype=complex, format="csr")
+    zero: np.ndarray
+    up: np.ndarray
+
+    def __add__(self, other: LadderOperator) -> LadderOperator:
+        return LadderOperator(self.zero + other.zero, self.up + other.up)
+
+    def toarray(self, n_fock: int) -> np.ndarray:
+        """The dense matrix on ``n_fock`` Fock levels."""
+        a = _annihilator(n_fock)
+        return (np.kron(self.zero, np.eye(n_fock)) + np.kron(self.up, a)
+                + np.kron(self.up.conj().T, a.T))
 
 
-def quadratures(delta_spread: float, n_fock: int):
-    """Truncated position and momentum matrices (sparse CSR) on the Fock basis.
+def _annihilator(n_fock: int) -> np.ndarray:
+    return np.diag(np.sqrt(np.arange(1.0, n_fock)), 1)
+
+
+def quadratures(delta_spread: float, n_fock: int) -> tuple[np.ndarray, np.ndarray]:
+    """Truncated position and momentum matrices on the Fock basis.
 
     ``x = Delta (a + ad)`` and ``p = hbar (a - ad) / (2 i Delta)``; the
     ground-state variances are ``Delta^2`` and ``hbar^2 / 4 Delta^2``.  The
@@ -214,71 +231,43 @@ def quadratures(delta_spread: float, n_fock: int):
     """
     if n_fock < 2:
         raise ValueError("n_fock must be at least 2")
-    a = _destroy(n_fock)
-    ad = a.conj().T
-    x = delta_spread * (a + ad)
-    p = _HBAR / (2j * delta_spread) * (a - ad)
-    return x, p
-
-
-def _sigma_plus_ion1(pair: str) -> np.ndarray:
-    """Raising operator on the named ion-1 level pair, basis order (a, b, c)."""
-    op = np.zeros((3, 3), dtype=complex)
-    op[(0, 1) if pair == "ab" else (1, 2)] = 1.0  # "bc" otherwise
-    return op
-
-
-def _embed(ion: IonParams, internal1: np.ndarray | None,
-           internal2: np.ndarray | None, motional=None):
-    """Sparse kron assembly ion1 x ion2 x motion, identity for omitted factors."""
-    import scipy.sparse as sp
-
-    if motional is None:
-        motional = sp.eye_array(ion.n_fock, dtype=complex, format="csr")
-    op1 = internal1 if internal1 is not None else np.eye(3, dtype=complex)
-    full = op1
-    if not ion.reduce_ion2:
-        op2 = internal2 if internal2 is not None else np.eye(2, dtype=complex)
-        full = np.kron(full, op2)
-    elif internal2 is not None:
-        raise ValueError("cannot embed an ion-2 operator with reduce_ion2 set")
-    return sp.kron(full, motional, format="csr")
+    a = _annihilator(n_fock)
+    return delta_spread * (a + a.T), _HBAR / (2j * delta_spread) * (a - a.T)
 
 
 def sideband_toolbox(
     ion: IonParams, level_pair: str, kind: str, rabi: float, phase: float = 0.0
-):
+) -> LadderOperator:
     """One resonant interaction of the Lamb-Dicke toolbox on the full space.
 
     ``kind``: "carrier" gives ``(hbar rabi / 2)(s+ e^{i phase} + h.c.)``;
     "red" and "blue" attach ``a`` respectively ``ad`` to the raising part
-    with an extra factor ``eta``.  ``level_pair`` is "ab", "bc" (ion 1) or
-    "a'b'" (ion 2; requires ``reduce_ion2 = False``).
+    with an extra factor ``eta``, so ``up`` is ``(hbar eta rabi / 2)
+    e^{i phase} s+`` respectively its adjoint.  ``level_pair`` is "ab",
+    "bc" (ion 1) or "a'b'" (ion 2; requires ``reduce_ion2 = False``).
     """
     if level_pair not in _LEVEL_PAIRS:
         raise ValueError(f"unknown level pair {level_pair!r}; use one of {_LEVEL_PAIRS}")
     if kind not in _KINDS:
         raise ValueError(f"unknown interaction kind {kind!r}; use one of {_KINDS}")
 
-    a = _destroy(ion.n_fock)
-    if kind == "carrier":
-        raise_motional = None
-        strength = _HBAR * rabi / 2.0
-    else:
-        raise_motional = a if kind == "red" else a.conj().T
-        strength = _HBAR * rabi * ion.eta / 2.0
-
     if level_pair == "a'b'":
-        sp = np.array([[0, 1], [0, 0]], dtype=complex)
-        raising = _embed(ion, None, sp, raise_motional)
+        if ion.reduce_ion2:
+            raise ValueError("cannot address ion 2 with reduce_ion2 set")
+        raising = np.kron(np.eye(3), [[0.0, 1.0], [0.0, 0.0]])
     else:
-        raising = _embed(ion, _sigma_plus_ion1(level_pair), None, raise_motional)
+        pair = [1.0, 0.0] if level_pair == "ab" else [0.0, 1.0]
+        raising = np.kron(np.diag(pair, 1), np.eye(ion.n_ion2))
+    strength = _HBAR * rabi / 2.0 * (1.0 if kind == "carrier" else ion.eta)
     term = strength * np.exp(1j * phase) * raising
-    return term + term.conj().T
+    zero = np.zeros_like(term)
+    if kind == "carrier":
+        return LadderOperator(term + term.conj().T, zero)
+    return LadderOperator(zero, term if kind == "red" else term.conj().T)
 
 
-def build_maxwell_hamiltonian(ion: IonParams):
-    """Sparse CSR Hamiltonian realizing the three-band model with a linear slope.
+def build_maxwell_hamiltonian(ion: IonParams) -> LadderOperator:
+    """The Hamiltonian realizing the three-band model with a linear slope.
 
     The kinetic coupling is red+blue sidebands at phases -pi/2 / +pi/2 on
     both ion-1 pairs, which evaluates to
@@ -286,19 +275,16 @@ def build_maxwell_hamiltonian(ion: IonParams):
     mass term is a direct light-shift splitting ``hbar W1 diag(1, 0, -1)``.
     The slope is red+blue at phase 0 on ion 2 with Rabi ``2 W2t``, giving
     ``hbar eta W2t (x / Delta) sigma2_x``; in the reduced sector sigma2_x is
-    replaced by its +1 eigenvalue.
+    replaced by its +1 eigenvalue, leaving ``hbar eta W2t (a + ad)``.
     """
-    sz_ion1 = np.diag([1.0, 0.0, -1.0]).astype(complex)
-    h = _HBAR * ion.omega1 * _embed(ion, sz_ion1, None)
+    sz_ion1 = np.kron(np.diag([1.0, 0.0, -1.0]), np.eye(ion.n_ion2))
+    h = LadderOperator(_HBAR * ion.omega1 * sz_ion1, np.zeros_like(sz_ion1))
     for pair in ("ab", "bc"):
         h += sideband_toolbox(ion, pair, "red", ion.omega1_tilde, -np.pi / 2)
         h += sideband_toolbox(ion, pair, "blue", ion.omega1_tilde, +np.pi / 2)
-
     if ion.reduce_ion2:
-        x, _ = quadratures(ion.delta_spread, ion.n_fock)
-        h += _HBAR * ion.eta * ion.omega2_tilde * _embed(
-            ion, None, None, x / ion.delta_spread
-        )
+        h += LadderOperator(np.zeros((3, 3)),
+                            _HBAR * ion.eta * ion.omega2_tilde * np.eye(3))
     else:
         h += sideband_toolbox(ion, "a'b'", "red", 2.0 * ion.omega2_tilde, 0.0)
         h += sideband_toolbox(ion, "a'b'", "blue", 2.0 * ion.omega2_tilde, 0.0)
@@ -409,31 +395,12 @@ def _momentum_basis(ion: IonParams):
     return p, phase, vectors, projectors
 
 
-def _ladder_terms(ion: IonParams) -> tuple[np.ndarray, np.ndarray]:
-    """``(mass, coupling)`` with ``H = diag(mass) x 1 + A x a + A^dag x ad``
-    on (ion 1 x ion 2) x motion, ``A = coupling``: the matrix-free form of
-    :func:`build_maxwell_hamiltonian`.
-
-    ``A`` is the kinetic ``eta W1t hbar (sx_ab + sx_bc) / 2i`` (the red and
-    blue sidebands at phases -pi/2 and +pi/2) plus the slope
-    ``hbar eta W2t`` (times ion 2's ``sigma_x`` unless it is reduced).
-    """
-    pairs = np.zeros((3, 3))
-    pairs[0, 1] = pairs[1, 0] = pairs[1, 2] = pairs[2, 1] = 1.0
-    ion2_x = np.ones((1, 1)) if ion.reduce_ion2 else np.array([[0.0, 1.0], [1.0, 0.0]])
-    coupling = (np.kron(ion.eta * ion.omega1_tilde * _HBAR / 2j * pairs,
-                        np.eye(ion.n_ion2))
-                + _HBAR * ion.eta * ion.omega2_tilde * np.kron(np.eye(3), ion2_x))
-    mass = np.repeat(_HBAR * ion.omega1 * np.array([1.0, 0.0, -1.0]), ion.n_ion2)
-    return mass, coupling
-
-
-def _apply_ladder(v: np.ndarray, mass: np.ndarray, up: np.ndarray,
+def _apply_ladder(v: np.ndarray, zero: np.ndarray, up: np.ndarray,
                   down: np.ndarray, sqrt_n: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``out = diag(mass) v + up (a v) + down (ad v)`` for ``v`` of shape
+    """``out = zero v + up (a v) + down (ad v)`` for ``v`` of shape
     ``(3 n_ion2, n_fock)``, with ``a`` the mode's annihilator and ``sqrt_n =
     sqrt(1, ..., n_fock - 1)`` its matrix elements."""
-    np.multiply(mass[:, None], v, out=out)
+    np.matmul(zero, v, out=out)
     out[:, :-1] += up @ (v[:, 1:] * sqrt_n)
     out[:, 1:] += down @ (v[:, :-1] * sqrt_n)
     return out
@@ -493,9 +460,9 @@ def _chebyshev_records(psi: np.ndarray, ion: IonParams, bound: float,
     per_block = max(1, int(_BLOCK_Z // z_step))
     steps = (n_records - 1) * substeps
 
-    mass, coupling = _ladder_terms(ion)
+    h = build_maxwell_hamiltonian(ion)
     scale = -1j / bound
-    ops = [(scale * mass, scale * coupling, scale * coupling.conj().T)]
+    ops = [(scale * h.zero, scale * h.up, scale * h.up.conj().T)]
     ops.append(tuple(2.0 * op for op in ops[0]))  # 2 G, for k >= 2
     sqrt_n = np.sqrt(np.arange(1.0, ion.n_fock))
     weights = {}
@@ -552,7 +519,7 @@ def _project_band(state: IonState, band: str) -> IonState:
         raise ParameterError(f"unknown band {band!r}")
     _, phase, vectors, projectors = _momentum_basis(ion)
     momentum = _real_matmul(_sector_amplitudes(state) * phase, vectors)  # (3, n_fock)
-    projected = (projectors[labels.index(band)] @ momentum.T[..., None])[..., 0].T
+    projected = apply_projectors(projectors[labels.index(band)], momentum.T).T
     weight = float(np.sum(np.abs(projected) ** 2))
     if weight < 1e-12:
         raise ParameterError(f"state has no weight on band {band!r}")
@@ -602,10 +569,10 @@ def position_wavefunction(state: IonState, grid: Grid1D) -> SpinorField:
 
 
 def energy_expectation(state: IonState, ion: IonParams) -> float:
-    """``<psi|H|psi>``, with ``H`` applied matrix-free."""
-    mass, coupling = _ladder_terms(ion)
-    v = state.amplitudes.reshape(len(mass), ion.n_fock)
-    hv = _apply_ladder(v, mass, coupling, coupling.conj().T,
+    """``<psi|H|psi>``, with ``H`` applied in its ladder form."""
+    h = build_maxwell_hamiltonian(ion)
+    v = state.amplitudes.reshape(len(h.zero), ion.n_fock)
+    hv = _apply_ladder(v, h.zero, h.up, h.up.conj().T,
                        np.sqrt(np.arange(1.0, ion.n_fock)), np.empty_like(v))
     return float(np.real(np.vdot(v, hv)))
 
@@ -618,7 +585,7 @@ def evolve_ion(
     A Chebyshev expansion of ``exp(-i H t / hbar)`` (see
     :func:`_chebyshev_records`) gives the state at ``n_records`` uniform
     times from 0 to ``t_final`` to double precision, with ``H`` applied
-    matrix-free; its work grows with ``R t_final`` for the spectral bound
+    in its ladder form; its work grows with ``R t_final`` for the spectral bound
     ``R = hbar W1 + c max|p| + g max|x|``.  Every record is read at once:
     internal populations, ``<x> = 2 Delta Re sum sqrt(n+1) c_n* c_{n+1}``,
     mapped-model band populations in the truncated momentum eigenbasis, and

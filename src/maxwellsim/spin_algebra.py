@@ -4,8 +4,8 @@ band weights.
 Everything downstream (analytic transition probabilities, the swept-level
 integrator, the spectral propagator, the trapped-ion emulator) is built on
 the objects defined here, and every route reads its bands out through
-:func:`field_projectors` and :func:`band_weights`.  Two representations are
-supported:
+:func:`field_projectors` and :func:`band_weights` (or
+:func:`apply_projectors`).  Two representations are supported:
 
 * spin 1 (dimension 3): standard angular-momentum basis, ``Sz = diag(1, 0, -1)``,
   giving the three bands ``E+ > E0 = 0 > E-``;
@@ -47,6 +47,7 @@ __all__ = [
     "adiabatic_projectors",
     "field_projectors",
     "band_weights",
+    "apply_projectors",
     "spin_components",
     "rotor",
     "rotor_product",
@@ -246,6 +247,19 @@ def band_weights(psi: np.ndarray, projectors: np.ndarray) -> np.ndarray:
         outer = outer.real if np.isrealobj(projectors) else outer
         out[first:first + block] = (outer.reshape(len(part), -1) @ stack.T).real
     return out.reshape(batch + (len(stack),))
+
+
+def apply_projectors(projectors: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """``P psi`` for projectors ``(..., d, d)`` and ``psi`` of shape ``(..., d)``.
+
+    Real projectors act on the real and imaginary parts of ``psi`` as one
+    real matrix product, without a complex copy of the projectors.
+    """
+    psi = np.ascontiguousarray(psi, dtype=complex)
+    if np.iscomplexobj(projectors):
+        return (projectors @ psi[..., None])[..., 0]
+    pairs = psi.view(float).reshape(psi.shape + (2,))
+    return (projectors @ pairs).view(complex)[..., 0]
 
 
 def spin_components(matrices: np.ndarray, algebra: SpinAlgebra) -> np.ndarray:

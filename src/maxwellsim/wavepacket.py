@@ -57,6 +57,7 @@ from .errors import BoundaryContaminationError, NumericalGuardError, ParameterEr
 from .spin_algebra import (
     PhysicalParams,
     algebra_for,
+    apply_projectors,
     band_weights,
     bloch_field,
     field_projectors,
@@ -545,7 +546,7 @@ def band_components(fld: SpinorField, params: PhysicalParams) -> np.ndarray:
     """
     psi_k = np.fft.fft(fld.amplitudes, axis=0)
     projectors = _grid_projectors(fld.grid, params, fld.dimension)
-    return np.fft.ifft(projectors @ psi_k[..., None], axis=1)[..., 0]
+    return np.fft.ifft(apply_projectors(projectors, psi_k), axis=1)
 
 
 def band_populations(fld: SpinorField, params: PhysicalParams) -> BandPopulations:

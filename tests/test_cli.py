@@ -119,7 +119,8 @@ _KEYS = sorted({key for schema in COMMANDS.values() for key in schema}
                | {"command", "output"})
 _VALUES = st.one_of(
     st.sampled_from(sorted(COMMANDS) + ["+", "0", "-", "none", "1/2", "yes"]),
-    st.sampled_from(["nan", "inf", "-inf", "1e999", "-0.0", "1,nan,0"]),
+    st.sampled_from(["nan", "inf", "-inf", "1e999", "-0.0", "1,nan,0",
+                     "1e200", "1e300", "1e-300"]),
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
     st.integers(-10**6, 10**6).map(str),
     st.lists(st.floats(-2.0, 2.0).map(repr), min_size=1, max_size=4).map(",".join),
@@ -428,11 +429,23 @@ class TestExitCodes:
         ("crosscheck", ION.replace("omega2_tilde = 314.0", "omega2_tilde = 0.0")),
         ("lz-oracle", "mtilde_c2 = 0\ng = 1.0\nendpoint_factor = 1e-175\n"),
         ("crosscheck", ION + "delta = 1e-175\n"),
+        # a float operation out of range (OverflowError, ZeroDivisionError)
+        ("evolve", DEMO + "c = 1e200\n"),
+        ("evolve", DEMO + "hbar = 1e-300\n"),
+        ("sweep-transmission", "m = 1.0\ng = 1.0\np0 = 1.0\nc = 1e200\n"),
+        ("sweep-transmission", "m = 1e300\ng = 1e-300\np0 = 1.0\n"),
+        ("lz-oracle", "mtilde_c2 = 1e300\ng = 1.0\n"),
+        ("lz-oracle", "mtilde_c2 = 0\ng = 1.0\nhbar = 1e300\n"),
+        ("ion-evolve", ION.replace("omega1_tilde = 62.8", "omega1_tilde = 1e300")),
+        ("crosscheck", ION.replace("omega1 = 6.28", "omega1 = 1e300")),
     ], ids=["spinor-4", "grid-points", "grid-length", "ion-spinor-2",
             "evolve-dt", "ion-n-fock-8", "ion-one-record", "ion-empty-band",
             "sweep-angle", "evolve-edge-jump", "ion-no-kinetic-drive",
             "crosscheck-no-kinetic-drive", "crosscheck-no-slope",
-            "oracle-window-underflow", "crosscheck-mass-overflow"])
+            "oracle-window-underflow", "crosscheck-mass-overflow",
+            "evolve-c-overflow", "evolve-hbar-underflow", "sweep-c-overflow",
+            "sweep-mass-overflow", "oracle-mass-overflow", "oracle-hbar-overflow",
+            "ion-kinetic-overflow", "crosscheck-light-shift-overflow"])
     def test_rejected_parameter_is_2(self, tmp_path, capsys, command, text):
         # parseable values that a library validator rejects
         cfg = tmp_path / "bad.cfg"
@@ -503,6 +516,18 @@ def test_cli_import_leaves_scipy_sparse_unloaded():
     assert _loaded_scipy_modules("import maxwellsim.cli") == "[]"
 
 
+def test_package_loads_no_scipy():
+    # the sideband toolbox and the Hamiltonian it builds are numpy alone
+    code = ("import maxwellsim as ms\n"
+            "ion = ms.IonParams(eta=0.05, omega1_tilde=1.0, omega1=0.5, "
+            "omega2_tilde=0.8, n_fock=16, reduce_ion2=False)\n"
+            "ms.quadratures(1.0, 16)\n"
+            "ms.sideband_toolbox(ion, \"a'b'\", 'blue', 1.0, 0.3).toarray(16)\n"
+            "ms.build_maxwell_hamiltonian(ion).toarray(16)\n"
+            "ms.energy_expectation(ms.coherent_initial_state(ion, 0.5, (1, 0, 0)), ion)")
+    assert _loaded_scipy_modules(code) == "[]"
+
+
 def test_evolve_leaves_scipy_unloaded(tmp_path):
     # the corrected step and the measured guard use numpy alone
     cfg = tmp_path / "evolve.cfg"
@@ -521,8 +546,7 @@ def test_evolve_leaves_scipy_unloaded(tmp_path):
      "p0 = 4.0\nt_final = 0.8\ngrid_points = 1024\n"),
 ], ids=["ion-evolve", "crosscheck"])
 def test_ion_commands_leave_scipy_unloaded(tmp_path, command, text):
-    # preparation, Chebyshev propagation and readout use numpy alone; only
-    # the sideband toolbox, which no command calls, imports scipy
+    # preparation, Chebyshev propagation and readout use numpy alone
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text.format(snapshot=tmp_path / "snapshot.csv"))
     code = ("from maxwellsim.cli import main\n"

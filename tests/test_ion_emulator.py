@@ -29,7 +29,6 @@ from maxwellsim.ion_emulator import (
     _apply_ladder,
     _bessel_weights,
     _hermite_basis,
-    _ladder_terms,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -80,13 +79,13 @@ class TestQuadratures:
             1.0 / (4.0 * 1.3**2))
 
     def test_hermitian(self):
-        x, p = (op.toarray() for op in quadratures(0.7, 16))
+        x, p = quadratures(0.7, 16)
         assert np.allclose(x, x.conj().T)
         assert np.allclose(p, p.conj().T)
 
     def test_commutator_truncation(self):
         n = 20
-        x, p = (op.toarray() for op in quadratures(1.0, n))
+        x, p = quadratures(1.0, n)
         commutator = (x @ p - p @ x) / 1j
         expected = np.eye(n)
         expected[-1, -1] = -(n - 1)
@@ -99,12 +98,12 @@ class TestSidebandToolbox:
         ion = small_ion(reduce_ion2=False)
         for pair in ("ab", "bc", "a'b'"):
             for kind in ("carrier", "red", "blue"):
-                h = sideband_toolbox(ion, pair, kind, 1.1, 0.4)
+                h = sideband_toolbox(ion, pair, kind, 1.1, 0.4).toarray(ion.n_fock)
                 assert np.max(np.abs(h - h.conj().T)) < 1e-14
 
     def test_carrier_is_pair_coupling(self):
         ion = small_ion()
-        h = sideband_toolbox(ion, "ab", "carrier", 2.0, 0.0).toarray()
+        h = sideband_toolbox(ion, "ab", "carrier", 2.0, 0.0).toarray(ion.n_fock)
         sx_ab = np.zeros((3, 3), dtype=complex)
         sx_ab[0, 1] = sx_ab[1, 0] = 1.0
         assert np.allclose(h, np.kron(sx_ab, np.eye(ion.n_fock)))
@@ -113,10 +112,11 @@ class TestSidebandToolbox:
         ion = small_ion()
         rabi = 1.7
         h = (sideband_toolbox(ion, "ab", "red", rabi, -math.pi / 2)
-             + sideband_toolbox(ion, "ab", "blue", rabi, +math.pi / 2)).toarray()
+             + sideband_toolbox(ion, "ab", "blue", rabi, +math.pi / 2)
+             ).toarray(ion.n_fock)
         sx_ab = np.zeros((3, 3), dtype=complex)
         sx_ab[0, 1] = sx_ab[1, 0] = 1.0
-        p = quadratures(ion.delta_spread, ion.n_fock)[1].toarray()
+        p = quadratures(ion.delta_spread, ion.n_fock)[1]
         target = ion.delta_spread * rabi * ion.eta * np.kron(sx_ab, p)
         assert np.max(np.abs(h - target)) < 1e-14
 
@@ -124,9 +124,9 @@ class TestSidebandToolbox:
         ion = small_ion(reduce_ion2=False)
         rabi = 0.9
         h = (sideband_toolbox(ion, "a'b'", "red", rabi, 0.0)
-             + sideband_toolbox(ion, "a'b'", "blue", rabi, 0.0)).toarray()
+             + sideband_toolbox(ion, "a'b'", "blue", rabi, 0.0)).toarray(ion.n_fock)
         sigma_x = np.array([[0, 1], [1, 0]], dtype=complex)
-        x = quadratures(ion.delta_spread, ion.n_fock)[0].toarray()
+        x = quadratures(ion.delta_spread, ion.n_fock)[0]
         target = (rabi * ion.eta / 2.0) * np.kron(
             np.kron(np.eye(3), sigma_x), x) / ion.delta_spread
         assert np.max(np.abs(h - target)) < 1e-14
@@ -156,9 +156,9 @@ class TestCompositeHamiltonian:
 
     def test_direct_assembly_matches_toolbox(self):
         ion = small_ion(reduce_ion2=False)
-        h = build_maxwell_hamiltonian(ion).toarray()
+        h = build_maxwell_hamiltonian(ion).toarray(ion.n_fock)
         alg = spin1_matrices()
-        x, p = (op.toarray() for op in quadratures(ion.delta_spread, ion.n_fock))
+        x, p = quadratures(ion.delta_spread, ion.n_fock)
         eye2 = np.eye(2)
         eye_n = np.eye(ion.n_fock)
         sigma_x = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -173,7 +173,7 @@ class TestCompositeHamiltonian:
 
     def test_hermitian_and_conserves_ion2(self):
         ion = small_ion(reduce_ion2=False)
-        h = build_maxwell_hamiltonian(ion)
+        h = build_maxwell_hamiltonian(ion).toarray(ion.n_fock)
         assert np.max(np.abs(h - h.conj().T)) < 1e-14
         sigma2x = np.kron(np.kron(np.eye(3), np.array([[0, 1], [1, 0]])),
                           np.eye(ion.n_fock))
@@ -182,7 +182,7 @@ class TestCompositeHamiltonian:
     def test_mass_only_spectrum(self):
         ion = small_ion(omega1_tilde=0.0, omega2_tilde=0.0, omega1=2.0)
         eigenvalues = np.sort(np.linalg.eigvalsh(
-            build_maxwell_hamiltonian(ion).toarray()))
+            build_maxwell_hamiltonian(ion).toarray(ion.n_fock)))
         n = ion.n_fock
         expected = np.sort(np.concatenate(
             [-2.0 * np.ones(n), np.zeros(n), 2.0 * np.ones(n)]))
@@ -233,7 +233,7 @@ class TestCoherentState:
     def test_displacement_expectations(self):
         ion = small_ion(n_fock=64, delta_spread=1.4)
         state = coherent_initial_state(ion, 3.0, (0, 1, 0))
-        x, p = (op.toarray() for op in quadratures(ion.delta_spread, ion.n_fock))
+        x, p = quadratures(ion.delta_spread, ion.n_fock)
         amps = state.amplitudes
         x_mean = np.real(np.einsum("sjn,nm,sjm->", amps.conj(), x, amps))
         p_mean = np.real(np.einsum("sjn,nm,sjm->", amps.conj(), p, amps))
@@ -371,7 +371,7 @@ class TestMomentumReadout:
         trajectory = evolve_ion(state, ion, 0.5, n_records=3)
         grid = default_readout_grid(ion)
         physical = map_parameters(ion).physical
-        x = quadratures(ion.delta_spread, ion.n_fock)[0].toarray()
+        x = quadratures(ion.delta_spread, ion.n_fock)[0]
         for row, current in ((trajectory.trace[0], state),
                              (trajectory.trace[-1], trajectory.final)):
             reference = band_populations(position_wavefunction(current, grid),
@@ -407,13 +407,13 @@ def _dense_records(state, ion, times):
     """Reference: dense ``expm(-i H t)`` of the assembled toolbox Hamiltonian."""
     from scipy.linalg import expm
 
-    h = build_maxwell_hamiltonian(ion).toarray()
+    h = build_maxwell_hamiltonian(ion).toarray(ion.n_fock)
     v = state.amplitudes.ravel()
     return [(expm(-1j * h * t) @ v).reshape(state.amplitudes.shape) for t in times]
 
 
 class TestMatrixFreeHamiltonian:
-    """``mass x 1 + A x a + A^dag x ad`` against the assembled toolbox."""
+    """``_apply_ladder`` against the dense matrix of the toolbox Hamiltonian."""
 
     @pytest.mark.parametrize("reduce_ion2", [True, False], ids=["reduced", "full"])
     @pytest.mark.parametrize("zeroed", [None, "omega1", "omega1_tilde", "omega2_tilde"])
@@ -421,13 +421,13 @@ class TestMatrixFreeHamiltonian:
         overrides = {zeroed: 0.0} if zeroed else {}
         ion = IonParams(**{**PAPER_ION, **overrides}, n_fock=24,
                         reduce_ion2=reduce_ion2)
-        mass, coupling = _ladder_terms(ion)
+        h = build_maxwell_hamiltonian(ion)
         rng = np.random.default_rng(7)
-        v = (rng.normal(size=(len(mass), ion.n_fock))
-             + 1j * rng.normal(size=(len(mass), ion.n_fock)))
-        got = _apply_ladder(v, mass, coupling, coupling.conj().T,
+        v = (rng.normal(size=(len(h.zero), ion.n_fock))
+             + 1j * rng.normal(size=(len(h.zero), ion.n_fock)))
+        got = _apply_ladder(v, h.zero, h.up, h.up.conj().T,
                             np.sqrt(np.arange(1.0, ion.n_fock)), np.empty_like(v))
-        want = build_maxwell_hamiltonian(ion) @ v.ravel()
+        want = h.toarray(ion.n_fock) @ v.ravel()
         assert np.max(np.abs(got.ravel() - want)) < 1e-13
 
     @pytest.mark.parametrize("reduce_ion2", [True, False], ids=["reduced", "full"])
@@ -435,7 +435,8 @@ class TestMatrixFreeHamiltonian:
         ion = IonParams(**PAPER_ION, n_fock=48, reduce_ion2=reduce_ion2)
         state = coherent_initial_state(ion, 2.0, (1, 1j, 0.5))
         v = state.amplitudes.ravel()
-        want = np.real(v.conj() @ (build_maxwell_hamiltonian(ion) @ v))
+        h = build_maxwell_hamiltonian(ion).toarray(ion.n_fock)
+        want = np.real(v.conj() @ (h @ v))
         assert energy_expectation(state, ion) == pytest.approx(want, rel=1e-13)
 
 

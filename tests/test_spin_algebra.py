@@ -18,6 +18,7 @@ from maxwellsim import (
 from maxwellsim import spin_algebra
 from maxwellsim.spin_algebra import (
     algebra_for,
+    apply_projectors,
     band_weights,
     bloch_field,
     field_projectors,
@@ -218,7 +219,8 @@ class TestProjectorPropertySuite:
 
 
 class TestBandLayerPropertySuite:
-    """``band_weights`` against one einsum per band."""
+    """``band_weights`` against one einsum per band, and ``apply_projectors``
+    against the complex matrix product."""
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(dim=st.sampled_from([3, 2]),
@@ -248,6 +250,12 @@ class TestBandLayerPropertySuite:
         assert weights.shape == batch + (dim,)
         assert np.max(np.abs(weights - reference)) < 1e-14
         assert np.max(np.abs(weights.sum(axis=-1) - 1.0)) < 1e-14
+
+        one = psi.reshape(-1, sites, dim)[0]
+        components = apply_projectors(projectors, one)
+        want = (projectors.astype(complex) @ one[..., None])[..., 0]
+        assert np.max(np.abs(components - want)) < 1e-14
+        assert np.max(np.abs(components.sum(axis=0) - one)) < 1e-14
 
 
 class TestRotors:
