@@ -4,77 +4,94 @@ Three independent routes to the same band-transition physics, built for
 cross-validation: closed-form Landau-Zener probabilities, spectral
 wave-packet scattering in a linear potential, and a Fock-truncated two-ion
 emulator realizing the identical Hamiltonian.
+
+Importing the package loads no route: each public name is imported from its
+home module on first use (PEP 562), so the closed forms run without numpy.
 """
 
-from .errors import (
-    BoundaryContaminationError,
-    ConfigError,
-    ConvergenceError,
-    DegenerateBandsError,
-    GridCoverageError,
-    MaxwellSimError,
-    NumericalGuardError,
-    ParameterError,
-    TruncationError,
-)
-from .ion_emulator import (
-    ION_TRACE_COLUMNS,
-    IonParams,
-    IonState,
-    IonTrajectory,
-    LadderOperator,
-    MappedParams,
-    build_maxwell_hamiltonian,
-    coherent_initial_state,
-    default_readout_grid,
-    energy_expectation,
-    evolve_ion,
-    map_parameters,
-    position_wavefunction,
-    quadratures,
-    sideband_toolbox,
-)
-from .landau_zener import (
-    SWEEP_COLUMNS,
-    TransitionProbabilities,
-    angle_sweep,
-    effective_mass,
-    lz_spin1,
-    lz_spin_half,
-)
-from .spin_algebra import (
-    PhysicalParams,
-    SpinAlgebra,
-    adiabatic_projectors,
-    band_energies,
-    band_projectors,
-    bloch_hamiltonian,
-    pauli_algebra,
-    spin1_matrices,
-)
-from .sweep_integrator import (
-    SweepProblem,
-    integrate_sweep,
-    sweep_problem,
-    transition_matrix,
-)
-from .wavepacket import (
-    TRACE_COLUMNS,
-    BandPopulations,
-    EvolveResult,
-    Grid1D,
-    ScatteringBreakdown,
-    SpinorField,
-    band_components,
-    band_populations,
-    classify_scattering,
-    default_time_step,
-    density,
-    evolve,
-    gaussian_packet,
-    momentum_mean,
-    position_mean,
-    step,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+#: Home module of every public name.
+_EXPORTS = {
+    "errors": (
+        "BoundaryContaminationError",
+        "ConfigError",
+        "ConvergenceError",
+        "GridCoverageError",
+        "MaxwellSimError",
+        "NumericalGuardError",
+        "ParameterError",
+        "TruncationError",
+    ),
+    "ion_emulator": (
+        "ION_TRACE_COLUMNS",
+        "IonParams",
+        "IonState",
+        "IonTrajectory",
+        "LadderOperator",
+        "MappedParams",
+        "build_maxwell_hamiltonian",
+        "coherent_initial_state",
+        "default_readout_grid",
+        "energy_expectation",
+        "evolve_ion",
+        "map_parameters",
+        "position_wavefunction",
+        "quadratures",
+        "sideband_toolbox",
+    ),
+    "landau_zener": (
+        "PhysicalParams",
+        "SWEEP_COLUMNS",
+        "TransitionProbabilities",
+        "angle_sweep",
+        "effective_mass",
+        "lz_spin1",
+        "lz_spin_half",
+    ),
+    "spin_algebra": (
+        "SpinAlgebra",
+        "adiabatic_projectors",
+        "pauli_algebra",
+        "spin1_matrices",
+    ),
+    "sweep_integrator": (
+        "SweepProblem",
+        "integrate_sweep",
+        "sweep_problem",
+    ),
+    "wavepacket": (
+        "TRACE_COLUMNS",
+        "BandPopulations",
+        "EvolveResult",
+        "Grid1D",
+        "ScatteringBreakdown",
+        "SpinorField",
+        "band_components",
+        "band_populations",
+        "classify_scattering",
+        "default_time_step",
+        "density",
+        "evolve",
+        "gaussian_packet",
+        "position_mean",
+        "step",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -18,20 +18,27 @@ of the same configuration is byte-identical.
 Exit codes: 0 success, 2 configuration error (including a parameter value a
 library validator rejects, or one that drives a float operation out of
 range), 3 numerical-guard violation, 4 I/O error.
+
+Each runner imports the route modules it uses, so a command loads only its
+own route: ``sweep-transmission`` runs on :mod:`math` and never imports
+numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import numbers
 import sys
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import ion_emulator, landau_zener, sweep_integrator, wavepacket
+from . import landau_zener
 from .config import COMMANDS, RunConfig, parse_config
 from .errors import ConfigError, MaxwellSimError, NumericalGuardError
-from .spin_algebra import PhysicalParams, algebra_for, spin1_matrices
+from .landau_zener import PhysicalParams
+
+if TYPE_CHECKING:
+    from . import ion_emulator, wavepacket
 
 __all__ = ["main", "run"]
 
@@ -57,9 +64,12 @@ _STATIONARY_TOL = 0.01
 def _format_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
+    # numpy registers its integer and floating scalars with these ABCs;
+    # floats, numpy's float64 among them, take the cheaper check first
+    if isinstance(value, float) or (isinstance(value, numbers.Real)
+                                    and not isinstance(value, numbers.Integral)):
         return repr(float(value))  # shortest round-trip representation
-    if isinstance(value, np.integer):
+    if isinstance(value, numbers.Integral):
         return str(int(value))
     if isinstance(value, (tuple, list)):
         return ",".join(_format_value(v) for v in value)
@@ -82,18 +92,35 @@ def _physical(values) -> PhysicalParams:
                           hbar=values["hbar"])
 
 
+def _angle_grid(lo: float, hi: float, n: int) -> list[float]:
+    """``n`` angles from ``lo`` to ``hi`` with the arithmetic of
+    ``numpy.linspace``, so the grid is the same bit for bit."""
+    delta = hi - lo
+    if n == 1:
+        return [0.0 * delta + lo]
+    step = delta / (n - 1)
+    if step == 0:  # a subnormal step: scale by delta instead
+        grid = [i / (n - 1) * delta + lo for i in range(n)]
+    else:
+        grid = [i * step + lo for i in range(n)]
+    grid[-1] = hi
+    return grid
+
+
 def _run_sweep_transmission(config: RunConfig) -> list[str]:
     v = config.values
     params = _physical(v)
     spin = 1.0 if v["spin"] == "1" else 0.5
-    thetas = np.linspace(v["theta_min"], v["theta_max"], v["theta_points"])
+    thetas = _angle_grid(v["theta_min"], v["theta_max"], v["theta_points"])
     rows = landau_zener.angle_sweep(params, spin, v["p0"], thetas)
-    _write_csv(config.output_path, landau_zener.SWEEP_COLUMNS,
-               [tuple(float(x) for x in row) for row in rows], config)
+    _write_csv(config.output_path, landau_zener.SWEEP_COLUMNS, rows, config)
     return [config.output_path]
 
 
 def _run_lz_oracle(config: RunConfig) -> list[str]:
+    from . import sweep_integrator
+    from .spin_algebra import algebra_for
+
     v = config.values
     params = PhysicalParams(c=v["c"], m=0.0, g=v["g"], hbar=v["hbar"])
     algebra = algebra_for(3 if v["spin"] == "1" else 2)
@@ -114,6 +141,8 @@ def _run_lz_oracle(config: RunConfig) -> list[str]:
 
 
 def _run_evolve(config: RunConfig) -> list[str]:
+    from . import wavepacket
+
     v = config.values
     params = _physical(v)
     length = v["grid_length"] if v["grid_length"] > 0 else 40.0 * v["width"]
@@ -139,6 +168,10 @@ def _run_evolve(config: RunConfig) -> list[str]:
 
 def _write_snapshot(path: str, fld: wavepacket.SpinorField,
                     params: PhysicalParams, config: RunConfig):
+    import numpy as np
+
+    from . import wavepacket
+
     if fld.dimension != 3:
         raise ConfigError("snapshot output is defined for three-component fields")
     comps = wavepacket.band_components(fld, params)
@@ -150,6 +183,8 @@ def _write_snapshot(path: str, fld: wavepacket.SpinorField,
 
 
 def _ion_params(values) -> ion_emulator.IonParams:
+    from . import ion_emulator
+
     return ion_emulator.IonParams(
         eta=values["eta"],
         omega1_tilde=values["omega1_tilde"],
@@ -162,6 +197,8 @@ def _ion_params(values) -> ion_emulator.IonParams:
 
 
 def _run_ion_evolve(config: RunConfig) -> list[str]:
+    from . import ion_emulator
+
     v = config.values
     ion = _ion_params(v)
     band = None if v["project_band"] == "none" else v["project_band"]
@@ -188,6 +225,9 @@ def _run_crosscheck(config: RunConfig) -> list[str]:
     probabilities; the wave-packet and ion rows are read off at ``t_final``,
     which should be chosen late enough that the band weights are stationary.
     """
+    from . import ion_emulator, sweep_integrator, wavepacket
+    from .spin_algebra import spin1_matrices
+
     v = config.values
     ion = _ion_params(v)
     mapped = ion_emulator.map_parameters(ion)
@@ -229,7 +269,7 @@ def _run_crosscheck(config: RunConfig) -> list[str]:
     return [config.output_path]
 
 
-def _band_weights_stationary(trace: np.ndarray) -> bool:
+def _band_weights_stationary(trace) -> bool:
     """True when each band weight moves < _STATIONARY_TOL over the last 10%.
 
     Finite-time band weights carry a first-order nonadiabatic ripple that
@@ -239,7 +279,7 @@ def _band_weights_stationary(trace: np.ndarray) -> bool:
     """
     tail = max(2, int(math.ceil(0.1 * trace.shape[0])))
     window = trace[-tail:, 3:6]
-    return bool(np.max(window.max(axis=0) - window.min(axis=0)) < _STATIONARY_TOL)
+    return bool((window.max(axis=0) - window.min(axis=0)).max() < _STATIONARY_TOL)
 
 
 _RUNNERS = {

@@ -1,9 +1,9 @@
 """Exception hierarchy shared across the package.
 
 ``NumericalGuardError`` and its subclasses mark violations of runtime
-numerical guards (degenerate spectra, failed convergence checks, grid
-contamination, Fock truncation overflow).  The CLI maps them to a
-dedicated exit code, distinct from configuration and I/O errors.
+numerical guards (failed convergence checks, grid contamination, Fock
+truncation overflow).  The CLI maps them to a dedicated exit code,
+distinct from configuration and I/O errors.
 """
 
 
@@ -21,10 +21,6 @@ class ParameterError(MaxwellSimError, ValueError):
 
 class NumericalGuardError(MaxwellSimError):
     """A runtime numerical-safety guard was violated."""
-
-
-class DegenerateBandsError(NumericalGuardError):
-    """Band projectors requested at a point where all bands coincide."""
 
 
 class ConvergenceError(NumericalGuardError):

@@ -17,6 +17,10 @@ the incident band downward: ``T = gamma_p0 + gamma_pm``.  The two-level
 Index convention: the first subscript is the initial band, the second the
 final band.  These formulas are validated against the independent swept-level
 integrator in :mod:`maxwellsim.sweep_integrator`.
+
+The module uses :mod:`math` alone, so the closed-form command never loads
+numpy.  :class:`PhysicalParams`, which every route takes, lives here for the
+same reason; :mod:`maxwellsim.spin_algebra` re-exports it.
 """
 
 from __future__ import annotations
@@ -24,12 +28,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ParameterError
-from .spin_algebra import PhysicalParams
 
 __all__ = [
+    "PhysicalParams",
     "TransitionProbabilities",
     "effective_mass",
     "lz_spin1",
@@ -38,12 +40,41 @@ __all__ = [
     "SWEEP_COLUMNS",
 ]
 
-#: Column order of the array returned by :func:`angle_sweep`.
+#: Field order of the rows returned by :func:`angle_sweep`.
 SWEEP_COLUMNS = ("theta", "gamma_pp", "gamma_p0", "gamma_pm", "transmission")
 
 # Clamping slack: probabilities may stray outside [0, 1] by at most this
 # much before we treat it as an internal inconsistency.
 _CLAMP_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class PhysicalParams:
+    """Effective speed of light, rest mass, potential slope, and hbar.
+
+    Natural units ``hbar = c = 1`` are the default; the trapped-ion module
+    produces instances in its own (hbar = 1, Delta = 1) units.
+    """
+
+    c: float = 1.0
+    m: float = 0.0
+    g: float = 0.0
+    hbar: float = 1.0
+
+    def __post_init__(self):
+        if self.c <= 0:
+            raise ValueError(f"c must be positive, got {self.c}")
+        if self.m < 0:
+            raise ValueError(f"m must be nonnegative, got {self.m}")
+        if self.g < 0:
+            raise ValueError(f"g must be nonnegative, got {self.g}")
+        if self.hbar <= 0:
+            raise ValueError(f"hbar must be positive, got {self.hbar}")
+
+    @property
+    def rest_energy(self) -> float:
+        """m c^2."""
+        return self.m * self.c**2
 
 
 @dataclass(frozen=True)
@@ -83,51 +114,71 @@ def effective_mass(params: PhysicalParams, ky: float) -> float:
     return math.sqrt(params.rest_energy**2 + (params.hbar * ky * params.c) ** 2)
 
 
-def _closed_forms(r, flat_band: bool):
-    """``(gamma_pp, gamma_p0, gamma_pm)`` at gap ratio ``r`` (scalar or array)."""
-    gamma_pm = np.exp(-np.pi * r)
+def _closed_forms(r: float, flat_band: bool) -> tuple[float, float, float]:
+    """``(gamma_pp, gamma_p0, gamma_pm)`` at gap ratio ``r``."""
+    gamma_pm = math.exp(-math.pi * r)
     if flat_band:
-        y = np.exp(-np.pi * r / 2.0)
+        y = math.exp(-math.pi * r / 2.0)
         gamma_p0 = 2.0 * y * (1.0 - y)
     else:
-        gamma_p0 = np.zeros_like(gamma_pm)
+        gamma_p0 = 0.0
     return 1.0 - gamma_pm - gamma_p0, gamma_p0, gamma_pm
 
 
-def _gap_ratio(params: PhysicalParams, mtilde_c2):
+def _clamp(gamma: float) -> float:
+    """``gamma`` clipped to [0, 1]; NaN passes, as in ``numpy.clip``."""
+    return 0.0 if gamma < 0.0 else 1.0 if gamma > 1.0 else gamma
+
+
+def _gap_ratio(params: PhysicalParams, mtilde_c2: float) -> float:
     if params.g <= 0:
         raise ParameterError("transition probabilities require a positive slope g")
     return mtilde_c2**2 / (params.hbar * params.c * params.g)
 
 
+def _probabilities(params: PhysicalParams, mtilde_c2: float,
+                   flat_band: bool) -> TransitionProbabilities:
+    if not math.isfinite(mtilde_c2):
+        raise ParameterError(f"effective rest energy must be finite, got {mtilde_c2}")
+    ratio = _gap_ratio(params, mtilde_c2)
+    return TransitionProbabilities(*_closed_forms(ratio, flat_band))
+
+
 def lz_spin1(params: PhysicalParams, mtilde_c2: float) -> TransitionProbabilities:
     """Three-band transition probabilities at effective rest energy ``mtilde_c2``."""
-    gammas = _closed_forms(_gap_ratio(params, mtilde_c2), flat_band=True)
-    return TransitionProbabilities(*map(float, gammas))
+    return _probabilities(params, mtilde_c2, flat_band=True)
 
 
 def lz_spin_half(params: PhysicalParams, mtilde_c2: float) -> TransitionProbabilities:
     """Two-level transition probabilities; no flat band, ``T = exp(-pi r)``."""
-    gammas = _closed_forms(_gap_ratio(params, mtilde_c2), flat_band=False)
-    return TransitionProbabilities(*map(float, gammas))
+    return _probabilities(params, mtilde_c2, flat_band=False)
 
 
 def angle_sweep(
     params: PhysicalParams, spin: float, p0: float, thetas
-) -> np.ndarray:
+) -> list[tuple[float, float, float, float, float]]:
     """Transition probabilities over a set of incident angles.
 
     The incident momentum magnitude ``p0`` is held fixed while the angle
     ``theta = arctan(ky0 / kx0)`` varies; the transverse component
     ``p0 sin(theta)`` enters through the effective mass.  ``spin`` is 1 or
-    0.5.  Returns an array of shape ``(len(thetas), 5)`` with columns
+    0.5.  Returns one tuple of floats per angle, with fields
     :data:`SWEEP_COLUMNS`.
     """
     if spin not in (1, 0.5):
         raise ParameterError(f"spin must be 1 or 0.5, got {spin}")
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    if np.any(np.abs(thetas) >= np.pi / 2):
+    if not math.isfinite(p0):
+        raise ParameterError(f"incident momentum must be finite, got {p0}")
+    thetas = [float(theta) for theta in thetas]
+    # written so that NaN fails too
+    if not all(abs(theta) < math.pi / 2 for theta in thetas):
         raise ParameterError("incident angles must lie strictly inside (-pi/2, pi/2)")
-    mtilde_c2 = np.sqrt(params.rest_energy**2 + (p0 * params.c * np.sin(thetas)) ** 2)
-    gammas = np.clip(_closed_forms(_gap_ratio(params, mtilde_c2), spin == 1), 0.0, 1.0)
-    return np.column_stack([thetas, *gammas, gammas[1] + gammas[2]])
+    rest2 = params.rest_energy**2
+    rows = []
+    for theta in thetas:
+        # a product, not a power: an overflow gives inf (T = 0), as it does in numpy
+        transverse = p0 * params.c * math.sin(theta)
+        ratio = _gap_ratio(params, math.sqrt(rest2 + transverse * transverse))
+        gamma_pp, gamma_p0, gamma_pm = map(_clamp, _closed_forms(ratio, spin == 1))
+        rows.append((theta, gamma_pp, gamma_p0, gamma_pm, gamma_p0 + gamma_pm))
+    return rows

@@ -1,5 +1,4 @@
-"""Spin matrices, Bloch Hamiltonians, band energies, band projectors and
-band weights.
+"""Spin matrices, Bloch fields, band projectors and band weights.
 
 Everything downstream (analytic transition probabilities, the swept-level
 integrator, the spectral propagator, the trapped-ion emulator) is built on
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBandsError
+from .landau_zener import PhysicalParams
 
 __all__ = [
     "SpinAlgebra",
@@ -41,9 +40,6 @@ __all__ = [
     "algebra_for",
     "bloch_field",
     "field_hamiltonian",
-    "bloch_hamiltonian",
-    "band_energies",
-    "band_projectors",
     "adiabatic_projectors",
     "field_projectors",
     "band_weights",
@@ -84,44 +80,8 @@ class SpinAlgebra:
         return self.sx, self.sy, self.sz
 
     @property
-    def pauli(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Bare Pauli matrices (dimension-2 algebra only)."""
-        if self.dimension != 2:
-            raise ValueError("Pauli matrices are only defined for dimension 2")
-        return self.coupling_matrices
-
-    @property
     def band_labels(self) -> tuple[str, ...]:
         return ("+", "0", "-") if self.dimension == 3 else ("+", "-")
-
-
-@dataclass(frozen=True)
-class PhysicalParams:
-    """Effective speed of light, rest mass, potential slope, and hbar.
-
-    Natural units ``hbar = c = 1`` are the default; the trapped-ion module
-    produces instances in its own (hbar = 1, Delta = 1) units.
-    """
-
-    c: float = 1.0
-    m: float = 0.0
-    g: float = 0.0
-    hbar: float = 1.0
-
-    def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError(f"c must be positive, got {self.c}")
-        if self.m < 0:
-            raise ValueError(f"m must be nonnegative, got {self.m}")
-        if self.g < 0:
-            raise ValueError(f"g must be nonnegative, got {self.g}")
-        if self.hbar <= 0:
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
-
-    @property
-    def rest_energy(self) -> float:
-        """m c^2."""
-        return self.m * self.c**2
 
 
 def spin1_matrices() -> SpinAlgebra:
@@ -161,24 +121,6 @@ def field_hamiltonian(algebra: SpinAlgebra, field) -> np.ndarray:
     return np.tensordot(field, couplings, 1)
 
 
-def bloch_hamiltonian(
-    algebra: SpinAlgebra, kx: float, ky: float, params: PhysicalParams
-) -> np.ndarray:
-    """Kinetic-plus-mass Bloch Hamiltonian ``c hbar (kx Sx + ky Sy) + m c^2 Sz``."""
-    return field_hamiltonian(algebra, bloch_field(params, kx, ky)).astype(complex)
-
-
-def band_energies(kx, ky, params: PhysicalParams):
-    """Band energies ``(E+, E0, E-)`` with ``E+- = +-sqrt(c^2 hbar^2 k^2 + m^2 c^4)``.
-
-    The flat band ``E0 = 0`` exists only in the spin-1 representation; the
-    spin-1/2 spectrum consists of the outer pair alone.  Accepts scalars or
-    arrays.
-    """
-    e_plus = np.linalg.norm(bloch_field(params, kx, ky), axis=-1)
-    return e_plus, np.zeros_like(e_plus), -e_plus
-
-
 def adiabatic_projectors(h: np.ndarray, e_plus) -> tuple[np.ndarray, ...]:
     """Band projectors of a Hermitian matrix with spectrum ``{+E, 0, -E}`` (or ``{+-E}``).
 
@@ -186,8 +128,7 @@ def adiabatic_projectors(h: np.ndarray, e_plus) -> tuple[np.ndarray, ...]:
     ``e_plus`` of shape ``(...)``).  Batch entries with ``e_plus == 0`` are
     fully degenerate (``h = 0``): there the outer projectors vanish and the
     flat-band projector is the identity for dimension 3, and both
-    projectors are half the identity for dimension 2.  Scalar callers are
-    expected to reject that case beforehand.
+    projectors are half the identity for dimension 2.
 
     Returns ``(P+, P0, P-)`` for dimension 3 and ``(P+, P-)`` for dimension 2.
     """
@@ -208,24 +149,6 @@ def field_projectors(algebra: SpinAlgebra, field) -> np.ndarray:
     field = np.asarray(field, dtype=float)
     e_plus = np.linalg.norm(field, axis=-1)
     return np.stack(adiabatic_projectors(field_hamiltonian(algebra, field), e_plus))
-
-
-def band_projectors(
-    kx: float, ky: float, params: PhysicalParams, algebra: SpinAlgebra | None = None
-) -> tuple[np.ndarray, ...]:
-    """Momentum-space band projectors at a single ``(kx, ky)`` point.
-
-    Raises :class:`DegenerateBandsError` when ``kx = ky = m = 0`` (all bands
-    touch and the polynomial construction is undefined).
-    """
-    if algebra is None:
-        algebra = spin1_matrices()
-    field = bloch_field(params, kx, ky)
-    if np.linalg.norm(field) == 0.0:
-        raise DegenerateBandsError(
-            "band projectors undefined at kx = ky = m = 0 (all bands degenerate)"
-        )
-    return tuple(field_projectors(algebra, field).astype(complex))
 
 
 def band_weights(psi: np.ndarray, projectors: np.ndarray) -> np.ndarray:

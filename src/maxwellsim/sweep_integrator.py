@@ -50,7 +50,7 @@ from .spin_algebra import (
     spin_components,
 )
 
-__all__ = ["SweepProblem", "sweep_problem", "integrate_sweep", "transition_matrix"]
+__all__ = ["SweepProblem", "sweep_problem", "integrate_sweep"]
 
 # Sweep endpoints must satisfy c*hbar*|kx| >= this multiple of the gap.
 _MIN_ENDPOINT_FACTOR = 20.0
@@ -249,14 +249,6 @@ def _integrate_all_bands(problem: SweepProblem, dt: float | None) -> np.ndarray:
             f"norm drift {drift:.3e} exceeds {_NORM_DRIFT_TOL}; reduce dt"
         )
     return w_fine
-
-
-def transition_matrix(problem: SweepProblem, dt: float | None = None) -> np.ndarray:
-    """Full matrix ``w[final, initial]`` of sweep transition probabilities.
-
-    Band order follows ``problem.algebra.band_labels``.
-    """
-    return np.clip(_integrate_all_bands(problem, dt), 0.0, 1.0)
 
 
 def integrate_sweep(

@@ -84,7 +84,6 @@ __all__ = [
     "default_time_step",
     "density",
     "position_mean",
-    "momentum_mean",
 ]
 
 #: Column order of ``EvolveResult.trace``.
@@ -529,13 +528,6 @@ def density(fld: SpinorField) -> np.ndarray:
 def position_mean(fld: SpinorField) -> float:
     rho = density(fld)
     return float(np.sum(fld.grid.x * rho) / np.sum(rho))
-
-
-def momentum_mean(fld: SpinorField, params: PhysicalParams) -> float:
-    """Spectral expectation value ``<p> = hbar <k>``."""
-    psi_k = np.fft.fft(fld.amplitudes, axis=0)
-    weights = np.sum(np.abs(psi_k) ** 2, axis=1)
-    return float(params.hbar * np.sum(fld.grid.k * weights) / np.sum(weights))
 
 
 def band_components(fld: SpinorField, params: PhysicalParams) -> np.ndarray:

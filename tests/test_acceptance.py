@@ -143,8 +143,8 @@ def test_criterion_5_angle_sweep_properties():
     sweeps = {}
     for g in (1.0, 5.0):
         params = PhysicalParams(m=m, g=g)
-        sweeps[("1", g)] = angle_sweep(params, 1, p0, thetas)[:, 4]
-        sweeps[("1/2", g)] = angle_sweep(params, 0.5, p0, thetas)[:, 4]
+        sweeps[("1", g)] = np.array(angle_sweep(params, 1, p0, thetas))[:, 4]
+        sweeps[("1/2", g)] = np.array(angle_sweep(params, 0.5, p0, thetas))[:, 4]
 
     sym = max(np.max(np.abs(t - t[::-1])) for t in sweeps.values())
     upper = sweeps[("1", 5.0)][len(half_thetas) - 1:]

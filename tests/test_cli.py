@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import maxwellsim
-from maxwellsim.cli import main
+from maxwellsim.cli import _format_value, main
 from maxwellsim.config import COMMANDS, RunConfig, parse_config
 from maxwellsim.errors import ConfigError
 
@@ -497,23 +497,71 @@ class TestExitCodes:
         assert "output" in capsys.readouterr().err
 
 
-def _loaded_scipy_modules(code: str) -> str:
-    """Run ``code`` in a fresh interpreter that then prints the sorted names
-    of the loaded scipy modules; return that output."""
+@pytest.mark.parametrize("value, text", [
+    (True, "true"), (False, "false"), (np.bool_(True), "True"),
+    (3, "3"), (np.int64(-7), "-7"), (np.int32(5), "5"),
+    (0.1, "0.1"), (1e-300, "1e-300"), (np.float64(0.1), "0.1"),
+    (np.float32(0.1), "0.10000000149011612"), (np.float16(0.1), "0.0999755859375"),
+    ("abc", "abc"), ((1.0, 0.0, np.float64(0.5)), "1.0,0.0,0.5"),
+    ([np.float32(0.1), 2], "0.10000000149011612,2"),
+])
+def test_format_value(value, text):
+    # numpy scalars format as they did when the CLI imported numpy itself
+    assert _format_value(value) == text
+
+
+def _run_fresh(code: str) -> str:
+    """Run ``code`` in a fresh interpreter; return its standard output."""
     src = str(Path(maxwellsim.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code += ("\nimport sys; print(sorted(m for m in sys.modules "
-             "if m.split('.')[0] == 'scipy'))")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True, timeout=60,
                           env={**os.environ, "PYTHONPATH": path})
     return done.stdout.strip()
 
 
+def _loaded_modules(code: str, package: str) -> str:
+    """Run ``code`` in a fresh interpreter that then prints the sorted names
+    of the loaded modules of ``package``; return that output."""
+    return _run_fresh(code + "\nimport sys; print(sorted(m for m in sys.modules "
+                      f"if m.split('.')[0] == {package!r}))")
+
+
 def test_cli_import_leaves_scipy_sparse_unloaded():
-    # Every command imports the ion emulator; only the ion commands may pay
-    # for loading scipy (start-up time and resident memory).
-    assert _loaded_scipy_modules("import maxwellsim.cli") == "[]"
+    # scipy is a test extra: no command may load it
+    assert _loaded_modules("import maxwellsim.cli", "scipy") == "[]"
+
+
+def test_package_import_loads_no_numpy():
+    # the package resolves its public names on first use
+    assert _loaded_modules("import maxwellsim", "numpy") == "[]"
+    assert _loaded_modules("import maxwellsim.cli", "numpy") == "[]"
+
+
+def test_sweep_transmission_runs_without_numpy(tmp_path):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("spin = 1\nm = 1.0\ng = 5.0\np0 = 1.0\ntheta_points = 21\n")
+    code = ("from maxwellsim.cli import main\n"
+            f"assert main(['sweep-transmission', '--config', {str(cfg)!r}, "
+            f"'--output', {str(tmp_path / 'sweep.csv')!r}]) == 0")
+    assert _loaded_modules(code, "numpy") == "[]"
+    assert len(read_csv(tmp_path / "sweep.csv")[2]) == 21
+
+
+def test_public_names_resolve_to_their_home_modules():
+    # in a fresh interpreter, so each name is resolved lazily, not cached
+    code = ("import importlib, maxwellsim as ms\n"
+            "assert set(ms.__all__) <= set(dir(ms))\n"
+            "for name, home in ms._HOME.items():\n"
+            "    first = getattr(ms, name)\n"
+            "    assert first is getattr(importlib.import_module("
+            "'maxwellsim.' + home), name), name\n"
+            "    assert vars(ms)[name] is first, name\n"
+            "from maxwellsim import lz_spin1, Grid1D, IonParams, ConfigError\n"
+            "print(len(ms.__all__))")
+    assert _run_fresh(code) == str(len(maxwellsim.__all__))
+    with pytest.raises(AttributeError):
+        maxwellsim.no_such_name
 
 
 def test_package_loads_no_scipy():
@@ -525,7 +573,7 @@ def test_package_loads_no_scipy():
             "ms.sideband_toolbox(ion, \"a'b'\", 'blue', 1.0, 0.3).toarray(16)\n"
             "ms.build_maxwell_hamiltonian(ion).toarray(16)\n"
             "ms.energy_expectation(ms.coherent_initial_state(ion, 0.5, (1, 0, 0)), ion)")
-    assert _loaded_scipy_modules(code) == "[]"
+    assert _loaded_modules(code, "scipy") == "[]"
 
 
 def test_evolve_leaves_scipy_unloaded(tmp_path):
@@ -535,7 +583,7 @@ def test_evolve_leaves_scipy_unloaded(tmp_path):
     code = ("from maxwellsim.cli import main\n"
             f"assert main(['evolve', '--config', {str(cfg)!r}, "
             f"'--output', {str(tmp_path / 'trace.csv')!r}]) == 0")
-    assert _loaded_scipy_modules(code) == "[]"
+    assert _loaded_modules(code, "scipy") == "[]"
     assert (tmp_path / "trace.csv").exists()
 
 
@@ -552,7 +600,7 @@ def test_ion_commands_leave_scipy_unloaded(tmp_path, command, text):
     code = ("from maxwellsim.cli import main\n"
             f"assert main([{command!r}, '--config', {str(cfg)!r}, "
             f"'--output', {str(tmp_path / 'out.csv')!r}]) == 0")
-    assert _loaded_scipy_modules(code) == "[]"
+    assert _loaded_modules(code, "scipy") == "[]"
     assert (tmp_path / "out.csv").exists()
     if "snapshot_path" in text:
         assert (tmp_path / "snapshot.csv").exists()

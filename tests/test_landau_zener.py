@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from maxwellsim import (
+    ParameterError,
     PhysicalParams,
     TransitionProbabilities,
     angle_sweep,
@@ -12,6 +13,7 @@ from maxwellsim import (
     lz_spin1,
     lz_spin_half,
 )
+from maxwellsim.cli import _angle_grid
 from maxwellsim.landau_zener import SWEEP_COLUMNS
 
 
@@ -56,6 +58,12 @@ class TestSpin1Formula:
         with pytest.raises(ValueError):
             lz_spin1(PhysicalParams(m=1.0, g=0.0), 1.0)
 
+    @pytest.mark.parametrize("formula", [lz_spin1, lz_spin_half])
+    @pytest.mark.parametrize("mtilde_c2", [math.nan, math.inf])
+    def test_non_finite_rest_energy_rejected(self, formula, mtilde_c2):
+        with pytest.raises(ParameterError):
+            formula(PhysicalParams(m=1.0, g=1.0), mtilde_c2)
+
 
 class TestSpinHalfFormula:
 
@@ -95,7 +103,7 @@ class TestAngleSweep:
         params = PhysicalParams(m=1.0, g=1.0)
         thetas = np.linspace(-1.0, 1.0, 11)
         for spin, formula in ((0.5, lz_spin_half), (1, lz_spin1)):
-            rows = angle_sweep(params, spin, 1.0, thetas)
+            rows = np.array(angle_sweep(params, spin, 1.0, thetas))
             assert rows.shape == (11, len(SWEEP_COLUMNS))
             # the vectorised rows match the scalar formula angle by angle
             for theta, row in zip(thetas, rows):
@@ -107,6 +115,15 @@ class TestAngleSweep:
     def test_angle_domain(self):
         with pytest.raises(ValueError):
             angle_sweep(PhysicalParams(m=1.0, g=1.0), 1, 1.0, [math.pi / 2])
+
+    def test_nan_angle_rejected(self):
+        with pytest.raises(ParameterError):
+            angle_sweep(PhysicalParams(m=1.0, g=1.0), 1, 1.0, [0.0, math.nan])
+
+    @pytest.mark.parametrize("p0", [math.inf, -math.inf, math.nan])
+    def test_non_finite_momentum_rejected(self, p0):
+        with pytest.raises(ParameterError):
+            angle_sweep(PhysicalParams(m=1.0, g=1.0), 1, p0, [0.3])
 
     def test_unknown_spin(self):
         with pytest.raises(ValueError):
@@ -134,21 +151,22 @@ class TestFormulaProperties:
     def test_angle_symmetry(self):
         params = PhysicalParams(m=1.0, g=2.0)
         thetas = np.linspace(0.0, 1.4, 29)
-        forward = angle_sweep(params, 1, 1.3, thetas)[:, 4]
-        mirrored = angle_sweep(params, 1, 1.3, -thetas)[:, 4]
+        forward = np.array(angle_sweep(params, 1, 1.3, thetas))[:, 4]
+        mirrored = np.array(angle_sweep(params, 1, 1.3, -thetas))[:, 4]
         assert np.allclose(forward, mirrored, rtol=0.0, atol=1e-15)
 
     def test_monotone_in_angle_magnitude(self):
         params = PhysicalParams(m=1.0, g=2.0)
         thetas = np.linspace(0.0, 1.5, 40)
-        t = angle_sweep(params, 1, 1.0, thetas)[:, 4]
+        t = np.array(angle_sweep(params, 1, 1.0, thetas))[:, 4]
         assert np.all(np.diff(t) <= 1e-15)
         assert t[0] >= t.max() - 1e-15
 
     def test_larger_slope_dominates_pointwise(self):
         thetas = np.linspace(-1.4, 1.4, 31)
-        t_small = angle_sweep(PhysicalParams(m=1.0, g=1.0), 1, 1.0, thetas)[:, 4]
-        t_large = angle_sweep(PhysicalParams(m=1.0, g=5.0), 1, 1.0, thetas)[:, 4]
+        small, large = PhysicalParams(m=1.0, g=1.0), PhysicalParams(m=1.0, g=5.0)
+        t_small = np.array(angle_sweep(small, 1, 1.0, thetas))[:, 4]
+        t_large = np.array(angle_sweep(large, 1, 1.0, thetas))[:, 4]
         assert np.all(t_large >= t_small)
 
     def test_clamp_guard(self):
@@ -178,7 +196,7 @@ class TestClosedFormPropertySuite:
         probs = _FORMULAS[spin](*_at_ratio(ratio))
         assert sum(probs.as_tuple()) == pytest.approx(1.0, abs=1e-12)
         assert probs.transmission == probs.gamma_p0 + probs.gamma_pm
-        rows = angle_sweep(PhysicalParams(m=m, g=g), spin, p0, thetas)
+        rows = np.array(angle_sweep(PhysicalParams(m=m, g=g), spin, p0, thetas))
         assert np.allclose(rows[:, 1:4].sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
         assert np.array_equal(rows[:, 4], rows[:, 2] + rows[:, 3])
 
@@ -205,3 +223,54 @@ class TestClosedFormPropertySuite:
         rows = angle_sweep(base, spin, p0, thetas)
         rows_scaled = angle_sweep(rescaled, spin, p0 * unit_energy / c, thetas)
         assert np.allclose(rows_scaled, rows, rtol=0.0, atol=1e-12)
+
+
+def _vectorised_rows(params, spin, p0, thetas):
+    """The angle sweep as numpy evaluates it, array-wide."""
+    thetas = np.asarray(thetas, dtype=float)
+    mtilde_c2 = np.sqrt(params.rest_energy**2 + (p0 * params.c * np.sin(thetas)) ** 2)
+    r = mtilde_c2**2 / (params.hbar * params.c * params.g)
+    gamma_pm = np.exp(-np.pi * r)
+    y = np.exp(-np.pi * r / 2.0)
+    gamma_p0 = 2.0 * y * (1.0 - y) if spin == 1 else np.zeros_like(r)
+    gammas = np.clip([1.0 - gamma_pm - gamma_p0, gamma_p0, gamma_pm], 0.0, 1.0)
+    return np.column_stack([thetas, *gammas, gammas[1] + gammas[2]])
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+class TestScalarClosedFormPropertySuite:
+    """The math-only closed-form path against numpy's arithmetic."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(lo=st.floats(allow_nan=False, allow_infinity=False),
+           hi=st.floats(allow_nan=False, allow_infinity=False),
+           n=st.integers(1, 1000), same=st.booleans())
+    @example(lo=-1.5, hi=1.5, n=1, same=False)
+    @example(lo=0.25, hi=0.25, n=7, same=False)
+    @example(lo=0.0, hi=5e-324, n=4, same=False)  # a step below the least subnormal
+    @example(lo=-0.0, hi=1.0, n=1, same=False)
+    def test_cli_angle_grid_is_linspace(self, lo, hi, n, same):
+        hi = lo if same else hi
+        with np.errstate(all="ignore"):  # hi - lo may overflow, as in the CLI
+            reference = np.linspace(lo, hi, n)
+        assert np.array_equal(_bits(_angle_grid(lo, hi, n)), _bits(reference))
+
+    # math.exp and numpy's exp may differ by 1 ulp (<= 2^-53 below 1) at
+    # each of the two exponentials; gamma_p0 = 2 y (1 - y) doubles y's, and
+    # the sums add them: 3 x 2^-53 plus the sums' own rounding.
+    ROW_TOL = 2.0 * 2.0**-52
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(spin=_SPINS, m=st.floats(0.0, 3.0), g=st.floats(0.01, 10.0),
+           c=_SCALES, hbar=_SCALES, p0=st.floats(0.0, 5.0), thetas=_ANGLES)
+    # both exponentials one ulp off, in opposite directions: 3.3e-16
+    @example(spin=1, m=0.0906, g=4.36, c=1.0, hbar=1.0, p0=0.0, thetas=[0.0])
+    def test_rows_match_vectorised_formulas(self, spin, m, g, c, hbar, p0, thetas):
+        params = PhysicalParams(c=c, m=m, g=g, hbar=hbar)
+        rows = np.array(angle_sweep(params, spin, p0, thetas))
+        reference = _vectorised_rows(params, spin, p0, thetas)
+        assert np.array_equal(rows[:, 0], reference[:, 0])
+        assert np.max(np.abs(rows - reference)) <= self.ROW_TOL

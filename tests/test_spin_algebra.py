@@ -6,12 +6,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from maxwellsim import (
-    DegenerateBandsError,
     PhysicalParams,
     adiabatic_projectors,
-    band_energies,
-    band_projectors,
-    bloch_hamiltonian,
     pauli_algebra,
     spin1_matrices,
 )
@@ -21,6 +17,7 @@ from maxwellsim.spin_algebra import (
     apply_projectors,
     band_weights,
     bloch_field,
+    field_hamiltonian,
     field_projectors,
     rotor,
     rotor_matrix,
@@ -31,6 +28,21 @@ from maxwellsim.spin_algebra import (
 
 def comm(a, b):
     return a @ b - b @ a
+
+
+def bloch_hamiltonian(algebra, kx, ky, params):
+    """``c hbar (kx Cx + ky Cy) + m c^2 Cz`` through the band layer."""
+    return field_hamiltonian(algebra, bloch_field(params, kx, ky))
+
+
+def e_plus(kx, ky, params):
+    """Upper band energy ``sqrt(c^2 hbar^2 k^2 + m^2 c^4)``: the field's length."""
+    return np.linalg.norm(bloch_field(params, kx, ky), axis=-1)
+
+
+def band_projectors(kx, ky, params):
+    """Spin-1 band projectors ``(P+, P0, P-)`` at one momentum."""
+    return field_projectors(spin1_matrices(), bloch_field(params, kx, ky))
 
 
 class TestSpinMatrices:
@@ -60,7 +72,7 @@ class TestSpinMatrices:
 
     def test_pauli_basics(self):
         alg = pauli_algebra()
-        sx, sy, sz = alg.pauli
+        sx, sy, sz = alg.coupling_matrices
         assert np.allclose(sz, np.diag([1.0, -1.0]))
         assert np.allclose(sx @ sy, 1j * sz)
         for sigma in (sx, sy, sz):
@@ -71,10 +83,6 @@ class TestSpinMatrices:
         for s in (alg.sx, alg.sy, alg.sz):
             assert np.allclose(np.sort(np.linalg.eigvalsh(s)), [-0.5, 0.5])
         assert np.allclose(comm(alg.sx, alg.sy), 1j * alg.sz, atol=1e-12)
-
-    def test_spin1_pauli_raises(self):
-        with pytest.raises(ValueError):
-            spin1_matrices().pauli
 
 
 class TestPhysicalParams:
@@ -118,21 +126,19 @@ class TestBlochHamiltonian:
 class TestBandEnergies:
 
     def test_rest_energy(self):
-        assert np.allclose(band_energies(0.0, 0.0, PhysicalParams(m=1.0)),
-                           (1.0, 0.0, -1.0))
+        assert e_plus(0.0, 0.0, PhysicalParams(m=1.0)) == 1.0
 
     def test_against_eigenvalues(self):
         params = PhysicalParams(m=0.85)
-        e_plus, e_zero, e_minus = band_energies(10.0, 0.0, params)
-        assert e_plus == pytest.approx(10.036059983878136, abs=1e-12)
+        energy = e_plus(10.0, 0.0, params)
+        assert energy == pytest.approx(10.036059983878136, abs=1e-12)
         h = bloch_hamiltonian(spin1_matrices(), 10.0, 0.0, params)
-        assert np.allclose(np.linalg.eigvalsh(h), [e_minus, e_zero, e_plus],
+        assert np.allclose(np.linalg.eigvalsh(h), [-energy, 0.0, energy],
                            atol=1e-10)
 
     def test_massless(self):
         params = PhysicalParams(c=2.0, m=0.0, hbar=0.5)
-        e_plus = band_energies(3.0, 4.0, params)[0]
-        assert e_plus == pytest.approx(5.0 * params.c * params.hbar)
+        assert e_plus(3.0, 4.0, params) == pytest.approx(5.0 * params.c * params.hbar)
 
 
 class TestBandProjectors:
@@ -152,10 +158,6 @@ class TestBandProjectors:
         projectors = band_projectors(10.0, 0.0, PhysicalParams(m=0.85))
         for p in projectors:
             assert np.trace(p).real == pytest.approx(1.0, abs=1e-10)
-
-    def test_degenerate_raises(self):
-        with pytest.raises(DegenerateBandsError):
-            band_projectors(0.0, 0.0, PhysicalParams(m=0.0))
 
 
 class TestProjectorPropertySuite:

@@ -14,7 +14,6 @@ from maxwellsim import (
     pauli_algebra,
     spin1_matrices,
     sweep_problem,
-    transition_matrix,
 )
 
 
@@ -96,8 +95,10 @@ class TestIntegratorProperties:
 
     def test_doubly_stochastic(self):
         params = PhysicalParams(m=0.85, g=1.5)
-        problem = sweep_problem(spin1_matrices(), params, params.rest_energy)
-        w = transition_matrix(problem)
+        # w[final, initial], one integration per initial band
+        w = np.array([integrate_sweep(sweep_problem(
+            spin1_matrices(), params, params.rest_energy, initial_band=band)).as_tuple()
+            for band in ("+", "0", "-")]).T
         assert np.allclose(w.sum(axis=0), 1.0, atol=1e-3)
         assert np.allclose(w.sum(axis=1), 1.0, atol=1e-3)
         assert w.shape == (3, 3)
