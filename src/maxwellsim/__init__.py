@@ -57,11 +57,7 @@ _EXPORTS = {
         "pauli_algebra",
         "spin1_matrices",
     ),
-    "sweep_integrator": (
-        "SweepProblem",
-        "integrate_sweep",
-        "sweep_problem",
-    ),
+    "sweep_integrator": ("integrate_sweep",),
     "wavepacket": (
         "TRACE_COLUMNS",
         "BandPopulations",

@@ -124,12 +124,10 @@ def _run_lz_oracle(config: RunConfig) -> list[str]:
     v = config.values
     params = PhysicalParams(c=v["c"], m=0.0, g=v["g"], hbar=v["hbar"])
     algebra = algebra_for(3 if v["spin"] == "1" else 2)
-    problem = sweep_integrator.sweep_problem(
-        algebra, params, v["mtilde_c2"],
-        endpoint_factor=v["endpoint_factor"], initial_band=v["initial_band"],
+    oracle = sweep_integrator.integrate_sweep(
+        algebra, params, v["mtilde_c2"], initial_band=v["initial_band"],
+        endpoint_factor=v["endpoint_factor"], dt=v["dt"] if v["dt"] > 0 else None,
     )
-    dt = v["dt"] if v["dt"] > 0 else None
-    oracle = sweep_integrator.integrate_sweep(problem, dt)
     formula = landau_zener.lz_spin1 if v["spin"] == "1" else landau_zener.lz_spin_half
     analytic = formula(params, v["mtilde_c2"])
     ratio = landau_zener._gap_ratio(params, v["mtilde_c2"])
@@ -239,9 +237,8 @@ def _run_crosscheck(config: RunConfig) -> list[str]:
     rows = [("analytic", analytic.gamma_pp, analytic.gamma_p0,
              analytic.gamma_pm, analytic.transmission)]
 
-    problem = sweep_integrator.sweep_problem(spin1_matrices(), params,
-                                             params.rest_energy)
-    oracle = sweep_integrator.integrate_sweep(problem)
+    oracle = sweep_integrator.integrate_sweep(spin1_matrices(), params,
+                                              params.rest_energy)
     rows.append(("sweep-integrator", oracle.gamma_pp, oracle.gamma_p0,
                  oracle.gamma_pm, oracle.transmission))
 

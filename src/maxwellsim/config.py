@@ -58,6 +58,10 @@ def _band_choice(value) -> str | None:
     return None if value in ("none", "+", "0", "-") else "must be one of none, +, 0, -"
 
 
+def _initial_band_choice(value) -> str | None:
+    return None if value in ("+", "0", "-") else "must be one of +, 0, -"
+
+
 def _spin_choice(value) -> str | None:
     return None if value in ("1", "1/2") else "must be 1 or 1/2"
 
@@ -94,7 +98,7 @@ COMMANDS: dict[str, dict[str, _Key]] = {
         "spin": _Key(str, "1", _spin_choice),
         "mtilde_c2": _Key(_parse_float, check=_nonnegative),
         "g": _Key(_parse_float, check=_positive),
-        "initial_band": _Key(str, "+", _band_choice),
+        "initial_band": _Key(str, "+", _initial_band_choice),
         "endpoint_factor": _Key(_parse_float, 30.0, _positive),
         "dt": _Key(_parse_float, 0.0, _nonnegative),  # 0: automatic step
         **_PHYSICAL,

@@ -56,7 +56,7 @@ _WEIGHT_BLOCK = 1 << 16
 
 @dataclass(frozen=True)
 class SpinAlgebra:
-    """Spin-component matrices plus identity for one representation.
+    """Spin-component matrices for one representation.
 
     ``sx, sy, sz`` are the dimensionless spin components (Hermitian,
     ``[sx, sy] = i sz`` and cyclic).  ``dimension`` is 2 or 3.
@@ -66,7 +66,6 @@ class SpinAlgebra:
     sx: np.ndarray
     sy: np.ndarray
     sz: np.ndarray
-    identity: np.ndarray
 
     @property
     def coupling_matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -89,7 +88,7 @@ def spin1_matrices() -> SpinAlgebra:
     sx = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / _SQRT2
     sy = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]], dtype=complex) / _SQRT2
     sz = np.diag([1.0, 0.0, -1.0]).astype(complex)
-    return SpinAlgebra(3, sx, sy, sz, np.eye(3, dtype=complex))
+    return SpinAlgebra(3, sx, sy, sz)
 
 
 def pauli_algebra() -> SpinAlgebra:
@@ -97,7 +96,7 @@ def pauli_algebra() -> SpinAlgebra:
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
     sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
     sz = np.array([[1, 0], [0, -1]], dtype=complex)
-    return SpinAlgebra(2, sx / 2, sy / 2, sz / 2, np.eye(2, dtype=complex))
+    return SpinAlgebra(2, sx / 2, sy / 2, sz / 2)
 
 
 def algebra_for(dimension: int) -> SpinAlgebra:

@@ -4,19 +4,18 @@ time-dependent few-level Schrodinger equation under a linearly swept momentum.
 The linear potential is equivalent to a constant force in momentum space, so
 a single longitudinal mode obeys
 
-    i hbar d(psi)/dt = [c hbar kx(t) Cx + m~ c^2 Cz~] psi,
+    i hbar d(psi)/dt = [c hbar kx(t) Cx + m~ c^2 Cz] psi,
     kx(t) = kx_start - (g / hbar) t,
 
 with the sweep starting and ending far from the crossing.  The state begins
 in an adiabatic eigenstate at ``kx_start`` and is projected onto the
-adiabatic eigenbasis at ``kx_end``; bare spinor components would be wrong at
+adiabatic eigenbasis at ``-kx_start``; bare spinor components would be wrong at
 finite ``|kx|`` where the bands still mix.
 
-The mass axis ``Cz~`` may be a unit combination ``ny Cy + nz Cz``: any such
-axis is unitarily equivalent to the pure-``Cz`` form (a rotation about the
-x-axis preserves both the spectrum and the ``Cx`` coupling), so the default
-integrates with ``Cz`` and a flag retains the literal combination for
-cross-checking.
+Any other mass axis in the y-z spin plane is a rotation about x away from
+``Cz`` that leaves ``Cx`` in place (checked exactly by
+``tests/test_spin_algebra.py::TestMassAxisRotation``), so it gives the same
+band populations.
 
 Integration is a fixed-step 4th-order Magnus scheme (Blanes, Casas, Oteo
 & Ros, Phys. Rep. 470, 151 (2009)) whose step exponentials stay in the
@@ -31,18 +30,16 @@ makes this module an independent check of the analytic formulas in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, NumericalGuardError, ParameterError
-from .landau_zener import TransitionProbabilities, effective_mass
+from .landau_zener import TransitionProbabilities
 from .spin_algebra import (
     PhysicalParams,
     SpinAlgebra,
     algebra_for,
     band_weights,
-    field_hamiltonian,
     field_projectors,
     rotor,
     rotor_matrix,
@@ -50,16 +47,13 @@ from .spin_algebra import (
     spin_components,
 )
 
-__all__ = ["SweepProblem", "sweep_problem", "integrate_sweep"]
+__all__ = ["integrate_sweep"]
 
 # Sweep endpoints must satisfy c*hbar*|kx| >= this multiple of the gap.
 _MIN_ENDPOINT_FACTOR = 20.0
 # Default endpoint multiple; chosen so that doubling it moves the final
 # populations by well under 1e-3.
 _DEFAULT_ENDPOINT_FACTOR = 30.0
-# Default dt in units of hbar / max|H|; the Magnus step's halving delta
-# stays below 1e-6 over r in [0, 3] at the default endpoints.
-_DEFAULT_DT_FACTOR = 1.0
 # The Magnus series converges for dt * max|H| / hbar < pi.
 _MAX_DT_FACTOR = math.pi
 # Step rotors per block; bounds the kernel's memory (a few arrays of this
@@ -68,79 +62,6 @@ _BLOCK = 16384
 
 _NORM_DRIFT_TOL = 1e-8
 _CONVERGENCE_TOL = 1e-4
-
-
-@dataclass(frozen=True)
-class SweepProblem:
-    """One momentum sweep through the band crossing.
-
-    ``tilde_axis = (ny, nz)`` fixes the mass-term direction in the y-z spin
-    plane; the default is the pure-z axis.  ``initial_band`` is one of the
-    labels of ``algebra.band_labels``.
-    """
-
-    algebra: SpinAlgebra
-    params: PhysicalParams
-    mtilde_c2: float
-    kx_start: float
-    kx_end: float
-    initial_band: str = "+"
-    tilde_axis: tuple[float, float] = (0.0, 1.0)
-
-    def __post_init__(self):
-        if not self.kx_start > 0 > self.kx_end:
-            raise ParameterError("sweep must run from kx_start > 0 to kx_end < 0")
-        if self.mtilde_c2 < 0:
-            raise ParameterError("effective rest energy must be nonnegative")
-        chbar = self.params.c * self.params.hbar
-        closest = min(self.kx_start, -self.kx_end)
-        if chbar * closest < _MIN_ENDPOINT_FACTOR * self.mtilde_c2:
-            raise ParameterError(
-                f"sweep endpoints too close to the crossing: need c*hbar*|kx| >= "
-                f"{_MIN_ENDPOINT_FACTOR} * mtilde_c2 at both ends"
-            )
-        if self.initial_band not in self.algebra.band_labels:
-            raise ParameterError(f"unknown initial band {self.initial_band!r}")
-        ny, nz = self.tilde_axis
-        if abs(ny**2 + nz**2 - 1.0) > 1e-12:
-            raise ParameterError("tilde_axis must be a unit vector (ny, nz)")
-        if self.params.g <= 0:
-            raise ParameterError("sweep requires a positive slope g")
-
-
-def sweep_problem(
-    algebra: SpinAlgebra,
-    params: PhysicalParams,
-    mtilde_c2: float | None = None,
-    *,
-    ky: float = 0.0,
-    endpoint_factor: float = _DEFAULT_ENDPOINT_FACTOR,
-    initial_band: str = "+",
-    literal_tilde_axis: bool = False,
-) -> SweepProblem:
-    """Build a :class:`SweepProblem` with symmetric endpoints.
-
-    If ``mtilde_c2`` is omitted it is computed from ``params`` and ``ky``.
-    Endpoints are placed at ``endpoint_factor`` times the larger of the gap
-    scale ``mtilde_c2`` and the sweep scale ``sqrt(hbar c g)``, so massless
-    problems still get a finite sweep window.
-    """
-    if mtilde_c2 is None:
-        mtilde_c2 = effective_mass(params, ky)
-    chbar = params.c * params.hbar
-    energy_scale = max(mtilde_c2, math.sqrt(params.hbar * params.c * params.g))
-    kx_start = endpoint_factor * energy_scale / chbar
-    if literal_tilde_axis:
-        if mtilde_c2 == 0:
-            raise ParameterError("literal tilde axis undefined for a massless sweep")
-        ny = params.hbar * ky * params.c / mtilde_c2
-        nz = params.rest_energy / mtilde_c2
-        axis = (ny, nz)
-    else:
-        axis = (0.0, 1.0)
-    return SweepProblem(
-        algebra, params, mtilde_c2, kx_start, -kx_start, initial_band, axis
-    )
 
 
 def _sweep_columns(step_rotors, psi0, kx_start, rate, dt, n_steps):
@@ -197,41 +118,72 @@ def _band_states(projectors) -> np.ndarray:
     return (v / np.linalg.norm(v, axis=1, keepdims=True)).T
 
 
-def _integrate_all_bands(problem: SweepProblem, dt: float | None) -> np.ndarray:
-    """Populations matrix ``w[final, initial]`` from the dt/2 run.
+def integrate_sweep(
+    algebra: SpinAlgebra,
+    params: PhysicalParams,
+    mtilde_c2: float,
+    *,
+    initial_band: str = "+",
+    endpoint_factor: float = _DEFAULT_ENDPOINT_FACTOR,
+    dt: float | None = None,
+) -> TransitionProbabilities:
+    """Sweep transition probabilities out of ``initial_band``, one of
+    ``algebra.band_labels``, for ``H = c hbar kx Cx + mtilde_c2 Cz``.
 
-    Runs the sweep at dt and dt/2 and raises :class:`ConvergenceError` when
-    any population moves by more than the convergence tolerance between the
-    two resolutions.
+    The window runs from ``kx_start`` to ``-kx_start``, with ``c hbar
+    kx_start`` at ``endpoint_factor`` times the larger of the gap scale
+    ``mtilde_c2`` and the sweep scale ``sqrt(hbar c g)``, so massless
+    problems still get a finite window.  The default ``dt`` is
+    ``hbar / max|H|``; the Magnus step's halving delta stays below 1e-6 over
+    r in [0, 3] at the default endpoints.
+
+    The sweep runs for every initial band at dt and dt/2, and raises
+    :class:`ConvergenceError` when any population moves by more than the
+    convergence tolerance between the two.  The returned fields hold the
+    dt/2 run's final-band occupations (+, 0, -), normalized by the conserved
+    state norm (which itself is guarded at 1e-8).  For the two-level algebra
+    the flat-band slot is identically zero.
     """
-    chbar = problem.params.c * problem.params.hbar
-    # H(kx) = kx a + b; a and b as fields over (Cx, Cy, Cz)
-    slope = np.array([chbar, 0.0, 0.0])
-    offset = problem.mtilde_c2 * np.array([0.0, *problem.tilde_axis])
-    a, b = field_hamiltonian(problem.algebra, np.stack([slope, offset]))
-    k_extreme = max(problem.kx_start, -problem.kx_end)
-    e_max = math.sqrt((chbar * k_extreme) ** 2 + problem.mtilde_c2**2)
+    if mtilde_c2 < 0:
+        raise ParameterError("effective rest energy must be nonnegative")
+    if params.g <= 0:
+        raise ParameterError("sweep requires a positive slope g")
+    if initial_band not in algebra.band_labels:
+        raise ParameterError(f"unknown initial band {initial_band!r}")
+    chbar = params.c * params.hbar
+    energy_scale = max(mtilde_c2, math.sqrt(params.hbar * params.c * params.g))
+    kx_start = endpoint_factor * energy_scale / chbar
+    if not kx_start > 0:
+        raise ParameterError("sweep must run from kx_start > 0 to -kx_start")
+    if chbar * kx_start < _MIN_ENDPOINT_FACTOR * mtilde_c2:
+        raise ParameterError(
+            f"sweep endpoints too close to the crossing: need c*hbar*|kx| >= "
+            f"{_MIN_ENDPOINT_FACTOR} * mtilde_c2 at both ends"
+        )
+    e_max = math.sqrt((chbar * kx_start) ** 2 + mtilde_c2**2)
     if not 0 < e_max < math.inf:
         raise ParameterError("sweep window out of floating-point range")
     if dt is None:
-        dt = _DEFAULT_DT_FACTOR * problem.params.hbar / e_max
+        dt = params.hbar / e_max
     if dt <= 0:
         raise ParameterError("dt must be positive")
-    if dt * e_max / problem.params.hbar >= _MAX_DT_FACTOR:
+    if dt * e_max / params.hbar >= _MAX_DT_FACTOR:
         raise ParameterError("dt too large: require dt * max|H| / hbar < pi")
 
-    rate = problem.params.g / problem.params.hbar
-    total_time = (problem.kx_start - problem.kx_end) / rate
+    rate = params.g / params.hbar
+    total_time = 2.0 * kx_start / rate
     n_steps = max(1, math.ceil(total_time / dt))
     dt_eff = total_time / n_steps
 
-    edges = [kx * slope + offset for kx in (problem.kx_start, problem.kx_end)]
-    projectors = field_projectors(problem.algebra, edges)
+    # H(kx) = kx a + b
+    cx, _, cz = algebra.coupling_matrices
+    a, b = chbar * cx, mtilde_c2 * cz
+    edges = [[kx * chbar, 0.0, mtilde_c2] for kx in (kx_start, -kx_start)]
+    projectors = field_projectors(algebra, edges)
     psi0 = _band_states(projectors[:, 0]).astype(complex)
 
     def populations(step: float, count: int) -> tuple[np.ndarray, float]:
-        psi = _magnus_sweep(a, b, psi0, problem.kx_start, rate, step, count,
-                            problem.params.hbar)
+        psi = _magnus_sweep(a, b, psi0, kx_start, rate, step, count, params.hbar)
         norms = np.sum(np.abs(psi) ** 2, axis=0)
         w = band_weights(psi.T, projectors[:, 1]).T
         return w, float(np.max(np.abs(norms - 1.0)))
@@ -248,23 +200,10 @@ def _integrate_all_bands(problem: SweepProblem, dt: float | None) -> np.ndarray:
         raise NumericalGuardError(
             f"norm drift {drift:.3e} exceeds {_NORM_DRIFT_TOL}; reduce dt"
         )
-    return w_fine
 
-
-def integrate_sweep(
-    problem: SweepProblem, dt: float | None = None
-) -> TransitionProbabilities:
-    """Sweep transition probabilities out of ``problem.initial_band``.
-
-    For the two-level algebra the flat-band slot is identically zero.  The
-    returned fields hold the final-band occupations (+, 0, -) for the chosen
-    initial band, normalized by the conserved state norm (which itself is
-    guarded at 1e-8).
-    """
-    w = _integrate_all_bands(problem, dt)
-    labels = problem.algebra.band_labels
-    col = labels.index(problem.initial_band)
-    weights = w[:, col] / np.sum(w[:, col])
-    if problem.algebra.dimension == 2:
-        return TransitionProbabilities(weights[0], 0.0, weights[1])
-    return TransitionProbabilities(weights[0], weights[1], weights[2])
+    # w[final, initial]
+    col = algebra.band_labels.index(initial_band)
+    weights = w_fine[:, col] / np.sum(w_fine[:, col])
+    if algebra.dimension == 2:
+        weights = (weights[0], 0.0, weights[1])
+    return TransitionProbabilities(*map(float, weights))

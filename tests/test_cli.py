@@ -98,6 +98,16 @@ class TestParseConfig:
             parse_config("p0 = 1.0\nwidth = 2.0\nm = 0.0\ng = 0.0\n"
                          "spinor = 1,nan,0\n", command="evolve")
 
+    def test_initial_band_none_rejected_with_line_number(self):
+        # `none` filters nothing in project_band; a sweep must start on a band
+        text = "mtilde_c2 = 1.0\ng = 1.0\ninitial_band = none\n"
+        with pytest.raises(ConfigError, match="line 3: initial_band must be one of"):
+            parse_config(text, command="lz-oracle")
+        for band in ("+", "0", "-"):
+            config = parse_config(f"mtilde_c2 = 1.0\ng = 1.0\ninitial_band = {band}\n",
+                                  command="lz-oracle")
+            assert config.values["initial_band"] == band
+
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config("p0 = 1.0\np0 = 2.0\n", command="evolve")
@@ -546,6 +556,20 @@ def test_sweep_transmission_runs_without_numpy(tmp_path):
             f"'--output', {str(tmp_path / 'sweep.csv')!r}]) == 0")
     assert _loaded_modules(code, "numpy") == "[]"
     assert len(read_csv(tmp_path / "sweep.csv")[2]) == 21
+
+
+def test_lz_oracle_loads_only_its_route(tmp_path):
+    # the oracle needs neither the wave-packet nor the ion route
+    cfg = tmp_path / "oracle.cfg"
+    cfg.write_text("spin = 1/2\nmtilde_c2 = 0.6\ng = 1.0\n")
+    code = ("from maxwellsim.cli import main\n"
+            f"assert main(['lz-oracle', '--config', {str(cfg)!r}, "
+            f"'--output', {str(tmp_path / 'oracle.csv')!r}]) == 0")
+    route = ["maxwellsim"] + [f"maxwellsim.{name}" for name in (
+        "cli", "config", "errors", "landau_zener", "spin_algebra",
+        "sweep_integrator")]
+    assert _loaded_modules(code, "maxwellsim") == str(route)
+    assert len(read_csv(tmp_path / "oracle.csv")[2]) == 1
 
 
 def test_public_names_resolve_to_their_home_modules():

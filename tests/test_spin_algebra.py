@@ -279,3 +279,26 @@ class TestRotors:
         assert np.max(np.abs(rotor_matrix(q, d) - exact)) < 1e-14
         product = rotor_matrix(rotor_product(q[1:4], q[3:]), d)
         assert np.max(np.abs(product - exact[1:4] @ exact[3:])) < 1e-14
+
+
+class TestMassAxisRotation:
+    """A mass term along any unit axis in the y-z plane is the pure-``Cz``
+    mass term rotated about x, so the swept-level oracle integrates with
+    ``Cz`` alone."""
+
+    @pytest.mark.parametrize("algebra", [spin1_matrices(), pauli_algebra()],
+                             ids=["spin1", "spin-half"])
+    def test_rotation_about_x_carries_cz_to_the_tilted_axis(self, algebra):
+        cx, cy, cz = algebra.coupling_matrices
+        kx = np.array([-40.0, -0.3, 0.0, 0.7, 40.0])
+        for theta in np.linspace(-3.0, 3.0, 7):
+            u = rotor_matrix(rotor((theta, 0.0, 0.0)), algebra.dimension)
+            tilted = -np.sin(theta) * cy + np.cos(theta) * cz
+            assert np.max(np.abs(u.conj().T @ tilted @ u - cz)) < 1e-14
+            assert np.max(np.abs(u.conj().T @ cx @ u - cx)) < 1e-14
+            # hence H_tilted(k) = U H_plain(k) U^dagger, band by band
+            plain = field_projectors(algebra, np.stack(
+                np.broadcast_arrays(kx, 0.0, 0.8), -1))
+            literal = field_projectors(algebra, np.stack(np.broadcast_arrays(
+                kx, -0.8 * np.sin(theta), 0.8 * np.cos(theta)), -1))
+            assert np.max(np.abs(u @ plain @ u.conj().T - literal)) < 1e-14

@@ -2,59 +2,48 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from maxwellsim import (
     ConvergenceError,
+    ParameterError,
     PhysicalParams,
-    SweepProblem,
     integrate_sweep,
     lz_spin1,
     lz_spin_half,
     pauli_algebra,
     spin1_matrices,
-    sweep_problem,
 )
 
 
 class TestProblemValidation:
 
-    def test_endpoints_must_straddle_crossing(self):
-        with pytest.raises(ValueError):
-            SweepProblem(spin1_matrices(), PhysicalParams(g=1.0), 1.0, 30.0, 5.0)
-
     def test_endpoints_must_be_far(self):
         with pytest.raises(ValueError):
-            SweepProblem(spin1_matrices(), PhysicalParams(g=1.0), 1.0, 10.0, -10.0)
+            integrate_sweep(spin1_matrices(), PhysicalParams(g=1.0), 1.0,
+                            endpoint_factor=10.0)
 
     def test_unknown_band(self):
         with pytest.raises(ValueError):
-            sweep_problem(pauli_algebra(), PhysicalParams(g=1.0), 1.0,
-                          initial_band="0")
-
-    def test_axis_must_be_unit(self):
-        with pytest.raises(ValueError):
-            SweepProblem(spin1_matrices(), PhysicalParams(g=1.0), 1.0,
-                         30.0, -30.0, "+", (0.5, 0.5))
+            integrate_sweep(pauli_algebra(), PhysicalParams(g=1.0), 1.0,
+                            initial_band="0")
 
     def test_needs_slope(self):
         with pytest.raises(ValueError):
-            sweep_problem(spin1_matrices(), PhysicalParams(g=0.0), 1.0)
+            integrate_sweep(spin1_matrices(), PhysicalParams(g=0.0), 1.0)
 
 
 class TestAgainstClosedForms:
     """The core cross-validation: integrator vs the analytic expressions."""
 
     def test_massless_transmits_fully(self):
-        problem = sweep_problem(spin1_matrices(), PhysicalParams(m=0.0, g=1.0), 0.0)
-        probs = integrate_sweep(problem)
+        probs = integrate_sweep(spin1_matrices(), PhysicalParams(m=0.0, g=1.0), 0.0)
         assert probs.gamma_pm == pytest.approx(1.0, abs=1e-6)
 
     def test_spin1_reference_ratio(self):
         # ratio 0.4817: frozen closed-form values (0.2817, 0.4981, 0.2202)
         params = PhysicalParams(m=0.85, g=1.5)
-        problem = sweep_problem(spin1_matrices(), params, params.rest_energy)
-        probs = integrate_sweep(problem)
+        probs = integrate_sweep(spin1_matrices(), params, params.rest_energy)
         assert probs.gamma_pp == pytest.approx(0.2817, abs=0.01)
         assert probs.gamma_p0 == pytest.approx(0.4981, abs=0.01)
         assert probs.gamma_pm == pytest.approx(0.2202, abs=0.01)
@@ -66,8 +55,7 @@ class TestAgainstClosedForms:
         # two-level sweep at ratio 0.56: T = exp(-0.56 pi) = 0.172
         params = PhysicalParams(m=0.0, g=1.0)
         mtilde = np.sqrt(0.56)
-        problem = sweep_problem(pauli_algebra(), params, float(mtilde))
-        probs = integrate_sweep(problem)
+        probs = integrate_sweep(pauli_algebra(), params, float(mtilde))
         assert probs.transmission == pytest.approx(0.172, abs=0.002)
         assert probs.transmission == pytest.approx(
             lz_spin_half(params, float(mtilde)).transmission, abs=1e-3)
@@ -78,70 +66,53 @@ class TestIntegratorProperties:
 
     def test_populations_sum_to_one(self):
         params = PhysicalParams(m=0.6, g=0.9)
-        probs = integrate_sweep(
-            sweep_problem(spin1_matrices(), params, params.rest_energy))
+        probs = integrate_sweep(spin1_matrices(), params, params.rest_energy)
         assert probs.gamma_pp + probs.gamma_p0 + probs.gamma_pm == \
             pytest.approx(1.0, abs=1e-12)
 
     def test_endpoint_insensitivity(self):
         params = PhysicalParams(m=0.85, g=1.5)
-        near = integrate_sweep(
-            sweep_problem(spin1_matrices(), params, params.rest_energy))
-        far = integrate_sweep(
-            sweep_problem(spin1_matrices(), params, params.rest_energy,
-                          endpoint_factor=60.0))
+        near = integrate_sweep(spin1_matrices(), params, params.rest_energy)
+        far = integrate_sweep(spin1_matrices(), params, params.rest_energy,
+                              endpoint_factor=60.0)
         for a, b in zip(near.as_tuple(), far.as_tuple()):
             assert abs(a - b) < 1e-3
 
     def test_doubly_stochastic(self):
         params = PhysicalParams(m=0.85, g=1.5)
         # w[final, initial], one integration per initial band
-        w = np.array([integrate_sweep(sweep_problem(
-            spin1_matrices(), params, params.rest_energy, initial_band=band)).as_tuple()
+        w = np.array([integrate_sweep(
+            spin1_matrices(), params, params.rest_energy, initial_band=band).as_tuple()
             for band in ("+", "0", "-")]).T
         assert np.allclose(w.sum(axis=0), 1.0, atol=1e-3)
         assert np.allclose(w.sum(axis=1), 1.0, atol=1e-3)
         assert w.shape == (3, 3)
 
-    def test_literal_tilde_axis_equivalent(self):
-        params = PhysicalParams(m=0.6, g=1.5)
-        plain = integrate_sweep(sweep_problem(spin1_matrices(), params, ky=0.7))
-        literal = integrate_sweep(
-            sweep_problem(spin1_matrices(), params, ky=0.7,
-                          literal_tilde_axis=True))
-        for a, b in zip(plain.as_tuple(), literal.as_tuple()):
-            assert abs(a - b) < 1e-10
-
-    def test_effective_mass_from_ky(self):
-        params = PhysicalParams(m=0.6, g=1.5)
-        problem = sweep_problem(spin1_matrices(), params, ky=0.8)
-        assert problem.mtilde_c2 == pytest.approx(1.0)
-
     def test_coarse_dt_rejected(self):
         # a dt just inside the Magnus convergence radius moves the
         # populations by about 6e-4 when halved, above the 1e-4 guard
         params = PhysicalParams(g=1.0)
-        problem = sweep_problem(pauli_algebra(), params, math.sqrt(0.3),
-                                endpoint_factor=20.0)
-        e_max = np.sqrt(problem.kx_start**2 + 0.3)
+        kx_start = 20.0 * 1.0  # endpoint_factor times sqrt(hbar c g)
+        e_max = np.sqrt(kx_start**2 + 0.3)
         with pytest.raises(ConvergenceError):
-            integrate_sweep(problem, dt=3.1 / e_max)
+            integrate_sweep(pauli_algebra(), params, math.sqrt(0.3),
+                            endpoint_factor=20.0, dt=3.1 / e_max)
 
     def test_dt_precondition(self):
         # dt = 1.0, and a dt just outside the Magnus convergence radius
         params = PhysicalParams(m=1.0, g=2.0)
-        problem = sweep_problem(spin1_matrices(), params, params.rest_energy)
-        e_max = np.sqrt(problem.kx_start**2 + 1.0)
+        kx_start = 30.0 * math.sqrt(2.0)  # default endpoint_factor, sqrt(hbar c g)
+        e_max = np.sqrt(kx_start**2 + 1.0)
         for dt in (1.0, 1.001 * math.pi / e_max):
             with pytest.raises(ValueError):
-                integrate_sweep(problem, dt=dt)
+                integrate_sweep(spin1_matrices(), params, params.rest_energy, dt=dt)
 
 
 def _oracle(ratio, spin, c=1.0, g=1.0, hbar=1.0):
     params = PhysicalParams(c=c, g=g, hbar=hbar)
     algebra = spin1_matrices() if spin == 1 else pauli_algebra()
     mtilde = math.sqrt(ratio * hbar * c * g)
-    return integrate_sweep(sweep_problem(algebra, params, mtilde)), params, mtilde
+    return integrate_sweep(algebra, params, mtilde), params, mtilde
 
 
 _RATIOS = st.floats(0.0, 3.0)
@@ -177,3 +148,36 @@ class TestPropertySuite:
         unit, _, _ = _oracle(ratio, spin)
         for a, b in zip(scaled.as_tuple(), unit.as_tuple()):
             assert a == pytest.approx(b, abs=1e-10)
+
+
+def _window_too_narrow(params, mtilde, endpoint_factor):
+    """The endpoint rule, in the oracle's own arithmetic: ``c hbar kx_start``
+    must reach 20 times the gap."""
+    chbar = params.c * params.hbar
+    sweep_scale = math.sqrt(params.hbar * params.c * params.g)
+    kx_start = endpoint_factor * max(mtilde, sweep_scale) / chbar
+    return chbar * kx_start < 20.0 * mtilde
+
+
+class TestValidationPropertySuite:
+    """One call validates and integrates: it refuses exactly the windows
+    that break the endpoint rule and returns probabilities otherwise."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(factor=st.floats(10.0, 60.0), ratio=_RATIOS, spin=_SPINS,
+           c=_SCALES, g=_SCALES, hbar=_SCALES)
+    # either side of the rule at r = 1, where c hbar kx_start = factor * m~
+    @example(factor=20.0, ratio=1.0, spin=1, c=1.0, g=1.0, hbar=1.0)
+    @example(factor=19.99, ratio=1.0, spin=1, c=1.0, g=1.0, hbar=1.0)
+    def test_rejects_exactly_the_narrow_windows(self, factor, ratio, spin, c, g,
+                                                hbar):
+        params = PhysicalParams(c=c, g=g, hbar=hbar)
+        algebra = spin1_matrices() if spin == 1 else pauli_algebra()
+        mtilde = math.sqrt(ratio * hbar * c * g)
+        if _window_too_narrow(params, mtilde, factor):
+            with pytest.raises(ParameterError):
+                integrate_sweep(algebra, params, mtilde, endpoint_factor=factor)
+            return
+        probs = integrate_sweep(algebra, params, mtilde, endpoint_factor=factor)
+        assert all(0.0 <= p <= 1.0 for p in probs.as_tuple())
+        assert sum(probs.as_tuple()) == pytest.approx(1.0, abs=1e-12)
