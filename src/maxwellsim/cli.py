@@ -130,7 +130,7 @@ def _run_lz_oracle(config: RunConfig) -> list[str]:
     )
     formula = landau_zener.lz_spin1 if v["spin"] == "1" else landau_zener.lz_spin_half
     analytic = formula(params, v["mtilde_c2"])
-    ratio = landau_zener._gap_ratio(params, v["mtilde_c2"])
+    ratio = landau_zener.gap_ratio(params, v["mtilde_c2"])
     row = (ratio, oracle.gamma_pp, oracle.gamma_p0, oracle.gamma_pm,
            oracle.transmission, analytic.gamma_pp, analytic.gamma_p0,
            analytic.gamma_pm, analytic.transmission)

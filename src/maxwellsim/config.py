@@ -54,16 +54,9 @@ def _nonnegative(value) -> str | None:
     return None if value >= 0 else "must be nonnegative"
 
 
-def _band_choice(value) -> str | None:
-    return None if value in ("none", "+", "0", "-") else "must be one of none, +, 0, -"
-
-
-def _initial_band_choice(value) -> str | None:
-    return None if value in ("+", "0", "-") else "must be one of +, 0, -"
-
-
-def _spin_choice(value) -> str | None:
-    return None if value in ("1", "1/2") else "must be 1 or 1/2"
+def _one_of(*choices):
+    message = f"must be one of {', '.join(choices)}"
+    return lambda value: None if value in choices else message
 
 
 _PHYSICAL = {
@@ -85,7 +78,7 @@ _ION_KEYS = {
 #: Schema per command: key -> _Key.
 COMMANDS: dict[str, dict[str, _Key]] = {
     "sweep-transmission": {
-        "spin": _Key(str, "1", _spin_choice),
+        "spin": _Key(str, "1", _one_of("1", "1/2")),
         "m": _Key(_parse_float, check=_nonnegative),
         "g": _Key(_parse_float, check=_positive),
         "p0": _Key(_parse_float, check=_nonnegative),
@@ -95,10 +88,10 @@ COMMANDS: dict[str, dict[str, _Key]] = {
         **_PHYSICAL,
     },
     "lz-oracle": {
-        "spin": _Key(str, "1", _spin_choice),
+        "spin": _Key(str, "1", _one_of("1", "1/2")),
         "mtilde_c2": _Key(_parse_float, check=_nonnegative),
         "g": _Key(_parse_float, check=_positive),
-        "initial_band": _Key(str, "+", _initial_band_choice),
+        "initial_band": _Key(str, "+", _one_of("+", "0", "-")),
         "endpoint_factor": _Key(_parse_float, 30.0, _positive),
         "dt": _Key(_parse_float, 0.0, _nonnegative),  # 0: automatic step
         **_PHYSICAL,
@@ -110,7 +103,7 @@ COMMANDS: dict[str, dict[str, _Key]] = {
         "m": _Key(_parse_float, check=_nonnegative),
         "g": _Key(_parse_float, check=_nonnegative),
         "spinor": _Key(_parse_float_list, (1.0, 0.0, 0.0)),
-        "project_band": _Key(str, "none", _band_choice),
+        "project_band": _Key(str, "none", _one_of("none", "+", "0", "-")),
         "t_final": _Key(_parse_float, 0.0, _nonnegative),  # 0: 7 x width
         "dt": _Key(_parse_float, 0.0, _nonnegative),       # 0: automatic step
         "grid_points": _Key(int, 4096, _positive),
@@ -123,7 +116,7 @@ COMMANDS: dict[str, dict[str, _Key]] = {
         **_ION_KEYS,
         "p0": _Key(_parse_float),  # initial momentum in hbar / delta
         "spinor": _Key(_parse_float_list, (1.0, 0.0, 0.0)),
-        "project_band": _Key(str, "none", _band_choice),
+        "project_band": _Key(str, "none", _one_of("none", "+", "0", "-")),
         "t_final": _Key(_parse_float, check=_nonnegative),
         "n_records": _Key(int, 50, _positive),
         "snapshot_path": _Key(str, ""),
@@ -145,9 +138,6 @@ class RunConfig:
     command: str
     values: dict = field(default_factory=dict)
     output_path: str | None = None
-
-    def __getitem__(self, key):
-        return self.values[key]
 
 
 def parse_config(text: str, command: str | None = None) -> RunConfig:

@@ -34,6 +34,7 @@ __all__ = [
     "PhysicalParams",
     "TransitionProbabilities",
     "effective_mass",
+    "gap_ratio",
     "lz_spin1",
     "lz_spin_half",
     "angle_sweep",
@@ -111,7 +112,7 @@ class TransitionProbabilities:
 
 def effective_mass(params: PhysicalParams, ky: float) -> float:
     """Effective rest energy ``m~ c^2`` after reducing to 1D at fixed ky."""
-    return math.sqrt(params.rest_energy**2 + (params.hbar * ky * params.c) ** 2)
+    return math.hypot(params.rest_energy, params.hbar * ky * params.c)
 
 
 def _closed_forms(r: float, flat_band: bool) -> tuple[float, float, float]:
@@ -130,17 +131,23 @@ def _clamp(gamma: float) -> float:
     return 0.0 if gamma < 0.0 else 1.0 if gamma > 1.0 else gamma
 
 
-def _gap_ratio(params: PhysicalParams, mtilde_c2: float) -> float:
+def gap_ratio(params: PhysicalParams, mtilde_c2: float) -> float:
+    """Adiabaticity ``r = (m~ c^2)^2 / (hbar c g)``; ``inf`` (T = 0) where
+    the square overflows."""
     if params.g <= 0:
         raise ParameterError("transition probabilities require a positive slope g")
-    return mtilde_c2**2 / (params.hbar * params.c * params.g)
+    try:
+        square = mtilde_c2**2
+    except OverflowError:
+        return math.inf
+    return square / (params.hbar * params.c * params.g)
 
 
 def _probabilities(params: PhysicalParams, mtilde_c2: float,
                    flat_band: bool) -> TransitionProbabilities:
     if not math.isfinite(mtilde_c2):
         raise ParameterError(f"effective rest energy must be finite, got {mtilde_c2}")
-    ratio = _gap_ratio(params, mtilde_c2)
+    ratio = gap_ratio(params, mtilde_c2)
     return TransitionProbabilities(*_closed_forms(ratio, flat_band))
 
 
@@ -178,7 +185,7 @@ def angle_sweep(
     for theta in thetas:
         # a product, not a power: an overflow gives inf (T = 0), as it does in numpy
         transverse = p0 * params.c * math.sin(theta)
-        ratio = _gap_ratio(params, math.sqrt(rest2 + transverse * transverse))
+        ratio = gap_ratio(params, math.sqrt(rest2 + transverse * transverse))
         gamma_pp, gamma_p0, gamma_pm = map(_clamp, _closed_forms(ratio, spin == 1))
         rows.append((theta, gamma_pp, gamma_p0, gamma_pm, gamma_p0 + gamma_pm))
     return rows

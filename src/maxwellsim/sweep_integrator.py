@@ -7,10 +7,11 @@ a single longitudinal mode obeys
     i hbar d(psi)/dt = [c hbar kx(t) Cx + m~ c^2 Cz] psi,
     kx(t) = kx_start - (g / hbar) t,
 
-with the sweep starting and ending far from the crossing.  The state begins
-in an adiabatic eigenstate at ``kx_start`` and is projected onto the
-adiabatic eigenbasis at ``-kx_start``; bare spinor components would be wrong at
-finite ``|kx|`` where the bands still mix.
+with the sweep starting and ending far from the crossing.  The sweep
+propagator U is read between the band projectors at the two ends,
+``w[f, b] = tr(P_f(-kx_start) U P_b(kx_start) U^dagger)``, which needs no
+eigenvector and no phase convention; bare spinor components would be wrong
+at finite ``|kx|`` where the bands still mix.
 
 Any other mass axis in the y-z spin plane is a rotation about x away from
 ``Cz`` that leaves ``Cx`` in place (checked exactly by
@@ -21,7 +22,9 @@ Integration is a fixed-step 4th-order Magnus scheme (Blanes, Casas, Oteo
 & Ros, Phys. Rep. 470, 151 (2009)) whose step exponentials stay in the
 spin algebra: each is a rotation, multiplied as a unit quaternion, so the
 propagator is unitary to rounding.  It always runs twice (dt and dt/2) as a
-built-in convergence check.
+built-in convergence check.  The path kernel :func:`sweep_rotor` and the
+Magnus step :func:`magnus_rotors` are public: the wave-packet guard runs
+the same kernel along each Fourier component's path.
 No closed-form transition probabilities enter anywhere here, which is what
 makes this module an independent check of the analytic formulas in
 :mod:`maxwellsim.landau_zener`.
@@ -38,7 +41,6 @@ from .landau_zener import TransitionProbabilities
 from .spin_algebra import (
     PhysicalParams,
     SpinAlgebra,
-    algebra_for,
     band_weights,
     field_projectors,
     rotor,
@@ -47,7 +49,7 @@ from .spin_algebra import (
     spin_components,
 )
 
-__all__ = ["integrate_sweep"]
+__all__ = ["integrate_sweep", "magnus_rotors", "sweep_rotor"]
 
 # Sweep endpoints must satisfy c*hbar*|kx| >= this multiple of the gap.
 _MIN_ENDPOINT_FACTOR = 20.0
@@ -64,58 +66,49 @@ _NORM_DRIFT_TOL = 1e-8
 _CONVERGENCE_TOL = 1e-4
 
 
-def _sweep_columns(step_rotors, psi0, kx_start, rate, dt, n_steps):
-    """Apply ``n_steps`` step propagators along ``kx(t) = kx_start - rate t``
-    to the columns of ``psi0``.
+def sweep_rotor(step_rotors, k0, rate, dt, n_steps) -> np.ndarray:
+    """Rotor of the ordered product of ``n_steps`` step propagators along
+    ``k(t) = k0 - rate t``, one per start: shape ``(len(k0), 4)``, or
+    ``(1, 4)`` for a scalar ``k0``.
 
     ``step_rotors(k_mid)`` maps an array of step-midpoint wavenumbers to the
-    rotors (``k_mid.shape + (4,)``) of the step propagators.  ``kx_start``
-    is a scalar shared by every column or one start per column.  Rotors are
+    rotors (``k_mid.shape + (4,)``) of the step propagators.  Rotors are
     built in blocks of at most ``_BLOCK`` and multiplied pairwise, so the
-    memory stays bounded whatever the step and column counts; the d x d
-    propagator of each column is formed once, at the end.
+    memory stays bounded whatever the step and start counts;
+    :func:`~maxwellsim.spin_algebra.rotor_matrix` turns the result into the
+    d x d propagator.
     """
-    kx = np.atleast_1d(np.asarray(kx_start, dtype=float))
-    total = rotor(np.zeros((kx.size, 3)))
-    block = max(1, _BLOCK // kx.size)
+    k0 = np.atleast_1d(np.asarray(k0, dtype=float))
+    total = rotor(np.zeros((k0.size, 3)))
+    block = max(1, _BLOCK // k0.size)
     for first in range(0, n_steps, block):
         steps = np.arange(first, min(first + block, n_steps))
-        q = step_rotors(kx - rate * (steps[:, None] + 0.5) * dt)
+        q = step_rotors(k0 - rate * (steps[:, None] + 0.5) * dt)
         while len(q) > 1:
             pairs = rotor_product(q[1::2], q[0:-1:2])
             q = np.concatenate([pairs, q[-1:]]) if len(q) % 2 else pairs
         total = rotor_product(q[0], total)
-    u = rotor_matrix(total, psi0.shape[0])
-    return (u @ psi0.T[:, :, None])[:, :, 0].T
+    return total
 
 
-def _magnus_sweep(a, b, psi0, kx_start, rate, dt, n_steps, hbar):
-    """Propagate the columns of ``psi0`` through ``n_steps`` Magnus steps.
+def magnus_rotors(algebra: SpinAlgebra, params: PhysicalParams,
+                  mass_energy: float, dt: float):
+    """Step-rotor function of the 4th-order Magnus scheme for
+    ``H(k) = c hbar k Cx + mass_energy Cz`` swept at ``dk/dt = -g / hbar``,
+    for :func:`sweep_rotor`.
 
-    For ``H(t) = (kx_start - rate t) a + b`` the 4th-order Magnus generator
-    of one step is ``h H(t_mid) + (i h^3 rate / 12 hbar) [a, b]``: Hermitian
-    and in the span of the spin components, so its exponential is a rotor
-    whose vector is linear in ``k_mid``.  ``kx_start`` is a scalar or one
-    start per column (see :func:`_sweep_columns`).
+    With ``a = c hbar Cx`` and ``b = mass_energy Cz`` the generator of one
+    step is ``dt H(k_mid) + (i dt^3 g / (12 hbar^2)) [a, b]``: Hermitian and
+    in the span of the spin components, so its exponential is a rotor whose
+    vector is linear in ``k_mid``.
     """
-    algebra = algebra_for(a.shape[0])
-    correction = (1j * dt**3 * rate / (12.0 * hbar)) * (a @ b - b @ a)
-    slope = spin_components(dt * a / hbar, algebra)
-    offset = spin_components((dt * b + correction) / hbar, algebra)
-    return _sweep_columns(lambda k_mid: rotor(k_mid[..., None] * slope + offset),
-                          psi0, kx_start, rate, dt, n_steps)
-
-
-def _band_states(projectors) -> np.ndarray:
-    """One normalized eigenvector per band, columns ordered as the projectors.
-
-    Each state is extracted by projecting the basis vector with the largest
-    in-band weight (the projector's largest diagonal entry), which is
-    deterministic and avoids eigen-solver phase conventions.
-    """
-    j = np.argmax(np.real(np.diagonal(projectors, axis1=1, axis2=2)), axis=1)
-    v = projectors[np.arange(len(projectors)), :, j]
-    return (v / np.linalg.norm(v, axis=1, keepdims=True)).T
+    cx, _, cz = algebra.coupling_matrices
+    a, b = params.c * params.hbar * cx, mass_energy * cz
+    rate = params.g / params.hbar
+    correction = (1j * dt**3 * rate / (12.0 * params.hbar)) * (a @ b - b @ a)
+    slope = spin_components(dt * a / params.hbar, algebra)
+    offset = spin_components((dt * b + correction) / params.hbar, algebra)
+    return lambda k_mid: rotor(k_mid[..., None] * slope + offset)
 
 
 def integrate_sweep(
@@ -140,9 +133,9 @@ def integrate_sweep(
     The sweep runs for every initial band at dt and dt/2, and raises
     :class:`ConvergenceError` when any population moves by more than the
     convergence tolerance between the two.  The returned fields hold the
-    dt/2 run's final-band occupations (+, 0, -), normalized by the conserved
-    state norm (which itself is guarded at 1e-8).  For the two-level algebra
-    the flat-band slot is identically zero.
+    dt/2 run's final-band occupations (+, 0, -), normalized by their sum,
+    which the unitary sweep conserves (the column norms of U are guarded at
+    1e-8).  For the two-level algebra the flat-band slot is identically zero.
     """
     if mtilde_c2 < 0:
         raise ParameterError("effective rest energy must be nonnegative")
@@ -175,17 +168,17 @@ def integrate_sweep(
     n_steps = max(1, math.ceil(total_time / dt))
     dt_eff = total_time / n_steps
 
-    # H(kx) = kx a + b
-    cx, _, cz = algebra.coupling_matrices
-    a, b = chbar * cx, mtilde_c2 * cz
     edges = [[kx * chbar, 0.0, mtilde_c2] for kx in (kx_start, -kx_start)]
     projectors = field_projectors(algebra, edges)
-    psi0 = _band_states(projectors[:, 0]).astype(complex)
 
     def populations(step: float, count: int) -> tuple[np.ndarray, float]:
-        psi = _magnus_sweep(a, b, psi0, kx_start, rate, step, count, params.hbar)
-        norms = np.sum(np.abs(psi) ** 2, axis=0)
-        w = band_weights(psi.T, projectors[:, 1]).T
+        steps = magnus_rotors(algebra, params, mtilde_c2, step)
+        u = rotor_matrix(sweep_rotor(steps, kx_start, rate, step, count)[0],
+                         algebra.dimension)
+        norms = np.sum(np.abs(u) ** 2, axis=0)
+        # w[f, b] = tr(P_f U P_b U^dagger), summed over the columns of U P_b
+        columns = np.swapaxes(u @ projectors[:, 0], 1, 2)
+        w = band_weights(columns, projectors[:, 1]).sum(axis=1).T
         return w, float(np.max(np.abs(norms - 1.0)))
 
     w_coarse, _ = populations(dt_eff, n_steps)

@@ -31,8 +31,9 @@ tolerance:
   ``g x = i g d/dk``, so each Fourier component k0 moves along
   ``k(t) = k0 - g t / hbar`` under ``H(k(t))``, and along that path the run
   is a product of d x d matrices.  :func:`evolve` compares it with the
-  swept-level oracle's Magnus kernel at dt / 4, for every component but a
-  tail of weight w at most 1e-22 of the norm, which adds ``2 sqrt(w)``.
+  exact path propagator, both built by the oracle's kernel ``sweep_rotor``
+  (the exact one from ``magnus_rotors`` at dt / 4), for every component but
+  a tail of weight w at most 1e-22 of the norm, which adds ``2 sqrt(w)``.
   The result is ``EvolveResult.split_error``.
 
 The default dt is the largest one within the one-step limit and the cap
@@ -66,7 +67,7 @@ from .spin_algebra import (
     rotor_product,
     spin_components,
 )
-from .sweep_integrator import _magnus_sweep, _sweep_columns
+from .sweep_integrator import magnus_rotors, sweep_rotor
 
 __all__ = [
     "Grid1D",
@@ -375,10 +376,12 @@ def _measured_split_error(
     In momentum space ``g x = i g d/dk``, so the Fourier component at k0
     moves along ``k(t) = k0 - g t / hbar`` under ``H(k(t))``.  Along that
     path a step is the d x d matrix ``K U(k_mid) K`` at the step's midpoint,
-    and the exact evolution is the swept-level problem, integrated here by
-    the oracle's Magnus kernel at dt / 4.  Components are kept from the
-    largest weight down until the dropped weight w is at most 1e-22 of the
-    norm; they can carry at most ``2 sqrt(w)`` of error, which is added.
+    and the exact evolution is the swept-level problem.  Both path
+    propagators come from the oracle's ``sweep_rotor``, the exact one with
+    ``magnus_rotors`` at dt / 4, and their difference acts on the kept
+    components.  Components are kept from the largest weight down until the
+    dropped weight w is at most 1e-22 of the norm; they can carry at most
+    ``2 sqrt(w)`` of error, which is added.
     """
     if n_steps == 0 or _splitting_rate(params) == 0:
         return 0.0  # without the double commutator the splitting is exact
@@ -391,18 +394,18 @@ def _measured_split_error(
     n_dropped = int(np.searchsorted(tail, _DROPPED_WEIGHT * tail[-1], "right"))
     dropped = float(tail[n_dropped - 1]) if n_dropped else 0.0
     keep = order[n_dropped:]
-    k0, psi0 = grid.k[keep], psi_k[keep].T
+    k0, psi0 = grid.k[keep], psi_k[keep]
 
     dimension = fld.dimension
     rate = params.g / params.hbar
-
-    split = _sweep_columns(
+    split = sweep_rotor(
         lambda k_mid: _corrected_rotors(k_mid, params, dt, dimension),
-        psi0, k0, rate, dt, n_steps)
-    cx, _, cz = algebra_for(dimension).coupling_matrices
-    exact = _magnus_sweep(params.c * params.hbar * cx, params.rest_energy * cz,
-                          psi0, k0, rate, dt / 4.0, 4 * n_steps, params.hbar)
-    distance = float(np.sum(np.abs(split - exact) ** 2) * scale)
+        k0, rate, dt, n_steps)
+    magnus = magnus_rotors(algebra_for(dimension), params, params.rest_energy,
+                           dt / 4.0)
+    exact = sweep_rotor(magnus, k0, rate, dt / 4.0, 4 * n_steps)
+    difference = rotor_matrix(split, dimension) - rotor_matrix(exact, dimension)
+    distance = float(np.sum(np.abs(difference @ psi0[:, :, None]) ** 2) * scale)
     return math.sqrt(distance) + 2.0 * math.sqrt(dropped)
 
 

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import importlib
 import importlib.util
@@ -232,7 +233,7 @@ def _cheap_run(command, v) -> bool:
         return v["grid_points"] <= 1024 and steps <= 2000
     eta, w1t, w1, w2t = (v[k] for k in ("eta", "omega1_tilde", "omega1",
                                          "omega2_tilde"))
-    # ||H|| t_final sets the expm_multiply work
+    # ||H|| t_final sets the Chebyshev propagator's work
     ion_work = (eta * (w1t + 3.0 * w2t) * math.sqrt(v["n_fock"]) + w1) * v["t_final"]
     affordable = v["n_fock"] <= 256 and v["n_records"] <= 200 and ion_work <= 1000
     if command == "ion-evolve" or not affordable:
@@ -640,3 +641,35 @@ def test_bench_traced_names_resolve():
     for module, attribute in tracing.TRACED + tracing.PARSE:
         target = getattr(importlib.import_module(module), attribute, None)
         assert callable(target), f"{module}.{attribute}"
+
+
+def _private_sibling_uses(package: Path) -> list[str]:
+    """``module: name`` for every underscore name that a module of
+    ``package`` imports from a sibling module or reads off one."""
+    siblings = {path.stem for path in package.glob("*.py")}
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound = set()  # local names of sibling modules
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and node.module.split(".")[0] != package.name:
+                continue
+            for alias in node.names:
+                if alias.name.startswith("_") and not alias.name.endswith("__"):
+                    found.append(f"{path.stem}: {alias.name}")
+                if node.module in (None, package.name) and alias.name in siblings:
+                    bound.add(alias.asname or alias.name)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in bound and node.attr.startswith("_")
+                    and not node.attr.endswith("__")):
+                found.append(f"{path.stem}: {node.value.id}.{node.attr}")
+    return found
+
+
+def test_modules_use_no_private_name_of_a_sibling():
+    # a name one module needs from another is part of that module's public API
+    package = Path(maxwellsim.__file__).resolve().parent
+    assert _private_sibling_uses(package) == []

@@ -29,6 +29,9 @@ class TestEffectiveMass:
     def test_massless(self):
         assert effective_mass(PhysicalParams(m=0.0), 2.0) == pytest.approx(2.0)
 
+    def test_large_transverse_term_does_not_overflow(self):
+        assert effective_mass(PhysicalParams(m=1.0), 1e200) == 1e200
+
 
 class TestSpin1Formula:
 
@@ -57,6 +60,11 @@ class TestSpin1Formula:
     def test_requires_positive_slope(self):
         with pytest.raises(ValueError):
             lz_spin1(PhysicalParams(m=1.0, g=0.0), 1.0)
+
+    def test_overflowing_square_reflects(self):
+        # the square of a finite rest energy overflows: r = inf, T = 0
+        probs = lz_spin1(PhysicalParams(g=1.0), 1e200)
+        assert probs.as_tuple() == (1.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("formula", [lz_spin1, lz_spin_half])
     @pytest.mark.parametrize("mtilde_c2", [math.nan, math.inf])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.linalg import expm
 
 from maxwellsim import (
     ConvergenceError,
@@ -14,6 +15,8 @@ from maxwellsim import (
     pauli_algebra,
     spin1_matrices,
 )
+from maxwellsim.spin_algebra import rotor, rotor_matrix, rotor_product
+from maxwellsim.sweep_integrator import _BLOCK, magnus_rotors, sweep_rotor
 
 
 class TestProblemValidation:
@@ -106,6 +109,51 @@ class TestIntegratorProperties:
         for dt in (1.0, 1.001 * math.pi / e_max):
             with pytest.raises(ValueError):
                 integrate_sweep(spin1_matrices(), params, params.rest_energy, dt=dt)
+
+
+class TestPublicKernel:
+    """The path kernel and the Magnus step that the oracle and the packet
+    guard share."""
+
+    @pytest.mark.parametrize("algebra", [spin1_matrices(), pauli_algebra()],
+                             ids=["spin1", "spin-half"])
+    def test_magnus_step_is_its_generator_exponential(self, algebra):
+        params = PhysicalParams(c=1.3, g=0.7, hbar=0.9)
+        mass, dt = 0.6, 0.4
+        cx, _, cz = algebra.coupling_matrices
+        a, b = params.c * params.hbar * cx, mass * cz
+        # the generator dt H(k_mid) + (i dt^3 g / (12 hbar^2)) [a, b]
+        commutator = (1j * dt**3 * params.g / (12.0 * params.hbar**2)) * (a @ b - b @ a)
+        k = np.array([-3.0, -0.4, 0.0, 1.1, 2.5])
+        exact = np.array([expm(-1j * (dt * (kx * a + b) + commutator) / params.hbar)
+                          for kx in k])
+        step = rotor_matrix(magnus_rotors(algebra, params, mass, dt)(k),
+                            algebra.dimension)
+        assert np.max(np.abs(step - exact)) < 1e-14
+        # the commutator term is far above that tolerance
+        midpoint = np.array([expm(-1j * dt * (kx * a + b) / params.hbar) for kx in k])
+        assert np.max(np.abs(midpoint - exact)) > 1e-4
+
+    def test_sweep_rotor_is_the_ordered_step_product(self):
+        params = PhysicalParams(g=1.5)
+        rate, dt, n_steps = params.g / params.hbar, 0.1, 10
+        steps = magnus_rotors(spin1_matrices(), params, 0.85, dt)
+        k0 = np.linspace(-20.0, 20.0, 4096)
+        assert _BLOCK // k0.size < n_steps  # the product crosses blocks
+        total = rotor(np.zeros((k0.size, 3)))
+        for n in range(n_steps):
+            total = rotor_product(steps(k0 - rate * (n + 0.5) * dt), total)
+        assert np.max(np.abs(sweep_rotor(steps, k0, rate, dt, n_steps) - total)) < 1e-14
+
+    def test_array_of_starts_matches_scalar_calls(self):
+        dt = 0.05
+        steps = magnus_rotors(pauli_algebra(), PhysicalParams(g=1.0), 0.6, dt)
+        k0 = np.array([-4.0, -1.0, 0.5, 3.0])
+        together = sweep_rotor(steps, k0, 1.0, dt, 37)
+        apart = [sweep_rotor(steps, k, 1.0, dt, 37) for k in k0]
+        assert together.shape == (4, 4)
+        assert all(q.shape == (1, 4) for q in apart)
+        assert np.max(np.abs(together - np.concatenate(apart))) < 1e-15
 
 
 def _oracle(ratio, spin, c=1.0, g=1.0, hbar=1.0):
