@@ -156,7 +156,7 @@ def _run_evolve(config: RunConfig) -> list[str]:
     result = wavepacket.evolve(fld, t_final, params, dt=dt,
                                record_stride=stride)
     _write_csv(config.output_path, wavepacket.TRACE_COLUMNS,
-               [tuple(row) for row in result.trace], config)
+               result.trace.tolist(), config)
     written = [config.output_path]
     if v["snapshot_path"]:
         _write_snapshot(v["snapshot_path"], result.final, params, config)
@@ -177,7 +177,7 @@ def _write_snapshot(path: str, fld: wavepacket.SpinorField,
     amp = fld.amplitudes
     parts = np.stack([amp.real, amp.imag], axis=2).reshape(len(amp), 6)
     rows = np.column_stack([fld.grid.x, parts, *band_dens, wavepacket.density(fld)])
-    _write_csv(path, SNAPSHOT_COLUMNS, rows, config)
+    _write_csv(path, SNAPSHOT_COLUMNS, rows.tolist(), config)
 
 
 def _ion_params(values) -> ion_emulator.IonParams:
@@ -204,7 +204,7 @@ def _run_ion_evolve(config: RunConfig) -> list[str]:
                                                 project_band=band)
     trajectory = ion_emulator.evolve_ion(state, ion, v["t_final"], v["n_records"])
     _write_csv(config.output_path, ion_emulator.ION_TRACE_COLUMNS,
-               [tuple(row) for row in trajectory.trace], config)
+               trajectory.trace.tolist(), config)
     written = [config.output_path]
     if v["snapshot_path"]:
         # position-space readout of the final state, same format as evolve

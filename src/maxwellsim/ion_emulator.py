@@ -49,7 +49,8 @@ import numpy as np
 from .errors import (GridCoverageError, NumericalGuardError, ParameterError,
                      TruncationError)
 from .spin_algebra import (PhysicalParams, apply_projectors, band_weights,
-                           bloch_field, field_projectors, spin1_matrices)
+                           bloch_field, field_projectors, pack_projectors,
+                           spin1_matrices)
 from .wavepacket import Grid1D, SpinorField
 # Unused here, but bench/tracing.py wraps them under these names.
 from .wavepacket import band_components, band_populations  # noqa: F401
@@ -378,11 +379,12 @@ def _fock_tail(amplitudes: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _momentum_basis(ion: IonParams):
-    """``(p, phase, vectors, projectors)``: the eigenvalues ``p`` (ascending)
-    of the truncated momentum quadrature, the unitary ``to_p = diag(phase) @
-    vectors`` (``fock @ to_p`` = amplitudes on the eigenvectors p_j) with
-    ``phase = (-i)^n`` and real ``vectors``, and the real band projectors
-    ``(bands, n_fock, 3, 3)`` of the mapped ``H(k)`` at ``k = p_j / hbar``.
+    """``(p, phase, vectors, projectors, packed)``: the eigenvalues ``p``
+    (ascending) of the truncated momentum quadrature, the unitary ``to_p =
+    diag(phase) @ vectors`` (``fock @ to_p`` = amplitudes on the eigenvectors
+    p_j) with ``phase = (-i)^n`` and real ``vectors``, the real band
+    projectors ``(bands, n_fock, 3, 3)`` of the mapped ``H(k)`` at ``k = p_j /
+    hbar``, and the same projectors packed for ``band_weights``.
     With the phase ``i^n`` on Fock state n, ``p`` is real tridiagonal:
     ``<n-1|p|n> = hbar sqrt(n) / 2 Delta``.
     """
@@ -392,7 +394,7 @@ def _momentum_basis(ion: IonParams):
     phase = np.array([1.0, -1j, -1.0, 1j])[n % 4]
     projectors = field_projectors(
         spin1_matrices(), bloch_field(map_parameters(ion).physical, p / _HBAR))
-    return p, phase, vectors, projectors
+    return p, phase, vectors, projectors, pack_projectors(projectors)
 
 
 def _apply_ladder(v: np.ndarray, zero: np.ndarray, up: np.ndarray,
@@ -517,7 +519,7 @@ def _project_band(state: IonState, band: str) -> IonState:
     labels = ("+", "0", "-")
     if band not in labels:
         raise ParameterError(f"unknown band {band!r}")
-    _, phase, vectors, projectors = _momentum_basis(ion)
+    _, phase, vectors, projectors, _ = _momentum_basis(ion)
     momentum = _real_matmul(_sector_amplitudes(state) * phase, vectors)  # (3, n_fock)
     projected = apply_projectors(projectors[labels.index(band)], momentum.T).T
     weight = float(np.sum(np.abs(projected) ** 2))
@@ -602,7 +604,7 @@ def evolve_ion(
     norm = state.norm()
     if norm == 0:
         raise ParameterError("state has zero norm")
-    p, phase, vectors, projectors = _momentum_basis(ion)
+    p, phase, vectors, _, packed = _momentum_basis(ion)
     bound = _spectral_bound(ion, float(np.max(np.abs(p))))
     records, matvecs = _chebyshev_records(
         state.amplitudes.reshape(-1, ion.n_fock), ion, bound, t_final, n_records)
@@ -621,7 +623,7 @@ def evolve_ion(
         np.sqrt(np.arange(1.0, ion.n_fock)), amps[..., 1:]).real
     momentum = _real_matmul(
         np.einsum("j,rsjn->rsn", ion.ion2_plus, amps) * phase, vectors)
-    bands = band_weights(momentum.transpose(0, 2, 1), projectors)
+    bands = band_weights(momentum.transpose(0, 2, 1), packed)
 
     times = state.time + np.linspace(0.0, t_final, n_records)
     rows = np.column_stack([times, pops, x_mean, bands, tails])

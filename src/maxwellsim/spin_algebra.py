@@ -4,7 +4,11 @@ Everything downstream (analytic transition probabilities, the swept-level
 integrator, the spectral propagator, the trapped-ion emulator) is built on
 the objects defined here, and every route reads its bands out through
 :func:`field_projectors` and :func:`band_weights` (or
-:func:`apply_projectors`).  Two representations are supported:
+:func:`apply_projectors`).  A route packs its projectors once with
+:func:`pack_projectors` and caches them; :func:`band_weights` then reads
+each state from its real moments ``Re psi_i^* psi_j`` (and ``Im`` for
+complex projectors) in one matrix product.  Two representations are
+supported:
 
 * spin 1 (dimension 3): standard angular-momentum basis, ``Sz = diag(1, 0, -1)``,
   giving the three bands ``E+ > E0 = 0 > E-``;
@@ -20,12 +24,14 @@ both bases, so without a ``Cy`` term ``H`` and its projectors are real.
 Every propagator the package needs, ``exp(-i omega . S)`` with a real
 vector omega, is a rotation.  It is held as the unit quaternion of its
 SU(2) element (a "rotor"), so products of many step propagators are a few
-array operations on 4-vectors, and the d x d matrix (the SU(2) matrix itself
-for spin 1/2, its symmetric square for spin 1) is formed once at the end.
+array operations on 4-vectors, written component by component into one
+array, and the d x d matrix (the SU(2) matrix itself for spin 1/2, its
+symmetric square for spin 1) is formed once at the end.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +48,7 @@ __all__ = [
     "field_hamiltonian",
     "adiabatic_projectors",
     "field_projectors",
+    "pack_projectors",
     "band_weights",
     "apply_projectors",
     "spin_components",
@@ -150,25 +157,76 @@ def field_projectors(algebra: SpinAlgebra, field) -> np.ndarray:
     return np.stack(adiabatic_projectors(field_hamiltonian(algebra, field), e_plus))
 
 
-def band_weights(psi: np.ndarray, projectors: np.ndarray) -> np.ndarray:
-    """``sum_n psi_n^dagger P_bn psi_n`` for every band b, ``(..., bands)``,
-    for ``psi`` of shape ``(..., *sites, d)`` with any leading batch axes.
+def pack_projectors(projectors: np.ndarray) -> np.ndarray:
+    """Hermitian projectors ``(bands, *sites, d, d)`` packed for
+    :func:`band_weights`: shape ``(K, *sites, bands)``, one row per real
+    moment of a state.
 
-    It equals ``sum P * (psi^* psi^T)``: one outer product and one matrix
-    product, both real for real projectors, over blocks of the batch that
-    bound the outer product to ``_WEIGHT_BLOCK`` entries.
+    ``psi^dagger P psi = sum_i P_ii |psi_i|^2 + 2 sum_{i<j} (Re P_ij
+    Re(psi_i^* psi_j) - Im P_ij Im(psi_i^* psi_j))``, so row k holds the
+    factor of moment k: ``P_ii`` or ``2 Re P_ij``, then ``-2 Im P_ij`` for
+    complex projectors only.  The pairs ``(i, i + s)`` run by offset s, then
+    by i.  K is ``d (d + 1) / 2`` for real projectors and ``d^2`` for complex
+    ones.
     """
-    stack = projectors.reshape(len(projectors), -1)
-    batch = psi.shape[:psi.ndim - projectors.ndim + 2]
-    rows = psi.reshape((-1,) + psi.shape[len(batch):])
-    block = max(1, _WEIGHT_BLOCK // stack.shape[1])
-    out = np.empty((len(rows), len(stack)))
-    for first in range(0, len(rows), block):
-        part = rows[first:first + block]
-        outer = part.conj()[..., :, None] * part[..., None, :]
-        outer = outer.real if np.isrealobj(projectors) else outer
-        out[first:first + block] = (outer.reshape(len(part), -1) @ stack.T).real
-    return out.reshape(batch + (len(stack),))
+    d = projectors.shape[-1]
+    rows = [projectors[..., i, i + s].real * (2.0 if s else 1.0)
+            for s in range(d) for i in range(d - s)]
+    if np.iscomplexobj(projectors):
+        rows += [-2.0 * projectors[..., i, i + s].imag
+                 for s in range(1, d) for i in range(d - s)]
+    return np.ascontiguousarray(np.moveaxis(np.stack(rows), 1, -1))
+
+
+def band_weights(psi: np.ndarray, packed: np.ndarray) -> np.ndarray:
+    """``sum_n psi_n^dagger P_bn psi_n`` for every band b, ``(..., bands)``,
+    for ``psi`` of shape ``(..., *sites, d)`` with any leading batch axes and
+    ``packed = pack_projectors(P)``.
+
+    The real moments ``Re psi_i^* psi_j`` (and ``Im psi_i^* psi_j`` for
+    complex projectors) are products of the real and imaginary parts of psi,
+    and one matrix product contracts them with the packed entries.  No
+    complex product is formed.  Blocks of the batch bound the moments to
+    ``_WEIGHT_BLOCK`` entries.
+    """
+    d = psi.shape[-1]
+    count, *sites, bands = packed.shape
+    n = math.prod(sites)
+    batch = psi.shape[:psi.ndim - len(sites) - 1]
+    coefficients = packed.reshape(count, n, bands)
+    # components first, (d, rows, n), so every moment is a contiguous product
+    parts = np.moveaxis(psi.reshape((-1, n, d)), -1, 0)
+    out = np.empty((parts.shape[1], bands))
+    block = max(1, _WEIGHT_BLOCK // (count * n))
+    for first in range(0, len(out), block):
+        moments = _moments(parts[:, first:first + block], count)
+        out[first:first + block] = np.matmul(moments, coefficients).sum(axis=0)
+    return out.reshape(batch + (bands,))
+
+
+def _moments(parts: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` real moments of the states ``parts``, shape
+    ``(d, rows, n)``, in the row order of :func:`pack_projectors`:
+    ``Re psi_i^* psi_j = re_i re_j + im_i im_j``, then
+    ``Im psi_i^* psi_j = re_i im_j - im_i re_j``."""
+    re, im = np.ascontiguousarray(parts.real), np.ascontiguousarray(parts.imag)
+    d = len(re)
+    out = np.empty((count,) + re.shape[1:])
+    scratch = np.empty_like(re)
+    row = 0
+    for s in range(d):
+        k = d - s
+        np.multiply(re[:k], re[s:], out=out[row:row + k])
+        np.multiply(im[:k], im[s:], out=scratch[:k])
+        out[row:row + k] += scratch[:k]
+        row += k
+    for s in range(1, d if count > row else 1):
+        k = d - s
+        np.multiply(re[:k], im[s:], out=out[row:row + k])
+        np.multiply(im[:k], re[s:], out=scratch[:k])
+        out[row:row + k] -= scratch[:k]
+        row += k
+    return out
 
 
 def apply_projectors(projectors: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -198,18 +256,26 @@ def rotor(omega) -> np.ndarray:
     its SU(2) element is ``w - i (x sigma_x + y sigma_y + z sigma_z)``
     ``= exp(-i omega . sigma / 2)``."""
     omega = np.asarray(omega, dtype=float)
-    angle = np.sqrt(np.sum(omega**2, axis=-1, keepdims=True))
-    # sin(angle / 2) omega / angle, finite at angle = 0
-    return np.concatenate(
-        [np.cos(angle / 2.0), 0.5 * np.sinc(angle / (2.0 * np.pi)) * omega], axis=-1)
+    angle = np.sqrt(np.sum(omega**2, axis=-1))
+    out = np.empty(omega.shape[:-1] + (4,))
+    out[..., 0] = np.cos(0.5 * angle)
+    # sin(angle / 2) / angle, with its limit 1/2 at angle = 0
+    scale = np.divide(np.sin(0.5 * angle), angle,
+                      out=np.full(angle.shape, 0.5), where=angle > 0)
+    np.multiply(scale[..., None], omega, out=out[..., 1:])
+    return out
 
 
 def rotor_product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Quaternion of the product ``U_p U_q`` of two rotors."""
-    pw, pv = p[..., :1], p[..., 1:]
-    qw, qv = q[..., :1], q[..., 1:]
-    return np.concatenate([pw * qw - np.sum(pv * qv, axis=-1, keepdims=True),
-                           pw * qv + qw * pv + np.cross(pv, qv)], axis=-1)
+    pw, px, py, pz = np.moveaxis(p, -1, 0)
+    qw, qx, qy, qz = np.moveaxis(q, -1, 0)
+    out = np.empty(np.broadcast_shapes(np.shape(p), np.shape(q)))
+    out[..., 0] = pw * qw - px * qx - py * qy - pz * qz
+    out[..., 1] = pw * qx + qw * px + py * qz - pz * qy
+    out[..., 2] = pw * qy + qw * py + pz * qx - px * qz
+    out[..., 3] = pw * qz + qw * pz + px * qy - py * qx
+    return out
 
 
 def rotor_matrix(q: np.ndarray, dimension: int) -> np.ndarray:

@@ -62,6 +62,7 @@ from .spin_algebra import (
     band_weights,
     bloch_field,
     field_projectors,
+    pack_projectors,
     rotor,
     rotor_matrix,
     rotor_product,
@@ -220,8 +221,10 @@ class EvolveResult:
 @lru_cache(maxsize=16)
 def _grid_projectors(grid: Grid1D, params: PhysicalParams, dimension: int):
     """Real ``(bands, N, d, d)`` band projectors of ``H(k)`` at the grid
-    wavenumbers (:func:`~maxwellsim.spin_algebra.field_projectors`)."""
-    return field_projectors(algebra_for(dimension), bloch_field(params, grid.k))
+    wavenumbers (:func:`~maxwellsim.spin_algebra.field_projectors`), and
+    the same projectors packed for ``band_weights``."""
+    projectors = field_projectors(algebra_for(dimension), bloch_field(params, grid.k))
+    return projectors, pack_projectors(projectors)
 
 
 def _splitting_rate(params: PhysicalParams) -> float:
@@ -518,14 +521,19 @@ def evolve(
 
 
 def _trace_row(fld: SpinorField, params: PhysicalParams) -> tuple:
+    """One trace record; ``norm`` and ``x_mean`` share one density."""
     pops = band_populations(fld, params)
-    return (fld.time, fld.norm(), position_mean(fld),
+    rho = density(fld)
+    total = float(np.sum(rho))
+    return (fld.time, total * fld.grid.dx, float(fld.grid.x @ rho) / total,
             pops.w_plus, pops.w_zero, pops.w_minus)
 
 
 def density(fld: SpinorField) -> np.ndarray:
-    """Total position density ``sum_s |Psi_s(x)|^2``."""
-    return np.sum(np.abs(fld.amplitudes) ** 2, axis=1)
+    """Total position density ``sum_s |Psi_s(x)|^2``, summed as
+    ``re^2 + im^2`` over the components."""
+    parts = np.ascontiguousarray(fld.amplitudes, dtype=complex).view(float)
+    return np.einsum("ij,ij->i", parts, parts)
 
 
 def position_mean(fld: SpinorField) -> float:
@@ -540,14 +548,15 @@ def band_components(fld: SpinorField, params: PhysicalParams) -> np.ndarray:
     under the full-line inner product.
     """
     psi_k = np.fft.fft(fld.amplitudes, axis=0)
-    projectors = _grid_projectors(fld.grid, params, fld.dimension)
+    projectors, _ = _grid_projectors(fld.grid, params, fld.dimension)
     return np.fft.ifft(apply_projectors(projectors, psi_k), axis=1)
 
 
 def band_populations(fld: SpinorField, params: PhysicalParams) -> BandPopulations:
     """Branch weights from momentum-space projection; they sum to the norm."""
     psi_k = np.fft.fft(fld.amplitudes, axis=0)
-    weights = band_weights(psi_k, _grid_projectors(fld.grid, params, fld.dimension))
+    _, packed = _grid_projectors(fld.grid, params, fld.dimension)
+    weights = band_weights(psi_k, packed)
     weights *= fld.grid.dx / fld.grid.points
     if fld.dimension == 2:
         return BandPopulations(float(weights[0]), 0.0, float(weights[1]))

@@ -7,13 +7,16 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import maxwellsim
+from maxwellsim import cli
 from maxwellsim.cli import _format_value, main
 from maxwellsim.config import COMMANDS, RunConfig, parse_config
 from maxwellsim.errors import ConfigError
@@ -466,6 +469,24 @@ class TestExitCodes:
         assert code == 2
         assert "error[config]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, text", [
+        ("lz-oracle", "mtilde_c2 = 1e160\ng = 1.0\n"),
+        ("lz-oracle", "mtilde_c2 = 1e120\ng = 1.0\n"),
+        ("lz-oracle", "mtilde_c2 = 0.5\ng = 1.0\ndt = 1e-9\n"),
+        ("crosscheck", ION.replace("omega1 = 6.28", "omega1 = 1e120")),
+    ], ids=["oracle-window-square-overflow", "oracle-step-count",
+            "oracle-explicit-dt-step-count", "crosscheck-step-count"])
+    def test_oversized_sweep_is_2_at_once(self, tmp_path, capsys, command, text):
+        # the sweep's step count is bounded before any integration
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(text)
+        start = time.monotonic()
+        code = main([command, "--config", str(cfg),
+                     "--output", str(tmp_path / "x.csv")])
+        assert time.monotonic() - start < 1.0
+        assert code == 2
+        assert "error[config]" in capsys.readouterr().err
+
     def test_missing_config_is_4(self, tmp_path, capsys):
         code = main(["sweep-transmission", "--config",
                      str(tmp_path / "missing.cfg"),
@@ -519,6 +540,35 @@ class TestExitCodes:
 def test_format_value(value, text):
     # numpy scalars format as they did when the CLI imported numpy itself
     assert _format_value(value) == text
+
+
+@pytest.mark.parametrize("command, text", [
+    ("evolve", "p0 = 10.0\nwidth = 2.0\nm = 0.85\ng = 1.5\nt_final = 1.0\n"
+               "spinor = 0.6,0.0,0.8\ngrid_points = 512\nsnapshot_path = {snap}\n"),
+    ("ion-evolve", ION + "n_fock = 64\nproject_band = +\nn_records = 7\n"
+                         "snapshot_path = {snap}\n"),
+], ids=["evolve", "ion-evolve"])
+def test_csv_rows_reach_the_formatter_as_floats(tmp_path, command, text):
+    # rows come as lists of Python floats, and the file holds the bytes that
+    # the same rows give as numpy float64 scalars
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text.format(snap=tmp_path / "snap.csv"))
+    written = []
+    write_csv = cli._write_csv
+
+    def capture(path, columns, rows, config):
+        written.append((path, columns, rows, config))
+        write_csv(path, columns, rows, config)
+
+    with mock.patch.object(cli, "_write_csv", capture):
+        assert main([command, "--config", str(cfg),
+                     "--output", str(tmp_path / "trace.csv")]) == 0
+    assert len(written) == 2  # the trace and the snapshot
+    for path, columns, rows, config in written:
+        assert all(type(v) is float for row in rows for v in row)
+        reference = tmp_path / "numpy-rows.csv"
+        write_csv(str(reference), columns, list(np.array(rows)), config)
+        assert Path(path).read_bytes() == reference.read_bytes()
 
 
 def _run_fresh(code: str) -> str:

@@ -19,6 +19,7 @@ from maxwellsim.spin_algebra import (
     bloch_field,
     field_hamiltonian,
     field_projectors,
+    pack_projectors,
     rotor,
     rotor_matrix,
     rotor_product,
@@ -224,36 +225,48 @@ class TestBandLayerPropertySuite:
     """``band_weights`` against one einsum per band, and ``apply_projectors``
     against the complex matrix product."""
 
-    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
     @given(dim=st.sampled_from([3, 2]),
            batch=st.lists(st.integers(1, 5), max_size=2).map(tuple),
-           sites=st.integers(1, 12),
+           # site-free (the oracle's sweep ends), a grid, and a 2-D block
+           sites=st.just(()) | st.tuples(st.integers(1, 12))
+           | st.tuples(st.integers(1, 4), st.integers(1, 3)),
            m=st.sampled_from([0.0, 0.85]) | st.floats(0.0, 3.0),
            ky=st.sampled_from([0.0, 0.7]),
            block=st.sampled_from([1 << 16, 1, 37]),
+           components_first=st.booleans(),
            seed=st.integers(0, 2**32 - 1))
     def test_band_weights_match_per_band_einsum(self, dim, batch, sites, m, ky,
-                                                block, seed):
+                                                block, components_first, seed):
         rng = np.random.default_rng(seed)
         params = PhysicalParams(c=1.3, m=m, hbar=0.8)
         k = rng.uniform(-20.0, 20.0, sites)
-        k[0] = 0.0  # fully degenerate when m = ky = 0
+        k.flat[0] = 0.0  # fully degenerate when m = ky = 0
         projectors = field_projectors(algebra_for(dim), bloch_field(params, k, ky))
-        assert projectors.shape == (dim, sites, dim, dim)
+        assert projectors.shape == (dim,) + sites + (dim, dim)
         assert np.isrealobj(projectors) == (ky == 0.0)
-        psi = (rng.normal(size=batch + (sites, dim))
-               + 1j * rng.normal(size=batch + (sites, dim)))
-        psi /= np.sqrt(np.sum(np.abs(psi) ** 2, axis=(-2, -1), keepdims=True))
+        packed = pack_projectors(projectors)
+        moments = dim * dim if ky else dim * (dim + 1) // 2
+        assert packed.shape == (moments,) + sites + (dim,)
+
+        shape = batch + (dim,) + sites if components_first else batch + sites + (dim,)
+        psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        if components_first:  # the ion's records: a view, spinor axis last
+            psi = np.moveaxis(psi, len(batch), -1)
+        psi /= np.sqrt(np.sum(np.abs(psi) ** 2, axis=tuple(range(len(batch), psi.ndim)),
+                              keepdims=True))
 
         with mock.patch.object(spin_algebra, "_WEIGHT_BLOCK", block):
-            weights = band_weights(psi, projectors)
-        reference = np.stack([np.einsum("...ni,nij,...nj->...", psi.conj(), p, psi).real
-                              for p in projectors], axis=-1)
+            weights = band_weights(psi, packed)
+        flat = psi.reshape(batch + (-1, dim))
+        reference = np.stack(
+            [np.einsum("...ni,nij,...nj->...", flat.conj(), p.reshape(-1, dim, dim),
+                       flat).real for p in projectors], axis=-1)
         assert weights.shape == batch + (dim,)
         assert np.max(np.abs(weights - reference)) < 1e-14
         assert np.max(np.abs(weights.sum(axis=-1) - 1.0)) < 1e-14
 
-        one = psi.reshape(-1, sites, dim)[0]
+        one = psi.reshape((-1,) + sites + (dim,))[0]
         components = apply_projectors(projectors, one)
         want = (projectors.astype(complex) @ one[..., None])[..., 0]
         assert np.max(np.abs(components - want)) < 1e-14
@@ -279,6 +292,41 @@ class TestRotors:
         assert np.max(np.abs(rotor_matrix(q, d) - exact)) < 1e-14
         product = rotor_matrix(rotor_product(q[1:4], q[3:]), d)
         assert np.max(np.abs(product - exact[1:4] @ exact[3:])) < 1e-14
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(dim=st.sampled_from([3, 2]),
+           shapes=st.sampled_from([((), ()), ((5,), (5,)), ((4, 1), (3,)),
+                                   ((), (6,))]),
+           scale=st.sampled_from([1e-3, 1.0, 30.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_product_is_the_matrix_product(self, dim, shapes, scale, seed):
+        rng = np.random.default_rng(seed)
+        p = rotor(rng.normal(scale=scale, size=shapes[0] + (3,)))
+        q = rotor(rng.normal(scale=scale, size=shapes[1] + (3,)))
+        product = rotor_product(p, q)
+        assert product.shape == np.broadcast_shapes(p.shape, q.shape)
+        assert np.max(np.abs(np.sum(product**2, axis=-1) - 1.0)) < 1e-14
+        want = rotor_matrix(p, dim) @ rotor_matrix(q, dim)
+        assert np.max(np.abs(rotor_matrix(product, dim) - want)) < 1e-14
+
+    @pytest.mark.parametrize("algebra", [spin1_matrices(), pauli_algebra()],
+                             ids=["spin1", "spin-half"])
+    @pytest.mark.parametrize("angle", [0.0, 5e-324, 1e-310, 1e-170, 1e3],
+                             ids=["zero", "subnormal", "subnormal-2",
+                                  "square-underflows", "1e3-rad"])
+    def test_unit_rotor_at_extreme_angles(self, algebra, angle):
+        axis = np.array([0.48, -0.6, 0.64])
+        omega = angle * axis
+        q = rotor(omega)
+        assert abs(np.sum(q**2) - 1.0) < 1e-15
+        # the vector part is sin(angle / 2) times the axis, also where the
+        # squared angle underflows and the limit 1/2 of sin(angle/2) / angle
+        # takes over
+        assert np.allclose(q[1:], np.sin(angle / 2.0) * axis, rtol=1e-15, atol=1e-320)
+        spins = np.stack([algebra.sx, algebra.sy, algebra.sz])
+        exact = expm(-1j * np.einsum("a,aij->ij", omega, spins))
+        tol = 1e-15 if angle < 1 else 1e-12  # expm's own error grows with angle
+        assert np.max(np.abs(rotor_matrix(q, algebra.dimension) - exact)) < tol
 
 
 class TestMassAxisRotation:

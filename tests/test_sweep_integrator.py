@@ -36,6 +36,20 @@ class TestProblemValidation:
             integrate_sweep(spin1_matrices(), PhysicalParams(g=0.0), 1.0)
 
 
+    def test_window_out_of_range(self):
+        # max|H| is finite, but the projectors would square it
+        with pytest.raises(ParameterError, match="floating-point range"):
+            integrate_sweep(spin1_matrices(), PhysicalParams(g=1.0), 1e160)
+
+    @pytest.mark.parametrize("mtilde_c2, dt", [(1e120, None), (0.5, 1e-9)],
+                             ids=["default-dt", "explicit-dt"])
+    def test_step_count_is_capped(self, mtilde_c2, dt):
+        # 1e120 asks for 1.8e243 steps at the default dt
+        with pytest.raises(ParameterError, match="steps of dt"):
+            integrate_sweep(spin1_matrices(), PhysicalParams(g=1.0), mtilde_c2,
+                            dt=dt)
+
+
 class TestAgainstClosedForms:
     """The core cross-validation: integrator vs the analytic expressions."""
 

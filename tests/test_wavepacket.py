@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from maxwellsim import (
     spin1_matrices,
     step,
 )
+from maxwellsim import wavepacket
 from maxwellsim.wavepacket import TRACE_COLUMNS, _grid_projectors
 
 SCATTER = PhysicalParams(c=1.0, m=0.85, g=1.5)
@@ -40,6 +42,33 @@ def scattering_run(grid):
     fld = gaussian_packet(grid, 10.0, 2.0, 0.0, (1, 0, 0), SCATTER,
                           project_band="+")
     return evolve(fld, 20.0, SCATTER)
+
+
+class TestTraceReadout:
+    """A trace record reads what the public readers read."""
+
+    def test_demo_records_match_the_public_readers(self):
+        # the README demo, recorded at every step
+        grid = Grid1D(80.0, 4096)
+        fld = gaussian_packet(grid, 10.0, 2.0, 0.0, (1, 0, 0), SCATTER,
+                              project_band="+")
+        states = []
+        trace_row = wavepacket._trace_row
+
+        def record(state, params):
+            states.append(state.copy())
+            return trace_row(state, params)
+
+        with mock.patch.object(wavepacket, "_trace_row", record):
+            result = evolve(fld, 14.0, SCATTER)
+        assert result.steps == 239 and len(states) == len(result.trace) == 240
+        for state, row in zip(states, result.trace):
+            rho = np.sum(np.abs(state.amplitudes) ** 2, axis=1)
+            want = (state.time, state.norm(), position_mean(state),
+                    *band_populations(state, SCATTER).as_tuple())
+            assert np.max(np.abs(row - want)) < 1e-14
+            assert abs(row[2] - np.sum(grid.x * rho) / np.sum(rho)) < 1e-14
+            assert np.max(np.abs(density(state) - rho)) < 1e-15
 
 
 class TestGrid:
@@ -339,7 +368,7 @@ class TestBandStructureObservables:
         # reference: psi^dagger P psi summed over k, one band at a time
         fld = gaussian_packet(grid, 6.0, 2.0, 0.0, spinor, SCATTER)
         fld.amplitudes *= np.exp(0.3j * grid.x)[:, None]
-        projectors = _grid_projectors(grid, SCATTER, fld.dimension)
+        projectors, _ = _grid_projectors(grid, SCATTER, fld.dimension)
         psi_k = np.fft.fft(fld.amplitudes, axis=0)
         reference = [np.einsum("ki,kij,kj->", psi_k.conj(), p, psi_k).real
                      * grid.dx / grid.points for p in projectors]

@@ -1,0 +1,167 @@
+"""In-process timings of maxwellsim's inner layers, appended to BENCH_layers.json.
+
+    python3 tools/bench_layers.py --label NAME [--src DIR]
+
+Each layer is called on a fixed input until about 50 ms have passed, nine
+times over; the record keeps the median, the quartiles and the minimum of
+the time per call, in microseconds.  Layers:
+
+* ``trace_row``, ``step`` and ``band_weights`` of the README demo packet
+  (``p0 = 10``, ``width = 2``, ``m = 0.85``, ``g = 1.5``, band ``+``) at
+  N = 4096 and 2048;
+* ``band_weights`` at the ion benchmark's record batches, 300 x 512 and
+  50 x 256, on the projectors of the feasibility working point;
+* ``measured_split_error`` of the README demo at its default dt;
+* one ``integrate_sweep`` call: spin 1, ``g = 1``, ``mtilde_c2 = 0.75``.
+
+``--src`` times the package under another source tree (a scratch checkout of
+an earlier commit, say), so two trees can be compared on one machine.  Each
+record also stores its environment: Python, numpy and BLAS versions, core
+count, load average and whether numba is importable.  BLAS runs on one
+thread, as in ``bench/run.py``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import math
+import os
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_name] = "1"
+
+ROOT = Path(__file__).resolve().parent.parent
+OUT = ROOT / "BENCH_layers.json"
+REPEATS = 9
+TWO_PI = 2.0 * math.pi
+
+
+def _per_call_us(fn) -> dict:
+    """Median, quartiles and minimum of the time per call, in microseconds."""
+    fn()
+    start, calls = time.perf_counter(), 0
+    while time.perf_counter() - start < 0.05:
+        fn()
+        calls += 1
+    samples = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        for _ in range(calls):
+            fn()
+        samples.append((time.perf_counter() - start) / calls * 1e6)
+    q1, median, q3 = statistics.quantiles(samples, n=4)
+    return {"median_us": median, "q1_us": q1, "q3_us": q3,
+            "min_us": min(samples), "calls": calls, "repeats": REPEATS}
+
+
+def _weights_input(spin_algebra, projectors):
+    """What ``band_weights`` takes: the packed projectors where the package
+    packs them, the projectors themselves in trees that predate packing."""
+    pack = getattr(spin_algebra, "pack_projectors", None)
+    return pack(projectors) if pack else projectors
+
+
+def layers() -> dict:
+    import numpy as np
+
+    from maxwellsim import ion_emulator, spin_algebra, sweep_integrator, wavepacket
+
+    params = spin_algebra.PhysicalParams(m=0.85, g=1.5)
+    out = {}
+    for points in (4096, 2048):
+        grid = wavepacket.Grid1D(80.0, points)
+        fld = wavepacket.gaussian_packet(grid, 10.0, 2.0, 0.0, (1.0, 0.0, 0.0),
+                                         params, project_band="+")
+        dt = wavepacket.default_time_step(grid, params, 14.0)
+        norm = fld.norm()
+        projectors = spin_algebra.field_projectors(
+            spin_algebra.spin1_matrices(), spin_algebra.bloch_field(params, grid.k))
+        packed = _weights_input(spin_algebra, projectors)
+        psi_k = np.fft.fft(fld.amplitudes, axis=0)
+        out[f"trace_row_N{points}"] = _per_call_us(
+            lambda: wavepacket._trace_row(fld, params))
+        out[f"step_N{points}"] = _per_call_us(
+            lambda: wavepacket.step(fld, dt, params, norm))
+        out[f"band_weights_N{points}"] = _per_call_us(
+            lambda: spin_algebra.band_weights(psi_k, packed))
+
+    rng = np.random.default_rng(2001)
+    for records, n_fock in ((300, 512), (50, 256)):
+        ion = ion_emulator.IonParams(
+            eta=0.05, omega1_tilde=TWO_PI * 10.0, omega1=TWO_PI * 1.0,
+            omega2_tilde=TWO_PI * 50.0, n_fock=n_fock, reduce_ion2=True)
+        p = ion_emulator._momentum_basis(ion)[0]
+        projectors = spin_algebra.field_projectors(
+            spin_algebra.spin1_matrices(),
+            spin_algebra.bloch_field(ion_emulator.map_parameters(ion).physical,
+                                     p / ion_emulator._HBAR))
+        packed = _weights_input(spin_algebra, projectors)
+        shape = (records, 3, n_fock)
+        # the emulator's layout: spinor-major records, read through a transpose
+        momentum = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        psi = momentum.transpose(0, 2, 1)
+        out[f"band_weights_ion_{records}x{n_fock}"] = _per_call_us(
+            lambda: spin_algebra.band_weights(psi, packed))
+
+    grid = wavepacket.Grid1D(80.0, 4096)
+    fld = wavepacket.gaussian_packet(grid, 10.0, 2.0, 0.0, (1.0, 0.0, 0.0),
+                                     params, project_band="+")
+    dt = wavepacket.default_time_step(grid, params, 14.0)
+    n_steps = round(14.0 / dt)
+    out["measured_split_error_demo"] = _per_call_us(
+        lambda: wavepacket._measured_split_error(fld, params, dt, n_steps))
+
+    oracle = spin_algebra.PhysicalParams(g=1.0)
+    algebra = spin_algebra.spin1_matrices()
+    out["integrate_sweep"] = _per_call_us(
+        lambda: sweep_integrator.integrate_sweep(algebra, oracle, 0.75))
+    return out
+
+
+def environment() -> dict:
+    import numpy as np
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "blas_threads": 1,
+        "cores": os.cpu_count(),
+        "loadavg": list(os.getloadavg()),
+        "numba": importlib.util.find_spec("numba") is not None,
+        "machine": platform.machine(),
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--label", required=True, help="name of this record")
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="source tree holding the maxwellsim package")
+    args = parser.parse_args(argv)
+    src = args.src.resolve()
+    if not (src / "maxwellsim" / "__init__.py").is_file():
+        print(f"bench_layers: no maxwellsim package under {src}", file=sys.stderr)
+        return 2
+    sys.path.insert(0, str(src))
+    record = {"label": args.label, "environment": environment(),
+              "layers": layers()}
+    history = json.loads(OUT.read_text()) if OUT.exists() else []
+    history.append(record)
+    OUT.write_text(json.dumps(history, indent=1) + "\n")
+    for name, timing in record["layers"].items():
+        print(f"{name:34s} {timing['median_us']:12.1f} us  "
+              f"[{timing['q1_us']:.1f}, {timing['q3_us']:.1f}]")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
