@@ -24,13 +24,17 @@ with ``(3 n_ion2)``-square ``zero`` and ``up``: :func:`sideband_toolbox`
 and :func:`build_maxwell_hamiltonian` return it as a
 :class:`LadderOperator`.  Propagation and :func:`energy_expectation` take
 ``H`` from :func:`build_maxwell_hamiltonian` and apply it in that form,
-never assembling the full matrix, and :func:`evolve_ion` expands
+never assembling the full matrix: one application is one matrix product of
+the ``(3 n_ion2) x (9 n_ion2)`` block ``[zero | up | up^dag]`` with the
+state stacked over its two ladder shifts.  :func:`evolve_ion` expands
 ``exp(-i H t / hbar)`` in Chebyshev polynomials.  Band readout and filtering
 use the eigenbasis of the truncated ``p`` (the Gauss-Hermite discrete
 variable representation; Light, Hamilton & Lill, J. Chem. Phys. 82, 1400
 (1985)), on whose vector j ``H`` acts as the mapped ``H(k)`` at
 ``k = p_j / hbar``, and the band layer of :mod:`maxwellsim.spin_algebra`
 reads them out; the position grid serves only :func:`position_wavefunction`.
+``p`` couples even Fock levels only to odd ones, so its eigenpairs come
+from the singular value decomposition of its half-size even-by-odd block.
 
 Units: hbar = 1 and lengths in units of ``delta_spread`` unless stated;
 quote Rabi frequencies in angular kHz (rad/ms) and times come out in ms,
@@ -85,8 +89,15 @@ _TAIL_LEVELS = 4
 _TAIL_TOL = 1e-6
 # Largest relative change of any record's norm before propagation is
 # declared broken (an underestimated spectral bound makes the Chebyshev
-# series diverge).
+# series diverge); also the largest relative gap between a record's band
+# weights and its norm before the readout is declared broken (a momentum
+# basis short of a vector).
 _NORM_TOL = 1e-10
+# Size caps, checked before any allocation.  At n_fock = 4096 the momentum
+# basis takes 3.4 s and 370 MiB; a record array of 2^22 complex entries
+# (64 MiB) peaks near 320 MiB in the readout.
+_MAX_FOCK = 4096
+_MAX_RECORD_ENTRIES = 2**22
 # Chebyshev blocks: every record of a block is expanded from the block's
 # first state over at most this many units of R t / hbar, and the series is
 # cut where every coefficient falls below _COEFF_CUT.
@@ -130,8 +141,8 @@ class IonParams:
                 raise ParameterError(f"{name} must be nonnegative")
         if self.delta_spread <= 0:
             raise ParameterError("delta_spread must be positive")
-        if self.n_fock < 16:
-            raise ParameterError("n_fock must be at least 16")
+        if not 16 <= self.n_fock <= _MAX_FOCK:
+            raise ParameterError(f"n_fock must lie in [16, {_MAX_FOCK}]")
 
     @property
     def n_ion2(self) -> int:
@@ -188,7 +199,9 @@ class IonTrajectory:
     """Recorded ion evolution; trace rows follow :data:`ION_TRACE_COLUMNS`.
 
     ``norm_drift`` is the largest relative change of a record's norm from the
-    input's (guarded at 1e-10), ``fock_tail_max`` the largest ``fock_tail``
+    input's (guarded at 1e-10), ``band_sum_drift`` the largest gap between a
+    record's three band weights and its norm, relative to the input's norm
+    (guarded at 1e-10), ``fock_tail_max`` the largest ``fock_tail``
     (guarded at 1e-6), and ``matvecs`` the number of Hamiltonian
     applications the Chebyshev expansion made.
     """
@@ -196,6 +209,7 @@ class IonTrajectory:
     trace: np.ndarray
     final: IonState
     norm_drift: float
+    band_sum_drift: float
     fock_tail_max: float
     matvecs: int
 
@@ -385,27 +399,65 @@ def _momentum_basis(ion: IonParams):
     p_j) with ``phase = (-i)^n`` and real ``vectors``, the real band
     projectors ``(bands, n_fock, 3, 3)`` of the mapped ``H(k)`` at ``k = p_j /
     hbar``, and the same projectors packed for ``band_weights``.
-    With the phase ``i^n`` on Fock state n, ``p`` is real tridiagonal:
-    ``<n-1|p|n> = hbar sqrt(n) / 2 Delta``.
+
+    With the phase ``i^n`` on Fock state n, ``p`` is real tridiagonal with
+    ``<n-1|p|n> = hbar sqrt(n) / 2 Delta`` and couples even ``n`` only to odd
+    ``n``.  Its even-by-odd block ``B`` is lower bidiagonal, and with ``B = u
+    diag(s) v^T`` the vectors ``(u_j, +-v_j) / sqrt(2)`` (even entries, odd
+    entries) belong to ``p = +-s_j``.  An odd ``n_fock`` leaves one more even
+    row than odd columns, and the null vector ``u_0`` of ``B^T`` gives the
+    eigenvector ``(u_0, 0)`` at ``p = 0``.
     """
     n = np.arange(ion.n_fock)
     off = _HBAR * np.sqrt(n[1:]) / (2.0 * ion.delta_spread)
-    p, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    n_even, n_odd = (ion.n_fock + 1) // 2, ion.n_fock // 2
+    block = np.zeros((n_even, n_odd))
+    block[np.arange(n_odd), np.arange(n_odd)] = off[0::2]  # <2j|p|2j+1>
+    block[np.arange(1, n_even), np.arange(n_even - 1)] = off[1::2]  # <2j|p|2j-1>
+    u, s, vt = np.linalg.svd(block)  # s descending; u square, so it holds u_0
+    even = u[:, :n_odd] / math.sqrt(2.0)
+    odd = vt.T / math.sqrt(2.0)
+    # columns: -s ascending, then the zero mode, then +s ascending
+    vectors = np.zeros((ion.n_fock, ion.n_fock))
+    vectors[0::2, :n_odd] = even
+    vectors[1::2, :n_odd] = -odd
+    vectors[0::2, n_odd:n_even] = u[:, n_odd:]
+    vectors[0::2, n_even:] = even[:, ::-1]
+    vectors[1::2, n_even:] = odd[:, ::-1]
+    p = np.concatenate([-s, np.zeros(n_even - n_odd), s[::-1]])
     phase = np.array([1.0, -1j, -1.0, 1j])[n % 4]
     projectors = field_projectors(
         spin1_matrices(), bloch_field(map_parameters(ion).physical, p / _HBAR))
     return p, phase, vectors, projectors, pack_projectors(projectors)
 
 
-def _apply_ladder(v: np.ndarray, zero: np.ndarray, up: np.ndarray,
-                  down: np.ndarray, sqrt_n: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``out = zero v + up (a v) + down (ad v)`` for ``v`` of shape
-    ``(3 n_ion2, n_fock)``, with ``a`` the mode's annihilator and ``sqrt_n =
-    sqrt(1, ..., n_fock - 1)`` its matrix elements."""
-    np.matmul(zero, v, out=out)
-    out[:, :-1] += up @ (v[:, 1:] * sqrt_n)
-    out[:, 1:] += down @ (v[:, :-1] * sqrt_n)
-    return out
+def _ladder_block(h: LadderOperator, scale: complex = 1.0) -> np.ndarray:
+    """``scale [zero | up | up^dag]``, the ``(3 n_ion2) x (9 n_ion2)`` matrix
+    that :func:`_ladder_kernel`'s ``apply`` takes."""
+    return scale * np.concatenate([h.zero, h.up, h.up.conj().T], axis=1)
+
+
+def _ladder_kernel(rows: int, n_fock: int):
+    """``apply(block, v, out)``: ``out = zero v + up (a v) + up^dag (ad v)``
+    for ``v`` of shape ``(rows, n_fock)`` and ``block`` from
+    :func:`_ladder_block`, with ``a`` the mode's annihilator.
+
+    ``v``, ``a v`` and ``ad v`` are written into one zero-padded work buffer
+    ``(3 rows, n_fock)`` kept by the closure, so an application is two
+    scalings and one matrix product with no temporaries.
+    """
+    sqrt_n = np.sqrt(np.arange(1.0, n_fock)).astype(complex)  # no cast per call
+    work = np.zeros((3 * rows, n_fock), dtype=complex)
+    lowered = work[rows:2 * rows, :-1]  # (a v)_n = sqrt(n + 1) v_{n+1}
+    raised = work[2 * rows:, 1:]  # (ad v)_n = sqrt(n) v_{n-1}
+
+    def apply(block: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        work[:rows] = v
+        np.multiply(v[:, 1:], sqrt_n, out=lowered)
+        np.multiply(v[:, :-1], sqrt_n, out=raised)
+        return np.matmul(block, work, out=out)
+
+    return apply
 
 
 def _spectral_bound(ion: IonParams, p_max: float) -> float:
@@ -463,10 +515,8 @@ def _chebyshev_records(psi: np.ndarray, ion: IonParams, bound: float,
     steps = (n_records - 1) * substeps
 
     h = build_maxwell_hamiltonian(ion)
-    scale = -1j / bound
-    ops = [(scale * h.zero, scale * h.up, scale * h.up.conj().T)]
-    ops.append(tuple(2.0 * op for op in ops[0]))  # 2 G, for k >= 2
-    sqrt_n = np.sqrt(np.arange(1.0, ion.n_fock))
+    blocks = (_ladder_block(h, -1j / bound), _ladder_block(h, -2j / bound))  # G, 2 G
+    apply = _ladder_kernel(*psi.shape)
     weights = {}
     matvecs = 0
     current = psi
@@ -478,7 +528,7 @@ def _chebyshev_records(psi: np.ndarray, ion: IonParams, bound: float,
         stack = np.empty((block.shape[1],) + psi.shape, dtype=complex)
         stack[0] = current
         for k in range(1, len(stack)):
-            _apply_ladder(stack[k - 1], *ops[k > 1], sqrt_n, out=stack[k])
+            apply(blocks[k > 1], stack[k - 1], stack[k])
             if k > 1:
                 stack[k] += stack[k - 2]
         matvecs += len(stack) - 1
@@ -574,8 +624,7 @@ def energy_expectation(state: IonState, ion: IonParams) -> float:
     """``<psi|H|psi>``, with ``H`` applied in its ladder form."""
     h = build_maxwell_hamiltonian(ion)
     v = state.amplitudes.reshape(len(h.zero), ion.n_fock)
-    hv = _apply_ladder(v, h.zero, h.up, h.up.conj().T,
-                       np.sqrt(np.arange(1.0, ion.n_fock)), np.empty_like(v))
+    hv = _ladder_kernel(*v.shape)(_ladder_block(h), v, np.empty_like(v))
     return float(np.real(np.vdot(v, hv)))
 
 
@@ -592,14 +641,22 @@ def evolve_ion(
     internal populations, ``<x> = 2 Delta Re sum sqrt(n+1) c_n* c_{n+1}``,
     mapped-model band populations in the truncated momentum eigenbasis, and
     the Fock-tail weight (guarded at 1e-6).  A record whose norm differs
-    from the input's by more than 1e-10 (relative) raises
-    :class:`NumericalGuardError`.  ``H`` conserves sigma2_x, so only the input
-    state is checked to lie in ion 2's +sigma2_x sector.
+    from the input's by more than 1e-10 (relative), or whose band weights
+    sum to more than 1e-10 of the input's norm away from its own norm,
+    raises :class:`NumericalGuardError`.  ``H`` conserves sigma2_x, so only
+    the input state is checked to lie in ion 2's +sigma2_x sector.  The
+    record array, ``n_records x 3 n_ion2 n_fock`` complex entries, may hold
+    at most 2^22 of them.
     """
     if t_final < 0:
         raise ParameterError("t_final must be nonnegative")
     if n_records < 2:
         raise ParameterError("need at least two record times")
+    if n_records * ion.dim > _MAX_RECORD_ENTRIES:
+        raise ParameterError(
+            f"{n_records} records of {ion.dim} amplitudes exceed the "
+            f"{_MAX_RECORD_ENTRIES} entries a run may hold; ask for at most "
+            f"{_MAX_RECORD_ENTRIES // ion.dim} records")
     _sector_amplitudes(state)
     norm = state.norm()
     if norm == 0:
@@ -611,7 +668,8 @@ def evolve_ion(
 
     amps = records.reshape((n_records,) + state.amplitudes.shape)
     pops = np.sum(np.abs(amps) ** 2, axis=(2, 3))
-    drift = float(np.max(np.abs(pops.sum(axis=1) / norm - 1.0)))
+    record_norms = pops.sum(axis=1)
+    drift = float(np.max(np.abs(record_norms / norm - 1.0)))
     if not drift <= _NORM_TOL:  # also catches a series that overflowed to nan
         raise NumericalGuardError(
             f"record norm drifted by {drift:.3e} (relative), above {_NORM_TOL}; "
@@ -624,9 +682,15 @@ def evolve_ion(
     momentum = _real_matmul(
         np.einsum("j,rsjn->rsn", ion.ion2_plus, amps) * phase, vectors)
     bands = band_weights(momentum.transpose(0, 2, 1), packed)
+    band_sum_drift = float(np.max(np.abs(bands.sum(axis=1) - record_norms))) / norm
+    if not band_sum_drift <= _NORM_TOL:
+        raise NumericalGuardError(
+            f"band weights miss their record's norm by {band_sum_drift:.3e} "
+            f"(relative), above {_NORM_TOL}; the momentum readout is incomplete"
+        )
 
     times = state.time + np.linspace(0.0, t_final, n_records)
     rows = np.column_stack([times, pops, x_mean, bands, tails])
     return IonTrajectory(rows, IonState(amps[-1].copy(), ion, times[-1]),
-                         norm_drift=drift, fock_tail_max=float(np.max(tails)),
-                         matvecs=matvecs)
+                         norm_drift=drift, band_sum_drift=band_sum_drift,
+                         fock_tail_max=float(np.max(tails)), matvecs=matvecs)

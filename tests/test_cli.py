@@ -487,6 +487,27 @@ class TestExitCodes:
         assert code == 2
         assert "error[config]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, text", [
+        ("ion-evolve", ION + "n_fock = 4097\n"),
+        ("crosscheck", ION + "n_fock = 4097\n"),
+        # 2^22 record entries at 3 x 128 amplitudes a record, plus one
+        ("ion-evolve", ION + f"n_records = {2**22 // (3 * 128) + 1}\n"),
+        ("ion-evolve", ION + "reduce_ion2 = false\n"
+                       f"n_records = {2**22 // (6 * 128) + 1}\n"),
+    ], ids=["ion-n-fock", "crosscheck-n-fock", "ion-records",
+            "ion-full-records"])
+    def test_oversized_ion_run_is_2_at_once(self, tmp_path, capsys, command, text):
+        # the Fock truncation and the record array are bounded before any
+        # allocation that scales with them
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(text)
+        start = time.monotonic()
+        code = main([command, "--config", str(cfg),
+                     "--output", str(tmp_path / "x.csv")])
+        assert time.monotonic() - start < 1.0
+        assert code == 2
+        assert "error[config]" in capsys.readouterr().err
+
     def test_missing_config_is_4(self, tmp_path, capsys):
         code = main(["sweep-transmission", "--config",
                      str(tmp_path / "missing.cfg"),

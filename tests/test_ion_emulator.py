@@ -24,11 +24,13 @@ from maxwellsim import (
     sideband_toolbox,
     spin1_matrices,
 )
-from maxwellsim import ion_emulator
+from maxwellsim import ion_emulator, spin_algebra
 from maxwellsim.ion_emulator import (
-    _apply_ladder,
     _bessel_weights,
     _hermite_basis,
+    _ladder_block,
+    _ladder_kernel,
+    _momentum_basis,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -413,22 +415,36 @@ def _dense_records(state, ion, times):
 
 
 class TestMatrixFreeHamiltonian:
-    """``_apply_ladder`` against the dense matrix of the toolbox Hamiltonian."""
+    """The ladder kernel against the dense matrix of the toolbox Hamiltonian."""
+
+    @staticmethod
+    def _check_kernel(ion):
+        h = build_maxwell_hamiltonian(ion)
+        apply = _ladder_kernel(len(h.zero), ion.n_fock)
+        rng = np.random.default_rng(7)
+        dense = h.toarray(ion.n_fock)
+        for scale in (1.0, -2j / 3.0):
+            # twice per scale: the kernel's work buffer is reused
+            for _ in range(2):
+                v = (rng.normal(size=(len(h.zero), ion.n_fock))
+                     + 1j * rng.normal(size=(len(h.zero), ion.n_fock)))
+                got = apply(_ladder_block(h, scale), v, np.empty_like(v))
+                want = scale * (dense @ v.ravel())
+                assert np.max(np.abs(got.ravel() - want)) < 1e-13
 
     @pytest.mark.parametrize("reduce_ion2", [True, False], ids=["reduced", "full"])
     @pytest.mark.parametrize("zeroed", [None, "omega1", "omega1_tilde", "omega2_tilde"])
     def test_matches_assembled_hamiltonian(self, reduce_ion2, zeroed):
         overrides = {zeroed: 0.0} if zeroed else {}
-        ion = IonParams(**{**PAPER_ION, **overrides}, n_fock=24,
-                        reduce_ion2=reduce_ion2)
-        h = build_maxwell_hamiltonian(ion)
-        rng = np.random.default_rng(7)
-        v = (rng.normal(size=(len(h.zero), ion.n_fock))
-             + 1j * rng.normal(size=(len(h.zero), ion.n_fock)))
-        got = _apply_ladder(v, h.zero, h.up, h.up.conj().T,
-                            np.sqrt(np.arange(1.0, ion.n_fock)), np.empty_like(v))
-        want = h.toarray(ion.n_fock) @ v.ravel()
-        assert np.max(np.abs(got.ravel() - want)) < 1e-13
+        self._check_kernel(IonParams(**{**PAPER_ION, **overrides}, n_fock=24,
+                                     reduce_ion2=reduce_ion2))
+
+    @pytest.mark.parametrize("reduce_ion2", [True, False], ids=["reduced", "full"])
+    @pytest.mark.parametrize("zeroed", [None, "omega1", "omega1_tilde", "omega2_tilde"])
+    def test_odd_fock_matches_assembled_hamiltonian(self, reduce_ion2, zeroed):
+        overrides = {zeroed: 0.0} if zeroed else {}
+        self._check_kernel(IonParams(**{**PAPER_ION, **overrides}, n_fock=25,
+                                     reduce_ion2=reduce_ion2))
 
     @pytest.mark.parametrize("reduce_ion2", [True, False], ids=["reduced", "full"])
     def test_energy_expectation_matches_assembled(self, reduce_ion2):
@@ -444,6 +460,32 @@ class TestMatrixFreeHamiltonian:
 # Chebyshev blocks while the packet stays far from the truncation.
 _BLOCKS_ION = dict(eta=0.05, omega1_tilde=TWO_PI * 10.0, omega1=TWO_PI * 40.0,
                    omega2_tilde=TWO_PI * 5.0)
+
+
+class TestMomentumBasis:
+    """``_momentum_basis`` against the truncated ``p`` of :func:`quadratures`:
+    residual, orthonormality and the spectrum's symmetry."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(n_fock=st.integers(16, 600), delta_spread=st.floats(0.05, 20.0))
+    def test_eigenpairs_of_truncated_momentum(self, n_fock, delta_spread):
+        ion = small_ion(n_fock=n_fock, delta_spread=delta_spread)
+        p, phase, vectors, _, _ = _momentum_basis.__wrapped__(ion)
+        p_op = quadratures(delta_spread, n_fock)[1]
+        eigenvectors = phase.conj()[:, None] * vectors  # on the Fock basis
+        p_max = np.max(np.abs(p))
+        residual = np.linalg.norm(p_op @ eigenvectors - eigenvectors * p)
+        assert residual <= 1e-13 * p_max
+        assert np.linalg.norm(vectors.T @ vectors - np.eye(n_fock)) <= 1e-13
+        assert vectors.dtype == np.float64 and p.shape == (n_fock,)
+        assert np.all(np.diff(p) > 0)
+        assert np.max(np.abs(p + p[::-1])) <= 1e-13 * p_max
+
+    def test_odd_fock_has_one_zero_mode(self):
+        p, _, vectors, _, _ = _momentum_basis.__wrapped__(small_ion(n_fock=17))
+        assert p[8] == 0.0
+        # the p = 0 vector lives on the even Fock levels alone
+        assert np.max(np.abs(vectors[1::2, 8])) == 0.0
 
 
 class TestChebyshevPropagation:
@@ -471,6 +513,31 @@ class TestChebyshevPropagation:
         assert np.max(np.abs(trajectory.trace[:, 1:4] - pops)) < 1e-12
         assert np.max(np.abs(trajectory.final.amplitudes - reference[-1])) < 1e-12
 
+    @pytest.mark.parametrize("reduce_ion2", [True, False], ids=["reduced", "full"])
+    def test_odd_fock_records_match_dense_expm(self, reduce_ion2):
+        # every column of a record at odd n_fock, read against the dense
+        # propagator and a dense eigendecomposition of the truncated p
+        ion = IonParams(**_BLOCKS_ION, n_fock=25, reduce_ion2=reduce_ion2)
+        state = coherent_initial_state(ion, 1.0, (1, 1, 1))
+        trajectory = evolve_ion(state, ion, 0.5, n_records=9)
+        reference = _dense_records(state, ion, trajectory.trace[:, 0])
+        x, p_op = quadratures(ion.delta_spread, ion.n_fock)
+        p, to_p = np.linalg.eigh(p_op)
+        physical = map_parameters(ion).physical
+        projectors = spin_algebra.field_projectors(
+            spin1_matrices(), spin_algebra.bloch_field(physical, p))
+        for row, amps in zip(trajectory.trace, reference):
+            fock = np.einsum("j,sjn->sn", ion.ion2_plus, amps)
+            momentum = fock @ to_p.conj()  # (3, n_fock): spinors at each p_j
+            bands = np.einsum("sj,bjst,tj->b", momentum.conj(), projectors,
+                              momentum).real
+            x_mean = np.real(np.sum(amps.conj() * (amps @ x.T)))
+            assert np.max(np.abs(row[1:4] - np.sum(np.abs(amps) ** 2, axis=(1, 2)))) < 1e-12
+            assert row[4] == pytest.approx(x_mean, abs=1e-12)
+            assert np.max(np.abs(row[5:8] - bands)) < 1e-12
+        assert trajectory.band_sum_drift < 1e-13
+        assert np.max(np.abs(trajectory.final.amplitudes - reference[-1])) < 1e-12
+
     def test_blocks_compose(self):
         # one run across several blocks equals three chained shorter runs
         ion = IonParams(**_BLOCKS_ION, n_fock=32)
@@ -491,9 +558,31 @@ class TestChebyshevPropagation:
         trajectory = evolve_ion(state, ion, 0.3, n_records=11)
         assert trajectory.fock_tail_max == np.max(trajectory.trace[:, 8])
         assert 0.0 <= trajectory.norm_drift < 1e-12
+        assert 0.0 <= trajectory.band_sum_drift < 1e-12
         assert trajectory.matvecs > 0
         idle = evolve_ion(state, ion, 0.0, n_records=3)
         assert (idle.matvecs, idle.norm_drift) == (0, 0.0)
+
+    def test_incomplete_momentum_basis_is_a_guard_violation(self, monkeypatch):
+        # a basis without its p = 0 vector loses that vector's weight
+        ion = small_ion(n_fock=17)
+        p, phase, vectors, projectors, packed = _momentum_basis(ion)
+        vectors = vectors.copy()
+        vectors[:, 8] = 0.0
+        monkeypatch.setattr(ion_emulator, "_momentum_basis",
+                            lambda ion: (p, phase, vectors, projectors, packed))
+        state = coherent_initial_state(ion, 0.0, (1, 0, 0))
+        with pytest.raises(NumericalGuardError, match="band weights"):
+            evolve_ion(state, ion, 0.1, n_records=2)
+
+    def test_size_caps(self):
+        with pytest.raises(ValueError, match="n_fock"):
+            small_ion(n_fock=ion_emulator._MAX_FOCK + 1)
+        ion = small_ion(n_fock=24, reduce_ion2=False)
+        state = coherent_initial_state(ion, 1.0, (1, 0, 0))
+        most = ion_emulator._MAX_RECORD_ENTRIES // ion.dim
+        with pytest.raises(ValueError, match="records"):
+            evolve_ion(state, ion, 0.1, n_records=most + 1)
 
     def test_underestimated_bound_is_a_guard_violation(self, monkeypatch):
         # a spectral bound below ||H|| makes the series diverge

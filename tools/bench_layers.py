@@ -12,7 +12,14 @@ the time per call, in microseconds.  Layers:
 * ``band_weights`` at the ion benchmark's record batches, 300 x 512 and
   50 x 256, on the projectors of the feasibility working point;
 * ``measured_split_error`` of the README demo at its default dt;
-* one ``integrate_sweep`` call: spin 1, ``g = 1``, ``mtilde_c2 = 0.75``.
+* one ``integrate_sweep`` call: spin 1, ``g = 1``, ``mtilde_c2 = 0.75``;
+* one ion Hamiltonian application (the ladder kernel) on ``(3 n_ion2,
+  n_fock)`` rows of (3, 256), (6, 256) and (3, 512);
+* the ion momentum basis at ``n_fock`` 256 and 512, built afresh each call
+  (through ``__wrapped__``, past its cache);
+* ``evolve_ion`` on the ion benchmark's three runs (``p0 = 7``, band ``+``,
+  ``t_final = 1``): reduced and full at ``n_fock`` 256 with 50 records,
+  reduced at 512 with 300.
 
 ``--src`` times the package under another source tree (a scratch checkout of
 an earlier commit, say), so two trees can be compared on one machine.  Each
@@ -68,6 +75,23 @@ def _weights_input(spin_algebra, projectors):
     return pack(projectors) if pack else projectors
 
 
+def _ladder_apply(ion_emulator, h, rows, n_fock):
+    """One Hamiltonian application: the fused kernel where the package has
+    it, the three-product ``_apply_ladder`` in trees that predate it."""
+    import numpy as np
+
+    rng = np.random.default_rng(7)
+    v = rng.normal(size=(rows, n_fock)) + 1j * rng.normal(size=(rows, n_fock))
+    out = np.empty_like(v)
+    kernel = getattr(ion_emulator, "_ladder_kernel", None)
+    if kernel:
+        apply, block = kernel(rows, n_fock), ion_emulator._ladder_block(h)
+        return lambda: apply(block, v, out)
+    sqrt_n = np.sqrt(np.arange(1.0, n_fock))
+    down = h.up.conj().T
+    return lambda: ion_emulator._apply_ladder(v, h.zero, h.up, down, sqrt_n, out)
+
+
 def layers() -> dict:
     import numpy as np
 
@@ -92,11 +116,15 @@ def layers() -> dict:
         out[f"band_weights_N{points}"] = _per_call_us(
             lambda: spin_algebra.band_weights(psi_k, packed))
 
+    def ion_point(n_fock, reduce_ion2):
+        """The feasibility working point of the ion benchmark."""
+        return ion_emulator.IonParams(
+            eta=0.05, omega1_tilde=TWO_PI * 10.0, omega1=TWO_PI * 1.0,
+            omega2_tilde=TWO_PI * 50.0, n_fock=n_fock, reduce_ion2=reduce_ion2)
+
     rng = np.random.default_rng(2001)
     for records, n_fock in ((300, 512), (50, 256)):
-        ion = ion_emulator.IonParams(
-            eta=0.05, omega1_tilde=TWO_PI * 10.0, omega1=TWO_PI * 1.0,
-            omega2_tilde=TWO_PI * 50.0, n_fock=n_fock, reduce_ion2=True)
+        ion = ion_point(n_fock, True)
         p = ion_emulator._momentum_basis(ion)[0]
         projectors = spin_algebra.field_projectors(
             spin_algebra.spin1_matrices(),
@@ -122,6 +150,23 @@ def layers() -> dict:
     algebra = spin_algebra.spin1_matrices()
     out["integrate_sweep"] = _per_call_us(
         lambda: sweep_integrator.integrate_sweep(algebra, oracle, 0.75))
+
+    for rows, n_fock in ((3, 256), (6, 256), (3, 512)):
+        ion = ion_point(n_fock, rows == 3)
+        out[f"ion_ladder_{rows}x{n_fock}"] = _per_call_us(_ladder_apply(
+            ion_emulator, ion_emulator.build_maxwell_hamiltonian(ion), rows, n_fock))
+    for n_fock in (256, 512):
+        ion = ion_point(n_fock, True)
+        out[f"ion_momentum_basis_{n_fock}"] = _per_call_us(
+            lambda: ion_emulator._momentum_basis.__wrapped__(ion))
+    for name, n_fock, reduce_ion2, records in (
+            ("reduced", 256, True, 50), ("full", 256, False, 50),
+            ("records", 512, True, 300)):
+        ion = ion_point(n_fock, reduce_ion2)
+        state = ion_emulator.coherent_initial_state(ion, 7.0, (1.0, 0.0, 0.0),
+                                                    project_band="+")
+        out[f"evolve_ion_{name}"] = _per_call_us(
+            lambda: ion_emulator.evolve_ion(state, ion, 1.0, records))
     return out
 
 
