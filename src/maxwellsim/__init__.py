@@ -31,7 +31,6 @@ _EXPORTS = {
         "IonState",
         "IonTrajectory",
         "LadderOperator",
-        "MappedParams",
         "build_maxwell_hamiltonian",
         "coherent_initial_state",
         "default_readout_grid",

@@ -125,7 +125,6 @@ COMMANDS: dict[str, dict[str, _Key]] = {
         **_ION_KEYS,
         "p0": _Key(_parse_float, 0.0, _nonnegative),  # 0: 10 hbar / width
         "t_final": _Key(_parse_float, check=_positive),
-        "n_records": _Key(int, 50, _positive),
         "grid_points": _Key(int, 2048, _positive),
     },
 }

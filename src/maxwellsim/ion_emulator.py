@@ -62,7 +62,6 @@ from .wavepacket import band_components, band_populations  # noqa: F401
 __all__ = [
     "IonParams",
     "IonState",
-    "MappedParams",
     "ION_TRACE_COLUMNS",
     "IonTrajectory",
     "LadderOperator",
@@ -103,6 +102,10 @@ _MAX_RECORD_ENTRIES = 2**22
 # cut where every coefficient falls below _COEFF_CUT.
 _BLOCK_Z = 64.0
 _COEFF_CUT = 1e-14
+# Largest number of Hamiltonian applications a run may make: about 100 s at
+# n_fock = 512 (10 us each), far above the 946 to 1,313 that a 1 ms run at
+# the feasibility point makes.
+_MAX_MATVECS = 10**7
 
 _LEVEL_PAIRS = ("ab", "bc", "a'b'")
 _KINDS = ("carrier", "red", "blue")
@@ -184,14 +187,6 @@ class IonState:
     def internal_populations(self) -> np.ndarray:
         """Occupations of the three ion-1 levels (a, b, c)."""
         return np.sum(np.abs(self.amplitudes) ** 2, axis=(1, 2))
-
-
-@dataclass(frozen=True)
-class MappedParams:
-    """Continuum parameters realized by an ion configuration."""
-
-    physical: PhysicalParams
-    ratio: float  # (m c^2)^2 / (hbar c g), the single knob of the crossing
 
 
 @dataclass
@@ -306,7 +301,7 @@ def build_maxwell_hamiltonian(ion: IonParams) -> LadderOperator:
     return h
 
 
-def map_parameters(ion: IonParams) -> MappedParams:
+def map_parameters(ion: IonParams) -> PhysicalParams:
     """Continuum parameters (hbar = 1, lengths in Delta) for an ion setup."""
     c = math.sqrt(2.0) * ion.eta * ion.delta_spread * ion.omega1_tilde
     if c**2 == 0:
@@ -316,12 +311,7 @@ def map_parameters(ion: IonParams) -> MappedParams:
     g = _HBAR * ion.eta * ion.omega2_tilde / ion.delta_spread
     if not (math.isfinite(m) and math.isfinite(g)):
         raise ParameterError("mapped mass or slope out of floating-point range")
-    physical = PhysicalParams(c=c, m=m, g=g, hbar=_HBAR)
-    if g == 0:
-        ratio = 0.0 if ion.omega1 == 0 else math.inf
-    else:
-        ratio = physical.rest_energy**2 / (_HBAR * c * g)
-    return MappedParams(physical, ratio)
+    return PhysicalParams(c=c, m=m, g=g, hbar=_HBAR)
 
 
 def _coherent_amplitudes(alpha: complex, n_fock: int) -> np.ndarray:
@@ -427,7 +417,7 @@ def _momentum_basis(ion: IonParams):
     p = np.concatenate([-s, np.zeros(n_even - n_odd), s[::-1]])
     phase = np.array([1.0, -1j, -1.0, 1j])[n % 4]
     projectors = field_projectors(
-        spin1_matrices(), bloch_field(map_parameters(ion).physical, p / _HBAR))
+        spin1_matrices(), bloch_field(map_parameters(ion), p / _HBAR))
     return p, phase, vectors, projectors, pack_projectors(projectors)
 
 
@@ -464,7 +454,7 @@ def _spectral_bound(ion: IonParams, p_max: float) -> float:
     """``R >= ||H||`` by the triangle inequality over the mass, kinetic and
     slope terms: ``hbar W1 + c max|p| + g max|x|``, where the truncated ``x``
     has the spectrum of ``p`` scaled by ``2 Delta^2 / hbar``."""
-    physical = map_parameters(ion).physical
+    physical = map_parameters(ion)
     x_max = 2.0 * ion.delta_spread**2 / _HBAR * p_max
     bound = _HBAR * ion.omega1 + physical.c * p_max + physical.g * x_max
     if not math.isfinite(bound):
@@ -502,22 +492,31 @@ def _chebyshev_records(psi: np.ndarray, ion: IonParams, bound: float,
     blocks spanning at most ``R t / hbar = 64``; one stack of ``S_k`` from a
     block's first state and one real matrix product with the Bessel weights
     give every record in the block.  A record interval longer than that is
-    split into equal substeps.
+    split into equal substeps.  The number of ``H`` applications is counted
+    from ``R t_final`` before any state is allocated, and a run that would
+    make more than ``_MAX_MATVECS`` (1e7) raises :class:`ParameterError`.
     """
-    records = np.empty((n_records,) + psi.shape, dtype=complex)
-    records[:] = psi
     z_record = bound * t_final / (n_records - 1) / _HBAR
     if z_record == 0.0:
-        return records, 0
+        return np.broadcast_to(psi, (n_records,) + psi.shape).copy(), 0
     substeps = math.ceil(z_record / _BLOCK_Z)
     z_step = z_record / substeps
     per_block = max(1, int(_BLOCK_Z // z_step))
     steps = (n_records - 1) * substeps
+    # every block but the last is full, so this bounds the applications
+    full = min(per_block, steps)
+    weights = {full: _bessel_weights(z_step * np.arange(1, full + 1))}
+    estimate = -(-steps // per_block) * (weights[full].shape[1] - 1)
+    if estimate > _MAX_MATVECS:
+        raise ParameterError(
+            f"the propagation would take about {estimate:.3g} Hamiltonian "
+            f"applications, above the cap of {_MAX_MATVECS:.0e}; shorten t_final")
 
+    records = np.empty((n_records,) + psi.shape, dtype=complex)
+    records[0] = psi
     h = build_maxwell_hamiltonian(ion)
     blocks = (_ladder_block(h, -1j / bound), _ladder_block(h, -2j / bound))  # G, 2 G
     apply = _ladder_kernel(*psi.shape)
-    weights = {}
     matvecs = 0
     current = psi
     for start in range(0, steps, per_block):

@@ -34,7 +34,9 @@ tolerance:
   exact path propagator, both built by the oracle's kernel ``sweep_rotor``
   (the exact one from ``magnus_rotors`` at dt / 4), for every component but
   a tail of weight w at most 1e-22 of the norm, which adds ``2 sqrt(w)``.
-  The result is ``EvolveResult.split_error``.
+  The result is ``EvolveResult.split_error``.  The exact evolution, one
+  inverse FFT and the phase ``exp(-i g t x / hbar)`` away, is kept as
+  ``EvolveResult.reference``.
 
 The default dt is the largest one within the one-step limit and the cap
 ``c dt <= 3 dx``: no band moves faster than c, so no part of the packet can
@@ -105,11 +107,20 @@ _SHRINK_TRIES = 3
 _EDGE_CELLS = 3
 _EDGE_WEIGHT_TOL = 1e-6
 _MIN_POINTS = 256
+#: Largest grid: at 2^20 points the step's kinetic factor and the band
+#: projectors take about 150 and 230 MiB.
+_MAX_POINTS = 2**20
+#: Largest work of a run, in point-steps: ``steps x N`` for the step loop
+#: and ``4 steps x kept components`` for the measured splitting error.  On
+#: one core these cost about 80 and 130 ns a point-step at N = 4096, so the
+#: cap is one to two minutes of work; the README demo makes 1e6.
+_MAX_WORK = 10**9
 
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform periodic grid on ``[-L/2, L/2)`` with a power-of-two point count."""
+    """Uniform periodic grid on ``[-L/2, L/2)`` with a power-of-two point
+    count from 256 to 2^20."""
 
     length: float
     points: int
@@ -117,10 +128,11 @@ class Grid1D:
     def __post_init__(self):
         if self.length <= 0:
             raise ParameterError("grid length must be positive")
-        if self.points < _MIN_POINTS or self.points & (self.points - 1):
+        if (not _MIN_POINTS <= self.points <= _MAX_POINTS
+                or self.points & (self.points - 1)):
             raise ParameterError(
-                f"points must be a power of two >= {_MIN_POINTS}, got {self.points}"
-            )
+                f"points must be a power of two from {_MIN_POINTS} to "
+                f"{_MAX_POINTS}, got {self.points}")
 
     @property
     def dx(self) -> float:
@@ -206,7 +218,8 @@ class EvolveResult:
     error measured along the characteristics of the initial field, which the
     guard keeps at or below ``split_error_limit``; ``edge_weight_max`` is the
     largest fraction of the norm seen in the guarded edge cells, which must
-    stay below 1e-6.
+    stay below 1e-6.  ``reference`` is the exact final state, found along
+    the characteristics; ``final`` lies about ``split_error`` from it in L2.
     """
 
     trace: np.ndarray
@@ -216,6 +229,7 @@ class EvolveResult:
     split_error: float
     split_error_limit: float
     edge_weight_max: float
+    reference: SpinorField
 
 
 @lru_cache(maxsize=16)
@@ -372,9 +386,10 @@ def _validate_step_dt(params: PhysicalParams, dimension: int, dt: float) -> floa
 
 def _measured_split_error(
     fld: SpinorField, params: PhysicalParams, dt: float, n_steps: int
-) -> float:
+) -> tuple[float, SpinorField]:
     """L2 distance between ``n_steps`` corrected steps of dt and the exact
-    evolution of ``fld``, measured along the characteristics.
+    evolution of ``fld``, measured along the characteristics, and that
+    exact evolution on the grid.
 
     In momentum space ``g x = i g d/dk``, so the Fourier component at k0
     moves along ``k(t) = k0 - g t / hbar`` under ``H(k(t))``.  Along that
@@ -384,11 +399,19 @@ def _measured_split_error(
     ``magnus_rotors`` at dt / 4, and their difference acts on the kept
     components.  Components are kept from the largest weight down until the
     dropped weight w is at most 1e-22 of the norm; they can carry at most
-    ``2 sqrt(w)`` of error, which is added.
+    ``2 sqrt(w)`` of error, which is added.  Where ``g m = 0`` the splitting
+    is exact and one Magnus step over the run is the exact propagator.  The
+    exact state at ``t = n_steps dt`` is ``exp(-i g t x / hbar)``, which
+    takes each k0 to ``k0 - g t / hbar``, times the inverse FFT of the
+    evolved kept components.  The run (``n_steps x N`` point-steps) and the
+    emulated steps (``4 n_steps`` per kept component) are each refused above
+    1e9 before any work.
     """
-    if n_steps == 0 or _splitting_rate(params) == 0:
-        return 0.0  # without the double commutator the splitting is exact
     grid = fld.grid
+    _refuse_work(n_steps * grid.points, "point-steps")
+    if n_steps == 0:
+        return 0.0, fld.copy()
+    t = n_steps * dt
     scale = grid.dx / grid.points
     psi_k = np.fft.fft(fld.amplitudes, axis=0)
     weights = np.sum(np.abs(psi_k) ** 2, axis=1) * scale
@@ -397,19 +420,40 @@ def _measured_split_error(
     n_dropped = int(np.searchsorted(tail, _DROPPED_WEIGHT * tail[-1], "right"))
     dropped = float(tail[n_dropped - 1]) if n_dropped else 0.0
     keep = order[n_dropped:]
-    k0, psi0 = grid.k[keep], psi_k[keep]
+    k0, psi0 = grid.k[keep], psi_k[keep][:, :, None]
 
     dimension = fld.dimension
+    algebra = algebra_for(dimension)
     rate = params.g / params.hbar
-    split = sweep_rotor(
-        lambda k_mid: _corrected_rotors(k_mid, params, dt, dimension),
-        k0, rate, dt, n_steps)
-    magnus = magnus_rotors(algebra_for(dimension), params, params.rest_energy,
-                           dt / 4.0)
-    exact = sweep_rotor(magnus, k0, rate, dt / 4.0, 4 * n_steps)
-    difference = rotor_matrix(split, dimension) - rotor_matrix(exact, dimension)
-    distance = float(np.sum(np.abs(difference @ psi0[:, :, None]) ** 2) * scale)
-    return math.sqrt(distance) + 2.0 * math.sqrt(dropped)
+    if _splitting_rate(params) == 0:
+        magnus = magnus_rotors(algebra, params, params.rest_energy, t)
+        exact = rotor_matrix(sweep_rotor(magnus, k0, rate, t, 1), dimension) @ psi0
+        error = 0.0
+    else:
+        _refuse_work(4 * n_steps * len(keep),
+                     "component-steps of the splitting-error measurement")
+        magnus = magnus_rotors(algebra, params, params.rest_energy, dt / 4.0)
+        exact = sweep_rotor(magnus, k0, rate, dt / 4.0, 4 * n_steps)
+        exact = rotor_matrix(exact, dimension) @ psi0
+        split = sweep_rotor(
+            lambda k_mid: _corrected_rotors(k_mid, params, dt, dimension),
+            k0, rate, dt, n_steps)
+        distance = np.sum(np.abs(rotor_matrix(split, dimension) @ psi0 - exact) ** 2)
+        error = math.sqrt(float(distance) * scale) + 2.0 * math.sqrt(dropped)
+
+    evolved = np.zeros_like(psi_k)
+    evolved[keep] = exact[:, :, 0]
+    amplitudes = np.fft.ifft(evolved, axis=0)
+    amplitudes *= np.exp((-1j * params.g * t / params.hbar) * grid.x)[:, None]
+    return error, SpinorField(grid, amplitudes, fld.time + t)
+
+
+def _refuse_work(work: int, unit: str):
+    """Raise :class:`ParameterError` when ``work`` exceeds 1e9."""
+    if work > _MAX_WORK:
+        raise ParameterError(
+            f"{work:.3g} {unit} exceed the cap of {_MAX_WORK:.0e}; shorten "
+            "t_final or coarsen the grid")
 
 
 def step(
@@ -461,7 +505,11 @@ def evolve(
     step with ``c dt`` beyond the 3 guarded edge cells, which a packet could
     jump across between two checks, or above the one-step error limit.
     Before stepping, the run's splitting error is measured along the
-    characteristics of the initial field (``EvolveResult.split_error``).
+    characteristics of the initial field (``EvolveResult.split_error``),
+    which also gives the exact final state (``EvolveResult.reference``).
+    A run of more than 1e9 point-steps (``steps x N``), or whose measurement
+    would emulate more than 1e9 component-steps, raises
+    :class:`ParameterError` before any step.
     Above 1e-4, an explicit dt raises :class:`ParameterError`; the default
     dt shrinks by ``0.9 (1e-4 / error)^(1/4)`` and is measured again, up to
     3 times, before :class:`NumericalGuardError`.  The trace (one row per
@@ -489,13 +537,13 @@ def evolve(
     norm = current.norm()
     if not norm > 0:
         raise ParameterError("the field must have a nonzero norm")
-    error = _measured_split_error(current, params, dt_eff, n_steps)
+    error, reference = _measured_split_error(current, params, dt_eff, n_steps)
     for _ in range(_SHRINK_TRIES):
         if error <= _SPLIT_ERROR_TOL or explicit:
             break
         n_steps, dt_eff = _whole_steps(
             t_final, 0.9 * dt_eff * (_SPLIT_ERROR_TOL / error) ** 0.25)
-        error = _measured_split_error(current, params, dt_eff, n_steps)
+        error, reference = _measured_split_error(current, params, dt_eff, n_steps)
     if error > _SPLIT_ERROR_TOL:
         message = (f"measured splitting error {error:.3e} over t = "
                    f"{t_final:.6g} exceeds {_SPLIT_ERROR_TOL:.0e} at dt = "
@@ -517,7 +565,7 @@ def evolve(
             rows.append(_trace_row(current, params))
 
     return EvolveResult(np.array(rows), current, dt_eff, n_steps,
-                        error, _SPLIT_ERROR_TOL, edge_max)
+                        error, _SPLIT_ERROR_TOL, edge_max, reference)
 
 
 def _trace_row(fld: SpinorField, params: PhysicalParams) -> tuple:

@@ -31,6 +31,7 @@ from maxwellsim import (
     integrate_sweep,
     angle_sweep,
 )
+from maxwellsim.landau_zener import gap_ratio
 
 TWO_PI = 2.0 * math.pi
 
@@ -63,13 +64,13 @@ def scattering_final(fig_grid):
 
 def test_criterion_1_feasibility_numbers():
     """Parameter mapping reproduces the quoted working point."""
-    mapped = map_parameters(IonParams(**ION_SETUP))
-    transmission = lz_spin1(mapped.physical, mapped.physical.rest_energy
-                            ).transmission
-    ok_ratio = round(mapped.ratio, 3) == 0.566
+    physical = map_parameters(IonParams(**ION_SETUP))
+    transmission = lz_spin1(physical, physical.rest_energy).transmission
+    ratio = gap_ratio(physical, physical.rest_energy)
+    ok_ratio = round(ratio, 3) == 0.566
     ok_t = abs(transmission - 0.658) <= 0.005
     report(1, "feasibility numbers", ok_ratio and ok_t,
-           f"ratio = {mapped.ratio:.3f} (want 0.566), "
+           f"ratio = {ratio:.3f} (want 0.566), "
            f"analytic T = {transmission:.3f} (want 0.658 +- 0.005)")
 
 
@@ -163,7 +164,7 @@ def test_criterion_5_angle_sweep_properties():
 def test_criterion_6_ion_continuum_equivalence():
     """Two-ion emulator vs continuum packet vs closed forms, 1 ms window."""
     ion = IonParams(**ION_SETUP, n_fock=256, reduce_ion2=True)
-    mapped = map_parameters(ion)
+    physical = map_parameters(ion)
     width = ion.packet_width
     p0 = 10.0 / width  # quasi-classical packet: p0 * width / hbar = 10
 
@@ -174,11 +175,11 @@ def test_criterion_6_ion_continuum_equivalence():
     settle = float(np.max(window.max(axis=0) - window.min(axis=0)))
 
     grid = Grid1D(40.0 * width, 2048)
-    fld = gaussian_packet(grid, p0, width, 0.0, (1, 0, 0), mapped.physical,
+    fld = gaussian_packet(grid, p0, width, 0.0, (1, 0, 0), physical,
                           project_band="+")
-    continuum = band_populations(evolve(fld, 1.0, mapped.physical).final,
-                                 mapped.physical).as_tuple()
-    formula = lz_spin1(mapped.physical, mapped.physical.rest_energy).as_tuple()
+    continuum = band_populations(evolve(fld, 1.0, physical).final,
+                                 physical).as_tuple()
+    formula = lz_spin1(physical, physical.rest_energy).as_tuple()
 
     dev_continuum = max(abs(a - b) for a, b in zip(ion_bands, continuum))
     dev_formula = max(abs(a - b) for a, b in zip(ion_bands, formula))

@@ -19,11 +19,16 @@ import maxwellsim
 from maxwellsim import cli
 from maxwellsim.cli import _format_value, main
 from maxwellsim.config import COMMANDS, RunConfig, parse_config
-from maxwellsim.errors import ConfigError
+from maxwellsim.errors import ConfigError, ParameterError
+from maxwellsim.wavepacket import Grid1D
 
 TWO_PI = 2.0 * math.pi
 # README demonstration packet (width 2)
 DEMO = "p0 = 10.0\nwidth = 2.0\nm = 0.85\ng = 1.5\n"
+# the crosscheck run of the tests, at gap ratio 0.14
+CROSS = (f"eta = 0.05\nomega1_tilde = {TWO_PI * 10}\nomega1 = {TWO_PI * 0.5}\n"
+         f"omega2_tilde = {TWO_PI * 50}\nn_fock = 128\np0 = 4.0\n"
+         "t_final = 0.8\ngrid_points = 1024\n")
 # feasibility-scale ion run, short
 ION = ("eta = 0.05\nomega1_tilde = 62.8\nomega1 = 6.28\nomega2_tilde = 314.0\n"
        "p0 = 3.0\nt_final = 0.1\n")
@@ -238,7 +243,8 @@ def _cheap_run(command, v) -> bool:
                                          "omega2_tilde"))
     # ||H|| t_final sets the Chebyshev propagator's work
     ion_work = (eta * (w1t + 3.0 * w2t) * math.sqrt(v["n_fock"]) + w1) * v["t_final"]
-    affordable = v["n_fock"] <= 256 and v["n_records"] <= 200 and ion_work <= 1000
+    records = v.get("n_records", 2)  # crosscheck keeps 2
+    affordable = v["n_fock"] <= 256 and records <= 200 and ion_work <= 1000
     if command == "ion-evolve" or not affordable:
         return affordable
     # crosscheck also runs the oracle and a packet on the mapped parameters
@@ -391,25 +397,63 @@ class TestCliRuns:
             [last["w_plus"], last["w_zero"], last["w_minus"]], abs=1e-6)
 
     def test_crosscheck_run(self, tmp_path):
-        cfg = tmp_path / "cross.cfg"
-        cfg.write_text(
-            f"eta = 0.05\nomega1_tilde = {TWO_PI * 10}\nomega1 = {TWO_PI * 0.5}\n"
-            f"omega2_tilde = {TWO_PI * 50}\nn_fock = 128\np0 = 4.0\n"
-            "t_final = 0.8\ngrid_points = 1024\n"
-        )
-        out = tmp_path / "cross.csv"
-        assert main(["crosscheck", "--config", str(cfg),
-                     "--output", str(out)]) == 0
-        _, header, rows = read_csv(out)
-        assert header == ["method", "w_plus", "w_zero", "w_minus", "transmission"]
-        table = {r[0]: [float(v) for v in r[1:]] for r in rows}
-        assert set(table) == {"analytic", "sweep-integrator", "wavepacket", "ion"}
-        # the two asymptotic routes agree tightly; the finite-time routes
-        # agree with each other tightly and with the asymptotics loosely
+        table = _crosscheck(tmp_path, CROSS)
+        assert list(table) == ["analytic", "sweep-integrator", "wavepacket",
+                               "characteristics", "ion"]
+        # the two asymptotic routes agree tightly; the three finite-time
+        # routes agree with each other tightly and with the asymptotics loosely
         assert np.allclose(table["analytic"], table["sweep-integrator"],
-                           atol=1e-3)
+                           atol=5e-5)
+        assert np.allclose(table["wavepacket"], table["characteristics"],
+                           atol=5e-6)
+        assert np.allclose(table["ion"], table["characteristics"], atol=1e-7)
         assert np.allclose(table["wavepacket"], table["ion"], atol=1e-3)
         assert np.allclose(table["analytic"], table["wavepacket"], atol=0.05)
+
+    def test_crosscheck_mid_transit(self, tmp_path):
+        # the finite-time rows are compared at the same t, so a run still
+        # crossing the slope is a valid comparison
+        table = _crosscheck(tmp_path, CROSS.replace("t_final = 0.8", "t_final = 0.2"))
+        assert np.allclose(table["wavepacket"], table["characteristics"],
+                           atol=5e-6)
+
+    @pytest.mark.parametrize("t_final", ["0.1", "0.25", "0.8"])
+    def test_crosscheck_massless(self, tmp_path, t_final):
+        # at m = 0 the band projectors jump at k = 0; the reference is read
+        # on the packet's own grid, so the two rows still agree
+        text = (CROSS.replace("t_final = 0.8", f"t_final = {t_final}")
+                .replace(f"omega1 = {TWO_PI * 0.5}", "omega1 = 0.0"))
+        table = _crosscheck(tmp_path, text)
+        assert np.allclose(table["wavepacket"], table["characteristics"],
+                           atol=1e-9)
+
+    def test_crosscheck_refuses_a_packet_off_the_reference(self, tmp_path, capsys):
+        from maxwellsim import wavepacket
+
+        evolve = wavepacket.evolve
+
+        def perturbed(*args, **kwargs):
+            result = evolve(*args, **kwargs)
+            result.final.amplitudes *= 1.0 + 1e-3  # 1e-3 in L2
+            return result
+
+        cfg = tmp_path / "cross.cfg"
+        cfg.write_text(CROSS)
+        with mock.patch.object(wavepacket, "evolve", perturbed):
+            assert main(["crosscheck", "--config", str(cfg),
+                         "--output", str(tmp_path / "cross.csv")]) == 3
+        assert "characteristics" in capsys.readouterr().err
+
+
+def _crosscheck(tmp_path, text) -> dict:
+    """Run crosscheck on ``text``; return its rows by method, in order."""
+    cfg = tmp_path / "cross.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "cross.csv"
+    assert main(["crosscheck", "--config", str(cfg), "--output", str(out)]) == 0
+    _, header, rows = read_csv(out)
+    assert header == ["method", "w_plus", "w_zero", "w_minus", "transmission"]
+    return {r[0]: [float(v) for v in r[1:]] for r in rows}
 
 
 class TestExitCodes:
@@ -494,8 +538,11 @@ class TestExitCodes:
         ("ion-evolve", ION + f"n_records = {2**22 // (3 * 128) + 1}\n"),
         ("ion-evolve", ION + "reduce_ion2 = false\n"
                        f"n_records = {2**22 // (6 * 128) + 1}\n"),
+        # about 1.3e9 Hamiltonian applications, hours of work
+        ("ion-evolve", ION.replace("t_final = 0.1", "t_final = 1e6")
+         + "n_fock = 512\nn_records = 2\n"),
     ], ids=["ion-n-fock", "crosscheck-n-fock", "ion-records",
-            "ion-full-records"])
+            "ion-full-records", "ion-propagation-work"])
     def test_oversized_ion_run_is_2_at_once(self, tmp_path, capsys, command, text):
         # the Fock truncation and the record array are bounded before any
         # allocation that scales with them
@@ -507,6 +554,43 @@ class TestExitCodes:
         assert time.monotonic() - start < 1.0
         assert code == 2
         assert "error[config]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, text", [
+        # a flat-band packet at rest: about 1e9 steps of 256 points
+        ("evolve", "p0 = 0.0\nwidth = 2.0\nm = 1.0\ng = 0.0\nspinor = 0,1,0\n"
+                   "project_band = 0\ngrid_points = 256\nt_final = 1e9\n"),
+        ("crosscheck", ION.replace("t_final = 0.1", "t_final = 1e6")),
+        # 2^40 points: Grid1D.x alone would take 8 TiB
+        ("evolve", DEMO + "grid_points = 1099511627776\n"),
+        ("crosscheck", ION + "grid_points = 1099511627776\n"),
+    ], ids=["evolve-steps", "crosscheck-steps", "evolve-grid", "crosscheck-grid"])
+    def test_oversized_packet_run_is_2_at_once(self, tmp_path, capsys, command,
+                                               text):
+        # the grid size and the packet's work are bounded before any
+        # allocation or step; the grid cap is checked first, so that no
+        # run below can allocate the large grid
+        with pytest.raises(ParameterError):
+            Grid1D(80.0, 2**40)
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(text)
+        start = time.monotonic()
+        code = main([command, "--config", str(cfg),
+                     "--output", str(tmp_path / "x.csv")])
+        assert time.monotonic() - start < 1.0
+        assert code == 2
+        assert "error[config]" in capsys.readouterr().err
+
+    def test_memory_error_is_2(self, tmp_path, capsys):
+        # a backstop behind the size caps
+        from maxwellsim import wavepacket
+
+        cfg = tmp_path / "evolve.cfg"
+        cfg.write_text(DEMO + "t_final = 1.0\ngrid_points = 512\n")
+        with mock.patch.object(wavepacket, "evolve", side_effect=MemoryError):
+            code = main(["evolve", "--config", str(cfg),
+                         "--output", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "memory" in capsys.readouterr().err
 
     def test_missing_config_is_4(self, tmp_path, capsys):
         code = main(["sweep-transmission", "--config",
@@ -685,9 +769,7 @@ def test_evolve_leaves_scipy_unloaded(tmp_path):
 
 @pytest.mark.parametrize("command, text", [
     ("ion-evolve", ION + "project_band = +\nsnapshot_path = {snapshot}\n"),
-    ("crosscheck", f"eta = 0.05\nomega1_tilde = {TWO_PI * 10}\n"
-     f"omega1 = {TWO_PI * 0.5}\nomega2_tilde = {TWO_PI * 50}\nn_fock = 128\n"
-     "p0 = 4.0\nt_final = 0.8\ngrid_points = 1024\n"),
+    ("crosscheck", CROSS),
 ], ids=["ion-evolve", "crosscheck"])
 def test_ion_commands_leave_scipy_unloaded(tmp_path, command, text):
     # preparation, Chebyshev propagation and readout use numpy alone

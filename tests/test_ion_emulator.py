@@ -9,6 +9,7 @@ from maxwellsim import (
     GridCoverageError,
     IonParams,
     NumericalGuardError,
+    ParameterError,
     TruncationError,
     band_components,
     band_populations,
@@ -25,6 +26,7 @@ from maxwellsim import (
     spin1_matrices,
 )
 from maxwellsim import ion_emulator, spin_algebra
+from maxwellsim.landau_zener import gap_ratio
 from maxwellsim.ion_emulator import (
     _bessel_weights,
     _hermite_basis,
@@ -194,26 +196,31 @@ class TestCompositeHamiltonian:
 class TestParameterMapping:
 
     def test_feasibility_numbers(self):
-        mapped = map_parameters(IonParams(**PAPER_ION))
-        assert round(mapped.ratio, 3) == 0.566
-        assert mapped.physical.c == pytest.approx(
-            math.sqrt(2.0) * 0.05 * TWO_PI * 10.0)
-        assert mapped.physical.rest_energy == pytest.approx(TWO_PI * 1.0)
-        assert mapped.physical.g == pytest.approx(0.05 * TWO_PI * 50.0)
+        p = map_parameters(IonParams(**PAPER_ION))
+        assert round(gap_ratio(p, p.rest_energy), 3) == 0.566
+        assert p.c == pytest.approx(math.sqrt(2.0) * 0.05 * TWO_PI * 10.0)
+        assert p.rest_energy == pytest.approx(TWO_PI * 1.0)
+        assert p.g == pytest.approx(0.05 * TWO_PI * 50.0)
 
     def test_ratio_consistency(self):
-        mapped = map_parameters(small_ion())
-        p = mapped.physical
-        assert mapped.ratio == pytest.approx(
-            p.rest_energy**2 / (p.hbar * p.c * p.g), rel=1e-12)
+        # r = (hbar W1)^2 / (hbar c g) = W1^2 / (sqrt(2) eta^2 W1t W2t)
+        ion = small_ion()
+        p = map_parameters(ion)
+        assert gap_ratio(p, p.rest_energy) == pytest.approx(
+            ion.omega1**2 / (math.sqrt(2.0) * ion.eta**2 * ion.omega1_tilde
+                             * ion.omega2_tilde), rel=1e-12)
 
     def test_massless_limit(self):
-        mapped = map_parameters(small_ion(omega1=0.0))
-        assert mapped.physical.m == 0.0
-        assert mapped.ratio == 0.0
+        p = map_parameters(small_ion(omega1=0.0))
+        assert p.m == 0.0
+        assert gap_ratio(p, p.rest_energy) == 0.0
 
     def test_zero_slope(self):
-        assert map_parameters(small_ion(omega2_tilde=0.0)).ratio == math.inf
+        # without a slope there is no crossing, so no gap ratio
+        p = map_parameters(small_ion(omega2_tilde=0.0))
+        assert p.g == 0.0
+        with pytest.raises(ParameterError):
+            gap_ratio(p, p.rest_energy)
 
 
 class TestCoherentState:
@@ -249,10 +256,9 @@ class TestCoherentState:
     def test_band_projection(self):
         ion = IonParams(**PAPER_ION, n_fock=96)
         state = coherent_initial_state(ion, 4.0, (1, 0, 0), project_band="+")
-        mapped = map_parameters(ion)
         grid = default_readout_grid(ion)
         pops = band_populations(position_wavefunction(state, grid),
-                                mapped.physical)
+                                map_parameters(ion))
         assert pops.w_plus == pytest.approx(1.0, abs=1e-8)
 
 
@@ -272,9 +278,8 @@ class TestPositionReadout:
         state = coherent_initial_state(ion, 4.0, (1, 0, 0))
         grid = default_readout_grid(ion)
         fld = position_wavefunction(state, grid)
-        mapped = map_parameters(ion)
         reference = gaussian_packet(grid, 4.0, ion.packet_width, 0.0,
-                                    (1, 0, 0), mapped.physical)
+                                    (1, 0, 0), map_parameters(ion))
         overlap = abs(np.sum(fld.amplitudes.conj() * reference.amplitudes)
                       * grid.dx)
         assert overlap > 1.0 - 1e-6
@@ -372,7 +377,7 @@ class TestMomentumReadout:
         state = coherent_initial_state(ion, 7.0, spinor, project_band=band)
         trajectory = evolve_ion(state, ion, 0.5, n_records=3)
         grid = default_readout_grid(ion)
-        physical = map_parameters(ion).physical
+        physical = map_parameters(ion)
         x = quadratures(ion.delta_spread, ion.n_fock)[0]
         for row, current in ((trajectory.trace[0], state),
                              (trajectory.trace[-1], trajectory.final)):
@@ -391,7 +396,7 @@ class TestMomentumReadout:
         projected = coherent_initial_state(ion, 7.0, (1, 1, 1), project_band="0")
         grid = default_readout_grid(ion)
         comps = band_components(position_wavefunction(state, grid),
-                                map_parameters(ion).physical)
+                                map_parameters(ion))
         basis = _hermite_basis(grid, ion.n_fock, ion.delta_spread)
         fock = (basis @ comps[1]).T * grid.dx
         fock /= np.linalg.norm(fock)
@@ -523,7 +528,7 @@ class TestChebyshevPropagation:
         reference = _dense_records(state, ion, trajectory.trace[:, 0])
         x, p_op = quadratures(ion.delta_spread, ion.n_fock)
         p, to_p = np.linalg.eigh(p_op)
-        physical = map_parameters(ion).physical
+        physical = map_parameters(ion)
         projectors = spin_algebra.field_projectors(
             spin1_matrices(), spin_algebra.bloch_field(physical, p))
         for row, amps in zip(trajectory.trace, reference):

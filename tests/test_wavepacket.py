@@ -1,4 +1,5 @@
 import math
+import time
 from unittest import mock
 
 import numpy as np
@@ -78,6 +79,13 @@ class TestGrid:
             Grid1D(10.0, 1000)
         with pytest.raises(ValueError):
             Grid1D(10.0, 128)
+
+    def test_point_cap(self):
+        # refused in the constructor, before the lazy x and k exist
+        assert Grid1D(10.0, 2**20).points == 2**20
+        for points in (2**21, 2**40):
+            with pytest.raises(ParameterError, match="2"):
+                Grid1D(10.0, points)
 
     def test_geometry(self, grid):
         assert grid.dx == pytest.approx(80.0 / 1024)
@@ -280,6 +288,44 @@ class TestEvolve:
         assert 0.0 <= result.edge_weight_max < 1e-6
         assert result.trace[-1, 0] == 14.0
         assert result.final.time == 14.0
+
+    @pytest.mark.parametrize("params, bound", [
+        (SCATTER, None), (PhysicalParams(m=0.0, g=1.5), 1e-8), (FREE, 1e-8),
+    ], ids=["demo", "massless", "no-slope"])
+    def test_reference_is_the_exact_final_state(self, params, bound):
+        # README demo: the final state lies split_error from the reference;
+        # where g m = 0 the splitting is exact, and so is the reference
+        grid = Grid1D(80.0, 4096)
+        fld = gaussian_packet(grid, 10.0, 2.0, 0.0, (1, 0, 0), params,
+                              project_band="+")
+        result = evolve(fld, 14.0, params)
+        reference = result.reference
+        assert reference.grid == grid and reference.time == result.final.time
+        gap = result.final.amplitudes - reference.amplitudes
+        distance = math.sqrt(np.sum(np.abs(gap) ** 2) * grid.dx)
+        if bound is None:
+            assert distance == pytest.approx(result.split_error, rel=0.01)
+        else:
+            assert result.split_error == 0.0
+            assert distance <= bound
+
+    def test_reference_of_an_empty_run_is_the_input(self, grid):
+        fld = gaussian_packet(grid, 10.0, 2.0, 0.0, (1, 0, 0), SCATTER)
+        result = evolve(fld, 0.0, SCATTER, dt=0.01)
+        assert np.array_equal(result.reference.amplitudes, fld.amplitudes)
+
+    def test_work_caps(self, grid):
+        # 2e9 point-steps; then 7e5 steps at 1e9 / 1024 point-steps, whose
+        # measurement emulates 1.2e9 steps of the components that a narrow
+        # packet keeps (about half the grid): both refused before any step
+        fld = gaussian_packet(grid, 0.0, 0.4, 0.0, (1, 0, 0), SCATTER)
+        dt = default_time_step(grid, SCATTER, 0.0)
+        start = time.monotonic()
+        with pytest.raises(ParameterError, match="point-steps"):
+            evolve(fld, 2e6 * dt, SCATTER)
+        with pytest.raises(ParameterError, match="component-steps"):
+            evolve(fld, 7e5 * dt, SCATTER)
+        assert time.monotonic() - start < 1.0
 
     @pytest.mark.parametrize("t0, t_final", [(0.0, 0.7), (0.0, 2.9), (0.3, 1.3)])
     def test_record_times_do_not_drift(self, t0, t_final):

@@ -19,7 +19,10 @@ the time per call, in microseconds.  Layers:
   (through ``__wrapped__``, past its cache);
 * ``evolve_ion`` on the ion benchmark's three runs (``p0 = 7``, band ``+``,
   ``t_final = 1``): reduced and full at ``n_fock`` 256 with 50 records,
-  reduced at 512 with 300.
+  reduced at 512 with 300;
+* one in-process ``crosscheck`` command (``cli.main``) at gap ratio 0.14:
+  ``n_fock`` 128, ``p0 = 4``, ``t_final = 0.8`` and 1024 grid points.
+  ``n_records`` is left out, so trees with and without that key run alike.
 
 ``--src`` times the package under another source tree (a scratch checkout of
 an earlier commit, say), so two trees can be compared on one machine.  Each
@@ -128,7 +131,7 @@ def layers() -> dict:
         p = ion_emulator._momentum_basis(ion)[0]
         projectors = spin_algebra.field_projectors(
             spin_algebra.spin1_matrices(),
-            spin_algebra.bloch_field(ion_emulator.map_parameters(ion).physical,
+            spin_algebra.bloch_field(_physical(ion_emulator.map_parameters(ion)),
                                      p / ion_emulator._HBAR))
         packed = _weights_input(spin_algebra, projectors)
         shape = (records, 3, n_fock)
@@ -167,7 +170,37 @@ def layers() -> dict:
                                                     project_band="+")
         out[f"evolve_ion_{name}"] = _per_call_us(
             lambda: ion_emulator.evolve_ion(state, ion, 1.0, records))
+    out["crosscheck"] = _crosscheck_call()
     return out
+
+
+def _physical(mapped):
+    """The mapped ``PhysicalParams``, also from trees whose
+    ``map_parameters`` wraps them in a ``.physical`` field."""
+    return getattr(mapped, "physical", mapped)
+
+
+def _crosscheck_call() -> dict:
+    """Time one ``crosscheck`` command in-process, writing to a scratch
+    directory."""
+    import tempfile
+
+    from maxwellsim import cli
+
+    with tempfile.TemporaryDirectory() as work:
+        config = Path(work) / "cross.cfg"
+        config.write_text(
+            f"eta = 0.05\nomega1_tilde = {TWO_PI * 10}\nomega1 = {TWO_PI * 0.5}\n"
+            f"omega2_tilde = {TWO_PI * 50}\nn_fock = 128\np0 = 4.0\n"
+            "t_final = 0.8\ngrid_points = 1024\n")
+        argv = ["crosscheck", "--config", str(config),
+                "--output", str(Path(work) / "cross.csv")]
+
+        def run():
+            if cli.main(argv) != 0:
+                raise RuntimeError("crosscheck failed")
+
+        return _per_call_us(run)
 
 
 def environment() -> dict:
