@@ -62,11 +62,9 @@ _EXPORTS = {
         "BandPopulations",
         "EvolveResult",
         "Grid1D",
-        "ScatteringBreakdown",
         "SpinorField",
         "band_components",
         "band_populations",
-        "classify_scattering",
         "default_time_step",
         "density",
         "evolve",

@@ -54,6 +54,11 @@ def _nonnegative(value) -> str | None:
     return None if value >= 0 else "must be nonnegative"
 
 
+def _count_up_to(limit: int):
+    message = f"must be from 1 to {limit}"
+    return lambda value: None if 1 <= value <= limit else message
+
+
 def _one_of(*choices):
     message = f"must be one of {', '.join(choices)}"
     return lambda value: None if value in choices else message
@@ -84,7 +89,8 @@ COMMANDS: dict[str, dict[str, _Key]] = {
         "p0": _Key(_parse_float, check=_nonnegative),
         "theta_min": _Key(_parse_float, -1.5),
         "theta_max": _Key(_parse_float, 1.5),
-        "theta_points": _Key(int, 181, _positive),
+        # a million angles take about 1 s of closed forms
+        "theta_points": _Key(int, 181, _count_up_to(10**6)),
         **_PHYSICAL,
     },
     "lz-oracle": {

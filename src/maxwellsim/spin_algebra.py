@@ -6,9 +6,8 @@ the objects defined here, and every route reads its bands out through
 :func:`field_projectors` and :func:`band_weights` (or
 :func:`apply_projectors`).  A route packs its projectors once with
 :func:`pack_projectors` and caches them; :func:`band_weights` then reads
-each state from its real moments ``Re psi_i^* psi_j`` (and ``Im`` for
-complex projectors) in one matrix product.  Two representations are
-supported:
+each state from its real moments ``Re psi_i^* psi_j`` in one matrix
+product.  Two representations are supported:
 
 * spin 1 (dimension 3): standard angular-momentum basis, ``Sz = diag(1, 0, -1)``,
   giving the three bands ``E+ > E0 = 0 > E-``;
@@ -18,8 +17,9 @@ supported:
 
 Projectors are evaluated from the closed polynomial in ``H/E+`` rather than
 from an eigen-solver, which keeps them free of eigenvector phase ambiguity
-and lets them vectorize over momentum grids.  ``Cx`` and ``Cz`` are real in
-both bases, so without a ``Cy`` term ``H`` and its projectors are real.
+and lets them vectorize over momentum grids.  ``H(k) = c hbar k Cx +
+m c^2 Cz`` couples through ``Cx`` and ``Cz`` only, which are real in both
+bases, so ``H`` and its band projectors are real.
 
 Every propagator the package needs, ``exp(-i omega . S)`` with a real
 vector omega, is a rotation.  It is held as the unit quaternion of its
@@ -111,20 +111,17 @@ def algebra_for(dimension: int) -> SpinAlgebra:
     return spin1_matrices() if dimension == 3 else pauli_algebra()
 
 
-def bloch_field(params: PhysicalParams, kx, ky=0.0) -> np.ndarray:
-    """Fields ``(c hbar kx, c hbar ky, m c^2)``, shape ``(..., 3)``, with
-    ``H(k) = field . (Cx, Cy, Cz)``."""
-    chbar = params.c * params.hbar
-    return np.stack(np.broadcast_arrays(chbar * kx, chbar * ky, params.rest_energy), -1)
+def bloch_field(params: PhysicalParams, kx) -> np.ndarray:
+    """Fields ``(c hbar kx, m c^2)``, shape ``(..., 2)``, with
+    ``H(k) = field . (Cx, Cz)``."""
+    return np.stack(np.broadcast_arrays(params.c * params.hbar * kx,
+                                        params.rest_energy), -1)
 
 
 def field_hamiltonian(algebra: SpinAlgebra, field) -> np.ndarray:
-    """``field . (Cx, Cy, Cz)`` for real fields ``(..., 3)``; real where no
-    field has a y component."""
-    couplings = np.stack(algebra.coupling_matrices)
-    if not np.any(field[..., 1]):
-        couplings = couplings.real
-    return np.tensordot(field, couplings, 1)
+    """The real ``field . (Cx, Cz)`` for real fields ``(..., 2)``."""
+    cx, _, cz = algebra.coupling_matrices
+    return np.tensordot(field, np.stack([cx.real, cz.real]), 1)
 
 
 def adiabatic_projectors(h: np.ndarray, e_plus) -> tuple[np.ndarray, ...]:
@@ -148,8 +145,8 @@ def adiabatic_projectors(h: np.ndarray, e_plus) -> tuple[np.ndarray, ...]:
 
 
 def field_projectors(algebra: SpinAlgebra, field) -> np.ndarray:
-    """Band projectors of ``H = field . (Cx, Cy, Cz)`` at real fields of
-    shape ``(..., 3)``, stacked ``(bands, ..., d, d)`` in the order of
+    """Real band projectors of ``H = field . (Cx, Cz)`` at real fields of
+    shape ``(..., 2)``, stacked ``(bands, ..., d, d)`` in the order of
     ``algebra.band_labels``.  A zero field maps as in
     :func:`adiabatic_projectors`, so the projectors always sum to 1."""
     field = np.asarray(field, dtype=float)
@@ -158,23 +155,20 @@ def field_projectors(algebra: SpinAlgebra, field) -> np.ndarray:
 
 
 def pack_projectors(projectors: np.ndarray) -> np.ndarray:
-    """Hermitian projectors ``(bands, *sites, d, d)`` packed for
-    :func:`band_weights`: shape ``(K, *sites, bands)``, one row per real
-    moment of a state.
+    """Real symmetric projectors ``(bands, *sites, d, d)`` packed for
+    :func:`band_weights`: shape ``(d (d + 1) / 2, *sites, bands)``, one row
+    per real moment of a state.
 
-    ``psi^dagger P psi = sum_i P_ii |psi_i|^2 + 2 sum_{i<j} (Re P_ij
-    Re(psi_i^* psi_j) - Im P_ij Im(psi_i^* psi_j))``, so row k holds the
-    factor of moment k: ``P_ii`` or ``2 Re P_ij``, then ``-2 Im P_ij`` for
-    complex projectors only.  The pairs ``(i, i + s)`` run by offset s, then
-    by i.  K is ``d (d + 1) / 2`` for real projectors and ``d^2`` for complex
-    ones.
+    ``psi^dagger P psi = sum_i P_ii |psi_i|^2 + 2 sum_{i<j} P_ij
+    Re(psi_i^* psi_j)``, so row k holds the factor of moment k: ``P_ii`` or
+    ``2 P_ij``.  The pairs ``(i, i + s)`` run by offset s, then by i.
+    Complex projectors raise ``ValueError``.
     """
-    d = projectors.shape[-1]
-    rows = [projectors[..., i, i + s].real * (2.0 if s else 1.0)
-            for s in range(d) for i in range(d - s)]
     if np.iscomplexobj(projectors):
-        rows += [-2.0 * projectors[..., i, i + s].imag
-                 for s in range(1, d) for i in range(d - s)]
+        raise ValueError("pack_projectors takes real projectors only")
+    d = projectors.shape[-1]
+    rows = [projectors[..., i, i + s] * (2.0 if s else 1.0)
+            for s in range(d) for i in range(d - s)]
     return np.ascontiguousarray(np.moveaxis(np.stack(rows), 1, -1))
 
 
@@ -183,11 +177,10 @@ def band_weights(psi: np.ndarray, packed: np.ndarray) -> np.ndarray:
     for ``psi`` of shape ``(..., *sites, d)`` with any leading batch axes and
     ``packed = pack_projectors(P)``.
 
-    The real moments ``Re psi_i^* psi_j`` (and ``Im psi_i^* psi_j`` for
-    complex projectors) are products of the real and imaginary parts of psi,
-    and one matrix product contracts them with the packed entries.  No
-    complex product is formed.  Blocks of the batch bound the moments to
-    ``_WEIGHT_BLOCK`` entries.
+    The real moments ``Re psi_i^* psi_j`` are products of the real and
+    imaginary parts of psi, and one matrix product contracts them with the
+    packed entries.  No complex product is formed.  Blocks of the batch
+    bound the moments to ``_WEIGHT_BLOCK`` entries.
     """
     d = psi.shape[-1]
     count, *sites, bands = packed.shape
@@ -199,19 +192,18 @@ def band_weights(psi: np.ndarray, packed: np.ndarray) -> np.ndarray:
     out = np.empty((parts.shape[1], bands))
     block = max(1, _WEIGHT_BLOCK // (count * n))
     for first in range(0, len(out), block):
-        moments = _moments(parts[:, first:first + block], count)
+        moments = _moments(parts[:, first:first + block])
         out[first:first + block] = np.matmul(moments, coefficients).sum(axis=0)
     return out.reshape(batch + (bands,))
 
 
-def _moments(parts: np.ndarray, count: int) -> np.ndarray:
-    """The first ``count`` real moments of the states ``parts``, shape
-    ``(d, rows, n)``, in the row order of :func:`pack_projectors`:
-    ``Re psi_i^* psi_j = re_i re_j + im_i im_j``, then
-    ``Im psi_i^* psi_j = re_i im_j - im_i re_j``."""
+def _moments(parts: np.ndarray) -> np.ndarray:
+    """The real moments ``Re psi_i^* psi_j = re_i re_j + im_i im_j`` of the
+    states ``parts``, shape ``(d, rows, n)``, in the row order of
+    :func:`pack_projectors`."""
     re, im = np.ascontiguousarray(parts.real), np.ascontiguousarray(parts.imag)
     d = len(re)
-    out = np.empty((count,) + re.shape[1:])
+    out = np.empty((d * (d + 1) // 2,) + re.shape[1:])
     scratch = np.empty_like(re)
     row = 0
     for s in range(d):
@@ -220,24 +212,17 @@ def _moments(parts: np.ndarray, count: int) -> np.ndarray:
         np.multiply(im[:k], im[s:], out=scratch[:k])
         out[row:row + k] += scratch[:k]
         row += k
-    for s in range(1, d if count > row else 1):
-        k = d - s
-        np.multiply(re[:k], im[s:], out=out[row:row + k])
-        np.multiply(im[:k], re[s:], out=scratch[:k])
-        out[row:row + k] -= scratch[:k]
-        row += k
     return out
 
 
 def apply_projectors(projectors: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """``P psi`` for projectors ``(..., d, d)`` and ``psi`` of shape ``(..., d)``.
-
-    Real projectors act on the real and imaginary parts of ``psi`` as one
-    real matrix product, without a complex copy of the projectors.
-    """
-    psi = np.ascontiguousarray(psi, dtype=complex)
+    """``P psi`` for real projectors ``(..., d, d)`` and ``psi`` of shape
+    ``(..., d)``: one real matrix product on the real and imaginary parts of
+    ``psi``, without a complex copy of the projectors.  Complex projectors
+    raise ``ValueError``."""
     if np.iscomplexobj(projectors):
-        return (projectors @ psi[..., None])[..., 0]
+        raise ValueError("apply_projectors takes real projectors only")
+    psi = np.ascontiguousarray(psi, dtype=complex)
     pairs = psi.view(float).reshape(psi.shape + (2,))
     return (projectors @ pairs).view(complex)[..., 0]
 

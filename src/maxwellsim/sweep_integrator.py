@@ -180,7 +180,7 @@ def integrate_sweep(
     n_steps = max(1, math.ceil(total_time / dt))
     dt_eff = total_time / n_steps
 
-    edges = [[kx * chbar, 0.0, mtilde_c2] for kx in (kx_start, -kx_start)]
+    edges = [[kx * chbar, mtilde_c2] for kx in (kx_start, -kx_start)]
     projectors = field_projectors(algebra, edges)
     final = pack_projectors(projectors[:, 1])
 

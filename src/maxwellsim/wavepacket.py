@@ -76,7 +76,6 @@ __all__ = [
     "Grid1D",
     "SpinorField",
     "BandPopulations",
-    "ScatteringBreakdown",
     "EvolveResult",
     "TRACE_COLUMNS",
     "gaussian_packet",
@@ -84,7 +83,6 @@ __all__ = [
     "evolve",
     "band_populations",
     "band_components",
-    "classify_scattering",
     "default_time_step",
     "density",
     "position_mean",
@@ -188,25 +186,6 @@ class BandPopulations:
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.w_plus, self.w_zero, self.w_minus)
-
-
-@dataclass(frozen=True)
-class ScatteringBreakdown:
-    """Late-time decomposition of a scattered packet around the slope at x_c."""
-
-    reflected: float
-    localized: float
-    transmitted: float
-    residual: float
-
-    @property
-    def total(self) -> float:
-        return self.reflected + self.localized + self.transmitted + self.residual
-
-    @property
-    def incomplete_separation(self) -> bool:
-        """True when the residual exceeds 5% of the norm (packet not yet split)."""
-        return self.residual > 0.05 * self.total
 
 
 @dataclass
@@ -319,15 +298,23 @@ def gaussian_packet(
 ) -> SpinorField:
     """Normalized packet ``exp(i p0 x / hbar) exp(-(x-center)^2 / 2 width^2) xi``.
 
-    ``width`` is the amplitude Gaussian width.  With ``project_band`` in
-    ``{"+", "0", "-"}`` the packet is filtered onto one dispersion branch in
-    momentum space and renormalized; a spinor orthogonal to the requested
-    branch leaves nothing and raises ``ValueError``.
+    ``width`` is the amplitude Gaussian width.  The packet must fit the
+    grid in position, ``|center| + 5 width < L/2``, and in momentum,
+    ``|p0| / hbar + 5 / width < pi / dx``, so that it neither wraps nor
+    aliases; :class:`ParameterError` refuses it otherwise.  With
+    ``project_band`` in ``{"+", "0", "-"}`` the packet is filtered onto one
+    dispersion branch in momentum space and renormalized; a spinor
+    orthogonal to the requested branch leaves nothing and raises
+    ``ValueError``.
     """
     if width <= 4 * grid.dx:
         raise ParameterError("packet width must exceed 4 grid spacings")
     if abs(center) + 5 * width >= grid.length / 2:
         raise ParameterError("packet support (center +- 5 width) must fit in the grid")
+    if not abs(p0) / params.hbar + 5.0 / width < math.pi / grid.dx:
+        raise ParameterError(
+            f"packet momentum (|p0| / hbar + 5 / width) must stay below the "
+            f"grid's pi / dx = {math.pi / grid.dx:.6g}")
     xi = np.asarray(spinor, dtype=complex)
     if xi.ndim != 1 or xi.size not in (2, 3):
         raise ParameterError("spinor must be a 2- or 3-vector")
@@ -526,12 +513,13 @@ def evolve(
     elif dt <= 0:
         raise ParameterError("dt must be positive")
     n_steps, dt_eff = _whole_steps(t_final, dt)
-    if n_steps and params.c * dt_eff > _EDGE_CELLS * fld.grid.dx:
-        raise ParameterError(
-            f"dt = {dt_eff:.6g} too large: c dt exceeds the {_EDGE_CELLS} "
-            f"guarded edge cells ({_EDGE_CELLS * fld.grid.dx:.6g})"
-        )
-    _validate_step_dt(params, fld.dimension, dt_eff)
+    if n_steps:  # a run that takes no step has no step to validate
+        if params.c * dt_eff > _EDGE_CELLS * fld.grid.dx:
+            raise ParameterError(
+                f"dt = {dt_eff:.6g} too large: c dt exceeds the {_EDGE_CELLS} "
+                f"guarded edge cells ({_EDGE_CELLS * fld.grid.dx:.6g})"
+            )
+        _validate_step_dt(params, fld.dimension, dt_eff)
 
     current = fld.copy()
     norm = current.norm()
@@ -610,27 +598,3 @@ def band_populations(fld: SpinorField, params: PhysicalParams) -> BandPopulation
         return BandPopulations(float(weights[0]), 0.0, float(weights[1]))
     return BandPopulations(*(float(w) for w in weights))
 
-
-def classify_scattering(
-    fld: SpinorField, params: PhysicalParams, x_c: float = 0.0
-) -> ScatteringBreakdown:
-    """Band-and-region decomposition of a (late-time, well-separated) state.
-
-    Caller contract: the scattering must be over, i.e. band weights
-    stationary; check the evolve trace before classifying.  ``reflected`` is
-    positive-band weight at ``x < x_c``, ``transmitted`` negative-band weight
-    at ``x > x_c``, ``localized`` the full flat-band weight, ``residual``
-    everything else.  ``incomplete_separation`` flags residual > 5%.
-    """
-    if fld.dimension != 3:
-        raise ValueError("scattering classification requires a three-band field")
-    comps = band_components(fld, params)
-    dx = fld.grid.dx
-    left = fld.grid.x < x_c
-    right = fld.grid.x > x_c
-    dens = [np.sum(np.abs(c) ** 2, axis=1) for c in comps]
-    reflected = float(np.sum(dens[0][left]) * dx)
-    localized = float(np.sum(dens[1]) * dx)
-    transmitted = float(np.sum(dens[2][right]) * dx)
-    residual = fld.norm() - reflected - localized - transmitted
-    return ScatteringBreakdown(reflected, localized, transmitted, residual)

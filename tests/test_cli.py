@@ -18,7 +18,7 @@ from hypothesis import assume, given, settings, strategies as st
 import maxwellsim
 from maxwellsim import cli
 from maxwellsim.cli import _format_value, main
-from maxwellsim.config import COMMANDS, RunConfig, parse_config
+from maxwellsim.config import COMMANDS, RunConfig, _parse_float, parse_config
 from maxwellsim.errors import ConfigError, ParameterError
 from maxwellsim.wavepacket import Grid1D
 
@@ -295,6 +295,39 @@ class TestCliProperties:
             # an escaping exception is exit 1 with a traceback
             assert main([command, "--config", "run.cfg",
                          "--output", "out.csv"]) in (0, 2, 3, 4)
+
+
+def _extreme_values():
+    """Every numeric key of every command, one at a time: floats at 1e300
+    and 1e-300, integers at 10^16."""
+    for command in sorted(COMMANDS):
+        for key, spec in sorted(COMMANDS[command].items()):
+            values = (("1e300", "1e-300") if spec.parse is _parse_float
+                      else (str(10**16),) if spec.parse is int else ())
+            for value in values:
+                yield pytest.param(command, key, value,
+                                   id=f"{command}-{key}-{value}")
+
+
+# extreme values that must be refused: a sweep of 10^16 angles, and
+# packets whose momentum lies far past the grid's pi / dx
+_MUST_REFUSE = {("sweep-transmission", "theta_points", str(10**16)),
+                ("evolve", "p0", "1e300"), ("crosscheck", "p0", "1e300")}
+
+
+@pytest.mark.parametrize("command, key, value", _extreme_values())
+def test_extreme_value_ends_on_a_documented_code_at_once(tmp_path, command,
+                                                         key, value):
+    cfg = tmp_path / "run.cfg"
+    values = {**_SMALL_BASE[command], key: value}
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    start = time.monotonic()
+    code = main([command, "--config", str(cfg),
+                 "--output", str(tmp_path / "out.csv")])
+    assert time.monotonic() - start < 1.0
+    assert code in (0, 2, 3, 4)
+    if (command, key, value) in _MUST_REFUSE:
+        assert code == 2
 
 
 class TestCliRuns:
@@ -579,6 +612,32 @@ class TestExitCodes:
         assert time.monotonic() - start < 1.0
         assert code == 2
         assert "error[config]" in capsys.readouterr().err
+
+    def test_angle_count_is_capped(self, tmp_path, capsys):
+        # 10^16 angles would be built as one list; a million are accepted
+        base = "spin = 1\nm = 1.0\ng = 1.0\np0 = 1.0\n"
+        assert parse_config(base + "theta_points = 1000000\n",
+                            "sweep-transmission").values["theta_points"] == 10**6
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(base + "theta_points = 10000000000000000\n")
+        start = time.monotonic()
+        code = main(["sweep-transmission", "--config", str(cfg),
+                     "--output", str(tmp_path / "x.csv")])
+        assert time.monotonic() - start < 1.0
+        assert code == 2
+        assert "line 5: theta_points" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("p0", ["250", "1e300"])
+    def test_packet_past_the_grid_momentum_is_2(self, tmp_path, capsys, p0):
+        # the demo grid holds wavenumbers below pi / dx = 160.8: p0 = 250
+        # would alias to a mean k of -71.7, p0 = 1e300 to noise
+        cfg = tmp_path / "evolve.cfg"
+        cfg.write_text(DEMO.replace("p0 = 10.0", f"p0 = {p0}"))
+        code = main(["evolve", "--config", str(cfg),
+                     "--output", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "pi / dx" in capsys.readouterr().err
 
     def test_memory_error_is_2(self, tmp_path, capsys):
         # a backstop behind the size caps
