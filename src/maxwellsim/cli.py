@@ -61,6 +61,8 @@ CROSSCHECK_COLUMNS = ("method", "w_plus", "w_zero", "w_minus", "transmission")
 
 
 def _format_value(value) -> str:
+    if type(value) is float:  # the bulk of every CSV: ``tolist()`` rows
+        return repr(value)
     if isinstance(value, bool):
         return "true" if value else "false"
     # numpy registers its integer and floating scalars with these ABCs;
@@ -297,7 +299,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        text = open(args.config).read()
+        with open(args.config) as handle:
+            text = handle.read()
     except OSError as exc:
         print(f"error[io]: cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO

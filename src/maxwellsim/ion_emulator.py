@@ -615,8 +615,8 @@ def position_wavefunction(state: IonState, grid: Grid1D) -> SpinorField:
         )
     fock = _sector_amplitudes(state)
     basis = _hermite_basis(grid, ion.n_fock, ion.delta_spread)
-    amplitudes = (fock @ basis).T  # (points, 3)
-    return SpinorField(grid, amplitudes.astype(complex), state.time)
+    # (3, points) rows: the component-major layout SpinorField keeps
+    return SpinorField(grid, (fock @ basis).T, state.time)
 
 
 def energy_expectation(state: IonState, ion: IonParams) -> float:

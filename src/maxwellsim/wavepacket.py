@@ -51,6 +51,7 @@ layer, keeping the evolution exactly unitary.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -103,6 +104,8 @@ _DROPPED_WEIGHT = 1e-22
 #: Times the default dt shrinks before a run's measured error is an error.
 _SHRINK_TRIES = 3
 _EDGE_CELLS = 3
+#: Grid points of the guarded cells, at both edges.
+_EDGE_POINTS = np.array([*range(_EDGE_CELLS), *range(-_EDGE_CELLS, 0)])
 _EDGE_WEIGHT_TOL = 1e-6
 _MIN_POINTS = 256
 #: Largest grid: at 2^20 points the step's kinetic factor and the band
@@ -148,7 +151,18 @@ class Grid1D:
 
 @dataclass
 class SpinorField:
-    """State ``Psi(x)`` on a grid: ``amplitudes[i, s]`` is component s at x_i."""
+    """State ``Psi(x)`` on a grid: ``amplitudes[i, s]`` is component s at x_i.
+
+    The amplitudes are complex and held component-major (Fortran order):
+    each component ``amplitudes[:, s]`` is one contiguous row of
+    ``amplitudes.T``.  The FFTs of :func:`step` and of the band readout, the
+    kinetic mix and :func:`density` run along x one component at a time, so
+    on rows they take no strided pass and no transposing copy.  The
+    constructor converts its input once; :meth:`copy` and :func:`step` keep
+    the order, so a run converts nothing after its first field.  An array
+    assigned to the attribute later is read correctly in any order and
+    dtype, at the cost of a conversion on every read.
+    """
 
     grid: Grid1D
     amplitudes: np.ndarray
@@ -159,6 +173,7 @@ class SpinorField:
             raise ValueError("amplitude rows must match the grid point count")
         if self.amplitudes.ndim != 2 or self.amplitudes.shape[1] not in (2, 3):
             raise ValueError("amplitudes must have shape (points, 2 or 3)")
+        self.amplitudes = np.asfortranarray(self.amplitudes, dtype=complex)
 
     @property
     def dimension(self) -> int:
@@ -166,10 +181,12 @@ class SpinorField:
 
     def norm(self) -> float:
         """Total probability ``sum |Psi|^2 dx``."""
-        return float(np.vdot(self.amplitudes, self.amplitudes).real * self.grid.dx)
+        amps = np.asfortranarray(self.amplitudes, dtype=complex)
+        parts = amps.ravel(order="F").view(float)
+        return float(parts @ parts) * self.grid.dx
 
     def copy(self) -> "SpinorField":
-        return SpinorField(self.grid, self.amplitudes.copy(), self.time)
+        return SpinorField(self.grid, self.amplitudes.copy(order="K"), self.time)
 
 
 @dataclass(frozen=True)
@@ -244,10 +261,10 @@ def _corrected_rotors(k, params: PhysicalParams, dt: float, dimension: int):
 def _kinetic_propagator(
     grid: Grid1D, params: PhysicalParams, dt: float, dimension: int
 ) -> np.ndarray:
-    """Corrected kinetic factor ``K U(k) K`` at the grid wavenumbers, stacked
-    by column: ``out[j, k, i] = (K U(k) K)[i, j]``."""
+    """Corrected kinetic factor ``K U(k) K`` at the grid wavenumbers, one
+    row per matrix entry: ``out[i, j, k] = (K U(k) K)[i, j]``."""
     u = rotor_matrix(_corrected_rotors(grid.k, params, dt, dimension), dimension)
-    return np.ascontiguousarray(u.transpose(2, 0, 1))
+    return np.ascontiguousarray(u.transpose(1, 2, 0))
 
 
 @lru_cache(maxsize=16)
@@ -301,7 +318,8 @@ def gaussian_packet(
     ``width`` is the amplitude Gaussian width.  The packet must fit the
     grid in position, ``|center| + 5 width < L/2``, and in momentum,
     ``|p0| / hbar + 5 / width < pi / dx``, so that it neither wraps nor
-    aliases; :class:`ParameterError` refuses it otherwise.  With
+    aliases, and ``width^2`` must be a normal float, as the envelope
+    divides by it; :class:`ParameterError` refuses it otherwise.  With
     ``project_band`` in ``{"+", "0", "-"}`` the packet is filtered onto one
     dispersion branch in momentum space and renormalized; a spinor
     orthogonal to the requested branch leaves nothing and raises
@@ -309,6 +327,9 @@ def gaussian_packet(
     """
     if width <= 4 * grid.dx:
         raise ParameterError("packet width must exceed 4 grid spacings")
+    if not width * width >= sys.float_info.min:
+        raise ParameterError(
+            f"packet width {width:.3g} is too small: its square underflows")
     if abs(center) + 5 * width >= grid.length / 2:
         raise ParameterError("packet support (center +- 5 width) must fit in the grid")
     if not abs(p0) / params.hbar + 5.0 / width < math.pi / grid.dx:
@@ -346,10 +367,9 @@ def gaussian_packet(
 def _edge_weight(fld: SpinorField, norm: float) -> float:
     """Fraction of ``norm`` in the guarded cells at both grid edges; raises
     :class:`BoundaryContaminationError` above 1e-6."""
-    head = fld.amplitudes[:_EDGE_CELLS]
-    tail = fld.amplitudes[-_EDGE_CELLS:]
-    weight = float((np.vdot(head, head) + np.vdot(tail, tail)).real)
-    weight *= fld.grid.dx / norm
+    edges = np.asarray(fld.amplitudes[_EDGE_POINTS], dtype=complex)
+    edges = edges.ravel().view(float)
+    weight = float(edges @ edges) * fld.grid.dx / norm
     if weight > _EDGE_WEIGHT_TOL:
         raise BoundaryContaminationError(
             f"packet reached the grid edge at t = {fld.time:.6g} "
@@ -458,15 +478,16 @@ def step(
     _validate_step_dt(params, fld.dimension, dt)
     if norm is None:
         norm = fld.norm()
-    half = _potential_half_phase(fld.grid, params, dt)[:, None]
-    columns = _kinetic_propagator(fld.grid, params, dt, fld.dimension)
-    psi_k = np.fft.fft(fld.amplitudes * half, axis=0)
-    mixed = columns[0] * psi_k[:, :1]
+    half = _potential_half_phase(fld.grid, params, dt)
+    kinetic = _kinetic_propagator(fld.grid, params, dt, fld.dimension)
+    # components as rows, (d, N): every pass below runs along contiguous x
+    psi_k = np.fft.fft(fld.amplitudes.T * half, axis=1)
+    mixed = kinetic[:, 0] * psi_k[0]
     for j in range(1, fld.dimension):
-        mixed += columns[j] * psi_k[:, j:j + 1]
-    amps = np.fft.ifft(mixed, axis=0)
+        mixed += kinetic[:, j] * psi_k[j]
+    amps = np.fft.ifft(mixed, axis=1)
     amps *= half
-    out = SpinorField(fld.grid, amps, fld.time + dt)
+    out = SpinorField(fld.grid, amps.T, fld.time + dt)
     if abs(out.norm() - norm) > _NORM_STEP_TOL * max(norm, 1.0):
         raise NumericalGuardError("norm drifted by more than 1e-10")
     return out
@@ -566,10 +587,12 @@ def _trace_row(fld: SpinorField, params: PhysicalParams) -> tuple:
 
 
 def density(fld: SpinorField) -> np.ndarray:
-    """Total position density ``sum_s |Psi_s(x)|^2``, summed as
-    ``re^2 + im^2`` over the components."""
-    parts = np.ascontiguousarray(fld.amplitudes, dtype=complex).view(float)
-    return np.einsum("ij,ij->i", parts, parts)
+    """Total position density ``sum_s |Psi_s(x)|^2``: the squared real
+    parts summed over the components, plus the squared imaginary parts."""
+    # (d, 2N) rows of re, im; no copy for a field held component-major
+    parts = np.asfortranarray(fld.amplitudes, dtype=complex).T.view(float)
+    total = np.einsum("ij,ij->j", parts, parts)
+    return total[0::2] + total[1::2]
 
 
 def position_mean(fld: SpinorField) -> float:

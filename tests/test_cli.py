@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -309,25 +310,35 @@ def _extreme_values():
                                    id=f"{command}-{key}-{value}")
 
 
-# extreme values that must be refused: a sweep of 10^16 angles, and
-# packets whose momentum lies far past the grid's pi / dx
-_MUST_REFUSE = {("sweep-transmission", "theta_points", str(10**16)),
-                ("evolve", "p0", "1e300"), ("crosscheck", "p0", "1e300")}
+# extreme values that must be refused, with a part of their message: a
+# sweep of 10^16 angles, packets whose momentum lies far past the grid's
+# pi / dx, and a packet width whose square underflows
+_MUST_REFUSE = {
+    ("sweep-transmission", "theta_points", str(10**16)): "theta_points must be",
+    ("evolve", "p0", "1e300"): "pi / dx",
+    ("crosscheck", "p0", "1e300"): "pi / dx",
+    ("evolve", "width", "1e-300"): "its square underflows",
+}
 
 
 @pytest.mark.parametrize("command, key, value", _extreme_values())
-def test_extreme_value_ends_on_a_documented_code_at_once(tmp_path, command,
-                                                         key, value):
+def test_extreme_value_ends_on_a_documented_code_at_once(tmp_path, capsys,
+                                                         command, key, value):
     cfg = tmp_path / "run.cfg"
     values = {**_SMALL_BASE[command], key: value}
     cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    refusal = _MUST_REFUSE.get((command, key, value))
     start = time.monotonic()
-    code = main([command, "--config", str(cfg),
-                 "--output", str(tmp_path / "out.csv")])
+    with warnings.catch_warnings():
+        if refusal:  # refused before any float operation can warn
+            warnings.simplefilter("error")
+        code = main([command, "--config", str(cfg),
+                     "--output", str(tmp_path / "out.csv")])
     assert time.monotonic() - start < 1.0
     assert code in (0, 2, 3, 4)
-    if (command, key, value) in _MUST_REFUSE:
+    if refusal:
         assert code == 2
+        assert refusal in capsys.readouterr().err
 
 
 class TestCliRuns:

@@ -25,6 +25,7 @@ from maxwellsim import (
     step,
 )
 from maxwellsim import cli, wavepacket
+from maxwellsim.spin_algebra import rotor_matrix
 from maxwellsim.wavepacket import TRACE_COLUMNS, _grid_projectors
 
 SCATTER = PhysicalParams(c=1.0, m=0.85, g=1.5)
@@ -139,6 +140,18 @@ class TestGaussianPacket:
             gaussian_packet(grid, p0, 2.0, 0.0, (1, 0, 0), SCATTER)
         # |p0| + 5 / width just below pi / dx is kept
         gaussian_packet(grid, -158.0, 2.0, 0.0, (1, 0, 0), SCATTER)
+
+    def test_width_whose_square_underflows_is_refused(self):
+        # 2 width^2 = 0 would make the envelope 0 / 0
+        with pytest.raises(ParameterError, match="its square underflows"):
+            gaussian_packet(Grid1D(4e-299, 1024), 0.0, 1e-300, 0.0, (1, 0, 0),
+                            SCATTER)
+        # a width whose square is still a normal float is kept
+        width = 2e-154
+        fld = gaussian_packet(Grid1D(40.0 * width, 1024), 0.0, width, 0.0,
+                              (1, 0, 0), SCATTER)
+        assert np.all(np.isfinite(fld.amplitudes))
+        assert fld.norm() == pytest.approx(1.0, rel=1e-12)
 
     def test_middle_spinor_is_flat_band_at_rest(self, grid):
         fld = gaussian_packet(grid, 0.0, 4.0, 0.0, (0, 1, 0), SCATTER)
@@ -480,3 +493,106 @@ class TestBandStructureObservables:
         tail = scattering_run.trace[-max(2, scattering_run.trace.shape[0] // 10):,
                                     3:6]
         assert np.max(tail.max(axis=0) - tail.min(axis=0)) < 1e-3
+
+
+class TestComponentMajorLayout:
+    """Fields are held component-major; every reader and the step match the
+    row-major formulas, whichever order the amplitudes arrive in.  A silent
+    fall back to C order would keep the numbers and lose the contiguous
+    rows, so the order of every returned field is checked too."""
+
+    @settings(max_examples=24, deadline=None, derandomize=True, database=None)
+    @given(points=st.sampled_from([256, 512]), dimension=st.sampled_from([2, 3]),
+           order=st.sampled_from("CF"), seed=st.integers(0, 2**32 - 1))
+    def test_readers_and_step_match_row_major_formulas(self, points, dimension,
+                                                       order, seed):
+        grid = Grid1D(40.0, points)
+        rng = np.random.default_rng(seed)
+        shape = (points, dimension)
+        raw = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        raw /= math.sqrt(np.sum(np.abs(raw) ** 2) * grid.dx)
+        given_amps = np.asarray(raw, order=order)
+        fld = wavepacket.SpinorField(grid, given_amps)
+        assert fld.amplitudes.flags.f_contiguous
+        assert (fld.amplitudes is given_amps) == (order == "F")  # one conversion
+        assert fld.copy().amplitudes.flags.f_contiguous
+        a = np.ascontiguousarray(raw)  # the row-major reference layout
+
+        assert abs(fld.norm() - np.vdot(a, a).real * grid.dx) < 1e-14
+        parts = a.view(float)
+        rho = np.einsum("ij,ij->i", parts, parts)
+        assert np.max(np.abs(density(fld) - rho)) < 1e-14
+        assert abs(position_mean(fld) - np.sum(grid.x * rho) / np.sum(rho)) < 1e-14
+
+        projectors, _ = _grid_projectors(grid, SCATTER, dimension)
+        psi_k = np.fft.fft(a, axis=0)
+        weights = np.einsum("ki,bkij,kj->b", psi_k.conj(), projectors,
+                            psi_k).real * grid.dx / points
+        pops = band_populations(fld, SCATTER).as_tuple()
+        if dimension == 2:
+            pops = (pops[0], pops[2])
+        assert np.max(np.abs(np.array(pops) - weights)) < 1e-14
+        comps = band_components(fld, SCATTER)
+        reference = np.fft.ifft(np.einsum("bkij,kj->bki", projectors, psi_k),
+                                axis=1)
+        assert comps.shape == reference.shape
+        assert np.max(np.abs(comps - reference)) < 1e-14
+
+        dt = default_time_step(grid, SCATTER, 1.0, dimension)
+        half = np.exp(-0.5j * SCATTER.g * grid.x * dt / SCATTER.hbar)[:, None]
+        kinetic = rotor_matrix(
+            wavepacket._corrected_rotors(grid.k, SCATTER, dt, dimension),
+            dimension)  # (N, d, d)
+        mixed = np.einsum("kij,kj->ki", kinetic, np.fft.fft(a * half, axis=0))
+        stepped = step(fld, dt, SCATTER)
+        assert stepped.amplitudes.flags.f_contiguous
+        assert np.max(np.abs(stepped.amplitudes
+                             - np.fft.ifft(mixed, axis=0) * half)) < 1e-14
+
+    @pytest.mark.parametrize("spinor", [(1.0, 0.0, 0.0), (0.8, 0.6)])
+    @pytest.mark.parametrize("order", "CF")
+    def test_evolve_returns_component_major_fields(self, spinor, order):
+        grid = Grid1D(80.0, 256)
+        packet = gaussian_packet(grid, 2.0, 4.0, 0.0, spinor, SCATTER)
+        fld = wavepacket.SpinorField(
+            grid, np.asarray(packet.amplitudes, order=order))
+        result = evolve(fld, 1.0, SCATTER)
+        assert result.steps > 0
+        assert result.final.amplitudes.flags.f_contiguous
+        assert result.reference.amplitudes.flags.f_contiguous
+
+    @pytest.mark.parametrize("point, guarded", [
+        (0, True), (2, True), (3, False), (-4, False), (-3, True), (-1, True),
+    ])
+    def test_edge_guard_reads_both_edges(self, point, guarded):
+        # the guard gathers the first and the last 3 points of every component
+        grid = Grid1D(40.0, 256)
+        amps = np.zeros((256, 3), complex)
+        amps[128, 0] = 1.0
+        amps[point, 2] = 1e-2j  # 1e-4 of the norm
+        fld = wavepacket.SpinorField(grid, amps)
+        if guarded:
+            with pytest.raises(BoundaryContaminationError):
+                evolve(fld, 0.0, SCATTER)
+        else:
+            assert evolve(fld, 0.0, SCATTER).edge_weight_max == 0.0
+
+    @pytest.mark.parametrize("kind", ["C complex", "C real", "F real"])
+    def test_readers_accept_an_array_assigned_later(self, kind):
+        # only the constructor converts; the readers must still read a
+        # C-ordered or real array assigned to the attribute afterwards
+        grid = Grid1D(80.0, 256)
+        packet = gaussian_packet(grid, 2.0, 4.0, 1.0, (0.8, 0.6, 0.0), SCATTER)
+        amps = packet.amplitudes if kind == "C complex" else packet.amplitudes.real
+        amps = np.asarray(amps, order=kind[0])
+        built = wavepacket.SpinorField(grid, amps.copy())
+        fld = wavepacket.SpinorField(grid, built.amplitudes)
+        fld.amplitudes = amps
+        assert fld.norm() == pytest.approx(built.norm(), abs=1e-14)
+        assert density(fld).shape == (grid.points,)
+        assert np.max(np.abs(density(fld) - density(built))) < 1e-14
+        assert position_mean(fld) == pytest.approx(position_mean(built), abs=1e-14)
+        assert np.max(np.abs(np.subtract(band_populations(fld, SCATTER).as_tuple(),
+                                         band_populations(built, SCATTER).as_tuple()))) < 1e-14
+        assert np.max(np.abs(step(fld, 0.01, SCATTER).amplitudes
+                             - step(built, 0.01, SCATTER).amplitudes)) < 1e-14

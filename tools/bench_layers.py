@@ -12,6 +12,9 @@ the time per call, in microseconds.  Layers:
 * ``band_weights`` at the ion benchmark's record batches, 300 x 512 and
   50 x 256, on the projectors of the feasibility working point;
 * ``measured_split_error`` of the README demo at its default dt;
+* ``evolve`` of the README demo (N = 4096, ``t_final = 14``, 239 steps) and
+  of the packet benchmark's ``(1, 0, 1) / sqrt(2)`` packet at N = 2048
+  (``t_final = 14``, 180 steps), each one whole run with its trace;
 * one ``integrate_sweep`` call: spin 1, ``g = 1``, ``mtilde_c2 = 0.75``;
 * one ion Hamiltonian application (the ladder kernel) on ``(3 n_ion2,
   n_fock)`` rows of (3, 256), (6, 256) and (3, 512);
@@ -148,6 +151,13 @@ def layers() -> dict:
     n_steps = round(14.0 / dt)
     out["measured_split_error_demo"] = _per_call_us(
         lambda: wavepacket._measured_split_error(fld, params, dt, n_steps))
+    out["evolve_demo_N4096"] = _per_call_us(
+        lambda: wavepacket.evolve(fld, 14.0, params))
+    grid = wavepacket.Grid1D(80.0, 2048)
+    superposition = wavepacket.gaussian_packet(
+        grid, 10.0, 2.0, 0.0, (math.sqrt(0.5), 0.0, math.sqrt(0.5)), params)
+    out["evolve_superposition_N2048"] = _per_call_us(
+        lambda: wavepacket.evolve(superposition, 14.0, params))
 
     oracle = spin_algebra.PhysicalParams(g=1.0)
     algebra = spin_algebra.spin1_matrices()
