@@ -36,6 +36,11 @@ reads them out; the position grid serves only :func:`position_wavefunction`.
 ``p`` couples even Fock levels only to odd ones, so its eigenpairs come
 from the singular value decomposition of its half-size even-by-odd block.
 
+Imports: the module loads :mod:`maxwellsim.wavepacket` (and through it the
+swept-level integrator) only inside :func:`default_readout_grid` and
+:func:`position_wavefunction`, the position-space snapshot readout, so a
+run that writes no snapshot loads the ion route alone.
+
 Units: hbar = 1 and lengths in units of ``delta_spread`` unless stated;
 quote Rabi frequencies in angular kHz (rad/ms) and times come out in ms,
 matching typical hyperfine-qubit experiments.
@@ -47,6 +52,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -55,9 +61,9 @@ from .errors import (GridCoverageError, NumericalGuardError, ParameterError,
 from .spin_algebra import (PhysicalParams, apply_projectors, band_weights,
                            bloch_field, field_projectors, pack_projectors,
                            spin1_matrices)
-from .wavepacket import Grid1D, SpinorField
-# Unused here, but bench/tracing.py wraps them under these names.
-from .wavepacket import band_components, band_populations  # noqa: F401
+
+if TYPE_CHECKING:
+    from .wavepacket import Grid1D, SpinorField
 
 __all__ = [
     "IonParams",
@@ -331,6 +337,8 @@ def default_readout_grid(ion: IonParams) -> Grid1D:
     # Resolve twice the largest momentum representable at the truncation.
     dx_needed = math.pi * delta / math.sqrt(4.0 * ion.n_fock + 2.0)
     points = 2 ** math.ceil(math.log2(max(1024, 2.0 * half_span / dx_needed)))
+    from .wavepacket import Grid1D
+
     return Grid1D(2.0 * half_span, points)
 
 
@@ -615,6 +623,8 @@ def position_wavefunction(state: IonState, grid: Grid1D) -> SpinorField:
         )
     fock = _sector_amplitudes(state)
     basis = _hermite_basis(grid, ion.n_fock, ion.delta_spread)
+    from .wavepacket import SpinorField
+
     # (3, points) rows: the component-major layout SpinorField keeps
     return SpinorField(grid, (fock @ basis).T, state.time)
 
@@ -693,3 +703,15 @@ def evolve_ion(
     return IonTrajectory(rows, IonState(amps[-1].copy(), ion, times[-1]),
                          norm_drift=drift, band_sum_drift=band_sum_drift,
                          fock_tail_max=float(np.max(tails)), matvecs=matvecs)
+
+
+def __getattr__(name):
+    # bench/tracing.py wraps the packet route's two band readers under this
+    # module's names, so they resolve here on first use (PEP 562) and load
+    # that route only then.  The ion route reads its bands through
+    # spin_algebra.band_weights.  ROADMAP item 5 retires those traced rows.
+    if name in ("band_components", "band_populations"):
+        from . import wavepacket
+
+        return getattr(wavepacket, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

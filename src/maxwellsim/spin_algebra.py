@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ParameterError
 from .landau_zener import PhysicalParams
 
 __all__ = [
@@ -148,9 +149,15 @@ def field_projectors(algebra: SpinAlgebra, field) -> np.ndarray:
     """Real band projectors of ``H = field . (Cx, Cz)`` at real fields of
     shape ``(..., 2)``, stacked ``(bands, ..., d, d)`` in the order of
     ``algebra.band_labels``.  A zero field maps as in
-    :func:`adiabatic_projectors`, so the projectors always sum to 1."""
+    :func:`adiabatic_projectors`, so the projectors always sum to 1.  A
+    field whose squared magnitude overflows raises :class:`ParameterError`."""
     field = np.asarray(field, dtype=float)
-    e_plus = np.linalg.norm(field, axis=-1)
+    with np.errstate(over="ignore"):
+        e_plus = np.linalg.norm(field, axis=-1)
+    # the norm squares the field; past about 1.3e154 that overflows
+    if not np.isfinite(e_plus).all():
+        raise ParameterError("band field out of floating-point range: its "
+                             "squared magnitude overflows")
     return np.stack(adiabatic_projectors(field_hamiltonian(algebra, field), e_plus))
 
 

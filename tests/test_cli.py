@@ -312,12 +312,14 @@ def _extreme_values():
 
 # extreme values that must be refused, with a part of their message: a
 # sweep of 10^16 angles, packets whose momentum lies far past the grid's
-# pi / dx, and a packet width whose square underflows
+# pi / dx, a packet width whose square underflows, and an ion mass term
+# whose band field squares past the float range
 _MUST_REFUSE = {
     ("sweep-transmission", "theta_points", str(10**16)): "theta_points must be",
     ("evolve", "p0", "1e300"): "pi / dx",
     ("crosscheck", "p0", "1e300"): "pi / dx",
     ("evolve", "width", "1e-300"): "its square underflows",
+    ("ion-evolve", "omega1", "1e300"): "squared magnitude overflows",
 }
 
 
@@ -330,6 +332,9 @@ def test_extreme_value_ends_on_a_documented_code_at_once(tmp_path, capsys,
     refusal = _MUST_REFUSE.get((command, key, value))
     start = time.monotonic()
     with warnings.catch_warnings():
+        # a float operation out of range must end on a refusal, not a warning;
+        # the Lamb-Dicke UserWarning at eta = 1e300 is intended
+        warnings.simplefilter("error", RuntimeWarning)
         if refusal:  # refused before any float operation can warn
             warnings.simplefilter("error")
         code = main([command, "--config", str(cfg),
@@ -796,6 +801,47 @@ def test_lz_oracle_loads_only_its_route(tmp_path):
         "sweep_integrator")]
     assert _loaded_modules(code, "maxwellsim") == str(route)
     assert len(read_csv(tmp_path / "oracle.csv")[2]) == 1
+
+
+def _main_loads(tmp_path, command: str, text: str) -> list[str]:
+    """The maxwellsim modules loaded by one ``main`` run of ``command`` on
+    the config ``text``, in a fresh interpreter."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    code = ("from maxwellsim.cli import main\n"
+            f"assert main([{command!r}, '--config', {str(cfg)!r}, "
+            f"'--output', {str(tmp_path / 'out.csv')!r}]) == 0")
+    return ast.literal_eval(_loaded_modules(code, "maxwellsim"))
+
+
+@pytest.mark.parametrize("command, text, route", [
+    # the packet route (and the swept-level integrator it imports) serves
+    # ion-evolve only for its snapshot readout
+    ("ion-evolve", ION, ("ion_emulator",)),
+    ("evolve", DEMO + "t_final = 1.0\ngrid_points = 512\n",
+     ("sweep_integrator", "wavepacket")),
+], ids=["ion-evolve", "evolve"])
+def test_command_loads_only_its_route(tmp_path, command, text, route):
+    shared = ("cli", "config", "errors", "landau_zener", "spin_algebra")
+    assert _main_loads(tmp_path, command, text) == ["maxwellsim"] + [
+        f"maxwellsim.{name}" for name in sorted(shared + route)]
+
+
+def test_ion_evolve_snapshot_loads_the_packet_route(tmp_path):
+    snapshot = tmp_path / "snapshot.csv"
+    loaded = _main_loads(tmp_path, "ion-evolve", ION + f"snapshot_path = {snapshot}\n")
+    assert "maxwellsim.wavepacket" in loaded
+    assert snapshot.exists()
+
+
+def test_ion_emulator_band_readers_are_the_packet_routes():
+    # bench/tracing.py wraps them under ion_emulator's names
+    from maxwellsim import ion_emulator, wavepacket
+
+    assert ion_emulator.band_populations is wavepacket.band_populations
+    assert ion_emulator.band_components is wavepacket.band_components
+    with pytest.raises(AttributeError):
+        ion_emulator.no_such_name
 
 
 def test_public_names_resolve_to_their_home_modules():

@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -12,6 +13,7 @@ from maxwellsim import (
     spin1_matrices,
 )
 from maxwellsim import spin_algebra
+from maxwellsim.errors import ParameterError
 from maxwellsim.spin_algebra import (
     algebra_for,
     apply_projectors,
@@ -160,6 +162,23 @@ class TestBandProjectors:
         projectors = band_projectors(10.0, PhysicalParams(m=0.85))
         for p in projectors:
             assert np.trace(p).real == pytest.approx(1.0, abs=1e-10)
+
+    def test_large_finite_field_keeps_its_bands(self):
+        # a mass field whose square still fits: level a is band +, silently
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p_plus, p_zero, _ = field_projectors(spin1_matrices(), [0.0, 1.3e154])
+        assert np.array_equal(p_plus, np.diag([1.0, 0.0, 0.0]))
+        assert np.array_equal(p_zero, np.diag([0.0, 1.0, 0.0]))
+
+    @pytest.mark.parametrize("field", [[1e155, 0.0], [0.0, 1e300], [np.inf, 1.0]])
+    def test_overflowing_field_is_refused(self, field):
+        # the squared field overflowed to inf, and the projectors came out
+        # degenerate (P0 = 1, P+- = 0) behind a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="squared magnitude overflows"):
+                field_projectors(spin1_matrices(), [[1.0, 0.5], field])
 
 
 class TestProjectorPropertySuite:

@@ -25,7 +25,13 @@ the time per call, in microseconds.  Layers:
   reduced at 512 with 300;
 * one in-process ``crosscheck`` command (``cli.main``) at gap ratio 0.14:
   ``n_fock`` 128, ``p0 = 4``, ``t_final = 0.8`` and 1024 grid points.
-  ``n_records`` is left out, so trees with and without that key run alike.
+  ``n_records`` is left out, so trees with and without that key run alike;
+* start-up, one layer per command: the wall time of a fresh ``python -c``
+  that imports ``maxwellsim.cli`` and the route modules that command's
+  runner imports (:data:`ROUTES`), over 21 processes per command taken in
+  turn.  As in a benchmark child, the package is a copy without bytecode
+  caches and ``PYTHONDONTWRITEBYTECODE=1`` is set, so every process
+  compiles the package afresh.
 
 ``--src`` times the package under another source tree (a scratch checkout of
 an earlier commit, say), so two trees can be compared on one machine.  Each
@@ -42,8 +48,11 @@ import json
 import math
 import os
 import platform
+import shutil
 import statistics
+import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -53,7 +62,23 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_layers.json"
 REPEATS = 9
+STARTS = 21
 TWO_PI = 2.0 * math.pi
+# The route modules each command's runner imports after maxwellsim.cli.
+ROUTES = {
+    "sweep-transmission": ("maxwellsim.landau_zener",),
+    "lz-oracle": ("maxwellsim.spin_algebra", "maxwellsim.sweep_integrator"),
+    "evolve": ("maxwellsim.wavepacket",),
+    "ion-evolve": ("maxwellsim.ion_emulator",),
+    "crosscheck": ("maxwellsim.ion_emulator", "maxwellsim.sweep_integrator",
+                   "maxwellsim.wavepacket"),
+}
+
+
+def _summary_us(samples) -> dict:
+    """Median, quartiles and minimum of samples in microseconds."""
+    q1, median, q3 = statistics.quantiles(samples, n=4)
+    return {"median_us": median, "q1_us": q1, "q3_us": q3, "min_us": min(samples)}
 
 
 def _per_call_us(fn) -> dict:
@@ -69,9 +94,28 @@ def _per_call_us(fn) -> dict:
         for _ in range(calls):
             fn()
         samples.append((time.perf_counter() - start) / calls * 1e6)
-    q1, median, q3 = statistics.quantiles(samples, n=4)
-    return {"median_us": median, "q1_us": q1, "q3_us": q3,
-            "min_us": min(samples), "calls": calls, "repeats": REPEATS}
+    return {**_summary_us(samples), "calls": calls, "repeats": REPEATS}
+
+
+def startup_layers(src: Path) -> dict:
+    """Wall time of a fresh interpreter that imports ``maxwellsim.cli`` and
+    one command's route, per command, from a bytecode-free copy of ``src``."""
+    samples = {command: [] for command in ROUTES}
+    with tempfile.TemporaryDirectory() as work:
+        shutil.copytree(src / "maxwellsim", Path(work) / "maxwellsim",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [work, os.environ.get("PYTHONPATH")]))}
+        for _ in range(STARTS):
+            for command, modules in ROUTES.items():
+                code = "; ".join(f"import {name}"
+                                 for name in ("maxwellsim.cli", *modules))
+                start = time.perf_counter()
+                subprocess.run([sys.executable, "-c", code], env=env, check=True)
+                samples[command].append((time.perf_counter() - start) * 1e6)
+    return {f"startup_{command}": {**_summary_us(times), "processes": STARTS}
+            for command, times in samples.items()}
 
 
 def _weights_input(spin_algebra, projectors):
@@ -241,7 +285,7 @@ def main(argv=None) -> int:
         return 2
     sys.path.insert(0, str(src))
     record = {"label": args.label, "environment": environment(),
-              "layers": layers()}
+              "layers": {**startup_layers(src), **layers()}}
     history = json.loads(OUT.read_text()) if OUT.exists() else []
     history.append(record)
     OUT.write_text(json.dumps(history, indent=1) + "\n")
