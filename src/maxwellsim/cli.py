@@ -22,11 +22,21 @@ or a run too large for memory), 3 numerical-guard violation, 4 I/O error.
 Each runner imports the route modules it uses, so a command loads only its
 own route: ``sweep-transmission`` runs on :mod:`math` and never imports
 numpy.
+
+:func:`main` runs with automatic garbage collection off and restores the
+caller's setting when it returns, so the route imports it makes trigger no
+collection.  It also registers :func:`gc.freeze` with :mod:`atexit`, once
+per process: exit hooks run before the interpreter's shutdown collections,
+so those skip every object still alive at exit (numpy's import-time objects
+above all).  A caller that imports the package and calls :func:`main`
+in-process keeps normal collection for as long as its process lives.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import math
 import numbers
 import sys
@@ -289,6 +299,19 @@ def run(config: RunConfig) -> list[str]:
 
 
 def main(argv=None) -> int:
+    # re-registering keeps one hook however often main runs in a process
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _main(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _main(argv) -> int:
     parser = argparse.ArgumentParser(
         prog="maxwellsim",
         description="Klein-tunneling simulator for pseudospin-1 Maxwell particles",

@@ -60,6 +60,8 @@ __all__ = [
 
 _SQRT2 = np.sqrt(2.0)
 _WEIGHT_BLOCK = 1 << 16
+# Below this magnitude a field's square is subnormal or 0.
+_SQRT_TINY = math.sqrt(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -158,6 +160,12 @@ def field_projectors(algebra: SpinAlgebra, field) -> np.ndarray:
     if not np.isfinite(e_plus).all():
         raise ParameterError("band field out of floating-point range: its "
                              "squared magnitude overflows")
+    # below about 1.5e-154 the square loses precision, and below about
+    # 1e-162 it underflows to 0: there hypot, which forms no square, takes
+    # the magnitude, so only a zero field is degenerate
+    small = e_plus < _SQRT_TINY
+    if small.any():
+        e_plus = np.where(small, np.hypot(field[..., 0], field[..., 1]), e_plus)
     return np.stack(adiabatic_projectors(field_hamiltonian(algebra, field), e_plus))
 
 

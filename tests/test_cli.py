@@ -1,5 +1,7 @@
 import ast
+import atexit
 import contextlib
+import gc
 import importlib
 import importlib.util
 import math
@@ -9,6 +11,7 @@ import sys
 import tempfile
 import time
 import warnings
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -942,3 +945,104 @@ def test_modules_use_no_private_name_of_a_sibling():
     # a name one module needs from another is part of that module's public API
     package = Path(maxwellsim.__file__).resolve().parent
     assert _private_sibling_uses(package) == []
+
+
+# A cheap run of every command; a snapshot is written where a command has one.
+CHEAP_RUNS = {
+    "sweep-transmission": "spin = 1\nm = 1.0\ng = 5.0\np0 = 1.0\ntheta_points = 21\n",
+    "lz-oracle": "spin = 1/2\nmtilde_c2 = 0.6\ng = 1.0\n",
+    "evolve": DEMO + "t_final = 1.0\ngrid_points = 512\nsnapshot_path = {snapshot}\n",
+    "ion-evolve": ION + "snapshot_path = {snapshot}\n",
+    "crosscheck": CROSS.replace("t_final = 0.8", "t_final = 0.2"),
+}
+
+
+def _main_returns(tmp_path, kind: str):
+    """Call ``main`` to one kind of return: ``"ok"`` (exit 0),
+    ``"config-error"`` (exit 2) or ``"usage-error"`` (argparse's
+    ``SystemExit``)."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CHEAP_RUNS["sweep-transmission"] if kind == "ok" else "g = -1\n")
+    command = "no-such-command" if kind == "usage-error" else "sweep-transmission"
+    argv = [command, "--config", str(cfg), "--output", str(tmp_path / "out.csv")]
+    if kind == "usage-error":
+        with pytest.raises(SystemExit):
+            main(argv)
+    else:
+        assert main(argv) == (0 if kind == "ok" else 2)
+
+
+class _Node:
+    pass
+
+
+class TestCollectorState:
+    """``main`` turns collection off while it runs and freezes the heap at
+    process exit; an in-process caller keeps normal collection."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("kind", ["ok", "config-error", "usage-error"])
+    def test_caller_keeps_its_collection(self, tmp_path, capsys, kind, enabled):
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            node = _Node()
+            node.cycle = node
+            dropped = weakref.ref(node)
+            del node
+            _main_returns(tmp_path, kind)
+            assert gc.isenabled() is enabled
+            assert gc.get_freeze_count() == 0
+            gc.collect()
+            assert dropped() is None  # not frozen: the collector still finds it
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_one_freeze_hook_per_process(self, tmp_path, capsys):
+        hooks = []
+
+        def unregister(fn):
+            hooks[:] = [hook for hook in hooks if hook != fn]
+
+        with mock.patch.object(atexit, "register", hooks.append), \
+                mock.patch.object(atexit, "unregister", unregister):
+            _main_returns(tmp_path, "ok")
+            _main_returns(tmp_path, "usage-error")
+        assert hooks == [gc.freeze]
+
+
+def _cheap_argv(tmp_path, command: str) -> tuple[list[str], list[Path]]:
+    """The arguments of a cheap ``command`` run and the files it writes."""
+    cfg, out, snapshot = (tmp_path / f"{command}.{suffix}"
+                          for suffix in ("cfg", "csv", "snapshot.csv"))
+    text = CHEAP_RUNS[command]
+    cfg.write_text(text.format(snapshot=snapshot))
+    written = [out, snapshot] if "{snapshot}" in text else [out]
+    return [command, "--config", str(cfg), "--output", str(out)], written
+
+
+@pytest.mark.parametrize("command", sorted(CHEAP_RUNS))
+def test_no_output_depends_on_exit_time_finalization(tmp_path, command):
+    # the heap is frozen at exit, so an object left in a reference cycle is
+    # never finalized there: a file still open in one would lose its tail
+    argv, written = _cheap_argv(tmp_path, command)
+    reports = []
+    with warnings.catch_warnings(), \
+            mock.patch.object(sys, "unraisablehook", reports.append):
+        warnings.simplefilter("error", ResourceWarning)
+        assert main(argv) == 0
+        gc.collect()
+    assert reports == []
+    expected = [path.read_bytes() for path in written]
+    for path in written:
+        path.unlink()
+
+    src = str(Path(maxwellsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+         "-m", "maxwellsim.cli", *argv],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path})
+    assert (done.returncode, done.stderr) == (0, "")
+    assert [path.read_bytes() for path in written] == expected

@@ -171,6 +171,36 @@ class TestBandProjectors:
         assert np.array_equal(p_plus, np.diag([1.0, 0.0, 0.0]))
         assert np.array_equal(p_zero, np.diag([0.0, 1.0, 0.0]))
 
+    @pytest.mark.parametrize("field", [[0.0, 1e-200], [1e-200, 0.0],
+                                       [3e-170, 4e-170], [1e-160, 0.0]],
+                             ids=["mass", "momentum", "both", "subnormal-square"])
+    def test_tiny_field_keeps_its_bands(self, field):
+        # the squared field underflowed to 0 (or lost digits as a subnormal),
+        # and a nonzero field came out degenerate (P0 = 1) or off its bands
+        field = np.array(field)
+        scaled = field_projectors(spin1_matrices(), field * 1e180)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tiny = field_projectors(spin1_matrices(), field)
+        assert np.allclose(tiny, scaled, rtol=0.0, atol=1e-15)
+
+    def test_zero_field_stays_degenerate(self):
+        p_plus, p_zero, p_minus = field_projectors(spin1_matrices(), [0.0, 0.0])
+        assert np.array_equal(p_zero, np.eye(3))
+        assert not p_plus.any() and not p_minus.any()
+
+    def test_normal_field_magnitude_is_the_norm(self):
+        # the norm and hypot differ in the last bit on many fields; fields
+        # whose square is a normal float keep the norm, so outputs are as before
+        rng = np.random.default_rng(3)
+        fields = rng.normal(size=(1000, 2)) * np.exp(rng.uniform(-300, 300, (1000, 1)))
+        norms = np.linalg.norm(fields, axis=-1)
+        fields = fields[(norms > 1e-150) & (norms < 1e150)]
+        algebra = spin1_matrices()
+        expected = np.stack(adiabatic_projectors(
+            field_hamiltonian(algebra, fields), np.linalg.norm(fields, axis=-1)))
+        assert np.array_equal(field_projectors(algebra, fields), expected)
+
     @pytest.mark.parametrize("field", [[1e155, 0.0], [0.0, 1e300], [np.inf, 1.0]])
     def test_overflowing_field_is_refused(self, field):
         # the squared field overflowed to inf, and the projectors came out

@@ -31,7 +31,12 @@ the time per call, in microseconds.  Layers:
   runner imports (:data:`ROUTES`), over 21 processes per command taken in
   turn.  As in a benchmark child, the package is a copy without bytecode
   caches and ``PYTHONDONTWRITEBYTECODE=1`` is set, so every process
-  compiles the package afresh.
+  compiles the package afresh;
+* interpreter exit, one layer per command: a fresh process of the same kind
+  calls ``cli.main`` on a small config of that command (:data:`CONFIGS`)
+  and stamps ``time.monotonic()`` once ``main`` returns; the layer is the
+  time from that stamp to the moment the parent sees the process end, over
+  21 processes per command taken in turn.
 
 ``--src`` times the package under another source tree (a scratch checkout of
 an earlier commit, say), so two trees can be compared on one machine.  Each
@@ -43,6 +48,7 @@ thread, as in ``bench/run.py``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib.util
 import json
 import math
@@ -73,6 +79,19 @@ ROUTES = {
     "crosscheck": ("maxwellsim.ion_emulator", "maxwellsim.sweep_integrator",
                    "maxwellsim.wavepacket"),
 }
+# A small config of each command: the exit layers run every one, the
+# in-process crosscheck layer the last.
+CONFIGS = {
+    "sweep-transmission": "spin = 1\nm = 1.0\ng = 5.0\np0 = 1.0\ntheta_points = 21\n",
+    "lz-oracle": "spin = 1/2\nmtilde_c2 = 0.6\ng = 1.0\n",
+    "evolve": ("p0 = 10.0\nwidth = 2.0\nm = 0.85\ng = 1.5\nt_final = 1.0\n"
+               "grid_points = 512\n"),
+    "ion-evolve": ("eta = 0.05\nomega1_tilde = 62.8\nomega1 = 6.28\n"
+                   "omega2_tilde = 314.0\np0 = 3.0\nt_final = 0.1\n"),
+    "crosscheck": (f"eta = 0.05\nomega1_tilde = {TWO_PI * 10}\n"
+                   f"omega1 = {TWO_PI * 0.5}\nomega2_tilde = {TWO_PI * 50}\n"
+                   "n_fock = 128\np0 = 4.0\nt_final = 0.8\ngrid_points = 1024\n"),
+}
 
 
 def _summary_us(samples) -> dict:
@@ -97,16 +116,24 @@ def _per_call_us(fn) -> dict:
     return {**_summary_us(samples), "calls": calls, "repeats": REPEATS}
 
 
+@contextlib.contextmanager
+def _fresh_package(src: Path):
+    """A scratch directory holding a bytecode-free copy of ``src``'s
+    package, and the environment a process needs to import that copy
+    without writing bytecode, as the benchmark's children do."""
+    with tempfile.TemporaryDirectory() as work:
+        shutil.copytree(src / "maxwellsim", Path(work) / "maxwellsim",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        yield Path(work), {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+                           "PYTHONPATH": os.pathsep.join(
+                               filter(None, [work, os.environ.get("PYTHONPATH")]))}
+
+
 def startup_layers(src: Path) -> dict:
     """Wall time of a fresh interpreter that imports ``maxwellsim.cli`` and
     one command's route, per command, from a bytecode-free copy of ``src``."""
     samples = {command: [] for command in ROUTES}
-    with tempfile.TemporaryDirectory() as work:
-        shutil.copytree(src / "maxwellsim", Path(work) / "maxwellsim",
-                        ignore=shutil.ignore_patterns("__pycache__"))
-        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
-               "PYTHONPATH": os.pathsep.join(
-                   filter(None, [work, os.environ.get("PYTHONPATH")]))}
+    with _fresh_package(src) as (_, env):
         for _ in range(STARTS):
             for command, modules in ROUTES.items():
                 code = "; ".join(f"import {name}"
@@ -115,6 +142,28 @@ def startup_layers(src: Path) -> dict:
                 subprocess.run([sys.executable, "-c", code], env=env, check=True)
                 samples[command].append((time.perf_counter() - start) * 1e6)
     return {f"startup_{command}": {**_summary_us(times), "processes": STARTS}
+            for command, times in samples.items()}
+
+
+def exit_layers(src: Path) -> dict:
+    """Time from ``cli.main`` returning to the end of its process, per
+    command, in fresh interpreters on a bytecode-free copy of ``src``."""
+    samples = {command: [] for command in CONFIGS}
+    with _fresh_package(src) as (work, env):
+        for command, text in CONFIGS.items():
+            (work / f"{command}.cfg").write_text(text)
+        for _ in range(STARTS):
+            for command in CONFIGS:
+                argv = [command, "--config", str(work / f"{command}.cfg"),
+                        "--output", str(work / f"{command}.csv")]
+                code = ("import time\nfrom maxwellsim import cli\n"
+                        f"code = cli.main({argv!r})\n"
+                        "print(time.monotonic())\nraise SystemExit(code)\n")
+                done = subprocess.run([sys.executable, "-c", code], env=env,
+                                      check=True, capture_output=True, text=True)
+                end = time.monotonic()
+                samples[command].append((end - float(done.stdout)) * 1e6)
+    return {f"exit_{command}": {**_summary_us(times), "processes": STARTS}
             for command, times in samples.items()}
 
 
@@ -243,10 +292,7 @@ def _crosscheck_call() -> dict:
 
     with tempfile.TemporaryDirectory() as work:
         config = Path(work) / "cross.cfg"
-        config.write_text(
-            f"eta = 0.05\nomega1_tilde = {TWO_PI * 10}\nomega1 = {TWO_PI * 0.5}\n"
-            f"omega2_tilde = {TWO_PI * 50}\nn_fock = 128\np0 = 4.0\n"
-            "t_final = 0.8\ngrid_points = 1024\n")
+        config.write_text(CONFIGS["crosscheck"])
         argv = ["crosscheck", "--config", str(config),
                 "--output", str(Path(work) / "cross.csv")]
 
@@ -285,7 +331,8 @@ def main(argv=None) -> int:
         return 2
     sys.path.insert(0, str(src))
     record = {"label": args.label, "environment": environment(),
-              "layers": {**startup_layers(src), **layers()}}
+              "layers": {**startup_layers(src), **exit_layers(src),
+                         **layers()}}
     history = json.loads(OUT.read_text()) if OUT.exists() else []
     history.append(record)
     OUT.write_text(json.dumps(history, indent=1) + "\n")
