@@ -34,7 +34,6 @@ _EXPORTS = {
         "build_maxwell_hamiltonian",
         "coherent_initial_state",
         "default_readout_grid",
-        "energy_expectation",
         "evolve_ion",
         "map_parameters",
         "position_wavefunction",
@@ -46,7 +45,6 @@ _EXPORTS = {
         "SWEEP_COLUMNS",
         "TransitionProbabilities",
         "angle_sweep",
-        "effective_mass",
         "lz_spin1",
         "lz_spin_half",
     ),
@@ -69,7 +67,6 @@ _EXPORTS = {
         "density",
         "evolve",
         "gaussian_packet",
-        "position_mean",
         "step",
     ),
 }

@@ -22,9 +22,9 @@ correspondence above exactly.  Every toolbox term, and so ``H``, has the
 ladder form ``zero x 1 + up x a + up^dag x ad`` on (ion 1 x ion 2) x motion
 with ``(3 n_ion2)``-square ``zero`` and ``up``: :func:`sideband_toolbox`
 and :func:`build_maxwell_hamiltonian` return it as a
-:class:`LadderOperator`.  Propagation and :func:`energy_expectation` take
-``H`` from :func:`build_maxwell_hamiltonian` and apply it in that form,
-never assembling the full matrix: one application is one matrix product of
+:class:`LadderOperator`.  Propagation takes ``H`` from
+:func:`build_maxwell_hamiltonian` and applies it in that form, never
+assembling the full matrix: one application is one matrix product of
 the ``(3 n_ion2) x (9 n_ion2)`` block ``[zero | up | up^dag]`` with the
 state stacked over its two ladder shifts.  :func:`evolve_ion` expands
 ``exp(-i H t / hbar)`` in Chebyshev polynomials.  Band readout and filtering
@@ -36,10 +36,10 @@ reads them out; the position grid serves only :func:`position_wavefunction`.
 ``p`` couples even Fock levels only to odd ones, so its eigenpairs come
 from the singular value decomposition of its half-size even-by-odd block.
 
-Imports: the module loads :mod:`maxwellsim.wavepacket` (and through it the
-swept-level integrator) only inside :func:`default_readout_grid` and
-:func:`position_wavefunction`, the position-space snapshot readout, so a
-run that writes no snapshot loads the ion route alone.
+Imports: the module loads :mod:`maxwellsim.wavepacket` only inside
+:func:`default_readout_grid` and :func:`position_wavefunction`, the
+position-space snapshot readout, so a run that writes no snapshot loads the
+ion route alone.
 
 Units: hbar = 1 and lengths in units of ``delta_spread`` unless stated;
 quote Rabi frequencies in angular kHz (rad/ms) and times come out in ms,
@@ -79,7 +79,6 @@ __all__ = [
     "evolve_ion",
     "position_wavefunction",
     "default_readout_grid",
-    "energy_expectation",
 ]
 
 #: Column order of ``IonTrajectory.trace``.
@@ -189,10 +188,6 @@ class IonState:
 
     def norm(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2))
-
-    def internal_populations(self) -> np.ndarray:
-        """Occupations of the three ion-1 levels (a, b, c)."""
-        return np.sum(np.abs(self.amplitudes) ** 2, axis=(1, 2))
 
 
 @dataclass
@@ -629,14 +624,6 @@ def position_wavefunction(state: IonState, grid: Grid1D) -> SpinorField:
     return SpinorField(grid, (fock @ basis).T, state.time)
 
 
-def energy_expectation(state: IonState, ion: IonParams) -> float:
-    """``<psi|H|psi>``, with ``H`` applied in its ladder form."""
-    h = build_maxwell_hamiltonian(ion)
-    v = state.amplitudes.reshape(len(h.zero), ion.n_fock)
-    hv = _ladder_kernel(*v.shape)(_ladder_block(h), v, np.empty_like(v))
-    return float(np.real(np.vdot(v, hv)))
-
-
 def evolve_ion(
     state: IonState, ion: IonParams, t_final: float, n_records: int = 50
 ) -> IonTrajectory:
@@ -655,8 +642,11 @@ def evolve_ion(
     raises :class:`NumericalGuardError`.  ``H`` conserves sigma2_x, so only
     the input state is checked to lie in ion 2's +sigma2_x sector.  The
     record array, ``n_records x 3 n_ion2 n_fock`` complex entries, may hold
-    at most 2^22 of them.
+    at most 2^22 of them.  An ``ion`` other than ``state.params`` raises
+    :class:`ParameterError`.
     """
+    if ion != state.params:
+        raise ParameterError(f"the state was built for {state.params}, not {ion}")
     if t_final < 0:
         raise ParameterError("t_final must be nonnegative")
     if n_records < 2:

@@ -33,7 +33,6 @@ from .errors import ParameterError
 __all__ = [
     "PhysicalParams",
     "TransitionProbabilities",
-    "effective_mass",
     "gap_ratio",
     "lz_spin1",
     "lz_spin_half",
@@ -108,11 +107,6 @@ class TransitionProbabilities:
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.gamma_pp, self.gamma_p0, self.gamma_pm)
-
-
-def effective_mass(params: PhysicalParams, ky: float) -> float:
-    """Effective rest energy ``m~ c^2`` after reducing to 1D at fixed ky."""
-    return math.hypot(params.rest_energy, params.hbar * ky * params.c)
 
 
 def _closed_forms(r: float, flat_band: bool) -> tuple[float, float, float]:

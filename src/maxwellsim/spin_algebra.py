@@ -26,7 +26,11 @@ vector omega, is a rotation.  It is held as the unit quaternion of its
 SU(2) element (a "rotor"), so products of many step propagators are a few
 array operations on 4-vectors, written component by component into one
 array, and the d x d matrix (the SU(2) matrix itself for spin 1/2, its
-symmetric square for spin 1) is formed once at the end.
+symmetric square for spin 1) is formed once at the end.  The oracle and
+the packet guard share the path product :func:`sweep_rotor` and the Magnus
+step :func:`magnus_rotors`.  With ``C = kappa S`` every step's rotation
+vector is a closed form: ``[Sx, Sz] = -i Sy`` makes each commutator of
+``Cx`` and ``Cz`` a multiple of ``Sy``.
 """
 
 from __future__ import annotations
@@ -52,14 +56,18 @@ __all__ = [
     "pack_projectors",
     "band_weights",
     "apply_projectors",
-    "spin_components",
     "rotor",
     "rotor_product",
     "rotor_matrix",
+    "sweep_rotor",
+    "magnus_rotors",
 ]
 
 _SQRT2 = np.sqrt(2.0)
 _WEIGHT_BLOCK = 1 << 16
+# Step rotors per block of :func:`sweep_rotor`; bounds its memory (a few
+# arrays of this many 4-vectors) whatever the step and start counts.
+_ROTOR_BLOCK = 16384
 # Below this magnitude a field's square is subnormal or 0.
 _SQRT_TINY = math.sqrt(np.finfo(float).tiny)
 
@@ -78,15 +86,15 @@ class SpinAlgebra:
     sz: np.ndarray
 
     @property
-    def coupling_matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Matrices entering the Bloch Hamiltonian.
+    def coupling(self) -> float:
+        """``kappa`` in ``C = kappa S``: 1 for spin 1; 2 for spin 1/2, whose
+        Bloch Hamiltonian couples through the bare Pauli matrices."""
+        return 2.0 if self.dimension == 2 else 1.0
 
-        Spin 1 couples through the spin components themselves; spin 1/2
-        through the bare Pauli matrices (twice the spin components).
-        """
-        if self.dimension == 2:
-            return 2.0 * self.sx, 2.0 * self.sy, 2.0 * self.sz
-        return self.sx, self.sy, self.sz
+    @property
+    def coupling_matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The Bloch Hamiltonian's ``(Cx, Cy, Cz) = kappa (sx, sy, sz)``."""
+        return tuple(self.coupling * s for s in (self.sx, self.sy, self.sz))
 
     @property
     def band_labels(self) -> tuple[str, ...]:
@@ -242,15 +250,6 @@ def apply_projectors(projectors: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return (projectors @ pairs).view(complex)[..., 0]
 
 
-def spin_components(matrices: np.ndarray, algebra: SpinAlgebra) -> np.ndarray:
-    """Real coefficients ``omega`` with ``matrices = omega . (sx, sy, sz)``,
-    shape ``(..., 3)``.  The matrices must lie in the span of the spin
-    components (which are orthogonal under the trace)."""
-    spins = np.stack([algebra.sx, algebra.sy, algebra.sz])
-    norms = np.einsum("aij,aji->a", spins, spins).real
-    return np.einsum("...ij,aji->...a", matrices, spins).real / norms
-
-
 def rotor(omega) -> np.ndarray:
     """Quaternion ``(w, x, y, z)`` of ``exp(-i omega . S)``, shape ``(..., 4)``:
     its SU(2) element is ``w - i (x sigma_x + y sigma_y + z sigma_z)``
@@ -295,3 +294,46 @@ def rotor_matrix(q: np.ndarray, dimension: int) -> np.ndarray:
                 [_SQRT2 * a * c, a * d + b * c, _SQRT2 * b * d],
                 [c * c, _SQRT2 * c * d, d * d]]
     return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+
+
+def sweep_rotor(step_rotors, k0, rate, dt, n_steps) -> np.ndarray:
+    """Rotor of the ordered product of ``n_steps`` step propagators along
+    ``k(t) = k0 - rate t``, one per start: shape ``(len(k0), 4)``, or
+    ``(1, 4)`` for a scalar ``k0``.
+
+    ``step_rotors(k_mid)`` maps an array of step-midpoint wavenumbers to the
+    rotors (``k_mid.shape + (4,)``) of the step propagators.  Rotors are
+    built in blocks of at most ``_ROTOR_BLOCK`` and multiplied pairwise, so
+    the memory stays bounded whatever the step and start counts;
+    :func:`rotor_matrix` turns the result into the d x d propagator.
+    """
+    k0 = np.atleast_1d(np.asarray(k0, dtype=float))
+    total = rotor(np.zeros((k0.size, 3)))
+    block = max(1, _ROTOR_BLOCK // k0.size)
+    for first in range(0, n_steps, block):
+        steps = np.arange(first, min(first + block, n_steps))
+        q = step_rotors(k0 - rate * (steps[:, None] + 0.5) * dt)
+        while len(q) > 1:
+            pairs = rotor_product(q[1::2], q[0:-1:2])
+            q = np.concatenate([pairs, q[-1:]]) if len(q) % 2 else pairs
+        total = rotor_product(q[0], total)
+    return total
+
+
+def magnus_rotors(algebra: SpinAlgebra, params: PhysicalParams,
+                  mass_energy: float, dt: float):
+    """Step-rotor function of the 4th-order Magnus scheme for
+    ``H(k) = c hbar k Cx + mass_energy Cz`` swept at ``dk/dt = -g / hbar``,
+    for :func:`sweep_rotor`.
+
+    With ``a = c hbar Cx`` and ``b = mass_energy Cz`` the generator of one
+    step is ``dt H(k_mid) + (i dt^3 g / (12 hbar^2)) [a, b]``, and
+    ``[a, b] = -i kappa^2 c hbar mass_energy Sy``, so its rotation vector is
+    ``k_mid (kappa c dt, 0, 0) + (0, kappa^2 dt^3 g c mass_energy / (12
+    hbar^2), kappa dt mass_energy / hbar)``.
+    """
+    kappa, c, hbar = algebra.coupling, params.c, params.hbar
+    slope = np.array([kappa * c * dt, 0.0, 0.0])
+    twist = kappa * kappa * dt**3 * (params.g / hbar) * c * mass_energy / (12.0 * hbar)
+    offset = np.array([0.0, twist, kappa * dt * mass_energy / hbar])
+    return lambda k_mid: rotor(k_mid[..., None] * slope + offset)

@@ -22,9 +22,9 @@ Integration is a fixed-step 4th-order Magnus scheme (Blanes, Casas, Oteo
 & Ros, Phys. Rep. 470, 151 (2009)) whose step exponentials stay in the
 spin algebra: each is a rotation, multiplied as a unit quaternion, so the
 propagator is unitary to rounding.  It always runs twice (dt and dt/2) as a
-built-in convergence check.  The path kernel :func:`sweep_rotor` and the
-Magnus step :func:`magnus_rotors` are public: the wave-packet guard runs
-the same kernel along each Fourier component's path.
+built-in convergence check.  The path kernel ``sweep_rotor`` and the Magnus
+step ``magnus_rotors`` belong to the rotor layer of
+:mod:`maxwellsim.spin_algebra`, where the wave-packet guard takes them too.
 No closed-form transition probabilities enter anywhere here, which is what
 makes this module an independent check of the analytic formulas in
 :mod:`maxwellsim.landau_zener`.
@@ -41,16 +41,13 @@ from .landau_zener import TransitionProbabilities
 from .spin_algebra import (
     PhysicalParams,
     SpinAlgebra,
-    band_weights,
     field_projectors,
-    pack_projectors,
-    rotor,
+    magnus_rotors,
     rotor_matrix,
-    rotor_product,
-    spin_components,
+    sweep_rotor,
 )
 
-__all__ = ["integrate_sweep", "magnus_rotors", "sweep_rotor"]
+__all__ = ["integrate_sweep"]
 
 # Sweep endpoints must satisfy c*hbar*|kx| >= this multiple of the gap.
 _MIN_ENDPOINT_FACTOR = 20.0
@@ -59,9 +56,6 @@ _MIN_ENDPOINT_FACTOR = 20.0
 _DEFAULT_ENDPOINT_FACTOR = 30.0
 # The Magnus series converges for dt * max|H| / hbar < pi.
 _MAX_DT_FACTOR = math.pi
-# Step rotors per block; bounds the kernel's memory (a few arrays of this
-# many 4-vectors) whatever the step and column counts.
-_BLOCK = 16384
 # Largest step count of the coarse run (the fine run takes twice as many):
 # about 3 s of work on one core, reached at the default dt near a gap ratio
 # of 5,500.  A window or dt that needs more steps is refused before any work.
@@ -69,51 +63,6 @@ _MAX_STEPS = 10_000_000
 
 _NORM_DRIFT_TOL = 1e-8
 _CONVERGENCE_TOL = 1e-4
-
-
-def sweep_rotor(step_rotors, k0, rate, dt, n_steps) -> np.ndarray:
-    """Rotor of the ordered product of ``n_steps`` step propagators along
-    ``k(t) = k0 - rate t``, one per start: shape ``(len(k0), 4)``, or
-    ``(1, 4)`` for a scalar ``k0``.
-
-    ``step_rotors(k_mid)`` maps an array of step-midpoint wavenumbers to the
-    rotors (``k_mid.shape + (4,)``) of the step propagators.  Rotors are
-    built in blocks of at most ``_BLOCK`` and multiplied pairwise, so the
-    memory stays bounded whatever the step and start counts;
-    :func:`~maxwellsim.spin_algebra.rotor_matrix` turns the result into the
-    d x d propagator.
-    """
-    k0 = np.atleast_1d(np.asarray(k0, dtype=float))
-    total = rotor(np.zeros((k0.size, 3)))
-    block = max(1, _BLOCK // k0.size)
-    for first in range(0, n_steps, block):
-        steps = np.arange(first, min(first + block, n_steps))
-        q = step_rotors(k0 - rate * (steps[:, None] + 0.5) * dt)
-        while len(q) > 1:
-            pairs = rotor_product(q[1::2], q[0:-1:2])
-            q = np.concatenate([pairs, q[-1:]]) if len(q) % 2 else pairs
-        total = rotor_product(q[0], total)
-    return total
-
-
-def magnus_rotors(algebra: SpinAlgebra, params: PhysicalParams,
-                  mass_energy: float, dt: float):
-    """Step-rotor function of the 4th-order Magnus scheme for
-    ``H(k) = c hbar k Cx + mass_energy Cz`` swept at ``dk/dt = -g / hbar``,
-    for :func:`sweep_rotor`.
-
-    With ``a = c hbar Cx`` and ``b = mass_energy Cz`` the generator of one
-    step is ``dt H(k_mid) + (i dt^3 g / (12 hbar^2)) [a, b]``: Hermitian and
-    in the span of the spin components, so its exponential is a rotor whose
-    vector is linear in ``k_mid``.
-    """
-    cx, _, cz = algebra.coupling_matrices
-    a, b = params.c * params.hbar * cx, mass_energy * cz
-    rate = params.g / params.hbar
-    correction = (1j * dt**3 * rate / (12.0 * params.hbar)) * (a @ b - b @ a)
-    slope = spin_components(dt * a / params.hbar, algebra)
-    offset = spin_components((dt * b + correction) / params.hbar, algebra)
-    return lambda k_mid: rotor(k_mid[..., None] * slope + offset)
 
 
 def integrate_sweep(
@@ -181,17 +130,15 @@ def integrate_sweep(
     dt_eff = total_time / n_steps
 
     edges = [[kx * chbar, mtilde_c2] for kx in (kx_start, -kx_start)]
-    projectors = field_projectors(algebra, edges)
-    final = pack_projectors(projectors[:, 1])
+    start, end = np.moveaxis(field_projectors(algebra, edges), 1, 0)
 
     def populations(step: float, count: int) -> tuple[np.ndarray, float]:
         steps = magnus_rotors(algebra, params, mtilde_c2, step)
         u = rotor_matrix(sweep_rotor(steps, kx_start, rate, step, count)[0],
                          algebra.dimension)
         norms = np.sum(np.abs(u) ** 2, axis=0)
-        # w[f, b] = tr(P_f U P_b U^dagger), summed over the columns of U P_b
-        columns = np.swapaxes(u @ projectors[:, 0], 1, 2)
-        w = band_weights(columns, final).sum(axis=1).T
+        # w[f, b] = tr(P_f U P_b U^dagger)
+        w = np.einsum("fij,jk,bkl,il->fb", end, u, start, u.conj()).real
         return w, float(np.max(np.abs(norms - 1.0)))
 
     w_coarse, _ = populations(dt_eff, n_steps)

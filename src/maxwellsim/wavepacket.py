@@ -65,13 +65,13 @@ from .spin_algebra import (
     band_weights,
     bloch_field,
     field_projectors,
+    magnus_rotors,
     pack_projectors,
     rotor,
     rotor_matrix,
     rotor_product,
-    spin_components,
+    sweep_rotor,
 )
-from .sweep_integrator import magnus_rotors, sweep_rotor
 
 __all__ = [
     "Grid1D",
@@ -86,7 +86,6 @@ __all__ = [
     "band_components",
     "default_time_step",
     "density",
-    "position_mean",
 ]
 
 #: Column order of ``EvolveResult.trace``.
@@ -197,10 +196,6 @@ class BandPopulations:
     w_zero: float
     w_minus: float
 
-    @property
-    def total(self) -> float:
-        return self.w_plus + self.w_zero + self.w_minus
-
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.w_plus, self.w_zero, self.w_minus)
 
@@ -245,15 +240,13 @@ def _splitting_rate(params: PhysicalParams) -> float:
 def _corrected_rotors(k, params: PhysicalParams, dt: float, dimension: int):
     """Rotors of the corrected kinetic factor ``K U(k) K`` at every k, with
     ``U(k) = exp(-i H(k) dt / hbar)`` and ``K = exp(-dt^3 C / 24)``,
-    ``C = (g c m c^2 / hbar^2) [Cz, Cx]`` (anti-Hermitian, so K is unitary)."""
-    algebra = algebra_for(dimension)
-    cx, _, cz = algebra.coupling_matrices
-    kinetic = spin_components(params.c * dt * cx, algebra)
-    mass = spin_components(params.rest_energy * dt / params.hbar * cz, algebra)
-    # K = exp(-i M) with the Hermitian M = -i dt^3 C / 24
-    m = (-1j * dt**3 * _splitting_rate(params) / 24.0) * (cz @ cx - cx @ cz)
-    half = rotor(spin_components(m, algebra))
-    u = rotor(np.asarray(k)[..., None] * kinetic + mass)
+    ``C = (g c m c^2 / hbar^2) [Cz, Cx]`` (anti-Hermitian, so K is unitary).
+    ``U(k)`` rotates by ``kappa dt (c k, 0, m c^2 / hbar)``, and ``[Cz, Cx]
+    = i kappa^2 Sy`` makes K a rotation about y."""
+    kappa = algebra_for(dimension).coupling
+    half = rotor((0.0, kappa * kappa * dt**3 * _splitting_rate(params) / 24.0, 0.0))
+    u = rotor(np.asarray(k)[..., None] * np.array([kappa * params.c * dt, 0.0, 0.0])
+              + np.array([0.0, 0.0, kappa * params.rest_energy * dt / params.hbar]))
     return rotor_product(half, rotor_product(u, half))
 
 
@@ -593,11 +586,6 @@ def density(fld: SpinorField) -> np.ndarray:
     parts = np.asfortranarray(fld.amplitudes, dtype=complex).T.view(float)
     total = np.einsum("ij,ij->j", parts, parts)
     return total[0::2] + total[1::2]
-
-
-def position_mean(fld: SpinorField) -> float:
-    rho = density(fld)
-    return float(np.sum(fld.grid.x * rho) / np.sum(rho))
 
 
 def band_components(fld: SpinorField, params: PhysicalParams) -> np.ndarray:

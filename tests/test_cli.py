@@ -818,15 +818,18 @@ def _main_loads(tmp_path, command: str, text: str) -> list[str]:
 
 
 @pytest.mark.parametrize("command, text, route", [
-    # the packet route (and the swept-level integrator it imports) serves
-    # ion-evolve only for its snapshot readout
+    # the packet route serves ion-evolve only for its snapshot readout; the
+    # packet guard takes its rotor kernel from spin_algebra, so neither
+    # loads the swept-level integrator
     ("ion-evolve", ION, ("ion_emulator",)),
-    ("evolve", DEMO + "t_final = 1.0\ngrid_points = 512\n",
-     ("sweep_integrator", "wavepacket")),
-], ids=["ion-evolve", "evolve"])
+    ("ion-evolve", ION + "snapshot_path = {tmp}/snapshot.csv\n",
+     ("ion_emulator", "wavepacket")),
+    ("evolve", DEMO + "t_final = 1.0\ngrid_points = 512\n", ("wavepacket",)),
+], ids=["ion-evolve", "ion-evolve-snapshot", "evolve"])
 def test_command_loads_only_its_route(tmp_path, command, text, route):
     shared = ("cli", "config", "errors", "landau_zener", "spin_algebra")
-    assert _main_loads(tmp_path, command, text) == ["maxwellsim"] + [
+    loaded = _main_loads(tmp_path, command, text.format(tmp=tmp_path))
+    assert loaded == ["maxwellsim"] + [
         f"maxwellsim.{name}" for name in sorted(shared + route)]
 
 
@@ -871,7 +874,8 @@ def test_package_loads_no_scipy():
             "ms.quadratures(1.0, 16)\n"
             "ms.sideband_toolbox(ion, \"a'b'\", 'blue', 1.0, 0.3).toarray(16)\n"
             "ms.build_maxwell_hamiltonian(ion).toarray(16)\n"
-            "ms.energy_expectation(ms.coherent_initial_state(ion, 0.5, (1, 0, 0)), ion)")
+            "state = ms.coherent_initial_state(ion, 0.5, (1, 0, 0))\n"
+            "ms.evolve_ion(state, ion, 0.1, n_records=2)")
     assert _loaded_modules(code, "scipy") == "[]"
 
 

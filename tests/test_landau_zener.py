@@ -9,28 +9,11 @@ from maxwellsim import (
     PhysicalParams,
     TransitionProbabilities,
     angle_sweep,
-    effective_mass,
     lz_spin1,
     lz_spin_half,
 )
 from maxwellsim.cli import _angle_grid
 from maxwellsim.landau_zener import SWEEP_COLUMNS
-
-
-class TestEffectiveMass:
-
-    def test_normal_incidence(self):
-        assert effective_mass(PhysicalParams(m=1.0), 0.0) == 1.0
-
-    def test_pythagorean(self):
-        assert effective_mass(PhysicalParams(m=1.0), 1.0) == pytest.approx(
-            math.sqrt(2.0), abs=1e-15)
-
-    def test_massless(self):
-        assert effective_mass(PhysicalParams(m=0.0), 2.0) == pytest.approx(2.0)
-
-    def test_large_transverse_term_does_not_overflow(self):
-        assert effective_mass(PhysicalParams(m=1.0), 1e200) == 1e200
 
 
 class TestSpin1Formula:
@@ -115,10 +98,17 @@ class TestAngleSweep:
             assert rows.shape == (11, len(SWEEP_COLUMNS))
             # the vectorised rows match the scalar formula angle by angle
             for theta, row in zip(thetas, rows):
-                probs = formula(params, effective_mass(params, math.sin(theta)))
+                mtilde = math.hypot(params.rest_energy, math.sin(theta) * params.c)
+                probs = formula(params, mtilde)
                 assert row[0] == theta
                 assert row[1:] == pytest.approx(
                     [*probs.as_tuple(), probs.transmission], abs=1e-15)
+
+    def test_large_transverse_term_reflects(self):
+        # the transverse energy squared overflows: r = inf, T = 0, no error
+        rows = angle_sweep(PhysicalParams(m=1.0, g=1.0), 1, 1e200, [0.5, -1.0])
+        for row in rows:
+            assert row[1:] == (1.0, 0.0, 0.0, 0.0)
 
     def test_angle_domain(self):
         with pytest.raises(ValueError):
@@ -144,7 +134,7 @@ class TestFormulaProperties:
         rng = np.random.default_rng(7)
         for _ in range(200):
             params = PhysicalParams(m=rng.uniform(0, 2), g=rng.uniform(0.01, 10))
-            mtilde = effective_mass(params, rng.uniform(-3, 3))
+            mtilde = math.hypot(params.rest_energy, rng.uniform(-3, 3))
             probs = lz_spin1(params, mtilde)
             assert probs.gamma_pp + probs.gamma_p0 + probs.gamma_pm == \
                 pytest.approx(1.0, abs=1e-12)

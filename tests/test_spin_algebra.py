@@ -12,7 +12,7 @@ from maxwellsim import (
     pauli_algebra,
     spin1_matrices,
 )
-from maxwellsim import spin_algebra
+from maxwellsim import spin_algebra, wavepacket
 from maxwellsim.errors import ParameterError
 from maxwellsim.spin_algebra import (
     algebra_for,
@@ -25,7 +25,6 @@ from maxwellsim.spin_algebra import (
     rotor,
     rotor_matrix,
     rotor_product,
-    spin_components,
 )
 
 
@@ -340,8 +339,6 @@ class TestRotors:
         spins = np.stack([algebra.sx, algebra.sy, algebra.sz])
         generators = np.einsum("na,aij->nij", omega, spins)
         exact = np.array([expm(-1j * h) for h in generators])
-        assert np.allclose(spin_components(generators, algebra), omega,
-                           atol=1e-14)
         d = algebra.dimension
         q = rotor(omega)
         assert np.max(np.abs(rotor_matrix(q, d) - exact)) < 1e-14
@@ -382,6 +379,67 @@ class TestRotors:
         exact = expm(-1j * np.einsum("a,aij->ij", omega, spins))
         tol = 1e-15 if angle < 1 else 1e-12  # expm's own error grows with angle
         assert np.max(np.abs(rotor_matrix(q, algebra.dimension) - exact)) < tol
+
+
+def _projection(matrices, algebra):
+    """Real ``omega`` with ``matrices = omega . (sx, sy, sz)``, by the trace
+    inner products under which the spin components are orthogonal."""
+    spins = np.stack([algebra.sx, algebra.sy, algebra.sz])
+    norms = np.einsum("aij,aji->a", spins, spins).real
+    return np.einsum("...ij,aji->...a", matrices, spins).real / norms
+
+
+class TestClosedFormRotationVectors:
+    """The step rotors' closed-form rotation vectors against the projection
+    of their matrix generators, commutators included, onto the spin basis."""
+
+    @staticmethod
+    def _draws(seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            params = PhysicalParams(c=rng.uniform(0.2, 5.0), m=rng.uniform(0.0, 3.0),
+                                    g=rng.uniform(0.0, 5.0), hbar=rng.uniform(0.2, 5.0))
+            yield params, rng.uniform(1e-3, 0.5), rng.normal(scale=20.0, size=7)
+
+    @staticmethod
+    def _assert_close(got, want):
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
+    @pytest.mark.parametrize("algebra", [spin1_matrices(), pauli_algebra()],
+                             ids=["spin1", "spin-half"])
+    def test_magnus_step(self, algebra):
+        cx, _, cz = algebra.coupling_matrices
+        for params, dt, k in self._draws(11):
+            mass = params.rest_energy
+            a, b = params.c * params.hbar * cx, mass * cz
+            generator = (dt * (k[:, None, None] * a + b)
+                         + 1j * dt**3 * params.g / (12.0 * params.hbar**2) * comm(a, b))
+            want = _projection(generator / params.hbar, algebra)
+            # the rotor's argument is the rotation vector itself
+            with mock.patch.object(spin_algebra, "rotor", lambda omega: omega):
+                got = spin_algebra.magnus_rotors(algebra, params, mass, dt)(k)
+            self._assert_close(got, want)
+
+    @pytest.mark.parametrize("algebra", [spin1_matrices(), pauli_algebra()],
+                             ids=["spin1", "spin-half"])
+    def test_packet_kinetic_factor_and_correction(self, algebra):
+        cx, _, cz = algebra.coupling_matrices
+        for params, dt, k in self._draws(12):
+            kinetic = dt * (params.c * params.hbar * k[:, None, None] * cx
+                            + params.rest_energy * cz) / params.hbar
+            rate = params.g * params.c * params.rest_energy / params.hbar**2
+            # K = exp(-i M) with M = -i dt^3 C / 24, C = rate [Cz, Cx]
+            correction = -1j * dt**3 * rate / 24.0 * comm(cz, cx)
+            vectors = []
+
+            def record(omega):
+                vectors.append(np.asarray(omega, dtype=float))
+                return rotor(omega)
+
+            with mock.patch.object(wavepacket, "rotor", record):
+                wavepacket._corrected_rotors(k, params, dt, algebra.dimension)
+            self._assert_close(vectors[0], _projection(correction, algebra))
+            self._assert_close(vectors[1], _projection(kinetic, algebra))
 
 
 class TestMassAxisRotation:

@@ -15,8 +15,14 @@ from maxwellsim import (
     pauli_algebra,
     spin1_matrices,
 )
-from maxwellsim.spin_algebra import rotor, rotor_matrix, rotor_product
-from maxwellsim.sweep_integrator import _BLOCK, magnus_rotors, sweep_rotor
+from maxwellsim.spin_algebra import (
+    _ROTOR_BLOCK,
+    magnus_rotors,
+    rotor,
+    rotor_matrix,
+    rotor_product,
+    sweep_rotor,
+)
 
 
 class TestProblemValidation:
@@ -153,7 +159,7 @@ class TestPublicKernel:
         rate, dt, n_steps = params.g / params.hbar, 0.1, 10
         steps = magnus_rotors(spin1_matrices(), params, 0.85, dt)
         k0 = np.linspace(-20.0, 20.0, 4096)
-        assert _BLOCK // k0.size < n_steps  # the product crosses blocks
+        assert _ROTOR_BLOCK // k0.size < n_steps  # the product crosses blocks
         total = rotor(np.zeros((k0.size, 3)))
         for n in range(n_steps):
             total = rotor_product(steps(k0 - rate * (n + 0.5) * dt), total)

@@ -10,6 +10,7 @@ from scipy.signal import find_peaks
 from maxwellsim import (
     BoundaryContaminationError,
     Grid1D,
+    NumericalGuardError,
     ParameterError,
     PhysicalParams,
     band_components,
@@ -20,7 +21,6 @@ from maxwellsim import (
     gaussian_packet,
     lz_spin1,
     pauli_algebra,
-    position_mean,
     spin1_matrices,
     step,
 )
@@ -65,10 +65,9 @@ class TestTraceReadout:
         assert result.steps == 239 and len(states) == len(result.trace) == 240
         for state, row in zip(states, result.trace):
             rho = np.sum(np.abs(state.amplitudes) ** 2, axis=1)
-            want = (state.time, state.norm(), position_mean(state),
+            want = (state.time, state.norm(), np.sum(grid.x * rho) / np.sum(rho),
                     *band_populations(state, SCATTER).as_tuple())
             assert np.max(np.abs(row - want)) < 1e-14
-            assert abs(row[2] - np.sum(grid.x * rho) / np.sum(rho)) < 1e-14
             assert np.max(np.abs(density(state) - rho)) < 1e-15
 
 
@@ -176,8 +175,8 @@ class TestStep:
         moved = step(fld, dt, params)
         assert np.max(np.abs(moved.amplitudes
                              - np.roll(fld.amplitudes, 64, axis=0))) < 1e-10
-        assert position_mean(moved) - position_mean(fld) == pytest.approx(
-            dt, abs=1e-8)
+        x_mean = [grid.x @ density(f) / np.sum(density(f)) for f in (fld, moved)]
+        assert x_mean[1] - x_mean[0] == pytest.approx(dt, abs=1e-8)
 
     def test_corrected_step_fifth_order(self, grid):
         # K S K cancels Strang's constant dt^3 term: the symmetric scheme's
@@ -369,6 +368,68 @@ class TestEvolve:
                               t0 + t_final * (steps / result.steps))
 
 
+# A fast, heavy spin-1/2 packet on a steep slope: the default dt passes the
+# one-step limit, but the run's measured splitting error does not.
+SHRINK = PhysicalParams(m=0.5, g=20.0)
+SHRINK_CONFIG = ("spinor = 1,0\nm = 0.5\ng = 20.0\np0 = 5.0\nwidth = 1.0\n"
+                 "grid_length = 40.0\ngrid_points = 2048\nt_final = 7.0\n")
+
+
+class TestDefaultStepShrink:
+    """Above 1e-4 of measured error the default dt shrinks, at most 3 times;
+    an explicit dt is refused instead."""
+
+    @pytest.fixture
+    def packet(self):
+        return gaussian_packet(Grid1D(40.0, 2048), 5.0, 1.0, 0.0, (1, 0), SHRINK)
+
+    @staticmethod
+    def _recorded(measure):
+        """``measure`` wrapped to record each call's step count and error."""
+        calls = []
+
+        def record(fld, params, dt, n_steps):
+            error, reference = measure(fld, params, dt, n_steps)
+            calls.append((n_steps, error))
+            return error, reference
+
+        return calls, record
+
+    def test_default_dt_shrinks_until_the_error_is_met(self, packet):
+        calls, record = self._recorded(wavepacket._measured_split_error)
+        with mock.patch.object(wavepacket, "_measured_split_error", record):
+            result = evolve(packet, 7.0, SHRINK)
+        assert [n for n, _ in calls] == [226, 426]
+        assert calls[0][1] == pytest.approx(8.26e-4, rel=1e-3)
+        assert result.steps == 426 and result.dt == 7.0 / 426
+        assert result.split_error == calls[1][1]
+        assert result.split_error == pytest.approx(5.5e-6, rel=0.01)
+
+    def test_explicit_dt_is_refused(self, packet):
+        with pytest.raises(ParameterError, match="measured splitting error"):
+            evolve(packet, 7.0, SHRINK, dt=7.0 / 226)
+
+    def test_error_that_stays_above_the_limit_is_a_guard_violation(self, packet):
+        def above(fld, params, dt, n_steps):
+            return 2e-4, fld.copy()
+
+        calls, record = self._recorded(above)
+        with mock.patch.object(wavepacket, "_measured_split_error", record):
+            with pytest.raises(NumericalGuardError, match="measured splitting error"):
+                evolve(packet, 7.0, SHRINK)
+        assert len(calls) == 4  # the first measurement and 3 retries
+        assert [n for n, _ in calls] == sorted(n for n, _ in calls)
+
+    def test_cli_exit_codes(self, tmp_path):
+        cfg = tmp_path / "shrink.cfg"
+        cfg.write_text(SHRINK_CONFIG)
+        argv = ["evolve", "--config", str(cfg), "--output", str(tmp_path / "t.csv")]
+        assert cli.main(argv) == 0
+        with mock.patch.object(wavepacket, "_measured_split_error",
+                               lambda fld, *_: (2e-4, fld.copy())):
+            assert cli.main(argv) == 3
+
+
 def _splitting_constant(params, dimension):
     """g c m c^2 ||[Cz, Cx]|| / hbar^2, the norm taken from the matrices."""
     algebra = spin1_matrices() if dimension == 3 else pauli_algebra()
@@ -522,7 +583,6 @@ class TestComponentMajorLayout:
         parts = a.view(float)
         rho = np.einsum("ij,ij->i", parts, parts)
         assert np.max(np.abs(density(fld) - rho)) < 1e-14
-        assert abs(position_mean(fld) - np.sum(grid.x * rho) / np.sum(rho)) < 1e-14
 
         projectors, _ = _grid_projectors(grid, SCATTER, dimension)
         psi_k = np.fft.fft(a, axis=0)
@@ -591,7 +651,6 @@ class TestComponentMajorLayout:
         assert fld.norm() == pytest.approx(built.norm(), abs=1e-14)
         assert density(fld).shape == (grid.points,)
         assert np.max(np.abs(density(fld) - density(built))) < 1e-14
-        assert position_mean(fld) == pytest.approx(position_mean(built), abs=1e-14)
         assert np.max(np.abs(np.subtract(band_populations(fld, SCATTER).as_tuple(),
                                          band_populations(built, SCATTER).as_tuple()))) < 1e-14
         assert np.max(np.abs(step(fld, 0.01, SCATTER).amplitudes
