@@ -20,8 +20,8 @@ library validator rejects, one that drives a float operation out of range,
 or a run too large for memory), 3 numerical-guard violation, 4 I/O error.
 
 Each runner imports the route modules it uses, so a command loads only its
-own route: ``sweep-transmission`` runs on :mod:`math` and never imports
-numpy.
+own route: ``sweep-transmission`` and ``lz-oracle`` run on :mod:`math` and
+never import numpy.
 
 :func:`main` runs with automatic garbage collection off and restores the
 caller's setting when it returns, so the route imports it makes trigger no
@@ -130,13 +130,12 @@ def _run_sweep_transmission(config: RunConfig) -> list[str]:
 
 def _run_lz_oracle(config: RunConfig) -> list[str]:
     from . import sweep_integrator
-    from .spin_algebra import algebra_for
 
     v = config.values
     params = PhysicalParams(c=v["c"], m=0.0, g=v["g"], hbar=v["hbar"])
-    algebra = algebra_for(3 if v["spin"] == "1" else 2)
+    spin = 1 if v["spin"] == "1" else 0.5
     oracle = sweep_integrator.integrate_sweep(
-        algebra, params, v["mtilde_c2"], initial_band=v["initial_band"],
+        spin, params, v["mtilde_c2"], initial_band=v["initial_band"],
         endpoint_factor=v["endpoint_factor"], dt=v["dt"] if v["dt"] > 0 else None,
     )
     formula = landau_zener.lz_spin1 if v["spin"] == "1" else landau_zener.lz_spin_half
@@ -238,7 +237,6 @@ def _run_crosscheck(config: RunConfig) -> list[str]:
     reported, not checked.
     """
     from . import ion_emulator, sweep_integrator, wavepacket
-    from .spin_algebra import spin1_matrices
 
     v = config.values
     ion = _ion_params(v)
@@ -250,8 +248,7 @@ def _run_crosscheck(config: RunConfig) -> list[str]:
     rows = [("analytic", analytic.gamma_pp, analytic.gamma_p0,
              analytic.gamma_pm, analytic.transmission)]
 
-    oracle = sweep_integrator.integrate_sweep(spin1_matrices(), params,
-                                              params.rest_energy)
+    oracle = sweep_integrator.integrate_sweep(1, params, params.rest_energy)
     rows.append(("sweep-integrator", oracle.gamma_pp, oracle.gamma_p0,
                  oracle.gamma_pm, oracle.transmission))
 

@@ -1,10 +1,12 @@
 """Spin matrices, Bloch fields, band projectors and band weights.
 
-Everything downstream (analytic transition probabilities, the swept-level
-integrator, the spectral propagator, the trapped-ion emulator) is built on
-the objects defined here, and every route reads its bands out through
+The spectral propagator and the trapped-ion emulator are built on the
+objects defined here, and both read their bands out through
 :func:`field_projectors` and :func:`band_weights` (or
-:func:`apply_projectors`).  A route packs its projectors once with
+:func:`apply_projectors`).  The swept-level oracle
+(:mod:`maxwellsim.sweep_integrator`) follows one start, so it writes the
+same projector polynomial and rotor chain out on :mod:`math` floats and
+never loads this module.  A route packs its projectors once with
 :func:`pack_projectors` and caches them; :func:`band_weights` then reads
 each state from its real moments ``Re psi_i^* psi_j`` in one matrix
 product.  Two representations are supported:
@@ -26,11 +28,12 @@ vector omega, is a rotation.  It is held as the unit quaternion of its
 SU(2) element (a "rotor"), so products of many step propagators are a few
 array operations on 4-vectors, written component by component into one
 array, and the d x d matrix (the SU(2) matrix itself for spin 1/2, its
-symmetric square for spin 1) is formed once at the end.  The oracle and
-the packet guard share the path product :func:`sweep_rotor` and the Magnus
-step :func:`magnus_rotors`.  With ``C = kappa S`` every step's rotation
-vector is a closed form: ``[Sx, Sz] = -i Sy`` makes each commutator of
-``Cx`` and ``Cz`` a multiple of ``Sy``.
+symmetric square for spin 1) is formed once at the end.  The packet
+guard takes the path product :func:`sweep_rotor` and the Magnus step
+:func:`magnus_rotors` over thousands of starts; the oracle's scalar chain
+takes the same steps one start at a time.  With ``C = kappa S`` every
+step's rotation vector is a closed form: ``[Sx, Sz] = -i Sy`` makes each
+commutator of ``Cx`` and ``Cz`` a multiple of ``Sy``.
 """
 
 from __future__ import annotations

@@ -20,32 +20,27 @@ band populations.
 
 Integration is a fixed-step 4th-order Magnus scheme (Blanes, Casas, Oteo
 & Ros, Phys. Rep. 470, 151 (2009)) whose step exponentials stay in the
-spin algebra: each is a rotation, multiplied as a unit quaternion, so the
-propagator is unitary to rounding.  It always runs twice (dt and dt/2) as a
-built-in convergence check.  The path kernel ``sweep_rotor`` and the Magnus
-step ``magnus_rotors`` belong to the rotor layer of
-:mod:`maxwellsim.spin_algebra`, where the wave-packet guard takes them too.
-No closed-form transition probabilities enter anywhere here, which is what
-makes this module an independent check of the analytic formulas in
-:mod:`maxwellsim.landau_zener`.
+spin algebra: each is a rotation with a closed-form rotation vector,
+multiplied as a unit quaternion, so the propagator is unitary to rounding.
+It always runs twice (dt and dt/2) as a built-in convergence check.
+
+One start needs no arrays, so the module uses :mod:`math` alone and
+``lz-oracle`` never loads numpy: the rotor chain runs on four floats, and
+the end projectors are the closed polynomial in ``H/E+`` of
+:func:`maxwellsim.spin_algebra.field_projectors`, written out for d x d
+lists.  The wave-packet guard runs the same Magnus step vectorised over
+many starts (``spin_algebra.magnus_rotors`` and ``sweep_rotor``); a test
+holds the two chains to 1e-13.  No closed-form transition probabilities
+enter anywhere here, which is what makes this module an independent check
+of the analytic formulas in :mod:`maxwellsim.landau_zener`.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import ConvergenceError, NumericalGuardError, ParameterError
-from .landau_zener import TransitionProbabilities
-from .spin_algebra import (
-    PhysicalParams,
-    SpinAlgebra,
-    field_projectors,
-    magnus_rotors,
-    rotor_matrix,
-    sweep_rotor,
-)
+from .landau_zener import PhysicalParams, TransitionProbabilities
 
 __all__ = ["integrate_sweep"]
 
@@ -57,16 +52,28 @@ _DEFAULT_ENDPOINT_FACTOR = 30.0
 # The Magnus series converges for dt * max|H| / hbar < pi.
 _MAX_DT_FACTOR = math.pi
 # Largest step count of the coarse run (the fine run takes twice as many):
-# about 3 s of work on one core, reached at the default dt near a gap ratio
-# of 5,500.  A window or dt that needs more steps is refused before any work.
-_MAX_STEPS = 10_000_000
+# about 0.8 s of scalar work on one core, reached at the default dt near a
+# gap ratio of 166.  A window or dt that needs more steps is refused before
+# any work.
+_MAX_STEPS = 300_000
 
 _NORM_DRIFT_TOL = 1e-8
 _CONVERGENCE_TOL = 1e-4
 
+_HALF_SQRT2 = math.sqrt(0.5)
+# Per spin: the band labels, the coupling kappa of C = kappa S, and the real
+# matrices Cx and Cz of the Bloch Hamiltonian, as in spin_algebra's bases.
+_SPINS = {
+    1: (("+", "0", "-"), 1.0,
+        ((0.0, _HALF_SQRT2, 0.0), (_HALF_SQRT2, 0.0, _HALF_SQRT2),
+         (0.0, _HALF_SQRT2, 0.0)),
+        ((1.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, -1.0))),
+    0.5: (("+", "-"), 2.0, ((0.0, 1.0), (1.0, 0.0)), ((1.0, 0.0), (0.0, -1.0))),
+}
+
 
 def integrate_sweep(
-    algebra: SpinAlgebra,
+    spin: float,
     params: PhysicalParams,
     mtilde_c2: float,
     *,
@@ -74,8 +81,9 @@ def integrate_sweep(
     endpoint_factor: float = _DEFAULT_ENDPOINT_FACTOR,
     dt: float | None = None,
 ) -> TransitionProbabilities:
-    """Sweep transition probabilities out of ``initial_band``, one of
-    ``algebra.band_labels``, for ``H = c hbar kx Cx + mtilde_c2 Cz``.
+    """Sweep transition probabilities out of ``initial_band`` for spin 1
+    (bands ``+``, ``0``, ``-``) or 0.5 (``+``, ``-``), for ``H = c hbar kx
+    Cx + mtilde_c2 Cz``.
 
     The window runs from ``kx_start`` to ``-kx_start``, with ``c hbar
     kx_start`` at ``endpoint_factor`` times the larger of the gap scale
@@ -83,21 +91,27 @@ def integrate_sweep(
     problems still get a finite window.  The default ``dt`` is
     ``hbar / max|H|``; the Magnus step's halving delta stays below 1e-6 over
     r in [0, 3] at the default endpoints.  A sweep of more than
-    ``_MAX_STEPS`` (1e7) steps of dt, whether the default dt or an explicit
-    one sets the count, raises :class:`ParameterError` before any work.
+    ``_MAX_STEPS`` (3e5) steps of dt, whether the default dt or an explicit
+    one sets the count, raises :class:`ParameterError` before any work.  At
+    the default dt the cap falls near r = 166, and the largest sweep it
+    admits takes about 0.8 s on one core.
 
     The sweep runs for every initial band at dt and dt/2, and raises
     :class:`ConvergenceError` when any population moves by more than the
     convergence tolerance between the two.  The returned fields hold the
     dt/2 run's final-band occupations (+, 0, -), normalized by their sum,
     which the unitary sweep conserves (the column norms of U are guarded at
-    1e-8).  For the two-level algebra the flat-band slot is identically zero.
+    1e-8).  For spin 1/2 the flat-band slot is identically zero.
     """
+    # a tuple, not the dict: an unhashable argument must fail here too
+    if spin not in (1, 0.5):
+        raise ParameterError(f"spin must be 1 or 0.5, got {spin}")
+    labels, kappa, cx, cz = _SPINS[spin]
     if mtilde_c2 < 0:
         raise ParameterError("effective rest energy must be nonnegative")
     if params.g <= 0:
         raise ParameterError("sweep requires a positive slope g")
-    if initial_band not in algebra.band_labels:
+    if initial_band not in labels:
         raise ParameterError(f"unknown initial band {initial_band!r}")
     chbar = params.c * params.hbar
     energy_scale = max(mtilde_c2, math.sqrt(params.hbar * params.c * params.g))
@@ -129,25 +143,29 @@ def integrate_sweep(
     n_steps = max(1, math.ceil(total_time / dt))
     dt_eff = total_time / n_steps
 
-    edges = [[kx * chbar, mtilde_c2] for kx in (kx_start, -kx_start)]
-    start, end = np.moveaxis(field_projectors(algebra, edges), 1, 0)
+    # both ends have the magnitude e_max
+    start, end = (_projectors(cx, cz, kx * chbar / e_max, mtilde_c2 / e_max)
+                  for kx in (kx_start, -kx_start))
 
-    def populations(step: float, count: int) -> tuple[np.ndarray, float]:
-        steps = magnus_rotors(algebra, params, mtilde_c2, step)
-        u = rotor_matrix(sweep_rotor(steps, kx_start, rate, step, count)[0],
-                         algebra.dimension)
-        norms = np.sum(np.abs(u) ** 2, axis=0)
+    def populations(step: float, count: int):
+        u = _rotor_matrix(_magnus_chain(kappa, params, mtilde_c2, kx_start,
+                                        step, count), len(labels))
+        drift = max(abs(sum(abs(x) ** 2 for x in column) - 1.0)
+                    for column in zip(*u))
         # w[f, b] = tr(P_f U P_b U^dagger)
-        w = np.einsum("fij,jk,bkl,il->fb", end, u, start, u.conj()).real
-        return w, float(np.max(np.abs(norms - 1.0)))
+        u_dagger = [[x.conjugate() for x in column] for column in zip(*u)]
+        moved = [_matmul(_matmul(u, p), u_dagger) for p in start]
+        w = [[_trace_product(pf, m).real for m in moved] for pf in end]
+        return w, drift
 
     w_coarse, _ = populations(dt_eff, n_steps)
     w_fine, drift = populations(dt_eff / 2.0, 2 * n_steps)
-    if np.max(np.abs(w_fine - w_coarse)) > _CONVERGENCE_TOL:
+    delta = max(abs(a - b) for fine, coarse in zip(w_fine, w_coarse)
+                for a, b in zip(fine, coarse))
+    if delta > _CONVERGENCE_TOL:
         raise ConvergenceError(
-            f"halving dt moved populations by "
-            f"{np.max(np.abs(w_fine - w_coarse)):.3e} (> {_CONVERGENCE_TOL}); "
-            "the requested dt is too coarse"
+            f"halving dt moved populations by {delta:.3e} "
+            f"(> {_CONVERGENCE_TOL}); the requested dt is too coarse"
         )
     if drift > _NORM_DRIFT_TOL:
         raise NumericalGuardError(
@@ -155,8 +173,89 @@ def integrate_sweep(
         )
 
     # w[final, initial]
-    col = algebra.band_labels.index(initial_band)
-    weights = w_fine[:, col] / np.sum(w_fine[:, col])
-    if algebra.dimension == 2:
-        weights = (weights[0], 0.0, weights[1])
-    return TransitionProbabilities(*map(float, weights))
+    col = labels.index(initial_band)
+    column = [row[col] for row in w_fine]
+    total = sum(column)
+    weights = [x / total for x in column]
+    if len(weights) == 2:
+        weights.insert(1, 0.0)
+    return TransitionProbabilities(*weights)
+
+
+def _magnus_chain(kappa: float, params: PhysicalParams, mass_energy: float,
+                  k0: float, dt: float, n_steps: int):
+    """Quaternion ``(w, x, y, z)`` of the ordered product of ``n_steps``
+    4th-order Magnus steps of ``dt`` along ``k(t) = k0 - (g / hbar) t`` for
+    ``H(k) = c hbar k Cx + mass_energy Cz``, ``C = kappa S``.
+
+    Step n rotates by ``(ax k_mid, ay, az)`` with ``ax = kappa c dt``, ``az =
+    kappa dt mass_energy / hbar`` and the commutator term ``ay = ax (g dt /
+    hbar) az / 12``, and multiplies the running quaternion from the left,
+    as ``spin_algebra.sweep_rotor(spin_algebra.magnus_rotors(...), ...)``
+    does for many starts.  ``ay`` is formed without ``dt**3``, which would
+    overflow where the rotation itself is small.
+    """
+    rate = params.g / params.hbar
+    ax = kappa * params.c * dt
+    az = kappa * dt * mass_energy / params.hbar
+    ay = ax * (rate * dt) * az / 12.0
+    tail = ay * ay + az * az
+    cos, sin, sqrt = math.cos, math.sin, math.sqrt
+    w, x, y, z = 1.0, 0.0, 0.0, 0.0
+    for n in range(n_steps):
+        ox = (k0 - rate * (n + 0.5) * dt) * ax
+        angle = sqrt(ox * ox + tail)
+        half = 0.5 * angle
+        # sin(angle / 2) / angle, with its limit 1/2 at angle = 0
+        scale = sin(half) / angle if angle > 0 else 0.5
+        c, px, py, pz = cos(half), scale * ox, scale * ay, scale * az
+        w, x, y, z = (c * w - px * x - py * y - pz * z,
+                      c * x + w * px + py * z - pz * y,
+                      c * y + w * py + pz * x - px * z,
+                      c * z + w * pz + px * y - py * x)
+    return w, x, y, z
+
+
+def _rotor_matrix(q, dimension: int) -> list[list[complex]]:
+    """The d x d matrix ``exp(-i omega . S)`` of the quaternion ``q``, as
+    ``spin_algebra.rotor_matrix`` forms it: the SU(2) matrix ``[[a, b], [c,
+    d]]`` for spin 1/2, its symmetric square for spin 1."""
+    w, x, y, z = q
+    a, b, c, d = complex(w, -z), complex(-y, -x), complex(y, -x), complex(w, z)
+    if dimension == 2:
+        return [[a, b], [c, d]]
+    r = math.sqrt(2.0)
+    return [[a * a, r * a * b, b * b],
+            [r * a * c, a * d + b * c, r * b * d],
+            [c * c, r * c * d, d * d]]
+
+
+def _projectors(cx, cz, fx: float, fz: float) -> list[list[list[float]]]:
+    """Band projectors of ``H = fx Cx + fz Cz`` for a unit field ``(fx,
+    fz)``, in the order of the band labels: ``(1 +- h) / 2`` for spin 1/2 and
+    ``((h^2 + h) / 2, 1 - h^2, (h^2 - h) / 2)`` for spin 1, with ``h = H /
+    E+``."""
+    h = [[fx * a + fz * b for a, b in zip(row_x, row_z)]
+         for row_x, row_z in zip(cx, cz)]
+    eye = [[float(i == j) for j in range(len(h))] for i in range(len(h))]
+    if len(h) == 2:
+        return [_combine(0.5, eye, 0.5, h), _combine(0.5, eye, -0.5, h)]
+    h2 = _matmul(h, h)
+    return [_combine(0.5, h2, 0.5, h), _combine(1.0, eye, -1.0, h2),
+            _combine(0.5, h2, -0.5, h)]
+
+
+def _combine(s, a, t, b):
+    """``s a + t b`` for d x d lists."""
+    return [[s * x + t * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def _matmul(a, b):
+    """The matrix product of two d x d lists."""
+    columns = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in columns] for row in a]
+
+
+def _trace_product(a, b):
+    """``tr(a b)`` for two d x d lists."""
+    return sum(x * y for row, col in zip(a, zip(*b)) for x, y in zip(row, col))

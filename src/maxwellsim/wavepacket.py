@@ -31,7 +31,7 @@ tolerance:
   ``g x = i g d/dk``, so each Fourier component k0 moves along
   ``k(t) = k0 - g t / hbar`` under ``H(k(t))``, and along that path the run
   is a product of d x d matrices.  :func:`evolve` compares it with the
-  exact path propagator, both built by the oracle's kernel ``sweep_rotor``
+  exact path propagator, both built by the rotor layer's ``sweep_rotor``
   (the exact one from ``magnus_rotors`` at dt / 4), for every component but
   a tail of weight w at most 1e-22 of the norm, which adds ``2 sqrt(w)``.
   The result is ``EvolveResult.split_error``.  The exact evolution, one
@@ -395,7 +395,7 @@ def _measured_split_error(
     moves along ``k(t) = k0 - g t / hbar`` under ``H(k(t))``.  Along that
     path a step is the d x d matrix ``K U(k_mid) K`` at the step's midpoint,
     and the exact evolution is the swept-level problem.  Both path
-    propagators come from the oracle's ``sweep_rotor``, the exact one with
+    propagators come from the rotor layer's ``sweep_rotor``, the exact one with
     ``magnus_rotors`` at dt / 4, and their difference acts on the kept
     components.  Components are kept from the largest weight down until the
     dropped weight w is at most 1e-22 of the norm; they can carry at most

@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -23,36 +24,42 @@ from maxwellsim.spin_algebra import (
     rotor_product,
     sweep_rotor,
 )
+from maxwellsim.sweep_integrator import _magnus_chain
 
 
 class TestProblemValidation:
 
     def test_endpoints_must_be_far(self):
         with pytest.raises(ValueError):
-            integrate_sweep(spin1_matrices(), PhysicalParams(g=1.0), 1.0,
+            integrate_sweep(1, PhysicalParams(g=1.0), 1.0,
                             endpoint_factor=10.0)
 
     def test_unknown_band(self):
         with pytest.raises(ValueError):
-            integrate_sweep(pauli_algebra(), PhysicalParams(g=1.0), 1.0,
+            integrate_sweep(0.5, PhysicalParams(g=1.0), 1.0,
                             initial_band="0")
 
     def test_needs_slope(self):
         with pytest.raises(ValueError):
-            integrate_sweep(spin1_matrices(), PhysicalParams(g=0.0), 1.0)
+            integrate_sweep(1, PhysicalParams(g=0.0), 1.0)
 
+    @pytest.mark.parametrize("spin", [1.5, 0, "1", spin1_matrices()],
+                             ids=["three-halves", "zero", "string", "algebra"])
+    def test_unknown_spin(self, spin):
+        with pytest.raises(ParameterError, match="spin must be 1 or 0.5"):
+            integrate_sweep(spin, PhysicalParams(g=1.0), 1.0)
 
     def test_window_out_of_range(self):
         # max|H| is finite, but the projectors would square it
         with pytest.raises(ParameterError, match="floating-point range"):
-            integrate_sweep(spin1_matrices(), PhysicalParams(g=1.0), 1e160)
+            integrate_sweep(1, PhysicalParams(g=1.0), 1e160)
 
     @pytest.mark.parametrize("mtilde_c2, dt", [(1e120, None), (0.5, 1e-9)],
                              ids=["default-dt", "explicit-dt"])
     def test_step_count_is_capped(self, mtilde_c2, dt):
         # 1e120 asks for 1.8e243 steps at the default dt
         with pytest.raises(ParameterError, match="steps of dt"):
-            integrate_sweep(spin1_matrices(), PhysicalParams(g=1.0), mtilde_c2,
+            integrate_sweep(1, PhysicalParams(g=1.0), mtilde_c2,
                             dt=dt)
 
 
@@ -60,13 +67,13 @@ class TestAgainstClosedForms:
     """The core cross-validation: integrator vs the analytic expressions."""
 
     def test_massless_transmits_fully(self):
-        probs = integrate_sweep(spin1_matrices(), PhysicalParams(m=0.0, g=1.0), 0.0)
+        probs = integrate_sweep(1, PhysicalParams(m=0.0, g=1.0), 0.0)
         assert probs.gamma_pm == pytest.approx(1.0, abs=1e-6)
 
     def test_spin1_reference_ratio(self):
         # ratio 0.4817: frozen closed-form values (0.2817, 0.4981, 0.2202)
         params = PhysicalParams(m=0.85, g=1.5)
-        probs = integrate_sweep(spin1_matrices(), params, params.rest_energy)
+        probs = integrate_sweep(1, params, params.rest_energy)
         assert probs.gamma_pp == pytest.approx(0.2817, abs=0.01)
         assert probs.gamma_p0 == pytest.approx(0.4981, abs=0.01)
         assert probs.gamma_pm == pytest.approx(0.2202, abs=0.01)
@@ -78,7 +85,7 @@ class TestAgainstClosedForms:
         # two-level sweep at ratio 0.56: T = exp(-0.56 pi) = 0.172
         params = PhysicalParams(m=0.0, g=1.0)
         mtilde = np.sqrt(0.56)
-        probs = integrate_sweep(pauli_algebra(), params, float(mtilde))
+        probs = integrate_sweep(0.5, params, float(mtilde))
         assert probs.transmission == pytest.approx(0.172, abs=0.002)
         assert probs.transmission == pytest.approx(
             lz_spin_half(params, float(mtilde)).transmission, abs=1e-3)
@@ -89,14 +96,14 @@ class TestIntegratorProperties:
 
     def test_populations_sum_to_one(self):
         params = PhysicalParams(m=0.6, g=0.9)
-        probs = integrate_sweep(spin1_matrices(), params, params.rest_energy)
+        probs = integrate_sweep(1, params, params.rest_energy)
         assert probs.gamma_pp + probs.gamma_p0 + probs.gamma_pm == \
             pytest.approx(1.0, abs=1e-12)
 
     def test_endpoint_insensitivity(self):
         params = PhysicalParams(m=0.85, g=1.5)
-        near = integrate_sweep(spin1_matrices(), params, params.rest_energy)
-        far = integrate_sweep(spin1_matrices(), params, params.rest_energy,
+        near = integrate_sweep(1, params, params.rest_energy)
+        far = integrate_sweep(1, params, params.rest_energy,
                               endpoint_factor=60.0)
         for a, b in zip(near.as_tuple(), far.as_tuple()):
             assert abs(a - b) < 1e-3
@@ -105,7 +112,7 @@ class TestIntegratorProperties:
         params = PhysicalParams(m=0.85, g=1.5)
         # w[final, initial], one integration per initial band
         w = np.array([integrate_sweep(
-            spin1_matrices(), params, params.rest_energy, initial_band=band).as_tuple()
+            1, params, params.rest_energy, initial_band=band).as_tuple()
             for band in ("+", "0", "-")]).T
         assert np.allclose(w.sum(axis=0), 1.0, atol=1e-3)
         assert np.allclose(w.sum(axis=1), 1.0, atol=1e-3)
@@ -118,7 +125,7 @@ class TestIntegratorProperties:
         kx_start = 20.0 * 1.0  # endpoint_factor times sqrt(hbar c g)
         e_max = np.sqrt(kx_start**2 + 0.3)
         with pytest.raises(ConvergenceError):
-            integrate_sweep(pauli_algebra(), params, math.sqrt(0.3),
+            integrate_sweep(0.5, params, math.sqrt(0.3),
                             endpoint_factor=20.0, dt=3.1 / e_max)
 
     def test_dt_precondition(self):
@@ -128,12 +135,12 @@ class TestIntegratorProperties:
         e_max = np.sqrt(kx_start**2 + 1.0)
         for dt in (1.0, 1.001 * math.pi / e_max):
             with pytest.raises(ValueError):
-                integrate_sweep(spin1_matrices(), params, params.rest_energy, dt=dt)
+                integrate_sweep(1, params, params.rest_energy, dt=dt)
 
 
 class TestPublicKernel:
-    """The path kernel and the Magnus step that the oracle and the packet
-    guard share."""
+    """The path kernel and the Magnus step that the packet guard takes, and
+    the oracle's scalar chain of the same steps."""
 
     @pytest.mark.parametrize("algebra", [spin1_matrices(), pauli_algebra()],
                              ids=["spin1", "spin-half"])
@@ -175,12 +182,61 @@ class TestPublicKernel:
         assert all(q.shape == (1, 4) for q in apart)
         assert np.max(np.abs(together - np.concatenate(apart))) < 1e-15
 
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(spin=st.sampled_from([1, 0.5]), c=st.floats(0.25, 4.0),
+           g=st.floats(0.25, 4.0), hbar=st.floats(0.25, 4.0),
+           mass=st.floats(0.0, 3.0), reach=st.floats(0.05, 1.0),
+           offset=st.floats(-1.0, 1.5), blocks=st.integers(0, 1),
+           extra=st.integers(1, _ROTOR_BLOCK - 1))
+    def test_scalar_chain_is_the_vectorised_kernel(self, spin, c, g, hbar, mass,
+                                                   reach, offset, blocks, extra):
+        n_steps = blocks * _ROTOR_BLOCK + extra
+        kappa = 1.0 if spin == 1 else 2.0
+        params = PhysicalParams(c=c, g=g, hbar=hbar)
+        rate = params.g / params.hbar
+        # steps of at most about 1.5 rad, as at the oracle's default dt
+        dt = reach * math.sqrt(2.0 / (kappa * c * rate * n_steps))
+        k0 = offset * rate * n_steps * dt / 2.0
+        algebra = spin1_matrices() if spin == 1 else pauli_algebra()
+        vectorised = sweep_rotor(magnus_rotors(algebra, params, mass, dt), k0,
+                                 rate, dt, n_steps)[0]
+        scalar = _magnus_chain(kappa, params, mass, k0, dt, n_steps)
+        # each side rounds n_steps quaternion products; the pairwise tree's
+        # errors follow the smooth path, so they add up to about 3e-17 a step
+        # (the chain keeps within 4e-14 of the exact product, below)
+        tolerance = max(1e-13, n_steps * np.finfo(float).eps)
+        assert np.max(np.abs(np.array(scalar) - vectorised)) <= tolerance
+
+    @pytest.mark.parametrize("spin", [1, 0.5], ids=["spin1", "spin-half"])
+    def test_scalar_chain_is_the_exact_step_product(self, spin):
+        # the product of the same step rotors in 40 significant digits, over
+        # more than one rotor block
+        params = PhysicalParams(c=1.3, g=0.7, hbar=0.9)
+        rate, dt, mass = params.g / params.hbar, 0.01, 0.6
+        n_steps = _ROTOR_BLOCK + 1617
+        k0 = rate * n_steps * dt / 2.0
+        algebra = spin1_matrices() if spin == 1 else pauli_algebra()
+        steps = magnus_rotors(algebra, params, mass, dt)(
+            k0 - rate * (np.arange(n_steps) + 0.5) * dt)
+        with decimal.localcontext() as context:
+            context.prec = 40
+            w, x, y, z = map(decimal.Decimal, (1, 0, 0, 0))
+            for q in steps.tolist():
+                pw, px, py, pz = map(decimal.Decimal, q)
+                w, x, y, z = (pw * w - px * x - py * y - pz * z,
+                              pw * x + w * px + py * z - pz * y,
+                              pw * y + w * py + pz * x - px * z,
+                              pw * z + w * pz + px * y - py * x)
+        exact = np.array([w, x, y, z], dtype=float)
+        kappa = 1.0 if spin == 1 else 2.0
+        scalar = _magnus_chain(kappa, params, mass, k0, dt, n_steps)
+        assert np.max(np.abs(np.array(scalar) - exact)) < 1e-13
+
 
 def _oracle(ratio, spin, c=1.0, g=1.0, hbar=1.0):
     params = PhysicalParams(c=c, g=g, hbar=hbar)
-    algebra = spin1_matrices() if spin == 1 else pauli_algebra()
     mtilde = math.sqrt(ratio * hbar * c * g)
-    return integrate_sweep(algebra, params, mtilde), params, mtilde
+    return integrate_sweep(spin, params, mtilde), params, mtilde
 
 
 _RATIOS = st.floats(0.0, 3.0)
@@ -240,12 +296,11 @@ class TestValidationPropertySuite:
     def test_rejects_exactly_the_narrow_windows(self, factor, ratio, spin, c, g,
                                                 hbar):
         params = PhysicalParams(c=c, g=g, hbar=hbar)
-        algebra = spin1_matrices() if spin == 1 else pauli_algebra()
         mtilde = math.sqrt(ratio * hbar * c * g)
         if _window_too_narrow(params, mtilde, factor):
             with pytest.raises(ParameterError):
-                integrate_sweep(algebra, params, mtilde, endpoint_factor=factor)
+                integrate_sweep(spin, params, mtilde, endpoint_factor=factor)
             return
-        probs = integrate_sweep(algebra, params, mtilde, endpoint_factor=factor)
+        probs = integrate_sweep(spin, params, mtilde, endpoint_factor=factor)
         assert all(0.0 <= p <= 1.0 for p in probs.as_tuple())
         assert sum(probs.as_tuple()) == pytest.approx(1.0, abs=1e-12)

@@ -50,6 +50,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import importlib.util
+import inspect
 import json
 import math
 import os
@@ -73,7 +74,7 @@ TWO_PI = 2.0 * math.pi
 # The route modules each command's runner imports after maxwellsim.cli.
 ROUTES = {
     "sweep-transmission": ("maxwellsim.landau_zener",),
-    "lz-oracle": ("maxwellsim.spin_algebra", "maxwellsim.sweep_integrator"),
+    "lz-oracle": ("maxwellsim.sweep_integrator",),
     "evolve": ("maxwellsim.wavepacket",),
     "ion-evolve": ("maxwellsim.ion_emulator",),
     "crosscheck": ("maxwellsim.ion_emulator", "maxwellsim.sweep_integrator",
@@ -174,6 +175,16 @@ def _weights_input(spin_algebra, projectors):
     return pack(projectors) if pack else projectors
 
 
+def _sweep_call(spin_algebra, sweep_integrator):
+    """One ``integrate_sweep`` call at spin 1, ``g = 1``, ``mtilde_c2 =
+    0.75``: the spin itself where the package takes it, the spin-1
+    ``SpinAlgebra`` in trees that predate the scalar oracle."""
+    first = next(iter(inspect.signature(sweep_integrator.integrate_sweep).parameters))
+    spin = spin_algebra.spin1_matrices() if first == "algebra" else 1
+    params = spin_algebra.PhysicalParams(g=1.0)
+    return lambda: sweep_integrator.integrate_sweep(spin, params, 0.75)
+
+
 def _ladder_apply(ion_emulator, h, rows, n_fock):
     """One Hamiltonian application: the fused kernel where the package has
     it, the three-product ``_apply_ladder`` in trees that predate it."""
@@ -252,10 +263,8 @@ def layers() -> dict:
     out["evolve_superposition_N2048"] = _per_call_us(
         lambda: wavepacket.evolve(superposition, 14.0, params))
 
-    oracle = spin_algebra.PhysicalParams(g=1.0)
-    algebra = spin_algebra.spin1_matrices()
     out["integrate_sweep"] = _per_call_us(
-        lambda: sweep_integrator.integrate_sweep(algebra, oracle, 0.75))
+        _sweep_call(spin_algebra, sweep_integrator))
 
     for rows, n_fock in ((3, 256), (6, 256), (3, 512)):
         ion = ion_point(n_fock, rows == 3)
