@@ -68,6 +68,8 @@ ORACLE_COLUMNS = (
     "analytic_transmission",
 )
 CROSSCHECK_COLUMNS = ("method", "w_plus", "w_zero", "w_minus", "transmission")
+#: The ``spin`` key's values as the spins of ``landau_zener.spin_model``.
+_SPIN_VALUES = {"1": 1, "1/2": 0.5}
 
 
 def _format_value(value) -> str:
@@ -121,9 +123,8 @@ def _angle_grid(lo: float, hi: float, n: int) -> list[float]:
 def _run_sweep_transmission(config: RunConfig) -> list[str]:
     v = config.values
     params = _physical(v)
-    spin = 1.0 if v["spin"] == "1" else 0.5
     thetas = _angle_grid(v["theta_min"], v["theta_max"], v["theta_points"])
-    rows = landau_zener.angle_sweep(params, spin, v["p0"], thetas)
+    rows = landau_zener.angle_sweep(params, _SPIN_VALUES[v["spin"]], v["p0"], thetas)
     _write_csv(config.output_path, landau_zener.SWEEP_COLUMNS, rows, config)
     return [config.output_path]
 
@@ -133,12 +134,12 @@ def _run_lz_oracle(config: RunConfig) -> list[str]:
 
     v = config.values
     params = PhysicalParams(c=v["c"], m=0.0, g=v["g"], hbar=v["hbar"])
-    spin = 1 if v["spin"] == "1" else 0.5
+    spin = _SPIN_VALUES[v["spin"]]
     oracle = sweep_integrator.integrate_sweep(
         spin, params, v["mtilde_c2"], initial_band=v["initial_band"],
         endpoint_factor=v["endpoint_factor"], dt=v["dt"] if v["dt"] > 0 else None,
     )
-    formula = landau_zener.lz_spin1 if v["spin"] == "1" else landau_zener.lz_spin_half
+    formula = landau_zener.lz_spin1 if spin == 1 else landau_zener.lz_spin_half
     analytic = formula(params, v["mtilde_c2"])
     ratio = landau_zener.gap_ratio(params, v["mtilde_c2"])
     row = (ratio, oracle.gamma_pp, oracle.gamma_p0, oracle.gamma_pm,

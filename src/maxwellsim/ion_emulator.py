@@ -58,9 +58,9 @@ import numpy as np
 
 from .errors import (GridCoverageError, NumericalGuardError, ParameterError,
                      TruncationError)
+from .landau_zener import spin_model
 from .spin_algebra import (PhysicalParams, apply_projectors, band_weights,
-                           bloch_field, field_projectors, pack_projectors,
-                           spin1_matrices)
+                           bloch_field, field_projectors, pack_projectors)
 
 if TYPE_CHECKING:
     from .wavepacket import Grid1D, SpinorField
@@ -419,8 +419,7 @@ def _momentum_basis(ion: IonParams):
     vectors[1::2, n_even:] = odd[:, ::-1]
     p = np.concatenate([-s, np.zeros(n_even - n_odd), s[::-1]])
     phase = np.array([1.0, -1j, -1.0, 1j])[n % 4]
-    projectors = field_projectors(
-        spin1_matrices(), bloch_field(map_parameters(ion), p / _HBAR))
+    projectors = field_projectors(1, bloch_field(map_parameters(ion), p / _HBAR))
     return p, phase, vectors, projectors, pack_projectors(projectors)
 
 
@@ -568,7 +567,7 @@ def _sector_amplitudes(state: IonState) -> np.ndarray:
 def _project_band(state: IonState, band: str) -> IonState:
     """Filter onto one dispersion branch in the truncated momentum eigenbasis."""
     ion = state.params
-    labels = ("+", "0", "-")
+    labels = spin_model(1).labels
     if band not in labels:
         raise ParameterError(f"unknown band {band!r}")
     _, phase, vectors, projectors, _ = _momentum_basis(ion)

@@ -19,12 +19,14 @@ final band.  These formulas are validated against the independent swept-level
 integrator in :mod:`maxwellsim.sweep_integrator`.
 
 The module uses :mod:`math` alone, so the closed-form command never loads
-numpy.  :class:`PhysicalParams`, which every route takes, lives here for the
-same reason; :mod:`maxwellsim.spin_algebra` re-exports it.
+numpy.  What every route shares lives here for the same reason: the per-spin
+model :func:`spin_model`, the Magnus step :func:`magnus_step` and
+:class:`PhysicalParams` (which :mod:`maxwellsim.spin_algebra` re-exports).
 """
 
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import dataclass
 
@@ -32,11 +34,14 @@ from .errors import ParameterError
 
 __all__ = [
     "PhysicalParams",
+    "SpinModel",
     "TransitionProbabilities",
     "gap_ratio",
     "lz_spin1",
     "lz_spin_half",
     "angle_sweep",
+    "magnus_step",
+    "spin_model",
     "SWEEP_COLUMNS",
 ]
 
@@ -46,6 +51,20 @@ SWEEP_COLUMNS = ("theta", "gamma_pp", "gamma_p0", "gamma_pm", "transmission")
 # Clamping slack: probabilities may stray outside [0, 1] by at most this
 # much before we treat it as an internal inconsistency.
 _CLAMP_TOL = 1e-12
+
+#: ``H = c hbar k Cx + m~ c^2 Cz`` of one spin: band labels by descending
+#: energy, kappa of ``C = kappa S`` (2 for the bare Pauli matrices), and the
+#: real ``Cx`` and ``Cz`` as rows, in the basis of a descending diagonal Sz.
+SpinModel = collections.namedtuple("SpinModel", "labels coupling cx cz")
+
+_R = 1 / math.sqrt(2.0)  # not sqrt(0.5), which differs in the last bit
+_SPIN_MODELS = {
+    1: SpinModel(("+", "0", "-"), 1.0,
+                 ((0.0, _R, 0.0), (_R, 0.0, _R), (0.0, _R, 0.0)),
+                 ((1.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, -1.0))),
+    0.5: SpinModel(("+", "-"), 2.0, ((0.0, 1.0), (1.0, 0.0)),
+                   ((1.0, 0.0), (0.0, -1.0))),
+}
 
 
 @dataclass(frozen=True)
@@ -109,6 +128,31 @@ class TransitionProbabilities:
         return (self.gamma_pp, self.gamma_p0, self.gamma_pm)
 
 
+def spin_model(spin) -> SpinModel:
+    """The :class:`SpinModel` of spin 1 or 0.5; any other value raises
+    :class:`ParameterError`."""
+    try:
+        return _SPIN_MODELS[spin]
+    except (KeyError, TypeError):  # an unhashable value fails too
+        raise ParameterError(f"spin must be 1 or 0.5, got {spin}") from None
+
+
+def magnus_step(spin, params: PhysicalParams, mass_energy: float,
+                dt: float) -> tuple[float, float, float]:
+    """``(ax, ay, az)``: one 4th-order Magnus step of ``dt`` (Blanes et al.,
+    Phys. Rep. 470, 151 (2009)) for ``H(k) = c hbar k Cx + mass_energy Cz``,
+    ``dk/dt = -g / hbar``, is ``exp(-i (k ax, ay, az) . S)`` at the midpoint
+    k.  Its generator ``dt H(k) + (i dt^3 g / 12 hbar^2) [c hbar Cx,
+    mass_energy Cz]`` rotates about y in its commutator, as ``C = kappa S``
+    and ``[Sx, Sz] = -i Sy``: ``ay = ax az (g dt / hbar) / 12``."""
+    kappa = spin_model(spin).coupling
+    ax = kappa * params.c * dt
+    az = kappa * dt * mass_energy / params.hbar
+    # a product, where a power of dt would overflow; the factors that vanish
+    # at m = 0 or g = 0 come first, so those give 0, never inf * 0
+    return ax, ax * (az * (params.g / params.hbar * dt)) / 12.0, az
+
+
 def _closed_forms(r: float, flat_band: bool) -> tuple[float, float, float]:
     """``(gamma_pp, gamma_p0, gamma_pm)`` at gap ratio ``r``."""
     gamma_pm = math.exp(-math.pi * r)
@@ -166,8 +210,7 @@ def angle_sweep(
     0.5.  Returns one tuple of floats per angle, with fields
     :data:`SWEEP_COLUMNS`.
     """
-    if spin not in (1, 0.5):
-        raise ParameterError(f"spin must be 1 or 0.5, got {spin}")
+    flat_band = len(spin_model(spin).labels) == 3
     if not math.isfinite(p0):
         raise ParameterError(f"incident momentum must be finite, got {p0}")
     thetas = [float(theta) for theta in thetas]
@@ -180,6 +223,6 @@ def angle_sweep(
         # a product, not a power: an overflow gives inf (T = 0), as it does in numpy
         transverse = p0 * params.c * math.sin(theta)
         ratio = gap_ratio(params, math.sqrt(rest2 + transverse * transverse))
-        gamma_pp, gamma_p0, gamma_pm = map(_clamp, _closed_forms(ratio, spin == 1))
+        gamma_pp, gamma_p0, gamma_pm = map(_clamp, _closed_forms(ratio, flat_band))
         rows.append((theta, gamma_pp, gamma_p0, gamma_pm, gamma_p0 + gamma_pm))
     return rows

@@ -1,4 +1,4 @@
-"""Spin matrices, Bloch fields, band projectors and band weights.
+"""Bloch fields, band projectors, band weights and rotors on numpy arrays.
 
 The spectral propagator and the trapped-ion emulator are built on the
 objects defined here, and both read their bands out through
@@ -9,13 +9,13 @@ same projector polynomial and rotor chain out on :mod:`math` floats and
 never loads this module.  A route packs its projectors once with
 :func:`pack_projectors` and caches them; :func:`band_weights` then reads
 each state from its real moments ``Re psi_i^* psi_j`` in one matrix
-product.  Two representations are supported:
+product.
 
-* spin 1 (dimension 3): standard angular-momentum basis, ``Sz = diag(1, 0, -1)``,
-  giving the three bands ``E+ > E0 = 0 > E-``;
-* spin 1/2 (dimension 2): Pauli matrices.  The stored components are the
-  spin operators ``sigma/2``; the Bloch Hamiltonian couples through the bare
-  Pauli matrices so that the mass term has eigenvalues ``+-1 * m c^2``.
+The model lives in :mod:`maxwellsim.landau_zener` (``spin_model`` and
+``magnus_step``), and :func:`field_projectors` and :func:`magnus_rotors`
+take the spin, 1 or 0.5.  :func:`spin1_matrices` (``Sz = diag(1, 0, -1)``)
+and :func:`pauli_algebra` (``sigma / 2``) are the complex dense reference
+that tests hold the model to; no route calls them.
 
 Projectors are evaluated from the closed polynomial in ``H/E+`` rather than
 from an eigen-solver, which keeps them free of eigenvector phase ambiguity
@@ -31,9 +31,7 @@ array, and the d x d matrix (the SU(2) matrix itself for spin 1/2, its
 symmetric square for spin 1) is formed once at the end.  The packet
 guard takes the path product :func:`sweep_rotor` and the Magnus step
 :func:`magnus_rotors` over thousands of starts; the oracle's scalar chain
-takes the same steps one start at a time.  With ``C = kappa S`` every
-step's rotation vector is a closed form: ``[Sx, Sz] = -i Sy`` makes each
-commutator of ``Cx`` and ``Cz`` a multiple of ``Sy``.
+takes the same steps one start at a time.
 """
 
 from __future__ import annotations
@@ -44,16 +42,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .landau_zener import PhysicalParams
+from .landau_zener import PhysicalParams, magnus_step, spin_model
 
 __all__ = [
     "SpinAlgebra",
     "PhysicalParams",
     "spin1_matrices",
     "pauli_algebra",
-    "algebra_for",
     "bloch_field",
-    "field_hamiltonian",
     "adiabatic_projectors",
     "field_projectors",
     "pack_projectors",
@@ -89,19 +85,11 @@ class SpinAlgebra:
     sz: np.ndarray
 
     @property
-    def coupling(self) -> float:
-        """``kappa`` in ``C = kappa S``: 1 for spin 1; 2 for spin 1/2, whose
-        Bloch Hamiltonian couples through the bare Pauli matrices."""
-        return 2.0 if self.dimension == 2 else 1.0
-
-    @property
     def coupling_matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The Bloch Hamiltonian's ``(Cx, Cy, Cz) = kappa (sx, sy, sz)``."""
-        return tuple(self.coupling * s for s in (self.sx, self.sy, self.sz))
-
-    @property
-    def band_labels(self) -> tuple[str, ...]:
-        return ("+", "0", "-") if self.dimension == 3 else ("+", "-")
+        """The Bloch Hamiltonian's ``(Cx, Cy, Cz) = kappa (sx, sy, sz)``, with
+        kappa from :func:`~maxwellsim.landau_zener.spin_model`."""
+        kappa = spin_model((self.dimension - 1) / 2).coupling
+        return tuple(kappa * s for s in (self.sx, self.sy, self.sz))
 
 
 def spin1_matrices() -> SpinAlgebra:
@@ -120,22 +108,11 @@ def pauli_algebra() -> SpinAlgebra:
     return SpinAlgebra(2, sx / 2, sy / 2, sz / 2)
 
 
-def algebra_for(dimension: int) -> SpinAlgebra:
-    """The spin-1 algebra for dimension 3, the Pauli algebra for 2."""
-    return spin1_matrices() if dimension == 3 else pauli_algebra()
-
-
 def bloch_field(params: PhysicalParams, kx) -> np.ndarray:
     """Fields ``(c hbar kx, m c^2)``, shape ``(..., 2)``, with
     ``H(k) = field . (Cx, Cz)``."""
     return np.stack(np.broadcast_arrays(params.c * params.hbar * kx,
                                         params.rest_energy), -1)
-
-
-def field_hamiltonian(algebra: SpinAlgebra, field) -> np.ndarray:
-    """The real ``field . (Cx, Cz)`` for real fields ``(..., 2)``."""
-    cx, _, cz = algebra.coupling_matrices
-    return np.tensordot(field, np.stack([cx.real, cz.real]), 1)
 
 
 def adiabatic_projectors(h: np.ndarray, e_plus) -> tuple[np.ndarray, ...]:
@@ -158,12 +135,13 @@ def adiabatic_projectors(h: np.ndarray, e_plus) -> tuple[np.ndarray, ...]:
     return (hn2 + hn) / 2.0, eye - hn2, (hn2 - hn) / 2.0
 
 
-def field_projectors(algebra: SpinAlgebra, field) -> np.ndarray:
-    """Real band projectors of ``H = field . (Cx, Cz)`` at real fields of
-    shape ``(..., 2)``, stacked ``(bands, ..., d, d)`` in the order of
-    ``algebra.band_labels``.  A zero field maps as in
+def field_projectors(spin, field) -> np.ndarray:
+    """Real band projectors of ``H = field . (Cx, Cz)`` for spin 1 or 0.5 at
+    real fields of shape ``(..., 2)``, stacked ``(bands, ..., d, d)`` in the
+    order of the spin's band labels.  A zero field maps as in
     :func:`adiabatic_projectors`, so the projectors always sum to 1.  A
     field whose squared magnitude overflows raises :class:`ParameterError`."""
+    model = spin_model(spin)
     field = np.asarray(field, dtype=float)
     with np.errstate(over="ignore"):
         e_plus = np.linalg.norm(field, axis=-1)
@@ -177,7 +155,8 @@ def field_projectors(algebra: SpinAlgebra, field) -> np.ndarray:
     small = e_plus < _SQRT_TINY
     if small.any():
         e_plus = np.where(small, np.hypot(field[..., 0], field[..., 1]), e_plus)
-    return np.stack(adiabatic_projectors(field_hamiltonian(algebra, field), e_plus))
+    h = np.tensordot(field, np.array([model.cx, model.cz]), 1)
+    return np.stack(adiabatic_projectors(h, e_plus))
 
 
 def pack_projectors(projectors: np.ndarray) -> np.ndarray:
@@ -323,20 +302,11 @@ def sweep_rotor(step_rotors, k0, rate, dt, n_steps) -> np.ndarray:
     return total
 
 
-def magnus_rotors(algebra: SpinAlgebra, params: PhysicalParams,
-                  mass_energy: float, dt: float):
-    """Step-rotor function of the 4th-order Magnus scheme for
-    ``H(k) = c hbar k Cx + mass_energy Cz`` swept at ``dk/dt = -g / hbar``,
-    for :func:`sweep_rotor`.
-
-    With ``a = c hbar Cx`` and ``b = mass_energy Cz`` the generator of one
-    step is ``dt H(k_mid) + (i dt^3 g / (12 hbar^2)) [a, b]``, and
-    ``[a, b] = -i kappa^2 c hbar mass_energy Sy``, so its rotation vector is
-    ``k_mid (kappa c dt, 0, 0) + (0, kappa^2 dt^3 g c mass_energy / (12
-    hbar^2), kappa dt mass_energy / hbar)``.
-    """
-    kappa, c, hbar = algebra.coupling, params.c, params.hbar
-    slope = np.array([kappa * c * dt, 0.0, 0.0])
-    twist = kappa * kappa * dt**3 * (params.g / hbar) * c * mass_energy / (12.0 * hbar)
-    offset = np.array([0.0, twist, kappa * dt * mass_energy / hbar])
+def magnus_rotors(spin, params: PhysicalParams, mass_energy: float, dt: float):
+    """Step-rotor function of the 4th-order Magnus scheme for ``H(k) = c hbar
+    k Cx + mass_energy Cz`` swept at ``dk/dt = -g / hbar``, for
+    :func:`sweep_rotor`: the step about ``k_mid`` rotates by ``(k_mid ax, ay,
+    az)`` of :func:`~maxwellsim.landau_zener.magnus_step`."""
+    ax, ay, az = magnus_step(spin, params, mass_energy, dt)
+    slope, offset = np.array([ax, 0.0, 0.0]), np.array([0.0, ay, az])
     return lambda k_mid: rotor(k_mid[..., None] * slope + offset)

@@ -18,13 +18,13 @@ Any other mass axis in the y-z spin plane is a rotation about x away from
 ``tests/test_spin_algebra.py::TestMassAxisRotation``), so it gives the same
 band populations.
 
-Integration is a fixed-step 4th-order Magnus scheme (Blanes, Casas, Oteo
-& Ros, Phys. Rep. 470, 151 (2009)) whose step exponentials stay in the
-spin algebra: each is a rotation with a closed-form rotation vector,
+Integration is a fixed-step 4th-order Magnus scheme whose step
+exponentials stay in the spin algebra: each is a rotation with the
+closed-form rotation vector of :func:`maxwellsim.landau_zener.magnus_step`,
 multiplied as a unit quaternion, so the propagator is unitary to rounding.
-It always runs twice (dt and dt/2) as a built-in convergence check.
-
-One start needs no arrays, so the module uses :mod:`math` alone and
+It always runs twice (dt and dt/2) as a built-in convergence check.  The
+model (band labels, ``Cx``, ``Cz``) is ``landau_zener.spin_model``.  One
+start needs no arrays, so the module uses :mod:`math` alone and
 ``lz-oracle`` never loads numpy: the rotor chain runs on four floats, and
 the end projectors are the closed polynomial in ``H/E+`` of
 :func:`maxwellsim.spin_algebra.field_projectors`, written out for d x d
@@ -40,7 +40,8 @@ from __future__ import annotations
 import math
 
 from .errors import ConvergenceError, NumericalGuardError, ParameterError
-from .landau_zener import PhysicalParams, TransitionProbabilities
+from .landau_zener import (PhysicalParams, TransitionProbabilities,
+                           magnus_step, spin_model)
 
 __all__ = ["integrate_sweep"]
 
@@ -59,17 +60,6 @@ _MAX_STEPS = 300_000
 
 _NORM_DRIFT_TOL = 1e-8
 _CONVERGENCE_TOL = 1e-4
-
-_HALF_SQRT2 = math.sqrt(0.5)
-# Per spin: the band labels, the coupling kappa of C = kappa S, and the real
-# matrices Cx and Cz of the Bloch Hamiltonian, as in spin_algebra's bases.
-_SPINS = {
-    1: (("+", "0", "-"), 1.0,
-        ((0.0, _HALF_SQRT2, 0.0), (_HALF_SQRT2, 0.0, _HALF_SQRT2),
-         (0.0, _HALF_SQRT2, 0.0)),
-        ((1.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, -1.0))),
-    0.5: (("+", "-"), 2.0, ((0.0, 1.0), (1.0, 0.0)), ((1.0, 0.0), (0.0, -1.0))),
-}
 
 
 def integrate_sweep(
@@ -91,10 +81,9 @@ def integrate_sweep(
     problems still get a finite window.  The default ``dt`` is
     ``hbar / max|H|``; the Magnus step's halving delta stays below 1e-6 over
     r in [0, 3] at the default endpoints.  A sweep of more than
-    ``_MAX_STEPS`` (3e5) steps of dt, whether the default dt or an explicit
-    one sets the count, raises :class:`ParameterError` before any work.  At
-    the default dt the cap falls near r = 166, and the largest sweep it
-    admits takes about 0.8 s on one core.
+    ``_MAX_STEPS`` (300000) steps of dt, whether the default dt or an
+    explicit one sets the count, raises :class:`ParameterError` before any
+    work.
 
     The sweep runs for every initial band at dt and dt/2, and raises
     :class:`ConvergenceError` when any population moves by more than the
@@ -103,10 +92,7 @@ def integrate_sweep(
     which the unitary sweep conserves (the column norms of U are guarded at
     1e-8).  For spin 1/2 the flat-band slot is identically zero.
     """
-    # a tuple, not the dict: an unhashable argument must fail here too
-    if spin not in (1, 0.5):
-        raise ParameterError(f"spin must be 1 or 0.5, got {spin}")
-    labels, kappa, cx, cz = _SPINS[spin]
+    labels, _, cx, cz = spin_model(spin)
     if mtilde_c2 < 0:
         raise ParameterError("effective rest energy must be nonnegative")
     if params.g <= 0:
@@ -136,11 +122,13 @@ def integrate_sweep(
 
     rate = params.g / params.hbar
     total_time = 2.0 * kx_start / rate
-    if not total_time / dt <= _MAX_STEPS:
-        raise ParameterError(
-            f"sweep needs {total_time / dt:.3g} steps of dt = {dt:.3g}, above "
-            f"the cap of {_MAX_STEPS:.0e}")
-    n_steps = max(1, math.ceil(total_time / dt))
+    needed = total_time / dt
+    if not needed <= _MAX_STEPS:
+        # the exact count the run would take, where a float holds it
+        count = math.ceil(needed) if needed < 2**53 else needed
+        raise ParameterError(f"sweep needs {count:.16g} steps of dt = {dt:.3g}, "
+                             f"above the cap of {_MAX_STEPS}")
+    n_steps = max(1, math.ceil(needed))
     dt_eff = total_time / n_steps
 
     # both ends have the magnitude e_max
@@ -148,7 +136,7 @@ def integrate_sweep(
                   for kx in (kx_start, -kx_start))
 
     def populations(step: float, count: int):
-        u = _rotor_matrix(_magnus_chain(kappa, params, mtilde_c2, kx_start,
+        u = _rotor_matrix(_magnus_chain(spin, params, mtilde_c2, kx_start,
                                         step, count), len(labels))
         drift = max(abs(sum(abs(x) ** 2 for x in column) - 1.0)
                     for column in zip(*u))
@@ -182,23 +170,18 @@ def integrate_sweep(
     return TransitionProbabilities(*weights)
 
 
-def _magnus_chain(kappa: float, params: PhysicalParams, mass_energy: float,
+def _magnus_chain(spin, params: PhysicalParams, mass_energy: float,
                   k0: float, dt: float, n_steps: int):
     """Quaternion ``(w, x, y, z)`` of the ordered product of ``n_steps``
-    4th-order Magnus steps of ``dt`` along ``k(t) = k0 - (g / hbar) t`` for
-    ``H(k) = c hbar k Cx + mass_energy Cz``, ``C = kappa S``.
+    :func:`~maxwellsim.landau_zener.magnus_step` steps of ``dt`` along
+    ``k(t) = k0 - (g / hbar) t``.
 
-    Step n rotates by ``(ax k_mid, ay, az)`` with ``ax = kappa c dt``, ``az =
-    kappa dt mass_energy / hbar`` and the commutator term ``ay = ax (g dt /
-    hbar) az / 12``, and multiplies the running quaternion from the left,
-    as ``spin_algebra.sweep_rotor(spin_algebra.magnus_rotors(...), ...)``
-    does for many starts.  ``ay`` is formed without ``dt**3``, which would
-    overflow where the rotation itself is small.
+    Step n rotates by ``(ax k_mid, ay, az)`` and multiplies the running
+    quaternion from the left, as ``spin_algebra.sweep_rotor(
+    spin_algebra.magnus_rotors(...), ...)`` does for many starts.
     """
     rate = params.g / params.hbar
-    ax = kappa * params.c * dt
-    az = kappa * dt * mass_energy / params.hbar
-    ay = ax * (rate * dt) * az / 12.0
+    ax, ay, az = magnus_step(spin, params, mass_energy, dt)
     tail = ay * ay + az * az
     cos, sin, sqrt = math.cos, math.sin, math.sqrt
     w, x, y, z = 1.0, 0.0, 0.0, 0.0

@@ -58,9 +58,9 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import BoundaryContaminationError, NumericalGuardError, ParameterError
+from .landau_zener import magnus_step, spin_model
 from .spin_algebra import (
     PhysicalParams,
-    algebra_for,
     apply_projectors,
     band_weights,
     bloch_field,
@@ -92,9 +92,6 @@ __all__ = [
 TRACE_COLUMNS = ("t", "norm", "x_mean", "w_plus", "w_zero", "w_minus")
 
 _NORM_STEP_TOL = 1e-10
-#: Spectral norm of ``[Cz, Cx]`` by dimension: ``[Sz, Sx] = i Sy`` for spin 1,
-#: ``[sigma_z, sigma_x] = 2 i sigma_y`` for spin 1/2.
-_COMMUTATOR_NORM = {3: 1.0, 2: 2.0}
 #: Largest admissible L2 splitting error: one step's proven bound, and a
 #: run's measured error.
 _SPLIT_ERROR_TOL = 1e-4
@@ -228,25 +225,28 @@ def _grid_projectors(grid: Grid1D, params: PhysicalParams, dimension: int):
     """Real ``(bands, N, d, d)`` band projectors of ``H(k)`` at the grid
     wavenumbers (:func:`~maxwellsim.spin_algebra.field_projectors`), and
     the same projectors packed for ``band_weights``."""
-    projectors = field_projectors(algebra_for(dimension), bloch_field(params, grid.k))
+    projectors = field_projectors((dimension - 1) / 2, bloch_field(params, grid.k))
     return projectors, pack_projectors(projectors)
 
 
-def _splitting_rate(params: PhysicalParams) -> float:
-    """``g c m c^2 / hbar^2``, the scale of the constant dt^3 term."""
-    return params.g * params.c * params.rest_energy / params.hbar**2
+def _splitting_rate(params: PhysicalParams, dimension: int) -> float:
+    """``g c m c^2 ||[Cz, Cx]|| / hbar^2``, the scale of the constant dt^3
+    term; ``[Cz, Cx] = i kappa^2 Sy`` has the norm ``kappa^2 s``."""
+    spin = (dimension - 1) / 2  # d = 2 s + 1
+    norm = spin_model(spin).coupling ** 2 * spin
+    return params.g * params.c * params.rest_energy * norm / params.hbar**2
 
 
 def _corrected_rotors(k, params: PhysicalParams, dt: float, dimension: int):
     """Rotors of the corrected kinetic factor ``K U(k) K`` at every k, with
     ``U(k) = exp(-i H(k) dt / hbar)`` and ``K = exp(-dt^3 C / 24)``,
     ``C = (g c m c^2 / hbar^2) [Cz, Cx]`` (anti-Hermitian, so K is unitary).
-    ``U(k)`` rotates by ``kappa dt (c k, 0, m c^2 / hbar)``, and ``[Cz, Cx]
-    = i kappa^2 Sy`` makes K a rotation about y."""
-    kappa = algebra_for(dimension).coupling
-    half = rotor((0.0, kappa * kappa * dt**3 * _splitting_rate(params) / 24.0, 0.0))
-    u = rotor(np.asarray(k)[..., None] * np.array([kappa * params.c * dt, 0.0, 0.0])
-              + np.array([0.0, 0.0, kappa * params.rest_energy * dt / params.hbar]))
+    With ``magnus_step``'s ``(ax, ay, az)``, ``U(k)`` rotates by ``(k ax, 0,
+    az)`` and K by ``(0, ay / 2, 0)``: ``dt^3 C / 12`` is ``ay`` about y."""
+    ax, ay, az = magnus_step((dimension - 1) / 2, params, params.rest_energy, dt)
+    half = rotor((0.0, ay / 2.0, 0.0))
+    u = rotor(np.asarray(k)[..., None] * np.array([ax, 0.0, 0.0])
+              + np.array([0.0, 0.0, az]))
     return rotor_product(half, rotor_product(u, half))
 
 
@@ -271,8 +271,8 @@ def _step_error_bound(params: PhysicalParams, dimension: int, dt: float) -> floa
     """Proven bound on one corrected step's L2 error,
     ``dt^3 g c m c^2 ||[Cz, Cx]|| / (6 hbar^2)``: the Strang step's
     ``dt^3 / 12`` plus ``dt^3 / 24`` for each correction factor."""
-    rate = _splitting_rate(params) * _COMMUTATOR_NORM[dimension]
-    return dt * dt * dt * rate / 6.0  # overflows to inf where dt**3 would raise
+    # a product: it overflows to inf where a power would raise
+    return dt * dt * dt * _splitting_rate(params, dimension) / 6.0
 
 
 def default_time_step(
@@ -287,7 +287,7 @@ def default_time_step(
     The cap alone sets dt when m = 0 or g = 0.
     """
     dt = _EDGE_CELLS * grid.dx / params.c
-    rate = _splitting_rate(params) * _COMMUTATOR_NORM[dimension]
+    rate = _splitting_rate(params, dimension)
     if rate > 0:
         dt = min(dt, (6.0 * _SPLIT_ERROR_TOL / rate) ** (1.0 / 3.0))
     if t_final <= 0:
@@ -344,7 +344,7 @@ def gaussian_packet(
 
     if project_band is not None:
         comps = band_components(fld, params)
-        labels = algebra_for(fld.dimension).band_labels
+        labels = spin_model((fld.dimension - 1) / 2).labels
         if project_band not in labels:
             raise ParameterError(f"unknown band {project_band!r}")
         projected = comps[labels.index(project_band)]
@@ -423,16 +423,15 @@ def _measured_split_error(
     k0, psi0 = grid.k[keep], psi_k[keep][:, :, None]
 
     dimension = fld.dimension
-    algebra = algebra_for(dimension)
-    rate = params.g / params.hbar
-    if _splitting_rate(params) == 0:
-        magnus = magnus_rotors(algebra, params, params.rest_energy, t)
+    spin, rate = (dimension - 1) / 2, params.g / params.hbar
+    if _splitting_rate(params, dimension) == 0:
+        magnus = magnus_rotors(spin, params, params.rest_energy, t)
         exact = rotor_matrix(sweep_rotor(magnus, k0, rate, t, 1), dimension) @ psi0
         error = 0.0
     else:
         _refuse_work(4 * n_steps * len(keep),
                      "component-steps of the splitting-error measurement")
-        magnus = magnus_rotors(algebra, params, params.rest_energy, dt / 4.0)
+        magnus = magnus_rotors(spin, params, params.rest_energy, dt / 4.0)
         exact = sweep_rotor(magnus, k0, rate, dt / 4.0, 4 * n_steps)
         exact = rotor_matrix(exact, dimension) @ psi0
         split = sweep_rotor(

@@ -405,6 +405,20 @@ class TestCliRuns:
         assert row["analytic_gamma_pm"] == 1.0
         assert row["gamma_pm"] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("m", ["0.85", "0"], ids=["massive", "massless"])
+    def test_evolve_free_run_at_huge_scales(self, tmp_path, m):
+        # g = 0: the exact evolution is one Magnus step over t_final = 1e103,
+        # whose Sy term is formed without dt**3, which would overflow
+        cfg = tmp_path / "free.cfg"
+        cfg.write_text(f"p0 = 0\nwidth = 1e104\nm = {m}\ng = 0\nt_final = 1e103\n"
+                       "grid_length = 2e105\ngrid_points = 256\n")
+        out = tmp_path / "free.csv"
+        assert main(["evolve", "--config", str(cfg), "--output", str(out)]) == 0
+        _, header, rows = read_csv(out)
+        norms = [float(row[header.index("norm")]) for row in rows]
+        assert len(norms) >= 2
+        assert max(abs(norm - 1.0) for norm in norms) < 1e-10
+
     def test_evolve_run_with_snapshot(self, tmp_path):
         cfg = tmp_path / "evolve.cfg"
         snap = tmp_path / "snap.csv"

@@ -537,7 +537,7 @@ class TestChebyshevPropagation:
         p, to_p = np.linalg.eigh(p_op)
         physical = map_parameters(ion)
         projectors = spin_algebra.field_projectors(
-            spin1_matrices(), spin_algebra.bloch_field(physical, p))
+            1, spin_algebra.bloch_field(physical, p))
         for row, amps in zip(trajectory.trace, reference):
             fock = np.einsum("j,sjn->sn", ion.ion2_plus, amps)
             momentum = fock @ to_p.conj()  # (3, n_fock): spinors at each p_j

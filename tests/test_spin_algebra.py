@@ -14,12 +14,11 @@ from maxwellsim import (
 )
 from maxwellsim import spin_algebra, wavepacket
 from maxwellsim.errors import ParameterError
+from maxwellsim.landau_zener import magnus_step, spin_model
 from maxwellsim.spin_algebra import (
-    algebra_for,
     apply_projectors,
     band_weights,
     bloch_field,
-    field_hamiltonian,
     field_projectors,
     pack_projectors,
     rotor,
@@ -32,9 +31,15 @@ def comm(a, b):
     return a @ b - b @ a
 
 
-def bloch_hamiltonian(algebra, kx, params):
-    """``c hbar kx Cx + m c^2 Cz`` through the band layer."""
-    return field_hamiltonian(algebra, bloch_field(params, kx))
+def hamiltonian(spin, field):
+    """The real ``field . (Cx, Cz)`` of the spin's model."""
+    model = spin_model(spin)
+    return np.tensordot(field, np.array([model.cx, model.cz]), 1)
+
+
+def bloch_hamiltonian(spin, kx, params):
+    """``c hbar kx Cx + m c^2 Cz`` of the spin's model."""
+    return hamiltonian(spin, bloch_field(params, kx))
 
 
 def e_plus(kx, params):
@@ -44,7 +49,7 @@ def e_plus(kx, params):
 
 def band_projectors(kx, params):
     """Spin-1 band projectors ``(P+, P0, P-)`` at one momentum."""
-    return field_projectors(spin1_matrices(), bloch_field(params, kx))
+    return field_projectors(1, bloch_field(params, kx))
 
 
 class TestSpinMatrices:
@@ -87,6 +92,34 @@ class TestSpinMatrices:
         assert np.allclose(comm(alg.sx, alg.sy), 1j * alg.sz, atol=1e-12)
 
 
+class TestSpinModelTable:
+    """The numpy-free per-spin model against the complex dense reference."""
+
+    @pytest.mark.parametrize("spin, algebra", [(1, spin1_matrices()),
+                                               (0.5, pauli_algebra())],
+                             ids=["spin1", "spin-half"])
+    def test_matches_the_reference_matrices(self, spin, algebra):
+        model = spin_model(spin)
+        kappa = model.coupling
+        cx, cz = np.array(model.cx), np.array(model.cz)
+        # bit for bit: the packet and ion Hamiltonians keep their last bit
+        assert np.array_equal(cx, kappa * algebra.sx.real)
+        assert np.array_equal(cz, kappa * algebra.sz.real)
+        assert not algebra.sx.imag.any() and not algebra.sz.imag.any()
+        assert kappa**2 * spin == pytest.approx(
+            np.linalg.norm(cz @ cx - cx @ cz, 2), rel=1e-15)
+        # the labels follow the descending eigenvalues of H at a positive
+        # mass field, and so do the projectors
+        field = np.array([0.7, 0.4])
+        energies = np.linalg.eigvalsh(hamiltonian(spin, field))[::-1]
+        signs = {"+": 1.0, "0": 0.0, "-": -1.0}
+        assert [signs[label] for label in model.labels] == list(
+            np.sign(np.round(energies, 12)))
+        projectors = field_projectors(spin, field)
+        assert np.allclose([np.trace(hamiltonian(spin, field) @ p) for p in projectors],
+                           energies, rtol=0.0, atol=1e-14)
+
+
 class TestPhysicalParams:
 
     def test_invariants(self):
@@ -106,22 +139,21 @@ class TestPhysicalParams:
 class TestBlochHamiltonian:
 
     def test_mass_only(self):
-        h = bloch_hamiltonian(spin1_matrices(), 0.0, PhysicalParams(m=1.0))
+        h = bloch_hamiltonian(1, 0.0, PhysicalParams(m=1.0))
         assert np.allclose(h, np.diag([1.0, 0.0, -1.0]))
 
     def test_massless_spectrum(self):
         # independent route: eigen-solver on the assembled matrix
-        h = bloch_hamiltonian(spin1_matrices(), 1.0, PhysicalParams(m=0.0))
+        h = bloch_hamiltonian(1, 1.0, PhysicalParams(m=0.0))
         assert np.allclose(np.sort(np.linalg.eigvalsh(h)), [-1.0, 0.0, 1.0],
                            atol=1e-12)
 
     def test_pauli_massless_spectrum(self):
-        h = bloch_hamiltonian(pauli_algebra(), -5.0, PhysicalParams(m=0.0))
+        h = bloch_hamiltonian(0.5, -5.0, PhysicalParams(m=0.0))
         assert np.allclose(np.sort(np.linalg.eigvalsh(h)), [-5.0, 5.0], atol=1e-12)
 
     def test_hermitian(self):
-        h = bloch_hamiltonian(spin1_matrices(), -0.7,
-                              PhysicalParams(c=2.0, m=0.5, hbar=0.5))
+        h = bloch_hamiltonian(1, -0.7, PhysicalParams(c=2.0, m=0.5, hbar=0.5))
         assert np.isrealobj(h)
         assert np.allclose(h, h.T)
 
@@ -135,7 +167,7 @@ class TestBandEnergies:
         params = PhysicalParams(m=0.85)
         energy = e_plus(10.0, params)
         assert energy == pytest.approx(10.036059983878136, abs=1e-12)
-        h = bloch_hamiltonian(spin1_matrices(), 10.0, params)
+        h = bloch_hamiltonian(1, 10.0, params)
         assert np.allclose(np.linalg.eigvalsh(h), [-energy, 0.0, energy],
                            atol=1e-10)
 
@@ -166,7 +198,7 @@ class TestBandProjectors:
         # a mass field whose square still fits: level a is band +, silently
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            p_plus, p_zero, _ = field_projectors(spin1_matrices(), [0.0, 1.3e154])
+            p_plus, p_zero, _ = field_projectors(1, [0.0, 1.3e154])
         assert np.array_equal(p_plus, np.diag([1.0, 0.0, 0.0]))
         assert np.array_equal(p_zero, np.diag([0.0, 1.0, 0.0]))
 
@@ -177,14 +209,14 @@ class TestBandProjectors:
         # the squared field underflowed to 0 (or lost digits as a subnormal),
         # and a nonzero field came out degenerate (P0 = 1) or off its bands
         field = np.array(field)
-        scaled = field_projectors(spin1_matrices(), field * 1e180)
+        scaled = field_projectors(1, field * 1e180)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            tiny = field_projectors(spin1_matrices(), field)
+            tiny = field_projectors(1, field)
         assert np.allclose(tiny, scaled, rtol=0.0, atol=1e-15)
 
     def test_zero_field_stays_degenerate(self):
-        p_plus, p_zero, p_minus = field_projectors(spin1_matrices(), [0.0, 0.0])
+        p_plus, p_zero, p_minus = field_projectors(1, [0.0, 0.0])
         assert np.array_equal(p_zero, np.eye(3))
         assert not p_plus.any() and not p_minus.any()
 
@@ -195,10 +227,9 @@ class TestBandProjectors:
         fields = rng.normal(size=(1000, 2)) * np.exp(rng.uniform(-300, 300, (1000, 1)))
         norms = np.linalg.norm(fields, axis=-1)
         fields = fields[(norms > 1e-150) & (norms < 1e150)]
-        algebra = spin1_matrices()
         expected = np.stack(adiabatic_projectors(
-            field_hamiltonian(algebra, fields), np.linalg.norm(fields, axis=-1)))
-        assert np.array_equal(field_projectors(algebra, fields), expected)
+            hamiltonian(1, fields), np.linalg.norm(fields, axis=-1)))
+        assert np.array_equal(field_projectors(1, fields), expected)
 
     @pytest.mark.parametrize("field", [[1e155, 0.0], [0.0, 1e300], [np.inf, 1.0]])
     def test_overflowing_field_is_refused(self, field):
@@ -207,7 +238,7 @@ class TestBandProjectors:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ParameterError, match="squared magnitude overflows"):
-                field_projectors(spin1_matrices(), [[1.0, 0.5], field])
+                field_projectors(1, [[1.0, 0.5], field])
 
 
 class TestProjectorPropertySuite:
@@ -290,7 +321,7 @@ class TestBandLayerPropertySuite:
         params = PhysicalParams(c=1.3, m=m, hbar=0.8)
         k = rng.uniform(-20.0, 20.0, sites)
         k.flat[0] = 0.0  # fully degenerate when m = 0
-        projectors = field_projectors(algebra_for(dim), bloch_field(params, k))
+        projectors = field_projectors((dim - 1) / 2, bloch_field(params, k))
         assert projectors.shape == (dim,) + sites + (dim, dim)
         assert np.isrealobj(projectors)
         packed = pack_projectors(projectors)
@@ -417,7 +448,8 @@ class TestClosedFormRotationVectors:
             want = _projection(generator / params.hbar, algebra)
             # the rotor's argument is the rotation vector itself
             with mock.patch.object(spin_algebra, "rotor", lambda omega: omega):
-                got = spin_algebra.magnus_rotors(algebra, params, mass, dt)(k)
+                got = spin_algebra.magnus_rotors((algebra.dimension - 1) / 2,
+                                                 params, mass, dt)(k)
             self._assert_close(got, want)
 
     @pytest.mark.parametrize("algebra", [spin1_matrices(), pauli_algebra()],
@@ -440,6 +472,12 @@ class TestClosedFormRotationVectors:
                 wavepacket._corrected_rotors(k, params, dt, algebra.dimension)
             self._assert_close(vectors[0], _projection(correction, algebra))
             self._assert_close(vectors[1], _projection(kinetic, algebra))
+            # K is half of the Magnus step's commutator term, exactly
+            ax, ay, az = magnus_step((algebra.dimension - 1) / 2, params,
+                                     params.rest_energy, dt)
+            assert np.array_equal(vectors[0], (0.0, ay / 2.0, 0.0))
+            assert np.array_equal(vectors[1][:, 1:], np.tile((0.0, az), (len(k), 1)))
+            assert np.array_equal(vectors[1][:, 0], k * ax)
 
 
 class TestMassAxisRotation:
@@ -458,7 +496,7 @@ class TestMassAxisRotation:
             assert np.max(np.abs(u.conj().T @ tilted @ u - cz)) < 1e-14
             assert np.max(np.abs(u.conj().T @ cx @ u - cx)) < 1e-14
             # hence H_tilted(k) = U H_plain(k) U^dagger, band by band
-            plain = field_projectors(algebra, np.stack(
+            plain = field_projectors((algebra.dimension - 1) / 2, np.stack(
                 np.broadcast_arrays(kx, 0.8), -1))
             dense = kx[:, None, None] * cx + 0.8 * tilted
             literal = np.stack(adiabatic_projectors(dense, np.hypot(kx, 0.8)))

@@ -1,5 +1,6 @@
 import decimal
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from maxwellsim import (
     pauli_algebra,
     spin1_matrices,
 )
+from maxwellsim.landau_zener import spin_model
 from maxwellsim.spin_algebra import (
     _ROTOR_BLOCK,
     magnus_rotors,
@@ -43,8 +45,8 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             integrate_sweep(1, PhysicalParams(g=0.0), 1.0)
 
-    @pytest.mark.parametrize("spin", [1.5, 0, "1", spin1_matrices()],
-                             ids=["three-halves", "zero", "string", "algebra"])
+    @pytest.mark.parametrize("spin", [1.5, 0, "1", [1], spin1_matrices()],
+                             ids=["three-halves", "zero", "string", "list", "algebra"])
     def test_unknown_spin(self, spin):
         with pytest.raises(ParameterError, match="spin must be 1 or 0.5"):
             integrate_sweep(spin, PhysicalParams(g=1.0), 1.0)
@@ -61,6 +63,18 @@ class TestProblemValidation:
         with pytest.raises(ParameterError, match="steps of dt"):
             integrate_sweep(1, PhysicalParams(g=1.0), mtilde_c2,
                             dt=dt)
+
+    def test_step_cap_names_the_exact_count_and_the_cap(self):
+        # just above the cap both numbers read 3e+05 at three digits
+        mtilde = math.sqrt(166.59)
+        kx_start = 30.0 * mtilde  # default endpoint_factor times the gap
+        dt = 1.0 / math.hypot(kx_start, mtilde)
+        with pytest.raises(ParameterError) as refused:
+            integrate_sweep(1, PhysicalParams(g=1.0), mtilde)
+        needed, cap = re.search(r"needs (\d+) steps .* cap of (\d+)$",
+                                str(refused.value)).groups()
+        assert int(needed) == math.ceil(2.0 * kx_start / dt) > 300000
+        assert cap == "300000"
 
 
 class TestAgainstClosedForms:
@@ -154,8 +168,8 @@ class TestPublicKernel:
         k = np.array([-3.0, -0.4, 0.0, 1.1, 2.5])
         exact = np.array([expm(-1j * (dt * (kx * a + b) + commutator) / params.hbar)
                           for kx in k])
-        step = rotor_matrix(magnus_rotors(algebra, params, mass, dt)(k),
-                            algebra.dimension)
+        step = rotor_matrix(magnus_rotors((algebra.dimension - 1) / 2, params,
+                                          mass, dt)(k), algebra.dimension)
         assert np.max(np.abs(step - exact)) < 1e-14
         # the commutator term is far above that tolerance
         midpoint = np.array([expm(-1j * dt * (kx * a + b) / params.hbar) for kx in k])
@@ -164,7 +178,7 @@ class TestPublicKernel:
     def test_sweep_rotor_is_the_ordered_step_product(self):
         params = PhysicalParams(g=1.5)
         rate, dt, n_steps = params.g / params.hbar, 0.1, 10
-        steps = magnus_rotors(spin1_matrices(), params, 0.85, dt)
+        steps = magnus_rotors(1, params, 0.85, dt)
         k0 = np.linspace(-20.0, 20.0, 4096)
         assert _ROTOR_BLOCK // k0.size < n_steps  # the product crosses blocks
         total = rotor(np.zeros((k0.size, 3)))
@@ -174,7 +188,7 @@ class TestPublicKernel:
 
     def test_array_of_starts_matches_scalar_calls(self):
         dt = 0.05
-        steps = magnus_rotors(pauli_algebra(), PhysicalParams(g=1.0), 0.6, dt)
+        steps = magnus_rotors(0.5, PhysicalParams(g=1.0), 0.6, dt)
         k0 = np.array([-4.0, -1.0, 0.5, 3.0])
         together = sweep_rotor(steps, k0, 1.0, dt, 37)
         apart = [sweep_rotor(steps, k, 1.0, dt, 37) for k in k0]
@@ -191,16 +205,15 @@ class TestPublicKernel:
     def test_scalar_chain_is_the_vectorised_kernel(self, spin, c, g, hbar, mass,
                                                    reach, offset, blocks, extra):
         n_steps = blocks * _ROTOR_BLOCK + extra
-        kappa = 1.0 if spin == 1 else 2.0
+        kappa = spin_model(spin).coupling
         params = PhysicalParams(c=c, g=g, hbar=hbar)
         rate = params.g / params.hbar
         # steps of at most about 1.5 rad, as at the oracle's default dt
         dt = reach * math.sqrt(2.0 / (kappa * c * rate * n_steps))
         k0 = offset * rate * n_steps * dt / 2.0
-        algebra = spin1_matrices() if spin == 1 else pauli_algebra()
-        vectorised = sweep_rotor(magnus_rotors(algebra, params, mass, dt), k0,
+        vectorised = sweep_rotor(magnus_rotors(spin, params, mass, dt), k0,
                                  rate, dt, n_steps)[0]
-        scalar = _magnus_chain(kappa, params, mass, k0, dt, n_steps)
+        scalar = _magnus_chain(spin, params, mass, k0, dt, n_steps)
         # each side rounds n_steps quaternion products; the pairwise tree's
         # errors follow the smooth path, so they add up to about 3e-17 a step
         # (the chain keeps within 4e-14 of the exact product, below)
@@ -215,8 +228,7 @@ class TestPublicKernel:
         rate, dt, mass = params.g / params.hbar, 0.01, 0.6
         n_steps = _ROTOR_BLOCK + 1617
         k0 = rate * n_steps * dt / 2.0
-        algebra = spin1_matrices() if spin == 1 else pauli_algebra()
-        steps = magnus_rotors(algebra, params, mass, dt)(
+        steps = magnus_rotors(spin, params, mass, dt)(
             k0 - rate * (np.arange(n_steps) + 0.5) * dt)
         with decimal.localcontext() as context:
             context.prec = 40
@@ -228,8 +240,7 @@ class TestPublicKernel:
                               pw * y + w * py + pz * x - px * z,
                               pw * z + w * pz + px * y - py * x)
         exact = np.array([w, x, y, z], dtype=float)
-        kappa = 1.0 if spin == 1 else 2.0
-        scalar = _magnus_chain(kappa, params, mass, k0, dt, n_steps)
+        scalar = _magnus_chain(spin, params, mass, k0, dt, n_steps)
         assert np.max(np.abs(np.array(scalar) - exact)) < 1e-13
 
 

@@ -50,7 +50,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import importlib.util
-import inspect
 import json
 import math
 import os
@@ -168,38 +167,16 @@ def exit_layers(src: Path) -> dict:
             for command, times in samples.items()}
 
 
-def _weights_input(spin_algebra, projectors):
-    """What ``band_weights`` takes: the packed projectors where the package
-    packs them, the projectors themselves in trees that predate packing."""
-    pack = getattr(spin_algebra, "pack_projectors", None)
-    return pack(projectors) if pack else projectors
-
-
-def _sweep_call(spin_algebra, sweep_integrator):
-    """One ``integrate_sweep`` call at spin 1, ``g = 1``, ``mtilde_c2 =
-    0.75``: the spin itself where the package takes it, the spin-1
-    ``SpinAlgebra`` in trees that predate the scalar oracle."""
-    first = next(iter(inspect.signature(sweep_integrator.integrate_sweep).parameters))
-    spin = spin_algebra.spin1_matrices() if first == "algebra" else 1
-    params = spin_algebra.PhysicalParams(g=1.0)
-    return lambda: sweep_integrator.integrate_sweep(spin, params, 0.75)
-
-
 def _ladder_apply(ion_emulator, h, rows, n_fock):
-    """One Hamiltonian application: the fused kernel where the package has
-    it, the three-product ``_apply_ladder`` in trees that predate it."""
+    """One Hamiltonian application through the ladder kernel."""
     import numpy as np
 
     rng = np.random.default_rng(7)
     v = rng.normal(size=(rows, n_fock)) + 1j * rng.normal(size=(rows, n_fock))
     out = np.empty_like(v)
-    kernel = getattr(ion_emulator, "_ladder_kernel", None)
-    if kernel:
-        apply, block = kernel(rows, n_fock), ion_emulator._ladder_block(h)
-        return lambda: apply(block, v, out)
-    sqrt_n = np.sqrt(np.arange(1.0, n_fock))
-    down = h.up.conj().T
-    return lambda: ion_emulator._apply_ladder(v, h.zero, h.up, down, sqrt_n, out)
+    apply = ion_emulator._ladder_kernel(rows, n_fock)
+    block = ion_emulator._ladder_block(h)
+    return lambda: apply(block, v, out)
 
 
 def layers() -> dict:
@@ -215,9 +192,7 @@ def layers() -> dict:
                                          params, project_band="+")
         dt = wavepacket.default_time_step(grid, params, 14.0)
         norm = fld.norm()
-        projectors = spin_algebra.field_projectors(
-            spin_algebra.spin1_matrices(), spin_algebra.bloch_field(params, grid.k))
-        packed = _weights_input(spin_algebra, projectors)
+        _, packed = wavepacket._grid_projectors(grid, params, 3)
         psi_k = np.fft.fft(fld.amplitudes, axis=0)
         out[f"trace_row_N{points}"] = _per_call_us(
             lambda: wavepacket._trace_row(fld, params))
@@ -234,13 +209,7 @@ def layers() -> dict:
 
     rng = np.random.default_rng(2001)
     for records, n_fock in ((300, 512), (50, 256)):
-        ion = ion_point(n_fock, True)
-        p = ion_emulator._momentum_basis(ion)[0]
-        projectors = spin_algebra.field_projectors(
-            spin_algebra.spin1_matrices(),
-            spin_algebra.bloch_field(_physical(ion_emulator.map_parameters(ion)),
-                                     p / ion_emulator._HBAR))
-        packed = _weights_input(spin_algebra, projectors)
+        packed = ion_emulator._momentum_basis(ion_point(n_fock, True))[-1]
         shape = (records, 3, n_fock)
         # the emulator's layout: spinor-major records, read through a transpose
         momentum = rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -263,8 +232,9 @@ def layers() -> dict:
     out["evolve_superposition_N2048"] = _per_call_us(
         lambda: wavepacket.evolve(superposition, 14.0, params))
 
+    sweep_params = spin_algebra.PhysicalParams(g=1.0)
     out["integrate_sweep"] = _per_call_us(
-        _sweep_call(spin_algebra, sweep_integrator))
+        lambda: sweep_integrator.integrate_sweep(1, sweep_params, 0.75))
 
     for rows, n_fock in ((3, 256), (6, 256), (3, 512)):
         ion = ion_point(n_fock, rows == 3)
@@ -284,12 +254,6 @@ def layers() -> dict:
             lambda: ion_emulator.evolve_ion(state, ion, 1.0, records))
     out["crosscheck"] = _crosscheck_call()
     return out
-
-
-def _physical(mapped):
-    """The mapped ``PhysicalParams``, also from trees whose
-    ``map_parameters`` wraps them in a ``.physical`` field."""
-    return getattr(mapped, "physical", mapped)
 
 
 def _crosscheck_call() -> dict:
