@@ -37,7 +37,6 @@ from __future__ import annotations
 import argparse
 import atexit
 import gc
-import math
 import numbers
 import sys
 from typing import TYPE_CHECKING
@@ -233,9 +232,9 @@ def _run_crosscheck(config: RunConfig) -> list[str]:
     The analytic and swept-level rows are asymptotic (t -> infinity)
     probabilities; the packet, its exact evolution along the characteristics
     (``EvolveResult.reference``) and the ion rows are read off at
-    ``t_final``.  A packet more than its ``split_error_limit`` from the
-    reference in L2 raises :class:`NumericalGuardError`; the ion row is
-    reported, not checked.
+    ``t_final``.  ``evolve`` holds the packet within its
+    ``split_error_limit`` of the reference in L2 (or raises
+    :class:`NumericalGuardError`); the ion row is reported, not checked.
     """
     from . import ion_emulator, sweep_integrator, wavepacket
 
@@ -257,12 +256,6 @@ def _run_crosscheck(config: RunConfig) -> list[str]:
     fld = wavepacket.gaussian_packet(grid, p0, width, 0.0, (1.0, 0.0, 0.0),
                                      params, project_band="+")
     result = wavepacket.evolve(fld, v["t_final"], params)
-    gap = result.final.amplitudes - result.reference.amplitudes
-    distance = math.sqrt(wavepacket.SpinorField(grid, gap).norm())
-    if distance > result.split_error_limit:
-        raise NumericalGuardError(
-            f"wave packet lies {distance:.3e} (L2) from the exact evolution "
-            f"along the characteristics, above {result.split_error_limit:.0e}")
     _, _, _, w_plus, w_zero, w_minus = result.trace[-1].tolist()
     rows.append(("wavepacket", w_plus, w_zero, w_minus, w_zero + w_minus))
     pops = wavepacket.band_populations(result.reference, params)

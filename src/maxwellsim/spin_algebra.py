@@ -12,7 +12,7 @@ each state from its real moments ``Re psi_i^* psi_j`` in one matrix
 product.
 
 The model lives in :mod:`maxwellsim.landau_zener` (``spin_model`` and
-``magnus_step``), and :func:`field_projectors` and :func:`magnus_rotors`
+``magnus_step``), and :func:`field_projectors` and :func:`magnus_sweep`
 take the spin, 1 or 0.5.  :func:`spin1_matrices` (``Sz = diag(1, 0, -1)``)
 and :func:`pauli_algebra` (``sigma / 2``) are the complex dense reference
 that tests hold the model to; no route calls them.
@@ -28,10 +28,10 @@ vector omega, is a rotation.  It is held as the unit quaternion of its
 SU(2) element (a "rotor"), so products of many step propagators are a few
 array operations on 4-vectors, written component by component into one
 array, and the d x d matrix (the SU(2) matrix itself for spin 1/2, its
-symmetric square for spin 1) is formed once at the end.  The packet
-guard takes the path product :func:`sweep_rotor` and the Magnus step
-:func:`magnus_rotors` over thousands of starts; the oracle's scalar chain
-takes the same steps one start at a time.
+symmetric square for spin 1) is formed once at the end.  The packet's
+exact reference takes the Magnus path product :func:`magnus_sweep` over
+thousands of starts; the oracle's scalar chain takes the same steps one
+start at a time.
 """
 
 from __future__ import annotations
@@ -58,13 +58,12 @@ __all__ = [
     "rotor",
     "rotor_product",
     "rotor_matrix",
-    "sweep_rotor",
-    "magnus_rotors",
+    "magnus_sweep",
 ]
 
 _SQRT2 = np.sqrt(2.0)
 _WEIGHT_BLOCK = 1 << 16
-# Step rotors per block of :func:`sweep_rotor`; bounds its memory (a few
+# Step rotors per block of :func:`magnus_sweep`; bounds its memory (a few
 # arrays of this many 4-vectors) whatever the step and start counts.
 _ROTOR_BLOCK = 16384
 # Below this magnitude a field's square is subnormal or 0.
@@ -237,7 +236,12 @@ def rotor(omega) -> np.ndarray:
     its SU(2) element is ``w - i (x sigma_x + y sigma_y + z sigma_z)``
     ``= exp(-i omega . sigma / 2)``."""
     omega = np.asarray(omega, dtype=float)
-    angle = np.sqrt(np.sum(omega**2, axis=-1))
+    with np.errstate(over="ignore"):
+        angle = np.sqrt(np.sum(omega**2, axis=-1))
+    # the square overflows above about 1.3e154 rad; hypot forms none there
+    big = np.isinf(angle)
+    if big.any():
+        angle = np.where(big, np.hypot.reduce(omega, axis=-1), angle)
     out = np.empty(omega.shape[:-1] + (4,))
     out[..., 0] = np.cos(0.5 * angle)
     # sin(angle / 2) / angle, with its limit 1/2 at angle = 0
@@ -278,35 +282,31 @@ def rotor_matrix(q: np.ndarray, dimension: int) -> np.ndarray:
     return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
 
 
-def sweep_rotor(step_rotors, k0, rate, dt, n_steps) -> np.ndarray:
-    """Rotor of the ordered product of ``n_steps`` step propagators along
-    ``k(t) = k0 - rate t``, one per start: shape ``(len(k0), 4)``, or
-    ``(1, 4)`` for a scalar ``k0``.
+def magnus_sweep(spin, params: PhysicalParams, mass_energy: float, k0, dt,
+                 n_steps) -> np.ndarray:
+    """Rotor of the ordered product of ``n_steps`` 4th-order Magnus steps of
+    ``dt`` for ``H(k) = c hbar k Cx + mass_energy Cz`` swept along ``k(t) =
+    k0 - (g / hbar) t``, one per start: shape ``(len(k0), 4)``, or ``(1, 4)``
+    for a scalar ``k0``.
 
-    ``step_rotors(k_mid)`` maps an array of step-midpoint wavenumbers to the
-    rotors (``k_mid.shape + (4,)``) of the step propagators.  Rotors are
-    built in blocks of at most ``_ROTOR_BLOCK`` and multiplied pairwise, so
-    the memory stays bounded whatever the step and start counts;
-    :func:`rotor_matrix` turns the result into the d x d propagator.
+    The step about ``k_mid`` rotates by ``(k_mid ax, ay, az)`` of
+    :func:`~maxwellsim.landau_zener.magnus_step`.  Step rotors are built in
+    blocks of at most ``_ROTOR_BLOCK`` and multiplied pairwise, so the memory
+    stays bounded whatever the step and start counts; :func:`rotor_matrix`
+    turns the result into the d x d propagator.
     """
+    ax, ay, az = magnus_step(spin, params, mass_energy, dt)
+    slope, offset = np.array([ax, 0.0, 0.0]), np.array([0.0, ay, az])
+    rate = params.g / params.hbar
     k0 = np.atleast_1d(np.asarray(k0, dtype=float))
     total = rotor(np.zeros((k0.size, 3)))
     block = max(1, _ROTOR_BLOCK // k0.size)
     for first in range(0, n_steps, block):
         steps = np.arange(first, min(first + block, n_steps))
-        q = step_rotors(k0 - rate * (steps[:, None] + 0.5) * dt)
+        k_mid = k0 - rate * (steps[:, None] + 0.5) * dt
+        q = rotor(k_mid[..., None] * slope + offset)
         while len(q) > 1:
             pairs = rotor_product(q[1::2], q[0:-1:2])
             q = np.concatenate([pairs, q[-1:]]) if len(q) % 2 else pairs
         total = rotor_product(q[0], total)
     return total
-
-
-def magnus_rotors(spin, params: PhysicalParams, mass_energy: float, dt: float):
-    """Step-rotor function of the 4th-order Magnus scheme for ``H(k) = c hbar
-    k Cx + mass_energy Cz`` swept at ``dk/dt = -g / hbar``, for
-    :func:`sweep_rotor`: the step about ``k_mid`` rotates by ``(k_mid ax, ay,
-    az)`` of :func:`~maxwellsim.landau_zener.magnus_step`."""
-    ax, ay, az = magnus_step(spin, params, mass_energy, dt)
-    slope, offset = np.array([ax, 0.0, 0.0]), np.array([0.0, ay, az])
-    return lambda k_mid: rotor(k_mid[..., None] * slope + offset)

@@ -28,9 +28,9 @@ start needs no arrays, so the module uses :mod:`math` alone and
 ``lz-oracle`` never loads numpy: the rotor chain runs on four floats, and
 the end projectors are the closed polynomial in ``H/E+`` of
 :func:`maxwellsim.spin_algebra.field_projectors`, written out for d x d
-lists.  The wave-packet guard runs the same Magnus step vectorised over
-many starts (``spin_algebra.magnus_rotors`` and ``sweep_rotor``); a test
-holds the two chains to 1e-13.  No closed-form transition probabilities
+lists.  The wave packet's exact reference runs the same Magnus steps
+vectorised over many starts (``spin_algebra.magnus_sweep``); a test holds
+the two chains to 1e-13.  No closed-form transition probabilities
 enter anywhere here, which is what makes this module an independent check
 of the analytic formulas in :mod:`maxwellsim.landau_zener`.
 """
@@ -177,8 +177,8 @@ def _magnus_chain(spin, params: PhysicalParams, mass_energy: float,
     ``k(t) = k0 - (g / hbar) t``.
 
     Step n rotates by ``(ax k_mid, ay, az)`` and multiplies the running
-    quaternion from the left, as ``spin_algebra.sweep_rotor(
-    spin_algebra.magnus_rotors(...), ...)`` does for many starts.
+    quaternion from the left, as ``spin_algebra.magnus_sweep`` does for
+    many starts.
     """
     rate = params.g / params.hbar
     ax, ay, az = magnus_step(spin, params, mass_energy, dt)

@@ -27,16 +27,15 @@ tolerance:
   exact step: Strang's ``dt^3 / 12`` (Jahnke & Lubich, BIT 40, 735 (2000))
   plus ``dt^3 / 24`` for each K (``||[Cz, Cx]||`` is 1 for spin 1 and 2 for
   spin 1/2).  :func:`step` refuses a dt above this limit.
-* a run's error is measured before stepping.  In momentum space
+* a run's error is measured after stepping.  In momentum space
   ``g x = i g d/dk``, so each Fourier component k0 moves along
-  ``k(t) = k0 - g t / hbar`` under ``H(k(t))``, and along that path the run
-  is a product of d x d matrices.  :func:`evolve` compares it with the
-  exact path propagator, both built by the rotor layer's ``sweep_rotor``
-  (the exact one from ``magnus_rotors`` at dt / 4), for every component but
-  a tail of weight w at most 1e-22 of the norm, which adds ``2 sqrt(w)``.
-  The result is ``EvolveResult.split_error``.  The exact evolution, one
-  inverse FFT and the phase ``exp(-i g t x / hbar)`` away, is kept as
-  ``EvolveResult.reference``.
+  ``k(t) = k0 - g t / hbar`` under ``H(k(t))``, and along that path the
+  exact evolution is a product of d x d matrices, built by the rotor
+  layer's ``magnus_sweep`` at dt / 4 for every component but a tail of
+  weight w at most 1e-22 of the norm.  One inverse FFT and the phase
+  ``exp(-i g t x / hbar)`` turn it into the exact final state,
+  ``EvolveResult.reference``, and :func:`evolve` reports
+  ``||final - reference|| + sqrt(w)`` as ``EvolveResult.split_error``.
 
 The default dt is the largest one within the one-step limit and the cap
 ``c dt <= 3 dx``: no band moves faster than c, so no part of the packet can
@@ -65,12 +64,11 @@ from .spin_algebra import (
     band_weights,
     bloch_field,
     field_projectors,
-    magnus_rotors,
+    magnus_sweep,
     pack_projectors,
     rotor,
     rotor_matrix,
     rotor_product,
-    sweep_rotor,
 )
 
 __all__ = [
@@ -95,22 +93,25 @@ _NORM_STEP_TOL = 1e-10
 #: Largest admissible L2 splitting error: one step's proven bound, and a
 #: run's measured error.
 _SPLIT_ERROR_TOL = 1e-4
-#: Fraction of the norm the measured error may leave to its 2 sqrt(w) term.
+#: Fraction of the norm the exact reference may drop (its sqrt(w) term).
 _DROPPED_WEIGHT = 1e-22
-#: Times the default dt shrinks before a run's measured error is an error.
+#: Times the default dt shrinks and the run is repeated before a measured
+#: error above the limit is an error.
 _SHRINK_TRIES = 3
 _EDGE_CELLS = 3
 #: Grid points of the guarded cells, at both edges.
 _EDGE_POINTS = np.array([*range(_EDGE_CELLS), *range(-_EDGE_CELLS, 0)])
 _EDGE_WEIGHT_TOL = 1e-6
 _MIN_POINTS = 256
+#: Largest ``|x - center|`` whose square, which the envelope forms, is finite.
+_MAX_EXTENT = math.sqrt(sys.float_info.max)
 #: Largest grid: at 2^20 points the step's kinetic factor and the band
 #: projectors take about 150 and 230 MiB.
 _MAX_POINTS = 2**20
 #: Largest work of a run, in point-steps: ``steps x N`` for the step loop
-#: and ``4 steps x kept components`` for the measured splitting error.  On
-#: one core these cost about 80 and 130 ns a point-step at N = 4096, so the
-#: cap is one to two minutes of work; the README demo makes 1e6.
+#: and ``4 steps x kept components`` for the exact reference.  On one core
+#: the step loop costs about 80 ns a point-step at N = 4096, so the cap is
+#: one to two minutes of work; the README demo makes 1e6.
 _MAX_WORK = 10**9
 
 
@@ -202,12 +203,13 @@ class EvolveResult:
     """Recorded trajectory: trace rows follow :data:`TRACE_COLUMNS`.
 
     ``dt`` and ``steps`` are the step actually taken and their number
-    (``steps * dt == t_final``).  ``split_error`` is the run's L2 splitting
-    error measured along the characteristics of the initial field, which the
-    guard keeps at or below ``split_error_limit``; ``edge_weight_max`` is the
-    largest fraction of the norm seen in the guarded edge cells, which must
-    stay below 1e-6.  ``reference`` is the exact final state, found along
-    the characteristics; ``final`` lies about ``split_error`` from it in L2.
+    (``steps * dt == t_final``).  ``reference`` is the exact final state,
+    found along the characteristics of the initial field, and
+    ``split_error`` is the run's measured L2 splitting error: ``final``'s
+    distance from ``reference`` plus the square root of the weight the
+    reference drops.  The guard keeps it at or below ``split_error_limit``.
+    ``edge_weight_max`` is the largest fraction of the norm seen in the
+    guarded edge cells, which must stay below 1e-6.
     """
 
     trace: np.ndarray
@@ -311,18 +313,24 @@ def gaussian_packet(
     ``width`` is the amplitude Gaussian width.  The packet must fit the
     grid in position, ``|center| + 5 width < L/2``, and in momentum,
     ``|p0| / hbar + 5 / width < pi / dx``, so that it neither wraps nor
-    aliases, and ``width^2`` must be a normal float, as the envelope
-    divides by it; :class:`ParameterError` refuses it otherwise.  With
-    ``project_band`` in ``{"+", "0", "-"}`` the packet is filtered onto one
-    dispersion branch in momentum space and renormalized; a spinor
-    orthogonal to the requested branch leaves nothing and raises
-    ``ValueError``.
+    aliases, ``width^2`` must be a normal float, as the envelope divides by
+    it, and ``(x - center)^2`` must be finite at every grid point (so the
+    width stays below about 2.7e153); :class:`ParameterError` refuses the
+    packet otherwise.  With ``project_band`` in ``{"+", "0", "-"}`` the
+    packet is filtered onto one dispersion branch in momentum space and
+    renormalized; a spinor orthogonal to the requested branch leaves
+    nothing and raises ``ValueError``.
     """
     if width <= 4 * grid.dx:
         raise ParameterError("packet width must exceed 4 grid spacings")
     if not width * width >= sys.float_info.min:
         raise ParameterError(
             f"packet width {width:.3g} is too small: its square underflows")
+    extent = grid.length / 2 + abs(center)
+    if not extent <= _MAX_EXTENT:
+        raise ParameterError(
+            f"packet width {width:.3g} is too large: on its grid the envelope "
+            f"squares |x - center| up to {extent:.3g}, which overflows")
     if abs(center) + 5 * width >= grid.length / 2:
         raise ParameterError("packet support (center +- 5 width) must fit in the grid")
     if not abs(p0) / params.hbar + 5.0 / width < math.pi / grid.dx:
@@ -371,8 +379,8 @@ def _edge_weight(fld: SpinorField, norm: float) -> float:
     return weight
 
 
-def _validate_step_dt(params: PhysicalParams, dimension: int, dt: float) -> float:
-    """Reject a dt whose one-step error bound exceeds 1e-4; return the bound."""
+def _validate_step_dt(params: PhysicalParams, dimension: int, dt: float):
+    """Reject a dt whose one-step error bound exceeds 1e-4."""
     if dt <= 0:
         raise ParameterError("dt must be positive")
     bound = _step_error_bound(params, dimension, dt)
@@ -381,70 +389,53 @@ def _validate_step_dt(params: PhysicalParams, dimension: int, dt: float) -> floa
             f"dt = {dt:.6g} too large: the one-step splitting error bound is "
             f"{bound:.3e} > {_SPLIT_ERROR_TOL:.0e}"
         )
-    return bound
 
 
-def _measured_split_error(
+def _exact_evolution(
     fld: SpinorField, params: PhysicalParams, dt: float, n_steps: int
-) -> tuple[float, SpinorField]:
-    """L2 distance between ``n_steps`` corrected steps of dt and the exact
-    evolution of ``fld``, measured along the characteristics, and that
-    exact evolution on the grid.
+) -> tuple[SpinorField, float]:
+    """Exact evolution of ``fld`` over ``n_steps`` steps of dt, found along
+    the characteristics, and the weight it drops.
 
     In momentum space ``g x = i g d/dk``, so the Fourier component at k0
-    moves along ``k(t) = k0 - g t / hbar`` under ``H(k(t))``.  Along that
-    path a step is the d x d matrix ``K U(k_mid) K`` at the step's midpoint,
-    and the exact evolution is the swept-level problem.  Both path
-    propagators come from the rotor layer's ``sweep_rotor``, the exact one with
-    ``magnus_rotors`` at dt / 4, and their difference acts on the kept
-    components.  Components are kept from the largest weight down until the
-    dropped weight w is at most 1e-22 of the norm; they can carry at most
-    ``2 sqrt(w)`` of error, which is added.  Where ``g m = 0`` the splitting
-    is exact and one Magnus step over the run is the exact propagator.  The
-    exact state at ``t = n_steps dt`` is ``exp(-i g t x / hbar)``, which
-    takes each k0 to ``k0 - g t / hbar``, times the inverse FFT of the
-    evolved kept components.  The run (``n_steps x N`` point-steps) and the
-    emulated steps (``4 n_steps`` per kept component) are each refused above
-    1e9 before any work.
+    moves along ``k(t) = k0 - g t / hbar`` under ``H(k(t))``: the swept-level
+    problem, whose propagator ``magnus_sweep`` builds at dt / 4.  Where
+    ``g m = 0`` one Magnus step over the run is exact.  Components are kept
+    from the largest weight down until the dropped weight w is at most 1e-22
+    of the norm, and w is returned.  The exact state at ``t = n_steps dt``
+    is ``exp(-i g t x / hbar)``, which takes each k0 to ``k0 - g t / hbar``,
+    times the inverse FFT of the evolved kept components.  The run
+    (``n_steps x N`` point-steps) and the reference (``4 n_steps`` per kept
+    component) are each refused above 1e9 before any work.
     """
     grid = fld.grid
     _refuse_work(n_steps * grid.points, "point-steps")
     if n_steps == 0:
-        return 0.0, fld.copy()
+        return fld.copy(), 0.0
     t = n_steps * dt
-    scale = grid.dx / grid.points
     psi_k = np.fft.fft(fld.amplitudes, axis=0)
-    weights = np.sum(np.abs(psi_k) ** 2, axis=1) * scale
+    weights = np.sum(np.abs(psi_k) ** 2, axis=1) * (grid.dx / grid.points)
     order = np.argsort(weights)
     tail = np.cumsum(weights[order])
     n_dropped = int(np.searchsorted(tail, _DROPPED_WEIGHT * tail[-1], "right"))
     dropped = float(tail[n_dropped - 1]) if n_dropped else 0.0
     keep = order[n_dropped:]
-    k0, psi0 = grid.k[keep], psi_k[keep][:, :, None]
+    k0 = grid.k[keep]
 
     dimension = fld.dimension
-    spin, rate = (dimension - 1) / 2, params.g / params.hbar
+    spin = (dimension - 1) / 2
     if _splitting_rate(params, dimension) == 0:
-        magnus = magnus_rotors(spin, params, params.rest_energy, t)
-        exact = rotor_matrix(sweep_rotor(magnus, k0, rate, t, 1), dimension) @ psi0
-        error = 0.0
+        path = magnus_sweep(spin, params, params.rest_energy, k0, t, 1)
     else:
         _refuse_work(4 * n_steps * len(keep),
-                     "component-steps of the splitting-error measurement")
-        magnus = magnus_rotors(spin, params, params.rest_energy, dt / 4.0)
-        exact = sweep_rotor(magnus, k0, rate, dt / 4.0, 4 * n_steps)
-        exact = rotor_matrix(exact, dimension) @ psi0
-        split = sweep_rotor(
-            lambda k_mid: _corrected_rotors(k_mid, params, dt, dimension),
-            k0, rate, dt, n_steps)
-        distance = np.sum(np.abs(rotor_matrix(split, dimension) @ psi0 - exact) ** 2)
-        error = math.sqrt(float(distance) * scale) + 2.0 * math.sqrt(dropped)
-
+                     "component-steps of the exact reference")
+        path = magnus_sweep(spin, params, params.rest_energy, k0, dt / 4.0,
+                            4 * n_steps)
     evolved = np.zeros_like(psi_k)
-    evolved[keep] = exact[:, :, 0]
+    evolved[keep] = (rotor_matrix(path, dimension) @ psi_k[keep][:, :, None])[:, :, 0]
     amplitudes = np.fft.ifft(evolved, axis=0)
     amplitudes *= np.exp((-1j * params.g * t / params.hbar) * grid.x)[:, None]
-    return error, SpinorField(grid, amplitudes, fld.time + t)
+    return SpinorField(grid, amplitudes, fld.time + t), dropped
 
 
 def _refuse_work(work: int, unit: str):
@@ -504,17 +495,20 @@ def evolve(
     divide ``t_final`` into whole steps.  :class:`ParameterError` rejects a
     step with ``c dt`` beyond the 3 guarded edge cells, which a packet could
     jump across between two checks, or above the one-step error limit.
-    Before stepping, the run's splitting error is measured along the
-    characteristics of the initial field (``EvolveResult.split_error``),
-    which also gives the exact final state (``EvolveResult.reference``).
-    A run of more than 1e9 point-steps (``steps x N``), or whose measurement
-    would emulate more than 1e9 component-steps, raises
-    :class:`ParameterError` before any step.
-    Above 1e-4, an explicit dt raises :class:`ParameterError`; the default
-    dt shrinks by ``0.9 (1e-4 / error)^(1/4)`` and is measured again, up to
-    3 times, before :class:`NumericalGuardError`.  The trace (one row per
-    record, columns :data:`TRACE_COLUMNS`) always includes the initial and
-    final states; ``record_stride`` is in steps.  Step i of n ends at
+    A run of more than 1e9 point-steps (``steps x N``), or whose exact
+    reference would take more than 1e9 component-steps, raises
+    :class:`ParameterError` before any step.  The exact final state is
+    found along the characteristics of the initial field
+    (``EvolveResult.reference``), and after the run its distance from the
+    final state gives the measured splitting error
+    (``EvolveResult.split_error``).  A non-finite error, or one above 1e-4
+    where ``g m = 0`` (the splitting is exact there, so no smaller dt
+    helps), raises :class:`NumericalGuardError` at once.  Any other error
+    above 1e-4 is a :class:`ParameterError` for an explicit dt; the default
+    dt shrinks by ``0.9 (1e-4 / error)^(1/4)`` and the run is repeated, up
+    to 3 times, before :class:`NumericalGuardError`.  The trace (one row
+    per record, columns :data:`TRACE_COLUMNS`) always includes the initial
+    and final states; ``record_stride`` is in steps.  Step i of n ends at
     ``t0 + t_final * (i / n)``, so the last record sits at ``t0 + t_final``
     exactly.  The edge-contamination guard runs every step.
     """
@@ -533,40 +527,51 @@ def evolve(
                 f"guarded edge cells ({_EDGE_CELLS * fld.grid.dx:.6g})"
             )
         _validate_step_dt(params, fld.dimension, dt_eff)
-
-    current = fld.copy()
-    norm = current.norm()
+    norm = fld.norm()
     if not norm > 0:
         raise ParameterError("the field must have a nonzero norm")
-    error, reference = _measured_split_error(current, params, dt_eff, n_steps)
-    for _ in range(_SHRINK_TRIES):
-        if error <= _SPLIT_ERROR_TOL or explicit:
-            break
-        n_steps, dt_eff = _whole_steps(
-            t_final, 0.9 * dt_eff * (_SPLIT_ERROR_TOL / error) ** 0.25)
-        error, reference = _measured_split_error(current, params, dt_eff, n_steps)
-    if error > _SPLIT_ERROR_TOL:
-        message = (f"measured splitting error {error:.3e} over t = "
-                   f"{t_final:.6g} exceeds {_SPLIT_ERROR_TOL:.0e} at dt = "
-                   f"{dt_eff:.6g}")
+
+    for retry in range(_SHRINK_TRIES + 1):
+        if retry:
+            n_steps, dt_eff = _whole_steps(
+                t_final, 0.9 * dt_eff * (_SPLIT_ERROR_TOL / error) ** 0.25)
+        reference, dropped = _exact_evolution(fld, params, dt_eff, n_steps)
+        trace, final, edge_max = _run(fld, t_final, params, dt_eff, n_steps,
+                                      norm, record_stride)
+        gap = SpinorField(fld.grid, final.amplitudes - reference.amplitudes)
+        error = math.sqrt(gap.norm()) + math.sqrt(dropped)
+        if error <= _SPLIT_ERROR_TOL:
+            return EvolveResult(trace, final, dt_eff, n_steps, error,
+                                _SPLIT_ERROR_TOL, edge_max, reference)
+        message = (f"measured splitting error {error:.3e} (L2 distance from "
+                   f"the exact evolution along the characteristics) over "
+                   f"t = {t_final:.6g} exceeds {_SPLIT_ERROR_TOL:.0e} at "
+                   f"dt = {dt_eff:.6g}")
+        # where g m = 0 the splitting is exact, and a smaller dt cannot lower
+        # an error that it does not make
+        if not math.isfinite(error) or _splitting_rate(params, fld.dimension) == 0:
+            raise NumericalGuardError(message)
         if explicit:
             raise ParameterError(message)
-        raise NumericalGuardError(message)
+    raise NumericalGuardError(message)
+
+
+def _run(fld: SpinorField, t_final: float, params: PhysicalParams, dt: float,
+         n_steps: int, norm: float, record_stride: int | None):
+    """The step loop of :func:`evolve`: its trace, final state and largest
+    edge weight."""
     if record_stride is None:
         record_stride = max(1, n_steps // 200) if n_steps else 1
-
+    current = fld.copy()
     edge_max = _edge_weight(current, norm)
     rows = [_trace_row(current, params)]
-
     for i in range(1, n_steps + 1):
-        current = step(current, dt_eff, params, norm)
+        current = step(current, dt, params, norm)
         current.time = fld.time + t_final * (i / n_steps)
         edge_max = max(edge_max, _edge_weight(current, norm))
         if i % record_stride == 0 or i == n_steps:
             rows.append(_trace_row(current, params))
-
-    return EvolveResult(np.array(rows), current, dt_eff, n_steps,
-                        error, _SPLIT_ERROR_TOL, edge_max, reference)
+    return np.array(rows), current, edge_max
 
 
 def _trace_row(fld: SpinorField, params: PhysicalParams) -> tuple:

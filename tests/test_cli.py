@@ -507,18 +507,19 @@ class TestCliRuns:
                            atol=1e-9)
 
     def test_crosscheck_refuses_a_packet_off_the_reference(self, tmp_path, capsys):
+        # evolve's own guard: a packet 1e-3 (L2) off its exact reference
         from maxwellsim import wavepacket
 
-        evolve = wavepacket.evolve
+        exact = wavepacket._exact_evolution
 
-        def perturbed(*args, **kwargs):
-            result = evolve(*args, **kwargs)
-            result.final.amplitudes *= 1.0 + 1e-3  # 1e-3 in L2
-            return result
+        def perturbed(*args):
+            reference, dropped = exact(*args)
+            reference.amplitudes *= 1.0 + 1e-3
+            return reference, dropped
 
         cfg = tmp_path / "cross.cfg"
         cfg.write_text(CROSS)
-        with mock.patch.object(wavepacket, "evolve", perturbed):
+        with mock.patch.object(wavepacket, "_exact_evolution", perturbed):
             assert main(["crosscheck", "--config", str(cfg),
                          "--output", str(tmp_path / "cross.csv")]) == 3
         assert "characteristics" in capsys.readouterr().err

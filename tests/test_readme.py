@@ -1,9 +1,12 @@
+import ast
+import importlib
 import re
 from pathlib import Path
 
 import pytest
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def _section_code(title: str) -> str:
@@ -20,3 +23,18 @@ def test_library_sketch_runs(capsys):
     assert int(steps) == 239
     assert float(dt) == pytest.approx(14.0 / 239)
     assert 0.0 < float(split_error) <= 1e-4
+
+
+def test_layer_tool_names_only_existing_attributes():
+    # tools/bench_layers.py reaches into the package by attribute; a rename
+    # in src/ would otherwise break it silently
+    tree = ast.parse((ROOT / "tools" / "bench_layers.py").read_text())
+    modules = ("wavepacket", "ion_emulator", "spin_algebra", "sweep_integrator",
+               "cli")
+    named = {(node.value.id, node.attr) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name) and node.value.id in modules}
+    assert {module for module, _ in named} == set(modules)
+    for module, attribute in sorted(named):
+        package = importlib.import_module(f"maxwellsim.{module}")
+        assert hasattr(package, attribute), f"{module}.{attribute}"

@@ -412,6 +412,20 @@ class TestRotors:
         assert np.max(np.abs(rotor_matrix(q, algebra.dimension) - exact)) < tol
 
 
+    def test_unit_rotor_where_the_squared_angle_overflows(self):
+        # |omega| = 1e160: omega^2 overflows, and hypot takes the angle; a
+        # rotor whose square is finite keeps its bits
+        axis = np.array([0.48, -0.6, 0.64])
+        omega = np.stack([1e160 * axis, 1e3 * axis, [1e200, -1e200, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q = rotor(omega)
+        assert np.all(np.abs(np.sum(q**2, axis=-1) - 1.0) < 1e-15)
+        assert np.array_equal(q[1], rotor(1e3 * axis))
+        # the vector part lies along the axis (sin(angle / 2) may be negative)
+        vector = q[0, 1:] / np.linalg.norm(q[0, 1:])
+        assert abs(abs(vector @ axis) - 1.0) < 1e-15
+
 def _projection(matrices, algebra):
     """Real ``omega`` with ``matrices = omega . (sx, sy, sz)``, by the trace
     inner products under which the spin components are orthogonal."""
@@ -446,10 +460,10 @@ class TestClosedFormRotationVectors:
             generator = (dt * (k[:, None, None] * a + b)
                          + 1j * dt**3 * params.g / (12.0 * params.hbar**2) * comm(a, b))
             want = _projection(generator / params.hbar, algebra)
-            # the rotor's argument is the rotation vector itself
-            with mock.patch.object(spin_algebra, "rotor", lambda omega: omega):
-                got = spin_algebra.magnus_rotors((algebra.dimension - 1) / 2,
-                                                 params, mass, dt)(k)
+            # the rotation vector of the step about each k, as magnus_sweep
+            # forms it: (k ax, ay, az)
+            ax, ay, az = magnus_step((algebra.dimension - 1) / 2, params, mass, dt)
+            got = k[:, None] * np.array([ax, 0.0, 0.0]) + np.array([0.0, ay, az])
             self._assert_close(got, want)
 
     @pytest.mark.parametrize("algebra", [spin1_matrices(), pauli_algebra()],

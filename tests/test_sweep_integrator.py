@@ -17,16 +17,22 @@ from maxwellsim import (
     pauli_algebra,
     spin1_matrices,
 )
-from maxwellsim.landau_zener import spin_model
+from maxwellsim.landau_zener import magnus_step, spin_model
 from maxwellsim.spin_algebra import (
     _ROTOR_BLOCK,
-    magnus_rotors,
+    magnus_sweep,
     rotor,
     rotor_matrix,
     rotor_product,
-    sweep_rotor,
 )
 from maxwellsim.sweep_integrator import _magnus_chain
+
+
+def _step_rotors(spin, params, mass, dt, k_mid):
+    """Rotors of the Magnus steps of dt about the midpoints ``k_mid``."""
+    ax, ay, az = magnus_step(spin, params, mass, dt)
+    return rotor(np.asarray(k_mid)[..., None] * np.array([ax, 0.0, 0.0])
+                 + np.array([0.0, ay, az]))
 
 
 class TestProblemValidation:
@@ -153,7 +159,7 @@ class TestIntegratorProperties:
 
 
 class TestPublicKernel:
-    """The path kernel and the Magnus step that the packet guard takes, and
+    """The Magnus path product that the packet's exact reference takes, and
     the oracle's scalar chain of the same steps."""
 
     @pytest.mark.parametrize("algebra", [spin1_matrices(), pauli_algebra()],
@@ -168,30 +174,32 @@ class TestPublicKernel:
         k = np.array([-3.0, -0.4, 0.0, 1.1, 2.5])
         exact = np.array([expm(-1j * (dt * (kx * a + b) + commutator) / params.hbar)
                           for kx in k])
-        step = rotor_matrix(magnus_rotors((algebra.dimension - 1) / 2, params,
-                                          mass, dt)(k), algebra.dimension)
+        # one swept step of dt whose midpoint is k
+        k0 = k + params.g / params.hbar * dt / 2.0
+        step = rotor_matrix(magnus_sweep((algebra.dimension - 1) / 2, params,
+                                         mass, k0, dt, 1), algebra.dimension)
         assert np.max(np.abs(step - exact)) < 1e-14
         # the commutator term is far above that tolerance
         midpoint = np.array([expm(-1j * dt * (kx * a + b) / params.hbar) for kx in k])
         assert np.max(np.abs(midpoint - exact)) > 1e-4
 
-    def test_sweep_rotor_is_the_ordered_step_product(self):
+    def test_sweep_is_the_ordered_step_product(self):
         params = PhysicalParams(g=1.5)
         rate, dt, n_steps = params.g / params.hbar, 0.1, 10
-        steps = magnus_rotors(1, params, 0.85, dt)
         k0 = np.linspace(-20.0, 20.0, 4096)
         assert _ROTOR_BLOCK // k0.size < n_steps  # the product crosses blocks
         total = rotor(np.zeros((k0.size, 3)))
         for n in range(n_steps):
-            total = rotor_product(steps(k0 - rate * (n + 0.5) * dt), total)
-        assert np.max(np.abs(sweep_rotor(steps, k0, rate, dt, n_steps) - total)) < 1e-14
+            step = _step_rotors(1, params, 0.85, dt, k0 - rate * (n + 0.5) * dt)
+            total = rotor_product(step, total)
+        sweep = magnus_sweep(1, params, 0.85, k0, dt, n_steps)
+        assert np.max(np.abs(sweep - total)) < 1e-14
 
     def test_array_of_starts_matches_scalar_calls(self):
-        dt = 0.05
-        steps = magnus_rotors(0.5, PhysicalParams(g=1.0), 0.6, dt)
+        params = PhysicalParams(g=1.0)
         k0 = np.array([-4.0, -1.0, 0.5, 3.0])
-        together = sweep_rotor(steps, k0, 1.0, dt, 37)
-        apart = [sweep_rotor(steps, k, 1.0, dt, 37) for k in k0]
+        together = magnus_sweep(0.5, params, 0.6, k0, 0.05, 37)
+        apart = [magnus_sweep(0.5, params, 0.6, k, 0.05, 37) for k in k0]
         assert together.shape == (4, 4)
         assert all(q.shape == (1, 4) for q in apart)
         assert np.max(np.abs(together - np.concatenate(apart))) < 1e-15
@@ -211,8 +219,7 @@ class TestPublicKernel:
         # steps of at most about 1.5 rad, as at the oracle's default dt
         dt = reach * math.sqrt(2.0 / (kappa * c * rate * n_steps))
         k0 = offset * rate * n_steps * dt / 2.0
-        vectorised = sweep_rotor(magnus_rotors(spin, params, mass, dt), k0,
-                                 rate, dt, n_steps)[0]
+        vectorised = magnus_sweep(spin, params, mass, k0, dt, n_steps)[0]
         scalar = _magnus_chain(spin, params, mass, k0, dt, n_steps)
         # each side rounds n_steps quaternion products; the pairwise tree's
         # errors follow the smooth path, so they add up to about 3e-17 a step
@@ -228,8 +235,8 @@ class TestPublicKernel:
         rate, dt, mass = params.g / params.hbar, 0.01, 0.6
         n_steps = _ROTOR_BLOCK + 1617
         k0 = rate * n_steps * dt / 2.0
-        steps = magnus_rotors(spin, params, mass, dt)(
-            k0 - rate * (np.arange(n_steps) + 0.5) * dt)
+        steps = _step_rotors(spin, params, mass, dt,
+                             k0 - rate * (np.arange(n_steps) + 0.5) * dt)
         with decimal.localcontext() as context:
             context.prec = 40
             w, x, y, z = map(decimal.Decimal, (1, 0, 0, 0))

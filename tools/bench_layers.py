@@ -11,7 +11,9 @@ the time per call, in microseconds.  Layers:
   N = 4096 and 2048;
 * ``band_weights`` at the ion benchmark's record batches, 300 x 512 and
   50 x 256, on the projectors of the feasibility working point;
-* ``measured_split_error`` of the README demo at its default dt;
+* the exact reference of the README demo at its default dt (the Magnus
+  sweep along the characteristics that ``evolve`` measures its run
+  against), on trees that build it apart from the run;
 * ``evolve`` of the README demo (N = 4096, ``t_final = 14``, 239 steps) and
   of the packet benchmark's ``(1, 0, 1) / sqrt(2)`` packet at N = 2048
   (``t_final = 14``, 180 steps), each one whole run with its trace;
@@ -222,8 +224,9 @@ def layers() -> dict:
                                      params, project_band="+")
     dt = wavepacket.default_time_step(grid, params, 14.0)
     n_steps = round(14.0 / dt)
-    out["measured_split_error_demo"] = _per_call_us(
-        lambda: wavepacket._measured_split_error(fld, params, dt, n_steps))
+    if hasattr(wavepacket, "_exact_evolution"):
+        out["exact_reference_demo"] = _per_call_us(
+            lambda: wavepacket._exact_evolution(fld, params, dt, n_steps))
     out["evolve_demo_N4096"] = _per_call_us(
         lambda: wavepacket.evolve(fld, 14.0, params))
     grid = wavepacket.Grid1D(80.0, 2048)
