@@ -30,8 +30,9 @@ array operations on 4-vectors, written component by component into one
 array, and the d x d matrix (the SU(2) matrix itself for spin 1/2, its
 symmetric square for spin 1) is formed once at the end.  The packet's
 exact reference takes the Magnus path product :func:`magnus_sweep` over
-thousands of starts; the oracle's scalar chain takes the same steps one
-start at a time.
+thousands of starts, and its step predictor takes the split step's own
+rotors through the same :func:`rotor_chain`; the oracle's scalar chain
+takes the Magnus steps one start at a time.
 """
 
 from __future__ import annotations
@@ -58,12 +59,13 @@ __all__ = [
     "rotor",
     "rotor_product",
     "rotor_matrix",
+    "rotor_chain",
     "magnus_sweep",
 ]
 
 _SQRT2 = np.sqrt(2.0)
 _WEIGHT_BLOCK = 1 << 16
-# Step rotors per block of :func:`magnus_sweep`; bounds its memory (a few
+# Step rotors per block of :func:`rotor_chain`; bounds its memory (a few
 # arrays of this many 4-vectors) whatever the step and start counts.
 _ROTOR_BLOCK = 16384
 # Below this magnitude a field's square is subnormal or 0.
@@ -282,31 +284,40 @@ def rotor_matrix(q: np.ndarray, dimension: int) -> np.ndarray:
     return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
 
 
-def magnus_sweep(spin, params: PhysicalParams, mass_energy: float, k0, dt,
-                 n_steps) -> np.ndarray:
-    """Rotor of the ordered product of ``n_steps`` 4th-order Magnus steps of
-    ``dt`` for ``H(k) = c hbar k Cx + mass_energy Cz`` swept along ``k(t) =
-    k0 - (g / hbar) t``, one per start: shape ``(len(k0), 4)``, or ``(1, 4)``
-    for a scalar ``k0``.
+def rotor_chain(step_rotors, k0, rate, dt, n_steps) -> np.ndarray:
+    """Rotor of the ordered product of ``n_steps`` steps of ``dt`` along
+    ``k(t) = k0 - rate t``, one per start: shape ``(len(k0), 4)``, or
+    ``(1, 4)`` for a scalar ``k0``.  ``step_rotors`` maps the midpoint
+    wavenumbers of a block of steps, ``(steps, starts)``, to their rotors.
 
-    The step about ``k_mid`` rotates by ``(k_mid ax, ay, az)`` of
-    :func:`~maxwellsim.landau_zener.magnus_step`.  Step rotors are built in
-    blocks of at most ``_ROTOR_BLOCK`` and multiplied pairwise, so the memory
-    stays bounded whatever the step and start counts; :func:`rotor_matrix`
-    turns the result into the d x d propagator.
+    Step rotors are built in blocks of at most ``_ROTOR_BLOCK`` and
+    multiplied pairwise, so the memory stays bounded whatever the step and
+    start counts.
     """
-    ax, ay, az = magnus_step(spin, params, mass_energy, dt)
-    slope, offset = np.array([ax, 0.0, 0.0]), np.array([0.0, ay, az])
-    rate = params.g / params.hbar
     k0 = np.atleast_1d(np.asarray(k0, dtype=float))
     total = rotor(np.zeros((k0.size, 3)))
     block = max(1, _ROTOR_BLOCK // k0.size)
     for first in range(0, n_steps, block):
         steps = np.arange(first, min(first + block, n_steps))
-        k_mid = k0 - rate * (steps[:, None] + 0.5) * dt
-        q = rotor(k_mid[..., None] * slope + offset)
+        q = step_rotors(k0 - rate * (steps[:, None] + 0.5) * dt)
         while len(q) > 1:
             pairs = rotor_product(q[1::2], q[0:-1:2])
             q = np.concatenate([pairs, q[-1:]]) if len(q) % 2 else pairs
         total = rotor_product(q[0], total)
     return total
+
+
+def magnus_sweep(spin, params: PhysicalParams, mass_energy: float, k0, dt,
+                 n_steps) -> np.ndarray:
+    """Rotor of the ordered product of ``n_steps`` 4th-order Magnus steps of
+    ``dt`` for ``H(k) = c hbar k Cx + mass_energy Cz`` swept along ``k(t) =
+    k0 - (g / hbar) t``, one per start, as :func:`rotor_chain` returns it.
+
+    The step about ``k_mid`` rotates by ``(k_mid ax, ay, az)`` of
+    :func:`~maxwellsim.landau_zener.magnus_step`; :func:`rotor_matrix`
+    turns the result into the d x d propagator.
+    """
+    ax, ay, az = magnus_step(spin, params, mass_energy, dt)
+    slope, offset = np.array([ax, 0.0, 0.0]), np.array([0.0, ay, az])
+    return rotor_chain(lambda k_mid: rotor(k_mid[..., None] * slope + offset),
+                       k0, params.g / params.hbar, dt, n_steps)

@@ -20,26 +20,30 @@ the kinetic factor at no cost per step.  The kinetic factor is exact per
 wavenumber, so free evolution (g = 0) is exact to round-off.  Every factor
 is unitary, hence the norm is conserved to round-off for any dt.
 
-Two guards bound the splitting error in L2 by 1e-4, the oracle's halving
-tolerance:
+A run's splitting error is measured after stepping, and a guard keeps it
+at or below 1e-4 in L2, the oracle's halving tolerance.  In momentum space
+``g x = i g d/dk``, so each Fourier component k0 moves along
+``k(t) = k0 - g t / hbar`` under ``H(k(t))``, and along that path the exact
+evolution is a product of d x d matrices, built by the rotor layer's
+``magnus_sweep`` at a quarter of the reference step dt0 (below) for every
+component but a tail of weight w at most 1e-22 of the norm.  One inverse
+FFT and the phase ``exp(-i g t x / hbar)`` turn it into the exact final
+state, ``EvolveResult.reference``, and :func:`evolve` reports
+``||final - reference|| + sqrt(w)`` as ``EvolveResult.split_error``.
+:func:`step` alone also refuses a dt whose proven one-step bound
+``dt^3 g c m c^2 ||[Cz, Cx]|| / (6 hbar^2)`` exceeds 1e-4: Strang's
+``dt^3 / 12`` (Jahnke & Lubich, BIT 40, 735 (2000)) plus ``dt^3 / 24`` for
+each K (``||[Cz, Cx]||`` is 1 for spin 1 and 2 for spin 1/2).
 
-* one step is within ``dt^3 g c m c^2 ||[Cz, Cx]|| / (6 hbar^2)`` of the
-  exact step: Strang's ``dt^3 / 12`` (Jahnke & Lubich, BIT 40, 735 (2000))
-  plus ``dt^3 / 24`` for each K (``||[Cz, Cx]||`` is 1 for spin 1 and 2 for
-  spin 1/2).  :func:`step` refuses a dt above this limit.
-* a run's error is measured after stepping.  In momentum space
-  ``g x = i g d/dk``, so each Fourier component k0 moves along
-  ``k(t) = k0 - g t / hbar`` under ``H(k(t))``, and along that path the
-  exact evolution is a product of d x d matrices, built by the rotor
-  layer's ``magnus_sweep`` at dt / 4 for every component but a tail of
-  weight w at most 1e-22 of the norm.  One inverse FFT and the phase
-  ``exp(-i g t x / hbar)`` turn it into the exact final state,
-  ``EvolveResult.reference``, and :func:`evolve` reports
-  ``||final - reference|| + sqrt(w)`` as ``EvolveResult.split_error``.
-
-The default dt is the largest one within the one-step limit and the cap
-``c dt <= 3 dx``: no band moves faster than c, so no part of the packet can
-cross the guarded edge strip between two checks.
+The reference step dt0 (:func:`default_time_step`) is the largest within
+that one-step limit and ``c dt <= 3 dx``.  The default dt is sized from the
+run's predicted error.  Along the same characteristics the corrected step
+acts on each component as ``K U(k_mid) K``; the chain of those rotors over
+the run at dt0 lies E0 from the reference, and the scheme is 4th order, so
+the default dt is ``dt0 (1e-5 / E0)^(1/4)``, at most ``2 dt0``.  Where
+g m = 0 the splitting is exact and the default is dt0.  The guarded edge
+strip is ``max(3, ceil(c dt / dx))`` cells wide: no band moves faster than
+c, so no part of the packet can cross it between two checks.
 
 The linear potential is discontinuous across the periodic boundary, which is
 harmless as a pointwise phase but means the packet must never reach the
@@ -50,6 +54,7 @@ layer, keeping the evolution exactly unitary.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -67,6 +72,7 @@ from .spin_algebra import (
     magnus_sweep,
     pack_projectors,
     rotor,
+    rotor_chain,
     rotor_matrix,
     rotor_product,
 )
@@ -90,17 +96,20 @@ __all__ = [
 TRACE_COLUMNS = ("t", "norm", "x_mean", "w_plus", "w_zero", "w_minus")
 
 _NORM_STEP_TOL = 1e-10
-#: Largest admissible L2 splitting error: one step's proven bound, and a
-#: run's measured error.
+#: Largest admissible L2 splitting error: a run's measured error, and the
+#: proven one-step bound of :func:`step`.
 _SPLIT_ERROR_TOL = 1e-4
+#: Predicted run error that sizes the default dt.
+_PREDICTED_ERROR = 1e-5
+#: Largest default dt, in reference steps.
+_MAX_STEP_SCALE = 2.0
 #: Fraction of the norm the exact reference may drop (its sqrt(w) term).
 _DROPPED_WEIGHT = 1e-22
 #: Times the default dt shrinks and the run is repeated before a measured
 #: error above the limit is an error.
 _SHRINK_TRIES = 3
+#: Narrowest guarded edge strip, in cells at each edge.
 _EDGE_CELLS = 3
-#: Grid points of the guarded cells, at both edges.
-_EDGE_POINTS = np.array([*range(_EDGE_CELLS), *range(-_EDGE_CELLS, 0)])
 _EDGE_WEIGHT_TOL = 1e-6
 _MIN_POINTS = 256
 #: Largest ``|x - center|`` whose square, which the envelope forms, is finite.
@@ -108,10 +117,12 @@ _MAX_EXTENT = math.sqrt(sys.float_info.max)
 #: Largest grid: at 2^20 points the step's kinetic factor and the band
 #: projectors take about 150 and 230 MiB.
 _MAX_POINTS = 2**20
-#: Largest work of a run, in point-steps: ``steps x N`` for the step loop
-#: and ``4 steps x kept components`` for the exact reference.  On one core
-#: the step loop costs about 80 ns a point-step at N = 4096, so the cap is
-#: one to two minutes of work; the README demo makes 1e6.
+#: Largest work of a run, in point-steps: ``steps x N`` for each run of the
+#: step loop and ``4 n0 x kept components`` for the exact reference (n0
+#: reference steps); the step predictor's chain takes a quarter of the
+#: reference's.  On one core the step loop costs about 80 ns a point-step at
+#: N = 4096, so the cap is one to two minutes of work; the README demo makes
+#: 6e5.
 _MAX_WORK = 10**9
 
 
@@ -204,12 +215,16 @@ class EvolveResult:
 
     ``dt`` and ``steps`` are the step actually taken and their number
     (``steps * dt == t_final``).  ``reference`` is the exact final state,
-    found along the characteristics of the initial field, and
-    ``split_error`` is the run's measured L2 splitting error: ``final``'s
-    distance from ``reference`` plus the square root of the weight the
-    reference drops.  The guard keeps it at or below ``split_error_limit``.
-    ``edge_weight_max`` is the largest fraction of the norm seen in the
-    guarded edge cells, which must stay below 1e-6.
+    found along the characteristics of the initial field in
+    ``reference_steps`` Magnus steps (4 per reference step, or one over
+    the run where g m = 0), and ``split_error`` is the run's measured L2
+    splitting error: ``final``'s distance from ``reference`` plus the
+    square root of the weight the reference drops.  The guard keeps it at
+    or below ``split_error_limit``.  ``predicted_error`` is the error the
+    step predictor expected at ``dt``: 0 where g m = 0 or no step is taken,
+    and otherwise ``None`` for an explicit dt, which is not predicted.  ``edge_weight_max`` is the
+    largest fraction of the norm seen in the guarded strip of
+    ``edge_cells`` cells at each grid edge, which must stay below 1e-6.
     """
 
     trace: np.ndarray
@@ -220,6 +235,9 @@ class EvolveResult:
     split_error_limit: float
     edge_weight_max: float
     reference: SpinorField
+    predicted_error: float | None
+    edge_cells: int
+    reference_steps: int
 
 
 @lru_cache(maxsize=16)
@@ -269,24 +287,18 @@ def _potential_half_phase(
     return np.exp(-0.5j * params.g * grid.x * dt / params.hbar)
 
 
-def _step_error_bound(params: PhysicalParams, dimension: int, dt: float) -> float:
-    """Proven bound on one corrected step's L2 error,
-    ``dt^3 g c m c^2 ||[Cz, Cx]|| / (6 hbar^2)``: the Strang step's
-    ``dt^3 / 12`` plus ``dt^3 / 24`` for each correction factor."""
-    # a product: it overflows to inf where a power would raise
-    return dt * dt * dt * _splitting_rate(params, dimension) / 6.0
-
-
 def default_time_step(
     grid: Grid1D, params: PhysicalParams, t_final: float, dimension: int = 3
 ) -> float:
-    """Default step for a run of length ``t_final``.
+    """Reference step dt0 of a run of length ``t_final``.
 
     The largest dt that divides ``t_final`` into whole steps and stays
-    within both the transport cap ``c dt <= 3 dx`` (no part of the packet
-    can cross the guarded edge strip between two boundary checks) and the
-    one-step limit ``dt^3 g c m c^2 ||[Cz, Cx]|| / (6 hbar^2) <= 1e-4``.
-    The cap alone sets dt when m = 0 or g = 0.
+    within both ``c dt <= 3 dx`` and the one-step limit
+    ``dt^3 g c m c^2 ||[Cz, Cx]|| / (6 hbar^2) <= 1e-4``; the first alone
+    sets dt when m = 0 or g = 0.  :func:`evolve` builds its exact reference
+    at a quarter of this step.  Its default dt is this step where g m = 0,
+    and otherwise this step scaled by the run's predicted error, at most
+    2x.
     """
     dt = _EDGE_CELLS * grid.dx / params.c
     rate = _splitting_rate(params, dimension)
@@ -365,12 +377,20 @@ def gaussian_packet(
     return fld
 
 
-def _edge_weight(fld: SpinorField, norm: float) -> float:
-    """Fraction of ``norm`` in the guarded cells at both grid edges; raises
+def _edge_cells(grid: Grid1D, params: PhysicalParams, dt: float) -> int:
+    """Width of the guarded strip at each grid edge for steps of dt: at
+    least 3 cells, and at least ``c dt``, so that no band (none moves faster
+    than c) crosses it between two checks.  At most half the grid."""
+    half = grid.points // 2
+    reach = params.c * dt / grid.dx
+    return max(_EDGE_CELLS, math.ceil(reach)) if reach < half else half
+
+
+def _edge_weight(fld: SpinorField, norm: float, edges: np.ndarray) -> float:
+    """Fraction of ``norm`` at the grid points ``edges``; raises
     :class:`BoundaryContaminationError` above 1e-6."""
-    edges = np.asarray(fld.amplitudes[_EDGE_POINTS], dtype=complex)
-    edges = edges.ravel().view(float)
-    weight = float(edges @ edges) * fld.grid.dx / norm
+    parts = np.asarray(fld.amplitudes[edges], dtype=complex).ravel().view(float)
+    weight = float(parts @ parts) * fld.grid.dx / norm
     if weight > _EDGE_WEIGHT_TOL:
         raise BoundaryContaminationError(
             f"packet reached the grid edge at t = {fld.time:.6g} "
@@ -379,16 +399,37 @@ def _edge_weight(fld: SpinorField, norm: float) -> float:
     return weight
 
 
-def _validate_step_dt(params: PhysicalParams, dimension: int, dt: float):
-    """Reject a dt whose one-step error bound exceeds 1e-4."""
-    if dt <= 0:
-        raise ParameterError("dt must be positive")
-    bound = _step_error_bound(params, dimension, dt)
-    if bound > _SPLIT_ERROR_TOL:
-        raise ParameterError(
-            f"dt = {dt:.6g} too large: the one-step splitting error bound is "
-            f"{bound:.3e} > {_SPLIT_ERROR_TOL:.0e}"
-        )
+def _kept_spectrum(fld: SpinorField) -> tuple[np.ndarray, np.ndarray, float]:
+    """The Fourier components of ``fld``, the indices of those kept from the
+    largest weight down until the dropped weight w is at most 1e-22 of the
+    norm, and w."""
+    grid = fld.grid
+    psi_k = np.fft.fft(fld.amplitudes, axis=0)
+    weights = np.sum(np.abs(psi_k) ** 2, axis=1) * (grid.dx / grid.points)
+    order = np.argsort(weights)
+    tail = np.cumsum(weights[order])
+    n_dropped = int(np.searchsorted(tail, _DROPPED_WEIGHT * tail[-1], "right"))
+    dropped = float(tail[n_dropped - 1]) if n_dropped else 0.0
+    return psi_k, order[n_dropped:], dropped
+
+
+def _transported(fld: SpinorField, params: PhysicalParams, psi_k, keep,
+                 path, t: float) -> SpinorField:
+    """The field at ``fld.time + t`` whose kept Fourier components ``psi_k
+    [keep]`` took the rotors ``path`` along their characteristics: the
+    phase ``exp(-i g t x / hbar)``, which takes each k0 to
+    ``k0 - g t / hbar``, times the inverse FFT of the evolved components."""
+    evolved = np.zeros_like(psi_k)
+    evolved[keep] = (rotor_matrix(path, fld.dimension)
+                     @ psi_k[keep][:, :, None])[:, :, 0]
+    amplitudes = np.fft.ifft(evolved, axis=0)
+    amplitudes *= np.exp((-1j * params.g * t / params.hbar) * fld.grid.x)[:, None]
+    return SpinorField(fld.grid, amplitudes, fld.time + t)
+
+
+def _distance(a: SpinorField, b: SpinorField) -> float:
+    """L2 distance between two fields on one grid."""
+    return math.sqrt(SpinorField(a.grid, a.amplitudes - b.amplitudes).norm())
 
 
 def _exact_evolution(
@@ -400,28 +441,16 @@ def _exact_evolution(
     In momentum space ``g x = i g d/dk``, so the Fourier component at k0
     moves along ``k(t) = k0 - g t / hbar`` under ``H(k(t))``: the swept-level
     problem, whose propagator ``magnus_sweep`` builds at dt / 4.  Where
-    ``g m = 0`` one Magnus step over the run is exact.  Components are kept
-    from the largest weight down until the dropped weight w is at most 1e-22
-    of the norm, and w is returned.  The exact state at ``t = n_steps dt``
-    is ``exp(-i g t x / hbar)``, which takes each k0 to ``k0 - g t / hbar``,
-    times the inverse FFT of the evolved kept components.  The run
-    (``n_steps x N`` point-steps) and the reference (``4 n_steps`` per kept
-    component) are each refused above 1e9 before any work.
+    ``g m = 0`` one Magnus step over the run is exact.  The components of
+    :func:`_kept_spectrum` are evolved and the weight w it drops is
+    returned.  More than 1e9 component-steps (``4 n_steps`` per kept
+    component) are refused before any work.
     """
-    grid = fld.grid
-    _refuse_work(n_steps * grid.points, "point-steps")
     if n_steps == 0:
         return fld.copy(), 0.0
     t = n_steps * dt
-    psi_k = np.fft.fft(fld.amplitudes, axis=0)
-    weights = np.sum(np.abs(psi_k) ** 2, axis=1) * (grid.dx / grid.points)
-    order = np.argsort(weights)
-    tail = np.cumsum(weights[order])
-    n_dropped = int(np.searchsorted(tail, _DROPPED_WEIGHT * tail[-1], "right"))
-    dropped = float(tail[n_dropped - 1]) if n_dropped else 0.0
-    keep = order[n_dropped:]
-    k0 = grid.k[keep]
-
+    psi_k, keep, dropped = _kept_spectrum(fld)
+    k0 = fld.grid.k[keep]
     dimension = fld.dimension
     spin = (dimension - 1) / 2
     if _splitting_rate(params, dimension) == 0:
@@ -431,11 +460,27 @@ def _exact_evolution(
                      "component-steps of the exact reference")
         path = magnus_sweep(spin, params, params.rest_energy, k0, dt / 4.0,
                             4 * n_steps)
-    evolved = np.zeros_like(psi_k)
-    evolved[keep] = (rotor_matrix(path, dimension) @ psi_k[keep][:, :, None])[:, :, 0]
-    amplitudes = np.fft.ifft(evolved, axis=0)
-    amplitudes *= np.exp((-1j * params.g * t / params.hbar) * grid.x)[:, None]
-    return SpinorField(grid, amplitudes, fld.time + t), dropped
+    return _transported(fld, params, psi_k, keep, path, t), dropped
+
+
+def _predicted_error(fld: SpinorField, params: PhysicalParams,
+                     reference: SpinorField, dt: float, n_steps: int) -> float:
+    """L2 distance from ``reference`` of ``n_steps`` corrected split steps
+    of dt, taken along the characteristics.
+
+    A step takes the Fourier component at k0 to ``k0 - g dt / hbar`` and
+    applies ``K U(k_mid) K`` at the midpoint, so a run acts on each kept
+    component as the chain of those rotors.  The distance predicts the
+    error of a run at dt before the run; the scheme is 4th order, so at
+    another step dt' it scales as ``(dt' / dt)^4``.
+    """
+    psi_k, keep, _ = _kept_spectrum(fld)
+    dimension = fld.dimension
+    path = rotor_chain(
+        lambda k_mid: _corrected_rotors(k_mid, params, dt, dimension),
+        fld.grid.k[keep], params.g / params.hbar, dt, n_steps)
+    chain = _transported(fld, params, psi_k, keep, path, n_steps * dt)
+    return _distance(chain, reference)
 
 
 def _refuse_work(work: int, unit: str):
@@ -454,13 +499,26 @@ def step(
     The step is rejected with :class:`ParameterError` when its proven error
     bound ``dt^3 g c m c^2 ||[Cz, Cx]|| / (6 hbar^2)`` exceeds 1e-4.  A step
     has no boundary guard and no cap on dt.  ``norm`` is the norm the step
-    must preserve, ``fld.norm()`` when omitted; :func:`evolve` passes its
-    initial norm, so there the 1e-10 guard bounds the drift accumulated over
-    the whole run.
+    must preserve, ``fld.norm()`` when omitted.
     """
-    _validate_step_dt(params, fld.dimension, dt)
-    if norm is None:
-        norm = fld.norm()
+    if not dt > 0:
+        raise ParameterError("dt must be positive")
+    # Strang's dt^3 / 12 plus dt^3 / 24 for each correction factor; a
+    # product, which overflows to inf where a power would raise
+    bound = dt * dt * dt * _splitting_rate(params, fld.dimension) / 6.0
+    if bound > _SPLIT_ERROR_TOL:
+        raise ParameterError(
+            f"dt = {dt:.6g} too large: the one-step splitting error bound is "
+            f"{bound:.3e} > {_SPLIT_ERROR_TOL:.0e}"
+        )
+    return _step(fld, dt, params, fld.norm() if norm is None else norm)
+
+
+def _step(fld: SpinorField, dt: float, params: PhysicalParams,
+          norm: float) -> SpinorField:
+    """The corrected Strang step of :func:`step`, with no bound on dt; the
+    norm must stay within 1e-10 of ``norm``.  :func:`evolve` passes its
+    initial norm, so there the guard bounds the drift of the whole run."""
     half = _potential_half_phase(fld.grid, params, dt)
     kinetic = _kinetic_propagator(fld.grid, params, dt, fld.dimension)
     # components as rows, (d, N): every pass below runs along contiguous x
@@ -482,6 +540,14 @@ def _whole_steps(t_final: float, dt: float) -> tuple[int, float]:
     return n_steps, (t_final / n_steps if n_steps else dt)
 
 
+def _positive_int(value) -> bool:
+    """Whether ``value`` is an integer of at least 1."""
+    try:
+        return operator.index(value) >= 1
+    except TypeError:
+        return False
+
+
 def evolve(
     fld: SpinorField,
     t_final: float,
@@ -491,87 +557,115 @@ def evolve(
 ) -> EvolveResult:
     """Propagate for ``t_final`` and record observables.
 
-    ``dt`` defaults to :func:`default_time_step`; any dt is shortened to
-    divide ``t_final`` into whole steps.  :class:`ParameterError` rejects a
-    step with ``c dt`` beyond the 3 guarded edge cells, which a packet could
-    jump across between two checks, or above the one-step error limit.
-    A run of more than 1e9 point-steps (``steps x N``), or whose exact
-    reference would take more than 1e9 component-steps, raises
-    :class:`ParameterError` before any step.  The exact final state is
-    found along the characteristics of the initial field
-    (``EvolveResult.reference``), and after the run its distance from the
-    final state gives the measured splitting error
-    (``EvolveResult.split_error``).  A non-finite error, or one above 1e-4
-    where ``g m = 0`` (the splitting is exact there, so no smaller dt
+    ``t_final`` must be finite and nonnegative, ``dt`` positive and
+    ``record_stride`` a positive integer (:class:`ParameterError`).  Any dt
+    is shortened to divide ``t_final`` into whole steps.  The exact final
+    state (``EvolveResult.reference``) is found along the characteristics
+    at a quarter of the reference step dt0 (:func:`default_time_step`), or
+    of an explicit dt finer than dt0.  The default dt is dt0 where g m = 0,
+    and otherwise ``dt0 (1e-5 / E0)^(1/4)``, at most ``2 dt0``, where E0 is
+    the distance from the reference of the corrected steps' rotors at dt0,
+    chained along the same characteristics.  Every step is followed by an
+    edge check on ``max(3, ceil(c dt / dx))`` cells at each grid edge; a dt
+    whose strip holds more than 1e-6 of the initial packet is a
+    :class:`ParameterError`, and so, before any step, is a run of more than
+    1e9 point-steps (``steps x N``, at dt0 until the default dt is
+    predicted) or a reference of more than 1e9 component-steps.
+
+    The measured splitting error (``EvolveResult.split_error``) is the final
+    state's distance from the reference.  A non-finite error, or one above
+    1e-4 where ``g m = 0`` (the splitting is exact there, so no smaller dt
     helps), raises :class:`NumericalGuardError` at once.  Any other error
     above 1e-4 is a :class:`ParameterError` for an explicit dt; the default
-    dt shrinks by ``0.9 (1e-4 / error)^(1/4)`` and the run is repeated, up
-    to 3 times, before :class:`NumericalGuardError`.  The trace (one row
-    per record, columns :data:`TRACE_COLUMNS`) always includes the initial
-    and final states; ``record_stride`` is in steps.  Step i of n ends at
-    ``t0 + t_final * (i / n)``, so the last record sits at ``t0 + t_final``
-    exactly.  The edge-contamination guard runs every step.
+    dt shrinks by ``0.9 (1e-4 / error)^(1/4)`` and the run is repeated
+    against the same reference, up to 3 times, before
+    :class:`NumericalGuardError`.  The trace (columns :data:`TRACE_COLUMNS`)
+    holds a row every ``record_stride`` steps and the initial and final
+    states; step i of n ends at ``t0 + t_final * (i / n)`` exactly.
     """
-    if t_final < 0:
-        raise ParameterError("t_final must be nonnegative")
-    explicit = dt is not None
-    if dt is None:
-        dt = default_time_step(fld.grid, params, t_final, fld.dimension)
-    elif dt <= 0:
-        raise ParameterError("dt must be positive")
-    n_steps, dt_eff = _whole_steps(t_final, dt)
-    if n_steps:  # a run that takes no step has no step to validate
-        if params.c * dt_eff > _EDGE_CELLS * fld.grid.dx:
-            raise ParameterError(
-                f"dt = {dt_eff:.6g} too large: c dt exceeds the {_EDGE_CELLS} "
-                f"guarded edge cells ({_EDGE_CELLS * fld.grid.dx:.6g})"
-            )
-        _validate_step_dt(params, fld.dimension, dt_eff)
+    if not 0.0 <= t_final < math.inf:
+        raise ParameterError(f"t_final must be finite and nonnegative, got {t_final}")
+    if dt is not None and not dt > 0:
+        raise ParameterError(f"dt must be positive, got {dt}")
+    if record_stride is not None and not _positive_int(record_stride):
+        raise ParameterError(
+            f"record_stride must be a positive integer, got {record_stride!r}")
     norm = fld.norm()
     if not norm > 0:
         raise ParameterError("the field must have a nonzero norm")
+    exact = _splitting_rate(params, fld.dimension) == 0
+    n0, dt0 = _whole_steps(
+        t_final, default_time_step(fld.grid, params, t_final, fld.dimension))
+    n_steps, dt_eff = (n0, dt0) if dt is None else _whole_steps(t_final, dt)
+    _refuse_work(n_steps * fld.grid.points, "point-steps")
+    if n_steps > n0:  # an explicit dt finer than dt0
+        n0, dt0 = n_steps, dt_eff
+    reference, dropped = _exact_evolution(fld, params, dt0, n0)
+    reference_steps = min(n0, 1) if exact else 4 * n0
+    # where g m = 0 the splitting is exact, and a run of no step errs nowhere
+    at_dt0 = 0.0 if exact or not n0 else None
+    if dt is None and at_dt0 is None:
+        at_dt0 = _predicted_error(fld, params, reference, dt0, n0)
+        if math.isfinite(at_dt0):
+            scale = _MAX_STEP_SCALE
+            if at_dt0 > 0:
+                scale = min(scale, (_PREDICTED_ERROR / at_dt0) ** 0.25)
+            n_steps, dt_eff = _whole_steps(t_final, scale * dt0)
 
     for retry in range(_SHRINK_TRIES + 1):
         if retry:
             n_steps, dt_eff = _whole_steps(
                 t_final, 0.9 * dt_eff * (_SPLIT_ERROR_TOL / error) ** 0.25)
-        reference, dropped = _exact_evolution(fld, params, dt_eff, n_steps)
-        trace, final, edge_max = _run(fld, t_final, params, dt_eff, n_steps,
-                                      norm, record_stride)
-        gap = SpinorField(fld.grid, final.amplitudes - reference.amplitudes)
-        error = math.sqrt(gap.norm()) + math.sqrt(dropped)
+        _refuse_work(n_steps * fld.grid.points, "point-steps")
+        trace, final, edge_max, cells = _run(fld, t_final, params, dt_eff,
+                                             n_steps, norm, record_stride)
+        error = _distance(final, reference) + math.sqrt(dropped)
         if error <= _SPLIT_ERROR_TOL:
+            predicted = at_dt0
+            if at_dt0:
+                predicted = at_dt0 * (dt_eff / dt0) ** 4
             return EvolveResult(trace, final, dt_eff, n_steps, error,
-                                _SPLIT_ERROR_TOL, edge_max, reference)
+                                _SPLIT_ERROR_TOL, edge_max, reference,
+                                predicted, cells, reference_steps)
         message = (f"measured splitting error {error:.3e} (L2 distance from "
                    f"the exact evolution along the characteristics) over "
                    f"t = {t_final:.6g} exceeds {_SPLIT_ERROR_TOL:.0e} at "
                    f"dt = {dt_eff:.6g}")
         # where g m = 0 the splitting is exact, and a smaller dt cannot lower
         # an error that it does not make
-        if not math.isfinite(error) or _splitting_rate(params, fld.dimension) == 0:
+        if not math.isfinite(error) or exact:
             raise NumericalGuardError(message)
-        if explicit:
+        if dt is not None:
             raise ParameterError(message)
     raise NumericalGuardError(message)
 
 
 def _run(fld: SpinorField, t_final: float, params: PhysicalParams, dt: float,
          n_steps: int, norm: float, record_stride: int | None):
-    """The step loop of :func:`evolve`: its trace, final state and largest
-    edge weight."""
+    """The step loop of :func:`evolve`: its trace, final state, largest
+    edge weight and edge strip width."""
     if record_stride is None:
         record_stride = max(1, n_steps // 200) if n_steps else 1
+    cells = _edge_cells(fld.grid, params, dt) if n_steps else _EDGE_CELLS
+    edges = np.r_[0:cells, -cells:0]
     current = fld.copy()
-    edge_max = _edge_weight(current, norm)
+    try:
+        edge_max = _edge_weight(current, norm, edges)
+    except BoundaryContaminationError:
+        if cells == _EDGE_CELLS:
+            raise
+        raise ParameterError(
+            f"dt = {dt:.6g} too large: its guarded strip of {cells} cells at "
+            f"each grid edge (c dt / dx) reaches the initial packet; shorten "
+            f"dt or enlarge the grid") from None
     rows = [_trace_row(current, params)]
     for i in range(1, n_steps + 1):
-        current = step(current, dt, params, norm)
+        current = _step(current, dt, params, norm)
         current.time = fld.time + t_final * (i / n_steps)
-        edge_max = max(edge_max, _edge_weight(current, norm))
+        edge_max = max(edge_max, _edge_weight(current, norm, edges))
         if i % record_stride == 0 or i == n_steps:
             rows.append(_trace_row(current, params))
-    return np.array(rows), current, edge_max
+    return np.array(rows), current, edge_max, cells
 
 
 def _trace_row(fld: SpinorField, params: PhysicalParams) -> tuple:

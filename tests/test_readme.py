@@ -20,9 +20,9 @@ def test_library_sketch_runs(capsys):
     # the documented API, field names included, must match the code
     exec(compile(_section_code("Library sketch"), str(README), "exec"), {})
     steps, dt, split_error = capsys.readouterr().out.splitlines()[0].split()
-    assert int(steps) == 239
-    assert float(dt) == pytest.approx(14.0 / 239)
-    assert 0.0 < float(split_error) <= 1e-4
+    assert int(steps) == 146
+    assert float(dt) == pytest.approx(14.0 / 146)
+    assert 5e-6 <= float(split_error) <= 2e-5
 
 
 def test_layer_tool_names_only_existing_attributes():

@@ -1,4 +1,5 @@
 import collections
+import contextlib
 import math
 import re
 import time
@@ -65,7 +66,7 @@ class TestTraceReadout:
 
         with mock.patch.object(wavepacket, "_trace_row", record):
             result = evolve(fld, 14.0, SCATTER)
-        assert result.steps == 239 and len(states) == len(result.trace) == 240
+        assert result.steps == 146 and len(states) == len(result.trace) == 147
         for state, row in zip(states, result.trace):
             rho = np.sum(np.abs(state.amplitudes) ** 2, axis=1)
             want = (state.time, state.norm(), np.sum(grid.x * rho) / np.sum(rho),
@@ -230,14 +231,36 @@ class TestStep:
             step(fld, 1e120, SCATTER)
 
     def test_default_step_at_extreme_speed(self, grid):
-        # the transport cap c dt <= 3 dx is 1e129 here: the step is the run
+        # the reference step's c dt <= 3 dx is 1e129 here: the step is the
+        # run, and so is the predicted default, capped at 2 reference steps
         slow = PhysicalParams(c=2e-130, m=0.85, g=1.5)
         assert default_time_step(grid, slow, 1.0) == 1.0
         assert default_time_step(grid, SCATTER, 1.0) == pytest.approx(
             1.0 / 13)  # the one-step limit, (6e-4 / (1.5 * 0.85))^(1/3) = 0.0778
+        fld = gaussian_packet(grid, 0.0, 2.0, 0.0, (1, 0, 0), slow)
+        result = evolve(fld, 1.0, slow)
+        assert result.steps == 1 and result.edge_cells == 3
 
 
 class TestEvolve:
+
+    @pytest.mark.parametrize("inputs, match", [
+        ({"record_stride": 0}, "record_stride"),
+        ({"record_stride": -2}, "record_stride"),
+        ({"record_stride": 2.5}, "record_stride"),
+        ({"dt": math.nan}, "dt"),
+        ({"dt": -0.01}, "dt"),
+        ({"t_final": math.nan}, "t_final"),
+        ({"t_final": math.inf}, "t_final"),
+        ({"t_final": -1.0}, "t_final"),
+    ])
+    def test_refuses_invalid_run_inputs(self, grid, inputs, match):
+        # the config parser refuses these before the library sees them;
+        # called directly, evolve must not end on a ZeroDivisionError, a
+        # bare ValueError or an OverflowError, nor accept them silently
+        fld = gaussian_packet(grid, 10.0, 2.0, 0.0, (1, 0, 0), SCATTER)
+        with pytest.raises(ParameterError, match=match):
+            evolve(fld, params=SCATTER, **{"t_final": 1.0, **inputs})
 
     def test_free_band_populations_constant(self, grid):
         fld = gaussian_packet(grid, 10.0, 2.0, 0.0, (1, 0, 0), FREE)
@@ -300,33 +323,41 @@ class TestEvolve:
 
     def test_step_cannot_jump_the_edge_guard(self):
         # one 15-unit step would carry the packet across the periodic edge
-        # between two checks (x_mean 10 -> -15), so it must be refused; the
-        # default step, capped at c dt <= 3 dx, trips the guard instead
+        # between two checks (x_mean 10 -> -15); its guarded strip, c dt
+        # wide, reaches the packet, so it is refused.  A step past 3 cells
+        # widens the strip, and the default step trips the guard instead
         params = PhysicalParams(c=1.0, m=0.0, g=0.0)
         small = Grid1D(40.0, 512)
         fld = gaussian_packet(small, 20.0, 1.0, 10.0, (1, 0, 0), params,
                               project_band="+")
         with pytest.raises(ParameterError, match="edge"):
             evolve(fld, 15.0, params, dt=15.0)
-        with pytest.raises(ParameterError):
-            evolve(fld, 3.01 * small.dx, params, dt=3.01 * small.dx)
-        assert evolve(fld, 2.99 * small.dx, params, dt=2.99 * small.dx).steps == 1
+        for cells, reach in ((3, 2.99), (4, 3.01), (12, 11.5)):
+            result = evolve(fld, reach * small.dx, params, dt=reach * small.dx)
+            assert result.steps == 1 and result.edge_cells == cells
         with pytest.raises(BoundaryContaminationError):
             evolve(fld, 15.0, params)
 
     def test_reports_steps_and_error_bound(self):
-        # README demo: the transport cap sets dt (the one-step limit is 1.3x
-        # looser), and the measured splitting error is the true one
+        # README demo: the reference step is 14 / 239, where the chain of
+        # corrected steps lies 1.38e-6 from the reference; the dt^4 law puts
+        # 1e-5 at 146 steps, and the measured splitting error is the true one
         grid = Grid1D(80.0, 4096)
         fld = gaussian_packet(grid, 10.0, 2.0, 0.0, (1, 0, 0), SCATTER,
                               project_band="+")
         result = evolve(fld, 14.0, SCATTER)
-        assert result.steps == 239
+        assert default_time_step(grid, SCATTER, 14.0) == 14.0 / 239
+        assert result.steps == 146
         assert result.steps * result.dt == pytest.approx(14.0, rel=1e-14)
-        assert result.dt == pytest.approx(default_time_step(grid, SCATTER, 14.0),
-                                          rel=1e-14)
+        assert result.dt == 14.0 / 146
         assert result.split_error_limit == 1e-4
-        assert 0.0 < result.split_error <= result.split_error_limit
+        assert 5e-6 <= result.split_error <= 2e-5
+        assert result.predicted_error == pytest.approx(result.split_error,
+                                                       rel=0.05)
+        # c dt = 4.9 dx; the reference keeps its 4 x 239 steps and its bits
+        assert result.edge_cells == 5 and result.reference_steps == 956
+        exact, _ = wavepacket._exact_evolution(fld, SCATTER, 14.0 / 239, 239)
+        assert np.array_equal(result.reference.amplitudes, exact.amplitudes)
         reference = evolve(fld, 14.0, SCATTER, dt=result.dt / 4,
                            record_stride=10**9)
         distance = math.sqrt(np.sum(np.abs(result.final.amplitudes
@@ -359,13 +390,13 @@ class TestEvolve:
             assert distance <= bound
 
     def test_reference_of_an_empty_run_is_the_input(self, grid):
-        # at the default dt too, whose one-step bound rounds a hair above
-        # the limit: a run that takes no step validates none
+        # a run that takes no step builds no reference and predicts no error
         fld = gaussian_packet(grid, 10.0, 2.0, 0.0, (1, 0, 0), SCATTER,
                               project_band="+")
         result = evolve(fld, 0.0, SCATTER)
         assert result.steps == 0 and len(result.trace) == 1
-        assert result.split_error == 0.0
+        assert result.split_error == result.predicted_error == 0.0
+        assert result.reference_steps == 0 and result.edge_cells == 3
         assert np.array_equal(result.final.amplitudes, fld.amplitudes)
         assert np.array_equal(result.reference.amplitudes, fld.amplitudes)
 
@@ -421,8 +452,8 @@ class TestEvolve:
                               t0 + t_final * (steps / result.steps))
 
 
-# A fast, heavy spin-1/2 packet on a steep slope: the default dt passes the
-# one-step limit, but the run's measured splitting error does not.
+# A fast, heavy spin-1/2 packet on a steep slope: at the reference step
+# (226 steps) the run's measured splitting error is above the limit.
 SHRINK = PhysicalParams(m=0.5, g=20.0)
 SHRINK_CONFIG = ("spinor = 1,0\nm = 0.5\ng = 20.0\np0 = 5.0\nwidth = 1.0\n"
                  "grid_length = 40.0\ngrid_points = 2048\nt_final = 7.0\n")
@@ -430,36 +461,66 @@ SHRINK_CONFIG = ("spinor = 1,0\nm = 0.5\ng = 20.0\np0 = 5.0\nwidth = 1.0\n"
 
 class TestDefaultStepShrink:
     """Above 1e-4 of measured error the default dt shrinks and the run is
-    repeated, at most 3 times; an explicit dt is refused instead."""
+    repeated against the same reference, at most 3 times; an explicit dt is
+    refused instead.  The predictor keeps the default run clear of the
+    limit, so the tests that drive the loop predict 1e-5 at the reference
+    step, which makes it the default dt."""
 
     @pytest.fixture
     def packet(self):
         return gaussian_packet(Grid1D(40.0, 2048), 5.0, 1.0, 0.0, (1, 0), SHRINK)
 
     @staticmethod
-    def _recorded(scale=1.0):
-        """The exact reference, scaled by ``scale``, recording each run's
-        step count."""
-        calls, exact = [], wavepacket._exact_evolution
+    @contextlib.contextmanager
+    def _driven(scale=1.0):
+        """Predict 1e-5 at the reference step and scale the exact reference
+        by ``scale``; yield the step counts of the runs and of the
+        references built."""
+        runs, references = [], []
+        run, exact = wavepacket._run, wavepacket._exact_evolution
 
-        def record(fld, params, dt, n_steps):
+        def record_run(fld, t_final, params, dt, n_steps, *rest):
+            runs.append(n_steps)
+            return run(fld, t_final, params, dt, n_steps, *rest)
+
+        def record_reference(fld, params, dt, n_steps):
             reference, dropped = exact(fld, params, dt, n_steps)
-            calls.append(n_steps)
+            references.append(n_steps)
             reference.amplitudes *= scale
             return reference, dropped
 
-        return calls, record
+        with mock.patch.multiple(wavepacket, _run=record_run,
+                                 _exact_evolution=record_reference,
+                                 _predicted_error=lambda *args: 1e-5):
+            yield runs, references
+
+    def test_predicted_default_dt_does_not_shrink(self, packet):
+        # 8.26e-4 at the reference step: the dt^4 law picks 682 steps, and
+        # the error falls faster than that law this far out, to 5.5e-7
+        runs = []
+        run = wavepacket._run
+
+        def record(*args):
+            runs.append(args[4])
+            return run(*args)
+
+        with mock.patch.object(wavepacket, "_run", record):
+            result = evolve(packet, 7.0, SHRINK)
+        assert runs == [682] and result.steps == 682
+        assert result.predicted_error == pytest.approx(1e-5, rel=0.01)
+        assert result.split_error == pytest.approx(5.5e-7, rel=0.01)
+        assert result.reference_steps == 4 * 226
 
     def test_default_dt_shrinks_until_the_error_is_met(self, packet):
-        calls, record = self._recorded()
-        with mock.patch.object(wavepacket, "_exact_evolution", record):
+        with self._driven() as (runs, references):
             result = evolve(packet, 7.0, SHRINK)
-        assert calls == [226, 426]
+        assert runs == [226, 426] and references == [226]
         assert result.steps == 426 and result.dt == 7.0 / 426
         assert result.split_error == pytest.approx(5.5e-6, rel=0.01)
+        assert result.predicted_error == pytest.approx(1e-5 * (226 / 426) ** 4)
 
     def test_explicit_dt_is_refused(self, packet):
-        # the default dt's first run, taken at an explicit dt
+        # the reference step, taken as an explicit dt
         with pytest.raises(ParameterError, match="measured splitting error") as info:
             evolve(packet, 7.0, SHRINK, dt=7.0 / 226)
         first = float(re.search(r"error (\S+)", str(info.value)).group(1))
@@ -467,19 +528,17 @@ class TestDefaultStepShrink:
 
     def test_error_that_stays_above_the_limit_is_a_guard_violation(self, packet):
         # a reference 2e-4 off keeps every run's error above the limit
-        calls, record = self._recorded(1.0 + 2e-4)
-        with mock.patch.object(wavepacket, "_exact_evolution", record):
+        with self._driven(1.0 + 2e-4) as (runs, references):
             with pytest.raises(NumericalGuardError, match="characteristics"):
                 evolve(packet, 7.0, SHRINK)
-        assert len(calls) == 4  # the first run and 3 retries
-        assert calls == sorted(calls)
+        assert len(runs) == 4  # the first run and 3 retries
+        assert runs == sorted(runs) and references == [226]
 
     def test_non_finite_error_is_a_guard_violation_at_once(self, packet):
-        calls, record = self._recorded(math.nan)
-        with mock.patch.object(wavepacket, "_exact_evolution", record):
+        with self._driven(math.nan) as (runs, _):
             with pytest.raises(NumericalGuardError, match="error nan"):
                 evolve(packet, 7.0, SHRINK)
-        assert calls == [226]
+        assert runs == [226]
 
     def test_cli_exit_codes(self, tmp_path):
         cfg = tmp_path / "shrink.cfg"
@@ -490,8 +549,7 @@ class TestDefaultStepShrink:
         explicit.write_text(SHRINK_CONFIG + f"dt = {7.0 / 226}\n")
         assert cli.main(["evolve", "--config", str(explicit), "--output",
                          str(tmp_path / "e.csv")]) == 2
-        _, record = self._recorded(1.0 + 2e-4)
-        with mock.patch.object(wavepacket, "_exact_evolution", record):
+        with self._driven(1.0 + 2e-4):
             assert cli.main(argv) == 3
 
 
@@ -521,7 +579,8 @@ class TestSplittingBoundProperties:
                                                 fraction):
         params = PhysicalParams(c=1.0, m=m, g=g)
         constant = _splitting_constant(params, dimension)
-        # under the transport cap and the step's own 1e-4 guard
+        # within the reference step's limits: c dt <= 3 dx and the step's
+        # own 1e-4 guard
         dt_max = 3 * self.small.dx / params.c
         if constant > 0:
             dt_max = min(dt_max, (6e-4 / constant) ** (1 / 3))
@@ -555,13 +614,21 @@ class TestSplittingBoundProperties:
 
 class TestPacketRunProperties:
     """Drawn packets of both spins on a small grid: every run that returns
-    lies within its measured error of the exact reference, and every
-    refused draw raises a documented error and is counted."""
+    lies within its measured error of the exact reference, none shrinks its
+    predicted default dt, and where g m > 0 the predicted error is within
+    2x of the measured one; every refused draw raises a documented error
+    and is counted."""
 
     small = Grid1D(40.0, 256)
 
     def test_runs_keep_within_their_measured_error(self):
-        outcomes = collections.Counter()
+        outcomes, checked = collections.Counter(), collections.Counter()
+        runs = []
+        run = wavepacket._run
+
+        def record(*args):
+            runs.append(args[4])
+            return run(*args)
 
         @settings(max_examples=100, deadline=None, derandomize=True, database=None)
         @given(dimension=st.sampled_from([3, 2]), m=st.floats(0.0, 2.0),
@@ -571,13 +638,14 @@ class TestPacketRunProperties:
                                          st.floats(-1.0, 1.0)),
                                min_size=3, max_size=3),
                reach=st.floats(0.5, 2.5))
-        def run(dimension, m, g, p0, width, center, spinor, reach):
+        def draw(dimension, m, g, p0, width, center, spinor, reach):
             params = PhysicalParams(c=1.0, m=m, g=g)
             xi = [complex(re, im) for re, im in spinor[:dimension]]
             # the packet turns near t = |p0| / g; the horizon reaches past
             # that but stops before a band moving at c reaches the edge
             edge = (self.small.length / 2 - abs(center) - 5 * width) / params.c
             t_final = max(0.0, min(reach * (abs(p0) + 1.0) / max(g, 0.1), edge))
+            runs.clear()
             try:
                 fld = gaussian_packet(self.small, p0, width, center, xi, params)
                 result = evolve(fld, t_final, params, record_stride=10**9)
@@ -585,6 +653,7 @@ class TestPacketRunProperties:
                 outcomes[type(exc).__name__] += 1
                 return
             outcomes["ran"] += 1
+            checked["shrank"] += len(runs) > 1
             gap = result.final.amplitudes - result.reference.amplitudes
             distance = math.sqrt(np.sum(np.abs(gap) ** 2) * self.small.dx)
             # split_error sums the same squares in another order
@@ -594,9 +663,19 @@ class TestPacketRunProperties:
             want = band_populations(result.reference, params).as_tuple()
             assert np.max(np.abs(result.trace[-1, 3:] - want)) <= (
                 2.0 * result.split_error + 1e-12)
+            # the prediction follows the line, not the periodic grid, whose
+            # potential jumps at the edge: check it where the packet's tail
+            # there stays below e^-24 of its peak
+            far = abs(center) + 7 * width + params.c * t_final <= self.small.length / 2
+            if g * m > 0 and far and result.split_error > 1e-9:
+                checked["predicted"] += 1
+                ratio = result.predicted_error / result.split_error
+                assert 0.5 <= ratio <= 2.0, (ratio, result.split_error)
 
-        run()
+        with mock.patch.object(wavepacket, "_run", record):
+            draw()
         assert outcomes["ran"] >= 0.75 * sum(outcomes.values()), outcomes
+        assert checked["shrank"] == 0 and checked["predicted"] >= 20, checked
 
 
 class TestBandStructureObservables:

@@ -11,12 +11,17 @@ the time per call, in microseconds.  Layers:
   N = 4096 and 2048;
 * ``band_weights`` at the ion benchmark's record batches, 300 x 512 and
   50 x 256, on the projectors of the feasibility working point;
-* the exact reference of the README demo at its default dt (the Magnus
+* the exact reference of the README demo at its reference step (the Magnus
   sweep along the characteristics that ``evolve`` measures its run
   against), on trees that build it apart from the run;
-* ``evolve`` of the README demo (N = 4096, ``t_final = 14``, 239 steps) and
-  of the packet benchmark's ``(1, 0, 1) / sqrt(2)`` packet at N = 2048
-  (``t_final = 14``, 180 steps), each one whole run with its trace;
+* the step predictor of the README demo (``predict_step_demo``): the chain
+  of the corrected steps' rotors along the same characteristics at the
+  reference step, and its distance from the reference, on trees that
+  predict the default dt;
+* ``evolve`` of the README demo (N = 4096, ``t_final = 14``; 146 steps, 239
+  before the default dt was predicted) and of the packet benchmark's
+  ``(1, 0, 1) / sqrt(2)`` packet at N = 2048 (``t_final = 14``; 148 steps,
+  180 before), each one whole run with its trace;
 * one ``integrate_sweep`` call: spin 1, ``g = 1``, ``mtilde_c2 = 0.75``;
 * one ion Hamiltonian application (the ladder kernel) on ``(3 n_ion2,
   n_fock)`` rows of (3, 256), (6, 256) and (3, 512);
@@ -227,6 +232,11 @@ def layers() -> dict:
     if hasattr(wavepacket, "_exact_evolution"):
         out["exact_reference_demo"] = _per_call_us(
             lambda: wavepacket._exact_evolution(fld, params, dt, n_steps))
+    if hasattr(wavepacket, "_predicted_error"):
+        reference, _ = wavepacket._exact_evolution(fld, params, dt, n_steps)
+        out["predict_step_demo"] = _per_call_us(
+            lambda: wavepacket._predicted_error(fld, params, reference, dt,
+                                                n_steps))
     out["evolve_demo_N4096"] = _per_call_us(
         lambda: wavepacket.evolve(fld, 14.0, params))
     grid = wavepacket.Grid1D(80.0, 2048)
