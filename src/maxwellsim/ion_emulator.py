@@ -49,6 +49,7 @@ matching typical hyperfine-qubit experiments.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -641,13 +642,19 @@ def evolve_ion(
     raises :class:`NumericalGuardError`.  ``H`` conserves sigma2_x, so only
     the input state is checked to lie in ion 2's +sigma2_x sector.  The
     record array, ``n_records x 3 n_ion2 n_fock`` complex entries, may hold
-    at most 2^22 of them.  An ``ion`` other than ``state.params`` raises
+    at most 2^22 of them.  An ``ion`` other than ``state.params``, a
+    non-finite or negative ``t_final`` or a non-integer ``n_records`` raises
     :class:`ParameterError`.
     """
     if ion != state.params:
         raise ParameterError(f"the state was built for {state.params}, not {ion}")
-    if t_final < 0:
-        raise ParameterError("t_final must be nonnegative")
+    if not 0.0 <= t_final < math.inf:
+        raise ParameterError(f"t_final must be finite and nonnegative, got {t_final}")
+    try:
+        n_records = operator.index(n_records)
+    except TypeError:
+        raise ParameterError(
+            f"n_records must be an integer, got {n_records!r}") from None
     if n_records < 2:
         raise ParameterError("need at least two record times")
     if n_records * ion.dim > _MAX_RECORD_ENTRIES:

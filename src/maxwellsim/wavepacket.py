@@ -48,7 +48,8 @@ c, so no part of the packet can cross it between two checks.
 The linear potential is discontinuous across the periodic boundary, which is
 harmless as a pointwise phase but means the packet must never reach the
 edge; a per-step contamination guard enforces this instead of an absorbing
-layer, keeping the evolution exactly unitary.
+layer, keeping the evolution exactly unitary.  Likewise no part of the
+packet may be swept past the grid's momentum edge ``-pi/dx``.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ import operator
 import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,11 +107,9 @@ _PREDICTED_ERROR = 1e-5
 _MAX_STEP_SCALE = 2.0
 #: Fraction of the norm the exact reference may drop (its sqrt(w) term).
 _DROPPED_WEIGHT = 1e-22
-#: Times the default dt shrinks and the run is repeated before a measured
-#: error above the limit is an error.
-_SHRINK_TRIES = 3
 #: Narrowest guarded edge strip, in cells at each edge.
 _EDGE_CELLS = 3
+#: Largest fraction of the norm at the grid's edges, in position or momentum.
 _EDGE_WEIGHT_TOL = 1e-6
 _MIN_POINTS = 256
 #: Largest ``|x - center|`` whose square, which the envelope forms, is finite.
@@ -117,12 +117,11 @@ _MAX_EXTENT = math.sqrt(sys.float_info.max)
 #: Largest grid: at 2^20 points the step's kinetic factor and the band
 #: projectors take about 150 and 230 MiB.
 _MAX_POINTS = 2**20
-#: Largest work of a run, in point-steps: ``steps x N`` for each run of the
-#: step loop and ``4 n0 x kept components`` for the exact reference (n0
-#: reference steps); the step predictor's chain takes a quarter of the
-#: reference's.  On one core the step loop costs about 80 ns a point-step at
-#: N = 4096, so the cap is one to two minutes of work; the README demo makes
-#: 6e5.
+#: Largest work of a run, in point-steps: ``steps x N`` for the step loop
+#: and ``4 n0 x kept components`` for the exact reference (n0 reference
+#: steps); the step predictor's chain takes a quarter of the reference's.
+#: On one core the step loop costs about 80 ns a point-step at N = 4096, so
+#: the cap is one to two minutes of work; the README demo makes 6e5.
 _MAX_WORK = 10**9
 
 
@@ -222,9 +221,9 @@ class EvolveResult:
     square root of the weight the reference drops.  The guard keeps it at
     or below ``split_error_limit``.  ``predicted_error`` is the error the
     step predictor expected at ``dt``: 0 where g m = 0 or no step is taken,
-    and otherwise ``None`` for an explicit dt, which is not predicted.  ``edge_weight_max`` is the
-    largest fraction of the norm seen in the guarded strip of
-    ``edge_cells`` cells at each grid edge, which must stay below 1e-6.
+    and ``None`` for an explicit dt.  ``edge_weight_max`` is the largest
+    fraction of the norm seen in the guarded strip of ``edge_cells`` cells
+    at each grid edge, which must stay below 1e-6.
     """
 
     trace: np.ndarray
@@ -399,10 +398,19 @@ def _edge_weight(fld: SpinorField, norm: float, edges: np.ndarray) -> float:
     return weight
 
 
-def _kept_spectrum(fld: SpinorField) -> tuple[np.ndarray, np.ndarray, float]:
-    """The Fourier components of ``fld``, the indices of those kept from the
-    largest weight down until the dropped weight w is at most 1e-22 of the
-    norm, and w."""
+class _Spectrum(NamedTuple):
+    """A field's Fourier components, their weights (which sum to its norm),
+    the indices of those kept from the largest weight down, and the weight
+    w of the rest, at most 1e-22 of the norm."""
+
+    psi_k: np.ndarray
+    weights: np.ndarray
+    keep: np.ndarray
+    dropped: float
+
+
+def _kept_spectrum(fld: SpinorField) -> _Spectrum:
+    """The :class:`_Spectrum` of ``fld``."""
     grid = fld.grid
     psi_k = np.fft.fft(fld.amplitudes, axis=0)
     weights = np.sum(np.abs(psi_k) ** 2, axis=1) * (grid.dx / grid.points)
@@ -410,15 +418,16 @@ def _kept_spectrum(fld: SpinorField) -> tuple[np.ndarray, np.ndarray, float]:
     tail = np.cumsum(weights[order])
     n_dropped = int(np.searchsorted(tail, _DROPPED_WEIGHT * tail[-1], "right"))
     dropped = float(tail[n_dropped - 1]) if n_dropped else 0.0
-    return psi_k, order[n_dropped:], dropped
+    return _Spectrum(psi_k, weights, order[n_dropped:], dropped)
 
 
-def _transported(fld: SpinorField, params: PhysicalParams, psi_k, keep,
-                 path, t: float) -> SpinorField:
-    """The field at ``fld.time + t`` whose kept Fourier components ``psi_k
-    [keep]`` took the rotors ``path`` along their characteristics: the
-    phase ``exp(-i g t x / hbar)``, which takes each k0 to
-    ``k0 - g t / hbar``, times the inverse FFT of the evolved components."""
+def _transported(fld: SpinorField, params: PhysicalParams,
+                 spectrum: _Spectrum, path, t: float) -> SpinorField:
+    """The field at ``fld.time + t`` whose kept Fourier components took the
+    rotors ``path`` along their characteristics: the phase
+    ``exp(-i g t x / hbar)``, which takes each k0 to ``k0 - g t / hbar``,
+    times the inverse FFT of the evolved components."""
+    psi_k, _, keep, _ = spectrum
     evolved = np.zeros_like(psi_k)
     evolved[keep] = (rotor_matrix(path, fld.dimension)
                      @ psi_k[keep][:, :, None])[:, :, 0]
@@ -433,7 +442,8 @@ def _distance(a: SpinorField, b: SpinorField) -> float:
 
 
 def _exact_evolution(
-    fld: SpinorField, params: PhysicalParams, dt: float, n_steps: int
+    fld: SpinorField, params: PhysicalParams, spectrum: _Spectrum, dt: float,
+    n_steps: int
 ) -> tuple[SpinorField, float]:
     """Exact evolution of ``fld`` over ``n_steps`` steps of dt, found along
     the characteristics, and the weight it drops.
@@ -441,30 +451,27 @@ def _exact_evolution(
     In momentum space ``g x = i g d/dk``, so the Fourier component at k0
     moves along ``k(t) = k0 - g t / hbar`` under ``H(k(t))``: the swept-level
     problem, whose propagator ``magnus_sweep`` builds at dt / 4.  Where
-    ``g m = 0`` one Magnus step over the run is exact.  The components of
-    :func:`_kept_spectrum` are evolved and the weight w it drops is
-    returned.  More than 1e9 component-steps (``4 n_steps`` per kept
-    component) are refused before any work.
+    ``g m = 0`` one Magnus step over the run is exact.  The kept components
+    of ``spectrum``, the field's :func:`_kept_spectrum`, are evolved, and
+    the weight w it drops is returned.
     """
     if n_steps == 0:
         return fld.copy(), 0.0
     t = n_steps * dt
-    psi_k, keep, dropped = _kept_spectrum(fld)
-    k0 = fld.grid.k[keep]
+    k0 = fld.grid.k[spectrum.keep]
     dimension = fld.dimension
     spin = (dimension - 1) / 2
     if _splitting_rate(params, dimension) == 0:
         path = magnus_sweep(spin, params, params.rest_energy, k0, t, 1)
     else:
-        _refuse_work(4 * n_steps * len(keep),
-                     "component-steps of the exact reference")
         path = magnus_sweep(spin, params, params.rest_energy, k0, dt / 4.0,
                             4 * n_steps)
-    return _transported(fld, params, psi_k, keep, path, t), dropped
+    return _transported(fld, params, spectrum, path, t), spectrum.dropped
 
 
 def _predicted_error(fld: SpinorField, params: PhysicalParams,
-                     reference: SpinorField, dt: float, n_steps: int) -> float:
+                     spectrum: _Spectrum, reference: SpinorField, dt: float,
+                     n_steps: int) -> float:
     """L2 distance from ``reference`` of ``n_steps`` corrected split steps
     of dt, taken along the characteristics.
 
@@ -474,12 +481,11 @@ def _predicted_error(fld: SpinorField, params: PhysicalParams,
     error of a run at dt before the run; the scheme is 4th order, so at
     another step dt' it scales as ``(dt' / dt)^4``.
     """
-    psi_k, keep, _ = _kept_spectrum(fld)
     dimension = fld.dimension
     path = rotor_chain(
         lambda k_mid: _corrected_rotors(k_mid, params, dt, dimension),
-        fld.grid.k[keep], params.g / params.hbar, dt, n_steps)
-    chain = _transported(fld, params, psi_k, keep, path, n_steps * dt)
+        fld.grid.k[spectrum.keep], params.g / params.hbar, dt, n_steps)
+    chain = _transported(fld, params, spectrum, path, n_steps * dt)
     return _distance(chain, reference)
 
 
@@ -569,19 +575,20 @@ def evolve(
     edge check on ``max(3, ceil(c dt / dx))`` cells at each grid edge; a dt
     whose strip holds more than 1e-6 of the initial packet is a
     :class:`ParameterError`, and so, before any step, is a run of more than
-    1e9 point-steps (``steps x N``, at dt0 until the default dt is
-    predicted) or a reference of more than 1e9 component-steps.
+    1e9 point-steps (``steps x N``, at dt0 and at the predicted default dt)
+    or a reference of more than 1e9 component-steps.  After those, a packet
+    with more than 1e-6 of its weight where ``k0 - g t_final / hbar < -pi/dx``
+    would wrap around in momentum, which no dt mends: it raises
+    :class:`BoundaryContaminationError` before the reference.
 
-    The measured splitting error (``EvolveResult.split_error``) is the final
-    state's distance from the reference.  A non-finite error, or one above
-    1e-4 where ``g m = 0`` (the splitting is exact there, so no smaller dt
-    helps), raises :class:`NumericalGuardError` at once.  Any other error
-    above 1e-4 is a :class:`ParameterError` for an explicit dt; the default
-    dt shrinks by ``0.9 (1e-4 / error)^(1/4)`` and the run is repeated
-    against the same reference, up to 3 times, before
-    :class:`NumericalGuardError`.  The trace (columns :data:`TRACE_COLUMNS`)
-    holds a row every ``record_stride`` steps and the initial and final
-    states; step i of n ends at ``t0 + t_final * (i / n)`` exactly.
+    The run is made once; its measured splitting error (``split_error``) is
+    the final state's distance from the reference.  Above 1e-4 it is a
+    :class:`ParameterError` for an explicit dt, and a
+    :class:`NumericalGuardError` for the default dt, a non-finite error, or
+    where ``g m = 0`` (the splitting is exact there).  The trace (columns
+    :data:`TRACE_COLUMNS`) holds a row every ``record_stride`` steps and the
+    initial and final states; step i of n ends at ``t0 + t_final * (i / n)``
+    exactly.
     """
     if not 0.0 <= t_final < math.inf:
         raise ParameterError(f"t_final must be finite and nonnegative, got {t_final}")
@@ -600,44 +607,46 @@ def evolve(
     _refuse_work(n_steps * fld.grid.points, "point-steps")
     if n_steps > n0:  # an explicit dt finer than dt0
         n0, dt0 = n_steps, dt_eff
-    reference, dropped = _exact_evolution(fld, params, dt0, n0)
+    spectrum = _kept_spectrum(fld)
+    if not exact:
+        _refuse_work(4 * n0 * len(spectrum.keep),
+                     "component-steps of the exact reference")
+    edge = -math.pi / fld.grid.dx
+    swept = fld.grid.k - params.g * t_final / params.hbar < edge
+    wrapped = float(np.sum(spectrum.weights[swept])) / norm
+    if wrapped > _EDGE_WEIGHT_TOL:
+        raise BoundaryContaminationError(
+            f"{wrapped:.3e} of the packet would wrap around the grid's momentum "
+            f"edge -pi/dx = {edge:.6g} by t = {t_final:.6g}; use more grid points")
+    reference, dropped = _exact_evolution(fld, params, spectrum, dt0, n0)
     reference_steps = min(n0, 1) if exact else 4 * n0
     # where g m = 0 the splitting is exact, and a run of no step errs nowhere
-    at_dt0 = 0.0 if exact or not n0 else None
-    if dt is None and at_dt0 is None:
-        at_dt0 = _predicted_error(fld, params, reference, dt0, n0)
-        if math.isfinite(at_dt0):
+    predicted = 0.0 if exact or not n0 else None
+    if dt is None and predicted is None:
+        predicted = _predicted_error(fld, params, spectrum, reference, dt0, n0)
+        if math.isfinite(predicted):
             scale = _MAX_STEP_SCALE
-            if at_dt0 > 0:
-                scale = min(scale, (_PREDICTED_ERROR / at_dt0) ** 0.25)
+            if predicted > 0:
+                scale = min(scale, (_PREDICTED_ERROR / predicted) ** 0.25)
             n_steps, dt_eff = _whole_steps(t_final, scale * dt0)
+            _refuse_work(n_steps * fld.grid.points, "point-steps")
+            predicted *= (dt_eff / dt0) ** 4
 
-    for retry in range(_SHRINK_TRIES + 1):
-        if retry:
-            n_steps, dt_eff = _whole_steps(
-                t_final, 0.9 * dt_eff * (_SPLIT_ERROR_TOL / error) ** 0.25)
-        _refuse_work(n_steps * fld.grid.points, "point-steps")
-        trace, final, edge_max, cells = _run(fld, t_final, params, dt_eff,
-                                             n_steps, norm, record_stride)
-        error = _distance(final, reference) + math.sqrt(dropped)
-        if error <= _SPLIT_ERROR_TOL:
-            predicted = at_dt0
-            if at_dt0:
-                predicted = at_dt0 * (dt_eff / dt0) ** 4
-            return EvolveResult(trace, final, dt_eff, n_steps, error,
-                                _SPLIT_ERROR_TOL, edge_max, reference,
-                                predicted, cells, reference_steps)
+    trace, final, edge_max, cells = _run(fld, t_final, params, dt_eff, n_steps,
+                                         norm, record_stride)
+    error = _distance(final, reference) + math.sqrt(dropped)
+    if not error <= _SPLIT_ERROR_TOL:
         message = (f"measured splitting error {error:.3e} (L2 distance from "
                    f"the exact evolution along the characteristics) over "
                    f"t = {t_final:.6g} exceeds {_SPLIT_ERROR_TOL:.0e} at "
                    f"dt = {dt_eff:.6g}")
-        # where g m = 0 the splitting is exact, and a smaller dt cannot lower
-        # an error that it does not make
-        if not math.isfinite(error) or exact:
-            raise NumericalGuardError(message)
-        if dt is not None:
+        # an explicit dt is the caller's to shorten; where g m = 0 the
+        # splitting is exact, and no dt lowers an error that it does not make
+        if dt is not None and math.isfinite(error) and not exact:
             raise ParameterError(message)
-    raise NumericalGuardError(message)
+        raise NumericalGuardError(message)
+    return EvolveResult(trace, final, dt_eff, n_steps, error, _SPLIT_ERROR_TOL,
+                        edge_max, reference, predicted, cells, reference_steps)
 
 
 def _run(fld: SpinorField, t_final: float, params: PhysicalParams, dt: float,

@@ -424,6 +424,19 @@ class TestMomentumReadout:
         with pytest.raises(ParameterError, match="state was built for"):
             evolve_ion(state, small_ion(**other), 0.1, n_records=2)
 
+    @pytest.mark.parametrize("inputs, match", [
+        ({"t_final": math.nan}, "t_final"),
+        ({"t_final": math.inf}, "t_final"),
+        ({"n_records": 2.5}, "n_records"),
+    ])
+    def test_refuses_invalid_run_inputs(self, inputs, match):
+        # called directly, evolve_ion must not end on a bare ValueError,
+        # OverflowError or TypeError
+        ion = small_ion(n_fock=24)
+        state = coherent_initial_state(ion, 1.0, (1, 0, 0))
+        with pytest.raises(ParameterError, match=match):
+            evolve_ion(state, ion, **{"t_final": 0.1, "n_records": 2, **inputs})
+
 
 def _dense_records(state, ion, times):
     """Reference: dense ``expm(-i H t)`` of the assembled toolbox Hamiltonian."""

@@ -356,7 +356,8 @@ class TestEvolve:
                                                        rel=0.05)
         # c dt = 4.9 dx; the reference keeps its 4 x 239 steps and its bits
         assert result.edge_cells == 5 and result.reference_steps == 956
-        exact, _ = wavepacket._exact_evolution(fld, SCATTER, 14.0 / 239, 239)
+        exact, _ = wavepacket._exact_evolution(
+            fld, SCATTER, wavepacket._kept_spectrum(fld), 14.0 / 239, 239)
         assert np.array_equal(result.reference.amplitudes, exact.amplitudes)
         reference = evolve(fld, 14.0, SCATTER, dt=result.dt / 4,
                            record_stride=10**9)
@@ -458,13 +459,40 @@ SHRINK = PhysicalParams(m=0.5, g=20.0)
 SHRINK_CONFIG = ("spinor = 1,0\nm = 0.5\ng = 20.0\np0 = 5.0\nwidth = 1.0\n"
                  "grid_length = 40.0\ngrid_points = 2048\nt_final = 7.0\n")
 
+# Packets whose momentum the slope sweeps past the grid's -pi/dx: spinor,
+# m, g, p0, width and t_final on Grid1D(40, 256), centered at 0.  Each
+# once took four runs, at ever smaller dt, before a guard error.
+WRAPPING = [((1, 0), 1.7, 3.75, -9.0, 0.7, 1.9),
+            ((1, 0, 0), 0.4, 17.0, -6.0, 1.9, 0.75)]
+# Less than 1e-6 of this one wraps (Grid1D(80, 256)): it runs, once.
+BARELY_WRAPPING = ((1, 0, 0), 0.9, 1.25, 7.5, 2.5, 12.9)
 
-class TestDefaultStepShrink:
-    """Above 1e-4 of measured error the default dt shrinks and the run is
-    repeated against the same reference, at most 3 times; an explicit dt is
-    refused instead.  The predictor keeps the default run clear of the
-    limit, so the tests that drive the loop predict 1e-5 at the reference
-    step, which makes it the default dt."""
+
+@contextlib.contextmanager
+def _counted_runs():
+    """Yield the step counts of the runs :func:`evolve` makes."""
+    runs = []
+    run = wavepacket._run
+
+    def record(*args):
+        runs.append(args[4])
+        return run(*args)
+
+    with mock.patch.object(wavepacket, "_run", record):
+        yield runs
+
+
+def _config(grid, spinor, m, g, p0, width, t_final) -> str:
+    return (f"spinor = {','.join(map(str, spinor))}\nm = {m}\ng = {g}\n"
+            f"p0 = {p0}\nwidth = {width}\ngrid_length = {grid.length}\n"
+            f"grid_points = {grid.points}\nt_final = {t_final}\n")
+
+
+class TestMeasuredGuard:
+    """The run is made once and its measured error checked once: above
+    1e-4 an explicit dt is a parameter error and the default dt a guard
+    violation, never a rerun.  A packet whose momentum would wrap around
+    the grid is refused before any step."""
 
     @pytest.fixture
     def packet(self):
@@ -472,52 +500,33 @@ class TestDefaultStepShrink:
 
     @staticmethod
     @contextlib.contextmanager
-    def _driven(scale=1.0):
-        """Predict 1e-5 at the reference step and scale the exact reference
-        by ``scale``; yield the step counts of the runs and of the
-        references built."""
-        runs, references = [], []
-        run, exact = wavepacket._run, wavepacket._exact_evolution
+    def _driven(scale):
+        """Predict 1e-5 at the reference step, which makes it the default
+        dt, and scale the exact reference by ``scale``; yield the step
+        counts of the runs and of the references built."""
+        references = []
+        exact = wavepacket._exact_evolution
 
-        def record_run(fld, t_final, params, dt, n_steps, *rest):
-            runs.append(n_steps)
-            return run(fld, t_final, params, dt, n_steps, *rest)
-
-        def record_reference(fld, params, dt, n_steps):
-            reference, dropped = exact(fld, params, dt, n_steps)
+        def record_reference(fld, params, spectrum, dt, n_steps):
+            reference, dropped = exact(fld, params, spectrum, dt, n_steps)
             references.append(n_steps)
             reference.amplitudes *= scale
             return reference, dropped
 
-        with mock.patch.multiple(wavepacket, _run=record_run,
-                                 _exact_evolution=record_reference,
-                                 _predicted_error=lambda *args: 1e-5):
+        with _counted_runs() as runs, mock.patch.multiple(
+                wavepacket, _exact_evolution=record_reference,
+                _predicted_error=lambda *args: 1e-5):
             yield runs, references
 
-    def test_predicted_default_dt_does_not_shrink(self, packet):
+    def test_predicted_default_dt_meets_the_limit(self, packet):
         # 8.26e-4 at the reference step: the dt^4 law picks 682 steps, and
         # the error falls faster than that law this far out, to 5.5e-7
-        runs = []
-        run = wavepacket._run
-
-        def record(*args):
-            runs.append(args[4])
-            return run(*args)
-
-        with mock.patch.object(wavepacket, "_run", record):
+        with _counted_runs() as runs:
             result = evolve(packet, 7.0, SHRINK)
         assert runs == [682] and result.steps == 682
         assert result.predicted_error == pytest.approx(1e-5, rel=0.01)
         assert result.split_error == pytest.approx(5.5e-7, rel=0.01)
         assert result.reference_steps == 4 * 226
-
-    def test_default_dt_shrinks_until_the_error_is_met(self, packet):
-        with self._driven() as (runs, references):
-            result = evolve(packet, 7.0, SHRINK)
-        assert runs == [226, 426] and references == [226]
-        assert result.steps == 426 and result.dt == 7.0 / 426
-        assert result.split_error == pytest.approx(5.5e-6, rel=0.01)
-        assert result.predicted_error == pytest.approx(1e-5 * (226 / 426) ** 4)
 
     def test_explicit_dt_is_refused(self, packet):
         # the reference step, taken as an explicit dt
@@ -527,18 +536,37 @@ class TestDefaultStepShrink:
         assert first == pytest.approx(8.26e-4, rel=1e-3)
 
     def test_error_that_stays_above_the_limit_is_a_guard_violation(self, packet):
-        # a reference 2e-4 off keeps every run's error above the limit
+        # a reference 2e-4 off keeps the run's error above the limit
         with self._driven(1.0 + 2e-4) as (runs, references):
             with pytest.raises(NumericalGuardError, match="characteristics"):
                 evolve(packet, 7.0, SHRINK)
-        assert len(runs) == 4  # the first run and 3 retries
-        assert runs == sorted(runs) and references == [226]
+        assert runs == [226] and references == [226]
 
     def test_non_finite_error_is_a_guard_violation_at_once(self, packet):
         with self._driven(math.nan) as (runs, _):
             with pytest.raises(NumericalGuardError, match="error nan"):
                 evolve(packet, 7.0, SHRINK)
         assert runs == [226]
+
+    @pytest.mark.parametrize("case", WRAPPING, ids=["spin-half", "spin-one"])
+    def test_wrapping_momentum_is_refused_before_any_step(self, case):
+        spinor, m, g, p0, width, t_final = case
+        params = PhysicalParams(m=m, g=g)
+        fld = gaussian_packet(Grid1D(40.0, 256), p0, width, 0.0, spinor, params)
+        with _counted_runs() as runs:
+            with pytest.raises(BoundaryContaminationError,
+                               match="momentum edge.*more grid points"):
+                evolve(fld, t_final, params)
+        assert runs == []
+
+    def test_barely_wrapping_momentum_runs_once(self):
+        spinor, m, g, p0, width, t_final = BARELY_WRAPPING
+        params = PhysicalParams(m=m, g=g)
+        fld = gaussian_packet(Grid1D(80.0, 256), p0, width, 0.0, spinor, params)
+        with _counted_runs() as runs:
+            with pytest.raises(NumericalGuardError, match="characteristics"):
+                evolve(fld, t_final, params)
+        assert runs == [123]
 
     def test_cli_exit_codes(self, tmp_path):
         cfg = tmp_path / "shrink.cfg"
@@ -550,6 +578,11 @@ class TestDefaultStepShrink:
         assert cli.main(["evolve", "--config", str(explicit), "--output",
                          str(tmp_path / "e.csv")]) == 2
         with self._driven(1.0 + 2e-4):
+            assert cli.main(argv) == 3
+        cases = [(Grid1D(40.0, 256),) + case for case in WRAPPING]
+        cases.append((Grid1D(80.0, 256),) + BARELY_WRAPPING)
+        for case in cases:
+            cfg.write_text(_config(*case))
             assert cli.main(argv) == 3
 
 
@@ -614,10 +647,9 @@ class TestSplittingBoundProperties:
 
 class TestPacketRunProperties:
     """Drawn packets of both spins on a small grid: every run that returns
-    lies within its measured error of the exact reference, none shrinks its
-    predicted default dt, and where g m > 0 the predicted error is within
-    2x of the measured one; every refused draw raises a documented error
-    and is counted."""
+    lies within its measured error of the exact reference after one run,
+    and where g m > 0 the predicted error is within 2x of the measured one;
+    every refused draw raises a documented error and is counted."""
 
     small = Grid1D(40.0, 256)
 
@@ -676,6 +708,50 @@ class TestPacketRunProperties:
             draw()
         assert outcomes["ran"] >= 0.75 * sum(outcomes.values()), outcomes
         assert checked["shrank"] == 0 and checked["predicted"] >= 20, checked
+
+    def test_each_run_is_made_once(self):
+        # both spins, m in [0, 5], g in [0, 20], grids 40 or 80 long of 256
+        # to 1024 points: a draw returns after exactly one run or raises a
+        # documented error, and one whose momentum the slope sweeps past
+        # -pi/dx is refused before any step
+        outcomes = collections.Counter()
+
+        @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+        @given(dimension=st.sampled_from([3, 2]), m=st.floats(0.0, 5.0),
+               g=st.floats(0.0, 20.0), length=st.sampled_from([40.0, 80.0]),
+               points=st.sampled_from([256, 512, 1024]),
+               p0=st.floats(-10.0, 10.0), width=st.floats(0.7, 3.0),
+               t_final=st.floats(0.0, 15.0))
+        def draw(dimension, m, g, length, points, p0, width, t_final):
+            params = PhysicalParams(m=m, g=g)
+            grid = Grid1D(length, points)
+            try:
+                fld = gaussian_packet(grid, p0, width, 0.0,
+                                      _SPINORS[dimension], params)
+            except ParameterError:
+                outcomes["no packet"] += 1
+                return
+            weights = np.sum(np.abs(np.fft.fft(fld.amplitudes, axis=0)) ** 2,
+                             axis=1)
+            swept = grid.k - g * t_final / params.hbar < -math.pi / grid.dx
+            wraps = np.sum(weights[swept]) > 1e-6 * np.sum(weights)
+            with _counted_runs() as runs:
+                try:
+                    evolve(fld, t_final, params, record_stride=10**9)
+                except BoundaryContaminationError as exc:
+                    wrapped = "momentum edge" in str(exc)
+                    assert wrapped == wraps and len(runs) == (not wraps)
+                    outcomes["wrapped" if wrapped else "edge"] += 1
+                    return
+                except (ParameterError, NumericalGuardError) as exc:
+                    assert not wraps and len(runs) <= 1
+                    outcomes[type(exc).__name__] += 1
+                    return
+            assert not wraps and len(runs) == 1
+            outcomes["ran"] += 1
+
+        draw()
+        assert outcomes["ran"] >= 10 and outcomes["wrapped"] >= 5, outcomes
 
 
 class TestBandStructureObservables:

@@ -229,14 +229,23 @@ def layers() -> dict:
                                      params, project_band="+")
     dt = wavepacket.default_time_step(grid, params, 14.0)
     n_steps = round(14.0 / dt)
+    # a tree that shares one spectrum per run passes it to both
+    shared = hasattr(wavepacket, "_Spectrum")
+
+    def spectrum():
+        return (wavepacket._kept_spectrum(fld),) if shared else ()
+
     if hasattr(wavepacket, "_exact_evolution"):
         out["exact_reference_demo"] = _per_call_us(
-            lambda: wavepacket._exact_evolution(fld, params, dt, n_steps))
-    if hasattr(wavepacket, "_predicted_error"):
-        reference, _ = wavepacket._exact_evolution(fld, params, dt, n_steps)
-        out["predict_step_demo"] = _per_call_us(
-            lambda: wavepacket._predicted_error(fld, params, reference, dt,
+            lambda: wavepacket._exact_evolution(fld, params, *spectrum(), dt,
                                                 n_steps))
+    if hasattr(wavepacket, "_predicted_error"):
+        kept = spectrum()
+        reference, _ = wavepacket._exact_evolution(fld, params, *kept, dt,
+                                                   n_steps)
+        out["predict_step_demo"] = _per_call_us(
+            lambda: wavepacket._predicted_error(fld, params, *kept, reference,
+                                                dt, n_steps))
     out["evolve_demo_N4096"] = _per_call_us(
         lambda: wavepacket.evolve(fld, 14.0, params))
     grid = wavepacket.Grid1D(80.0, 2048)
