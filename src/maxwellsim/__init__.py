@@ -37,7 +37,6 @@ _EXPORTS = {
         "evolve_ion",
         "map_parameters",
         "position_wavefunction",
-        "quadratures",
         "sideband_toolbox",
     ),
     "landau_zener": (
@@ -47,12 +46,6 @@ _EXPORTS = {
         "angle_sweep",
         "lz_spin1",
         "lz_spin_half",
-    ),
-    "spin_algebra": (
-        "SpinAlgebra",
-        "adiabatic_projectors",
-        "pauli_algebra",
-        "spin1_matrices",
     ),
     "sweep_integrator": ("integrate_sweep",),
     "wavepacket": (

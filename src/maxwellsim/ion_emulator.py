@@ -72,7 +72,6 @@ __all__ = [
     "ION_TRACE_COLUMNS",
     "IonTrajectory",
     "LadderOperator",
-    "quadratures",
     "sideband_toolbox",
     "build_maxwell_hamiltonian",
     "map_parameters",
@@ -137,8 +136,9 @@ class IonParams:
     reduce_ion2: bool = True
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ParameterError("Lamb-Dicke parameter must be positive")
+        # each check written so that NaN and inf fail it
+        if not 0 < self.eta < math.inf:
+            raise ParameterError(f"eta must be positive and finite, got {self.eta}")
         if self.eta > 0.2:
             warnings.warn(
                 f"eta = {self.eta} is outside the Lamb-Dicke regime; "
@@ -146,10 +146,12 @@ class IonParams:
                 stacklevel=2,
             )
         for name in ("omega1_tilde", "omega1", "omega2_tilde"):
-            if getattr(self, name) < 0:
-                raise ParameterError(f"{name} must be nonnegative")
-        if self.delta_spread <= 0:
-            raise ParameterError("delta_spread must be positive")
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ParameterError(f"{name} must be nonnegative and finite, got {value}")
+        if not 0 < self.delta_spread < math.inf:
+            raise ParameterError(
+                f"delta_spread must be positive and finite, got {self.delta_spread}")
         if not 16 <= self.n_fock <= _MAX_FOCK:
             raise ParameterError(f"n_fock must lie in [16, {_MAX_FOCK}]")
 
@@ -222,29 +224,6 @@ class LadderOperator:
 
     def __add__(self, other: LadderOperator) -> LadderOperator:
         return LadderOperator(self.zero + other.zero, self.up + other.up)
-
-    def toarray(self, n_fock: int) -> np.ndarray:
-        """The dense matrix on ``n_fock`` Fock levels."""
-        a = _annihilator(n_fock)
-        return (np.kron(self.zero, np.eye(n_fock)) + np.kron(self.up, a)
-                + np.kron(self.up.conj().T, a.T))
-
-
-def _annihilator(n_fock: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1.0, n_fock)), 1)
-
-
-def quadratures(delta_spread: float, n_fock: int) -> tuple[np.ndarray, np.ndarray]:
-    """Truncated position and momentum matrices on the Fock basis.
-
-    ``x = Delta (a + ad)`` and ``p = hbar (a - ad) / (2 i Delta)``; the
-    ground-state variances are ``Delta^2`` and ``hbar^2 / 4 Delta^2``.  The
-    truncation corrupts only the last diagonal entry of ``[x, p]``.
-    """
-    if n_fock < 2:
-        raise ValueError("n_fock must be at least 2")
-    a = _annihilator(n_fock)
-    return delta_spread * (a + a.T), _HBAR / (2j * delta_spread) * (a - a.T)
 
 
 def sideband_toolbox(
@@ -355,6 +334,8 @@ def coherent_initial_state(
     if xi.shape != (3,) or np.linalg.norm(xi) == 0:
         raise ParameterError("spinor must be a nonzero 3-vector")
     xi = xi / np.linalg.norm(xi)
+    if not math.isfinite(p0):
+        raise ParameterError(f"p0 must be finite, got {p0}")
 
     alpha = 1j * p0 * ion.delta_spread / _HBAR
     if abs(alpha) ** 2 + 6.0 * abs(alpha) >= ion.n_fock:
@@ -377,7 +358,7 @@ def _fock_tail(amplitudes: np.ndarray) -> np.ndarray:
     """Weight in the top Fock levels of each state in ``(..., 3, n_ion2,
     n_fock)``; raises :class:`TruncationError` where it exceeds 1e-6."""
     tail = np.sum(np.abs(amplitudes[..., -_TAIL_LEVELS:]) ** 2, axis=(-3, -2, -1))
-    if np.max(tail) > _TAIL_TOL:
+    if not np.max(tail) <= _TAIL_TOL:  # a NaN tail fails too
         raise TruncationError(
             f"weight {np.max(tail):.3e} in the top {_TAIL_LEVELS} Fock levels "
             f"exceeds {_TAIL_TOL}; raise n_fock"

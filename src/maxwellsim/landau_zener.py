@@ -81,14 +81,15 @@ class PhysicalParams:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError(f"c must be positive, got {self.c}")
-        if self.m < 0:
-            raise ValueError(f"m must be nonnegative, got {self.m}")
-        if self.g < 0:
-            raise ValueError(f"g must be nonnegative, got {self.g}")
-        if self.hbar <= 0:
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
+        # each check written so that NaN and inf fail it
+        if not 0 < self.c < math.inf:
+            raise ParameterError(f"c must be positive and finite, got {self.c}")
+        if not 0 <= self.m < math.inf:
+            raise ParameterError(f"m must be nonnegative and finite, got {self.m}")
+        if not 0 <= self.g < math.inf:
+            raise ParameterError(f"g must be nonnegative and finite, got {self.g}")
+        if not 0 < self.hbar < math.inf:
+            raise ParameterError(f"hbar must be positive and finite, got {self.hbar}")
 
     @property
     def rest_energy(self) -> float:

@@ -13,9 +13,8 @@ product.
 
 The model lives in :mod:`maxwellsim.landau_zener` (``spin_model`` and
 ``magnus_step``), and :func:`field_projectors` and :func:`magnus_sweep`
-take the spin, 1 or 0.5.  :func:`spin1_matrices` (``Sz = diag(1, 0, -1)``)
-and :func:`pauli_algebra` (``sigma / 2``) are the complex dense reference
-that tests hold the model to; no route calls them.
+take the spin, 1 or 0.5.  The complex dense spin matrices that the tests
+hold the model to live beside the tests, not in the package.
 
 Projectors are evaluated from the closed polynomial in ``H/E+`` rather than
 from an eigen-solver, which keeps them free of eigenvector phase ambiguity
@@ -38,7 +37,6 @@ takes the Magnus steps one start at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,12 +44,8 @@ from .errors import ParameterError
 from .landau_zener import PhysicalParams, magnus_step, spin_model
 
 __all__ = [
-    "SpinAlgebra",
     "PhysicalParams",
-    "spin1_matrices",
-    "pauli_algebra",
     "bloch_field",
-    "adiabatic_projectors",
     "field_projectors",
     "pack_projectors",
     "band_weights",
@@ -72,43 +66,6 @@ _ROTOR_BLOCK = 16384
 _SQRT_TINY = math.sqrt(np.finfo(float).tiny)
 
 
-@dataclass(frozen=True)
-class SpinAlgebra:
-    """Spin-component matrices for one representation.
-
-    ``sx, sy, sz`` are the dimensionless spin components (Hermitian,
-    ``[sx, sy] = i sz`` and cyclic).  ``dimension`` is 2 or 3.
-    """
-
-    dimension: int
-    sx: np.ndarray
-    sy: np.ndarray
-    sz: np.ndarray
-
-    @property
-    def coupling_matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The Bloch Hamiltonian's ``(Cx, Cy, Cz) = kappa (sx, sy, sz)``, with
-        kappa from :func:`~maxwellsim.landau_zener.spin_model`."""
-        kappa = spin_model((self.dimension - 1) / 2).coupling
-        return tuple(kappa * s for s in (self.sx, self.sy, self.sz))
-
-
-def spin1_matrices() -> SpinAlgebra:
-    """Spin-1 components in the standard angular-momentum basis."""
-    sx = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / _SQRT2
-    sy = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]], dtype=complex) / _SQRT2
-    sz = np.diag([1.0, 0.0, -1.0]).astype(complex)
-    return SpinAlgebra(3, sx, sy, sz)
-
-
-def pauli_algebra() -> SpinAlgebra:
-    """Spin-1/2 algebra; components are sigma/2, couplings the bare sigma."""
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    sz = np.array([[1, 0], [0, -1]], dtype=complex)
-    return SpinAlgebra(2, sx / 2, sy / 2, sz / 2)
-
-
 def bloch_field(params: PhysicalParams, kx) -> np.ndarray:
     """Fields ``(c hbar kx, m c^2)``, shape ``(..., 2)``, with
     ``H(k) = field . (Cx, Cz)``."""
@@ -116,32 +73,15 @@ def bloch_field(params: PhysicalParams, kx) -> np.ndarray:
                                         params.rest_energy), -1)
 
 
-def adiabatic_projectors(h: np.ndarray, e_plus) -> tuple[np.ndarray, ...]:
-    """Band projectors of a Hermitian matrix with spectrum ``{+E, 0, -E}`` (or ``{+-E}``).
-
-    ``h`` may carry leading batch axes (``(..., d, d)`` with matching
-    ``e_plus`` of shape ``(...)``).  Batch entries with ``e_plus == 0`` are
-    fully degenerate (``h = 0``): there the outer projectors vanish and the
-    flat-band projector is the identity for dimension 3, and both
-    projectors are half the identity for dimension 2.
-
-    Returns ``(P+, P0, P-)`` for dimension 3 and ``(P+, P-)`` for dimension 2.
-    """
-    e = np.asarray(e_plus, dtype=float)
-    hn = h / np.where(e == 0.0, 1.0, e)[..., None, None]
-    eye = np.broadcast_to(np.eye(h.shape[-1], dtype=h.dtype), h.shape)
-    if h.shape[-1] == 2:
-        return (eye + hn) / 2.0, (eye - hn) / 2.0
-    hn2 = hn @ hn
-    return (hn2 + hn) / 2.0, eye - hn2, (hn2 - hn) / 2.0
-
-
 def field_projectors(spin, field) -> np.ndarray:
     """Real band projectors of ``H = field . (Cx, Cz)`` for spin 1 or 0.5 at
     real fields of shape ``(..., 2)``, stacked ``(bands, ..., d, d)`` in the
-    order of the spin's band labels.  A zero field maps as in
-    :func:`adiabatic_projectors`, so the projectors always sum to 1.  A
-    field whose squared magnitude overflows raises :class:`ParameterError`."""
+    order of the spin's band labels.  They are the closed polynomial in
+    ``hn = H / E+``: ``(hn^2 + hn) / 2``, ``1 - hn^2`` and ``(hn^2 - hn) /
+    2`` for spin 1, ``(1 +- hn) / 2`` for spin 1/2.  At a zero field ``hn =
+    0``, so the projectors still sum to 1: the flat band takes the identity
+    (spin 1), or each band half of it (spin 1/2).  A field whose squared
+    magnitude overflows raises :class:`ParameterError`."""
     model = spin_model(spin)
     field = np.asarray(field, dtype=float)
     with np.errstate(over="ignore"):
@@ -157,7 +97,12 @@ def field_projectors(spin, field) -> np.ndarray:
     if small.any():
         e_plus = np.where(small, np.hypot(field[..., 0], field[..., 1]), e_plus)
     h = np.tensordot(field, np.array([model.cx, model.cz]), 1)
-    return np.stack(adiabatic_projectors(h, e_plus))
+    hn = h / np.where(e_plus == 0.0, 1.0, e_plus)[..., None, None]
+    eye = np.eye(len(model.cx))
+    if len(model.labels) == 2:
+        return np.stack([(eye + hn) / 2.0, (eye - hn) / 2.0])
+    hn2 = hn @ hn
+    return np.stack([(hn2 + hn) / 2.0, eye - hn2, (hn2 - hn) / 2.0])
 
 
 def pack_projectors(projectors: np.ndarray) -> np.ndarray:
@@ -270,8 +215,8 @@ def rotor_matrix(q: np.ndarray, dimension: int) -> np.ndarray:
 
     For spin 1 this is the symmetric square of the SU(2) matrix
     ``[[a, b], [c, d]]`` in the basis ``|1> = |uu>``,
-    ``|0> = (|ud> + |du>) / sqrt(2)``, ``|-1> = |dd>``, which is the basis
-    of :func:`spin1_matrices`.
+    ``|0> = (|ud> + |du>) / sqrt(2)``, ``|-1> = |dd>``: the basis of
+    ``Sz = diag(1, 0, -1)``, in which the spin model is written.
     """
     w, x, y, z = np.moveaxis(np.asarray(q), -1, 0)
     a, b, c, d = w - 1j * z, -y - 1j * x, y - 1j * x, w + 1j * z

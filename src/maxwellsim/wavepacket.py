@@ -134,8 +134,9 @@ class Grid1D:
     points: int
 
     def __post_init__(self):
-        if self.length <= 0:
-            raise ParameterError("grid length must be positive")
+        if not 0 < self.length < math.inf:  # NaN fails too
+            raise ParameterError(
+                f"grid length must be positive and finite, got {self.length}")
         if (not _MIN_POINTS <= self.points <= _MAX_POINTS
                 or self.points & (self.points - 1)):
             raise ParameterError(

@@ -14,7 +14,6 @@ from maxwellsim import (
     Grid1D,
     IonParams,
     PhysicalParams,
-    adiabatic_projectors,
     band_components,
     band_populations,
     coherent_initial_state,
@@ -25,12 +24,12 @@ from maxwellsim import (
     gaussian_packet,
     lz_spin1,
     map_parameters,
-    spin1_matrices,
     step,
     integrate_sweep,
     angle_sweep,
 )
-from maxwellsim.landau_zener import gap_ratio
+from maxwellsim.landau_zener import gap_ratio, spin_model
+from maxwellsim.spin_algebra import field_projectors
 
 TWO_PI = 2.0 * math.pi
 
@@ -193,28 +192,30 @@ def test_criterion_6_ion_continuum_equivalence():
 class TestCriterion7PropertySuites:
 
     def test_projector_algebra(self):
+        # the band projectors every route caches, at the fields
+        # (c hbar kx, m c^2) of c = hbar = 1
         rng = np.random.default_rng(11)
         n = 1000
         kx = rng.uniform(-20, 20, n)
-        ky = rng.uniform(-20, 20, n)
+        rng.uniform(-20, 20, n)  # a transverse draw no route takes; m as before
         m = rng.uniform(0.0, 3.0, n)
         m[::7] = 0.0
-        alg = spin1_matrices()
-        cx, cy, cz = alg.coupling_matrices
-        h = (kx[:, None, None] * cx + ky[:, None, None] * cy
-             + m[:, None, None] * cz)
-        e_plus = np.sqrt(kx**2 + ky**2 + m**2)
-        p_plus, p_zero, p_minus = adiabatic_projectors(h, e_plus)
+        field = np.stack([kx, m], axis=-1)
+        e_plus = np.linalg.norm(field, axis=-1)[:, None, None]
         worst = 0.0
-        projectors = (p_plus, p_zero, p_minus)
-        for i, p in enumerate(projectors):
-            for j, q in enumerate(projectors):
-                target = p if i == j else np.zeros_like(p)
-                worst = max(worst, float(np.max(np.abs(p @ q - target))))
-        worst = max(worst, float(np.max(np.abs(sum(projectors) - np.eye(3)))))
-        rebuilt = e_plus[:, None, None] * (p_plus - p_minus)
-        worst = max(worst, float(np.max(np.abs(rebuilt - h))))
-        report(7, "projector algebra (1000 momenta)", worst < 1e-10,
+        for spin in (1, 0.5):
+            model = spin_model(spin)
+            h = np.tensordot(field, np.array([model.cx, model.cz]), 1)
+            projectors = field_projectors(spin, field)
+            for i, p in enumerate(projectors):
+                for j, q in enumerate(projectors):
+                    target = p if i == j else np.zeros_like(p)
+                    worst = max(worst, float(np.max(np.abs(p @ q - target))))
+            completeness = sum(projectors) - np.eye(len(model.cx))
+            worst = max(worst, float(np.max(np.abs(completeness))))
+            rebuilt = e_plus * (projectors[0] - projectors[-1])
+            worst = max(worst, float(np.max(np.abs(rebuilt - h))))
+        report(7, "projector algebra (1000 momenta, both spins)", worst < 1e-10,
                f"max defect = {worst:.2e} (want < 1e-10)")
 
     def test_norm_conservation_long_run(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from dense_reference import ladder_matrix, quadratures, spin_matrices
 from maxwellsim import (
     Grid1D,
     GridCoverageError,
@@ -20,9 +21,7 @@ from maxwellsim import (
     gaussian_packet,
     map_parameters,
     position_wavefunction,
-    quadratures,
     sideband_toolbox,
-    spin1_matrices,
 )
 from maxwellsim import ion_emulator, spin_algebra
 from maxwellsim.landau_zener import gap_ratio
@@ -57,6 +56,15 @@ class TestIonParams:
             small_ion(omega1=-1.0)
         with pytest.raises(ValueError):
             small_ion(n_fock=8)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["eta", "omega1_tilde", "omega1",
+                                      "omega2_tilde", "delta_spread"])
+    def test_refuses_non_finite_fields(self, name, value):
+        # a NaN delta_spread once passed, and evolve_ion ended on numpy's
+        # "SVD did not converge"
+        with pytest.raises(ParameterError, match=f"^{name} must be"):
+            small_ion(**{name: value})
 
     def test_lamb_dicke_warning(self):
         with pytest.warns(UserWarning):
@@ -101,12 +109,12 @@ class TestSidebandToolbox:
         ion = small_ion(reduce_ion2=False)
         for pair in ("ab", "bc", "a'b'"):
             for kind in ("carrier", "red", "blue"):
-                h = sideband_toolbox(ion, pair, kind, 1.1, 0.4).toarray(ion.n_fock)
+                h = ladder_matrix(sideband_toolbox(ion, pair, kind, 1.1, 0.4), ion.n_fock)
                 assert np.max(np.abs(h - h.conj().T)) < 1e-14
 
     def test_carrier_is_pair_coupling(self):
         ion = small_ion()
-        h = sideband_toolbox(ion, "ab", "carrier", 2.0, 0.0).toarray(ion.n_fock)
+        h = ladder_matrix(sideband_toolbox(ion, "ab", "carrier", 2.0, 0.0), ion.n_fock)
         sx_ab = np.zeros((3, 3), dtype=complex)
         sx_ab[0, 1] = sx_ab[1, 0] = 1.0
         assert np.allclose(h, np.kron(sx_ab, np.eye(ion.n_fock)))
@@ -114,9 +122,9 @@ class TestSidebandToolbox:
     def test_red_plus_blue_makes_momentum_coupling(self):
         ion = small_ion()
         rabi = 1.7
-        h = (sideband_toolbox(ion, "ab", "red", rabi, -math.pi / 2)
-             + sideband_toolbox(ion, "ab", "blue", rabi, +math.pi / 2)
-             ).toarray(ion.n_fock)
+        h = ladder_matrix(sideband_toolbox(ion, "ab", "red", rabi, -math.pi / 2)
+                          + sideband_toolbox(ion, "ab", "blue", rabi, +math.pi / 2),
+                          ion.n_fock)
         sx_ab = np.zeros((3, 3), dtype=complex)
         sx_ab[0, 1] = sx_ab[1, 0] = 1.0
         p = quadratures(ion.delta_spread, ion.n_fock)[1]
@@ -126,8 +134,8 @@ class TestSidebandToolbox:
     def test_red_plus_blue_zero_phase_makes_position_coupling(self):
         ion = small_ion(reduce_ion2=False)
         rabi = 0.9
-        h = (sideband_toolbox(ion, "a'b'", "red", rabi, 0.0)
-             + sideband_toolbox(ion, "a'b'", "blue", rabi, 0.0)).toarray(ion.n_fock)
+        h = ladder_matrix(sideband_toolbox(ion, "a'b'", "red", rabi, 0.0)
+                          + sideband_toolbox(ion, "a'b'", "blue", rabi, 0.0), ion.n_fock)
         sigma_x = np.array([[0, 1], [1, 0]], dtype=complex)
         x = quadratures(ion.delta_spread, ion.n_fock)[0]
         target = (rabi * ion.eta / 2.0) * np.kron(
@@ -151,24 +159,24 @@ class TestCompositeHamiltonian:
         sx_ab[0, 1] = sx_ab[1, 0] = 1.0
         sx_bc = np.zeros((3, 3), dtype=complex)
         sx_bc[1, 2] = sx_bc[2, 1] = 1.0
-        alg = spin1_matrices()
-        assert np.allclose(sx_ab + sx_bc, math.sqrt(2.0) * alg.sx)
+        sx, _, sz = spin_matrices(1)
+        assert np.allclose(sx_ab + sx_bc, math.sqrt(2.0) * sx)
         sz_ab = np.diag([1.0, -1.0, 0.0])
         sz_bc = np.diag([0.0, 1.0, -1.0])
-        assert np.allclose(sz_ab + sz_bc, alg.sz)
+        assert np.allclose(sz_ab + sz_bc, sz)
 
     def test_direct_assembly_matches_toolbox(self):
         ion = small_ion(reduce_ion2=False)
-        h = build_maxwell_hamiltonian(ion).toarray(ion.n_fock)
-        alg = spin1_matrices()
+        h = ladder_matrix(build_maxwell_hamiltonian(ion), ion.n_fock)
+        sx, _, sz = spin_matrices(1)
         x, p = quadratures(ion.delta_spread, ion.n_fock)
         eye2 = np.eye(2)
         eye_n = np.eye(ion.n_fock)
         sigma_x = np.array([[0, 1], [1, 0]], dtype=complex)
         expected = (
             math.sqrt(2.0) * ion.eta * ion.delta_spread * ion.omega1_tilde
-            * np.kron(np.kron(alg.sx, eye2), p)
-            + ion.omega1 * np.kron(np.kron(alg.sz, eye2), eye_n)
+            * np.kron(np.kron(sx, eye2), p)
+            + ion.omega1 * np.kron(np.kron(sz, eye2), eye_n)
             + ion.eta * ion.omega2_tilde / ion.delta_spread
             * np.kron(np.kron(np.eye(3), sigma_x), x)
         )
@@ -176,7 +184,7 @@ class TestCompositeHamiltonian:
 
     def test_hermitian_and_conserves_ion2(self):
         ion = small_ion(reduce_ion2=False)
-        h = build_maxwell_hamiltonian(ion).toarray(ion.n_fock)
+        h = ladder_matrix(build_maxwell_hamiltonian(ion), ion.n_fock)
         assert np.max(np.abs(h - h.conj().T)) < 1e-14
         sigma2x = np.kron(np.kron(np.eye(3), np.array([[0, 1], [1, 0]])),
                           np.eye(ion.n_fock))
@@ -185,7 +193,7 @@ class TestCompositeHamiltonian:
     def test_mass_only_spectrum(self):
         ion = small_ion(omega1_tilde=0.0, omega2_tilde=0.0, omega1=2.0)
         eigenvalues = np.sort(np.linalg.eigvalsh(
-            build_maxwell_hamiltonian(ion).toarray(ion.n_fock)))
+            ladder_matrix(build_maxwell_hamiltonian(ion), ion.n_fock)))
         n = ion.n_fock
         expected = np.sort(np.concatenate(
             [-2.0 * np.ones(n), np.zeros(n), 2.0 * np.ones(n)]))
@@ -248,9 +256,18 @@ class TestCoherentState:
         assert x_mean == pytest.approx(0.0, abs=1e-8)
         assert p_mean == pytest.approx(3.0, abs=1e-8)
 
+    @pytest.mark.parametrize("p0", [math.nan, math.inf])
+    def test_refuses_non_finite_momentum(self, p0):
+        # once a NaN state, which propagation then reported as not converged
+        with pytest.raises(ParameterError, match="p0 must be finite"):
+            coherent_initial_state(small_ion(n_fock=32), p0, (1, 0, 0))
+
     def test_truncation_headroom_guard(self):
         with pytest.raises(TruncationError):
             coherent_initial_state(small_ion(n_fock=16), 4.0, (1, 0, 0))
+        # a NaN tail fails the guard too, not only a large one
+        with pytest.raises(TruncationError):
+            ion_emulator._fock_tail(np.full((3, 1, 16), np.nan))
 
     def test_band_projection(self):
         ion = IonParams(**PAPER_ION, n_fock=96)
@@ -321,7 +338,7 @@ class TestIonEvolution:
 
     def test_energy_conserved(self):
         ion = small_ion(n_fock=48)
-        h = build_maxwell_hamiltonian(ion).toarray(ion.n_fock)
+        h = ladder_matrix(build_maxwell_hamiltonian(ion), ion.n_fock)
 
         def energy(state):
             v = state.amplitudes.ravel()
@@ -442,7 +459,7 @@ def _dense_records(state, ion, times):
     """Reference: dense ``expm(-i H t)`` of the assembled toolbox Hamiltonian."""
     from scipy.linalg import expm
 
-    h = build_maxwell_hamiltonian(ion).toarray(ion.n_fock)
+    h = ladder_matrix(build_maxwell_hamiltonian(ion), ion.n_fock)
     v = state.amplitudes.ravel()
     return [(expm(-1j * h * t) @ v).reshape(state.amplitudes.shape) for t in times]
 
@@ -455,7 +472,7 @@ class TestMatrixFreeHamiltonian:
         h = build_maxwell_hamiltonian(ion)
         apply = _ladder_kernel(len(h.zero), ion.n_fock)
         rng = np.random.default_rng(7)
-        dense = h.toarray(ion.n_fock)
+        dense = ladder_matrix(h, ion.n_fock)
         for scale in (1.0, -2j / 3.0):
             # twice per scale: the kernel's work buffer is reused
             for _ in range(2):
@@ -488,7 +505,7 @@ _BLOCKS_ION = dict(eta=0.05, omega1_tilde=TWO_PI * 10.0, omega1=TWO_PI * 40.0,
 
 
 class TestMomentumBasis:
-    """``_momentum_basis`` against the truncated ``p`` of :func:`quadratures`:
+    """``_momentum_basis`` against the truncated ``p`` of the dense reference:
     residual, orthonormality and the spectrum's symmetry."""
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import re
 from pathlib import Path
 
@@ -38,3 +39,16 @@ def test_layer_tool_names_only_existing_attributes():
     for module, attribute in sorted(named):
         package = importlib.import_module(f"maxwellsim.{module}")
         assert hasattr(package, attribute), f"{module}.{attribute}"
+
+
+def test_bench_traced_names_resolve():
+    # bench/tracing.py wraps these lookups for `bench/run.py --trace 1`; a
+    # rename in the package would otherwise surface only there.  The module
+    # imports the standard library alone, so it loads by path.
+    path = ROOT / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module, attribute in tracing.TRACED + tracing.PARSE:
+        target = getattr(importlib.import_module(module), attribute, None)
+        assert callable(target), f"{module}.{attribute}"

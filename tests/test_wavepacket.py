@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.signal import find_peaks
 
+from dense_reference import couplings
 from maxwellsim import (
     BoundaryContaminationError,
     Grid1D,
@@ -24,8 +25,6 @@ from maxwellsim import (
     evolve,
     gaussian_packet,
     lz_spin1,
-    pauli_algebra,
-    spin1_matrices,
     step,
 )
 from maxwellsim import cli, wavepacket
@@ -82,6 +81,12 @@ class TestGrid:
             Grid1D(10.0, 1000)
         with pytest.raises(ValueError):
             Grid1D(10.0, 128)
+
+    @pytest.mark.parametrize("length", [np.nan, np.inf])
+    def test_refuses_non_finite_length(self, length):
+        # a NaN length once passed, and gaussian_packet then blamed the width
+        with pytest.raises(ParameterError, match="grid length"):
+            Grid1D(length, 256)
 
     def test_point_cap(self):
         # refused in the constructor, before the lazy x and k exist
@@ -588,8 +593,7 @@ class TestMeasuredGuard:
 
 def _splitting_constant(params, dimension):
     """g c m c^2 ||[Cz, Cx]|| / hbar^2, the norm taken from the matrices."""
-    algebra = spin1_matrices() if dimension == 3 else pauli_algebra()
-    cx, _, cz = algebra.coupling_matrices
+    cx, _, cz = couplings((dimension - 1) / 2)
     commutator = np.linalg.norm(cz @ cx - cx @ cz, 2)
     return (params.g * params.c * params.rest_energy * commutator
             / params.hbar**2)
