@@ -152,8 +152,16 @@ class IonParams:
         if not 0 < self.delta_spread < math.inf:
             raise ParameterError(
                 f"delta_spread must be positive and finite, got {self.delta_spread}")
+        try:
+            operator.index(self.n_fock)
+        except TypeError:
+            raise ParameterError(
+                f"n_fock must be an integer, got {self.n_fock!r}") from None
         if not 16 <= self.n_fock <= _MAX_FOCK:
             raise ParameterError(f"n_fock must lie in [16, {_MAX_FOCK}]")
+        if not isinstance(self.reduce_ion2, (bool, np.bool_)):
+            raise ParameterError(
+                f"reduce_ion2 must be a bool, got {self.reduce_ion2!r}")
 
     @property
     def n_ion2(self) -> int:

@@ -5,11 +5,11 @@ objects defined here, and both read their bands out through
 :func:`field_projectors` and :func:`band_weights` (or
 :func:`apply_projectors`).  The swept-level oracle
 (:mod:`maxwellsim.sweep_integrator`) follows one start, so it writes the
-same projector polynomial and rotor chain out on :mod:`math` floats and
-never loads this module.  A route packs its projectors once with
-:func:`pack_projectors` and caches them; :func:`band_weights` then reads
-each state from its real moments ``Re psi_i^* psi_j`` in one matrix
-product.
+rotor chain out on :mod:`math` floats, reads its bands off the angle
+between the field axes at its window's ends, and never loads this module.
+A route packs its projectors once with :func:`pack_projectors` and caches
+them; :func:`band_weights` then reads each state from its real moments
+``Re psi_i^* psi_j`` in one matrix product.
 
 The model lives in :mod:`maxwellsim.landau_zener` (``spin_model`` and
 ``magnus_step``), and :func:`field_projectors` and :func:`magnus_sweep`

@@ -8,10 +8,13 @@ a single longitudinal mode obeys
     kx(t) = kx_start - (g / hbar) t,
 
 with the sweep starting and ending far from the crossing.  The sweep
-propagator U is read between the band projectors at the two ends,
-``w[f, b] = tr(P_f(-kx_start) U P_b(kx_start) U^dagger)``, which needs no
-eigenvector and no phase convention; bare spinor components would be wrong
-at finite ``|kx|`` where the bands still mix.
+propagator U is read between the bands at the two ends,
+``w[f, b] = tr(P_f(-kx_start) U P_b(kx_start) U^dagger)``.  ``H = kappa E
+n . S``, so every band projector is a spin projector along the field axis
+``n``, and the table is ``|d^s_{m_f m_b}(beta)|^2`` with ``cos beta =
+n_end . R(U) n_start``: one angle, no eigenvector and no phase convention.
+Bare spinor components would be wrong at finite ``|kx|`` where the bands
+still mix.
 
 Any other mass axis in the y-z spin plane is a rotation about x away from
 ``Cz`` that leaves ``Cx`` in place (checked exactly by
@@ -26,11 +29,10 @@ It always runs twice (dt and dt/2) as a built-in convergence check.  The
 model (band labels, ``Cx``, ``Cz``) is ``landau_zener.spin_model``.  One
 start needs no arrays, so the module uses :mod:`math` alone and
 ``lz-oracle`` never loads numpy: the rotor chain runs on four floats, and
-the end projectors are the closed polynomial in ``H/E+`` of
-:func:`maxwellsim.spin_algebra.field_projectors`, written out for d x d
-lists.  The wave packet's exact reference runs the same Magnus steps
-vectorised over many starts (``spin_algebra.magnus_sweep``); a test holds
-the two chains to 1e-13.  No closed-form transition probabilities
+the readout on the one cosine it gives.  The wave packet's exact reference
+runs the same Magnus steps vectorised over many starts
+(``spin_algebra.magnus_sweep``); a test holds the two chains to
+``max(1e-13, n_steps * eps)``.  No closed-form transition probabilities
 enter anywhere here, which is what makes this module an independent check
 of the analytic formulas in :mod:`maxwellsim.landau_zener`.
 """
@@ -92,7 +94,7 @@ def integrate_sweep(
     which the unitary sweep conserves (the column norms of U are guarded at
     1e-8).  For spin 1/2 the flat-band slot is identically zero.
     """
-    labels, _, cx, cz = spin_model(spin)
+    labels = spin_model(spin).labels
     if mtilde_c2 < 0:
         raise ParameterError("effective rest energy must be nonnegative")
     if params.g <= 0:
@@ -110,7 +112,8 @@ def integrate_sweep(
             f"{_MIN_ENDPOINT_FACTOR} * mtilde_c2 at both ends"
         )
     e_max = math.hypot(chbar * kx_start, mtilde_c2)
-    # the band projectors square the field at the window's ends
+    # the accepted range: a field that squares past the float range is
+    # refused, though the band readout itself squares nothing
     if not 0 < e_max * e_max < math.inf:
         raise ParameterError("sweep window out of floating-point range")
     if dt is None:
@@ -131,20 +134,14 @@ def integrate_sweep(
     n_steps = max(1, math.ceil(needed))
     dt_eff = total_time / n_steps
 
-    # both ends have the magnitude e_max
-    start, end = (_projectors(cx, cz, kx * chbar / e_max, mtilde_c2 / e_max)
-                  for kx in (kx_start, -kx_start))
+    # the unit field axes at the window's ends are (+-fx, 0, fz)
+    fx, fz = chbar * kx_start / e_max, mtilde_c2 / e_max
 
     def populations(step: float, count: int):
-        u = _rotor_matrix(_magnus_chain(spin, params, mtilde_c2, kx_start,
-                                        step, count), len(labels))
-        drift = max(abs(sum(abs(x) ** 2 for x in column) - 1.0)
-                    for column in zip(*u))
-        # w[f, b] = tr(P_f U P_b U^dagger)
-        u_dagger = [[x.conjugate() for x in column] for column in zip(*u)]
-        moved = [_matmul(_matmul(u, p), u_dagger) for p in start]
-        w = [[_trace_product(pf, m).real for m in moved] for pf in end]
-        return w, drift
+        q = _magnus_chain(spin, params, mtilde_c2, kx_start, step, count)
+        # the squared column norms of q's d x d matrix are |q|^(2 (d - 1))
+        drift = abs(sum(a * a for a in q) ** (len(labels) - 1) - 1.0)
+        return _band_table(q, fx, fz, len(labels)), drift
 
     w_coarse, _ = populations(dt_eff, n_steps)
     w_fine, drift = populations(dt_eff / 2.0, 2 * n_steps)
@@ -199,46 +196,25 @@ def _magnus_chain(spin, params: PhysicalParams, mass_energy: float,
     return w, x, y, z
 
 
-def _rotor_matrix(q, dimension: int) -> list[list[complex]]:
-    """The d x d matrix ``exp(-i omega . S)`` of the quaternion ``q``, as
-    ``spin_algebra.rotor_matrix`` forms it: the SU(2) matrix ``[[a, b], [c,
-    d]]`` for spin 1/2, its symmetric square for spin 1."""
+def _band_table(q, fx: float, fz: float, dimension: int) -> list[list[float]]:
+    """``w[f, b] = tr(P_f U P_b U^dagger)`` of the rotor ``q`` between the
+    bands of the unit field ``(fx, 0, fz)`` at the start and ``(-fx, 0,
+    fz)`` at the end, in label order (descending m).
+
+    ``H = kappa E n . S``, so each band projector is the spin projector
+    along the field axis ``n``, and ``U`` moves it to the axis rotated by
+    ``q``.  The table is then ``|d^s_{m_f m_b}(beta)|^2``, with ``c = cos
+    beta`` the end axis against the rotated start axis: ``p, m = (1 +- c) /
+    2`` for spin 1/2; ``p^2``, ``m^2``, ``2 p m = (1 - c^2) / 2`` and ``c^2``
+    for spin 1.
+    """
     w, x, y, z = q
-    a, b, c, d = complex(w, -z), complex(-y, -x), complex(y, -x), complex(w, z)
+    # the start axis v rotated by q = (w, u) is v + w t + u x t, t = 2 u x v
+    tx, ty, tz = 2.0 * y * fz, 2.0 * (z * fx - x * fz), -2.0 * y * fx
+    c = (fz * (fz + w * tz + x * ty - y * tx)
+         - fx * (fx + w * tx + y * tz - z * ty))
+    p, m = (1.0 + c) / 2.0, (1.0 - c) / 2.0
     if dimension == 2:
-        return [[a, b], [c, d]]
-    r = math.sqrt(2.0)
-    return [[a * a, r * a * b, b * b],
-            [r * a * c, a * d + b * c, r * b * d],
-            [c * c, r * c * d, d * d]]
-
-
-def _projectors(cx, cz, fx: float, fz: float) -> list[list[list[float]]]:
-    """Band projectors of ``H = fx Cx + fz Cz`` for a unit field ``(fx,
-    fz)``, in the order of the band labels: ``(1 +- h) / 2`` for spin 1/2 and
-    ``((h^2 + h) / 2, 1 - h^2, (h^2 - h) / 2)`` for spin 1, with ``h = H /
-    E+``."""
-    h = [[fx * a + fz * b for a, b in zip(row_x, row_z)]
-         for row_x, row_z in zip(cx, cz)]
-    eye = [[float(i == j) for j in range(len(h))] for i in range(len(h))]
-    if len(h) == 2:
-        return [_combine(0.5, eye, 0.5, h), _combine(0.5, eye, -0.5, h)]
-    h2 = _matmul(h, h)
-    return [_combine(0.5, h2, 0.5, h), _combine(1.0, eye, -1.0, h2),
-            _combine(0.5, h2, -0.5, h)]
-
-
-def _combine(s, a, t, b):
-    """``s a + t b`` for d x d lists."""
-    return [[s * x + t * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _matmul(a, b):
-    """The matrix product of two d x d lists."""
-    columns = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in columns] for row in a]
-
-
-def _trace_product(a, b):
-    """``tr(a b)`` for two d x d lists."""
-    return sum(x * y for row, col in zip(a, zip(*b)) for x, y in zip(row, col))
+        return [[p, m], [m, p]]
+    h = 2.0 * p * m
+    return [[p * p, h, m * m], [h, c * c, h], [m * m, h, p * p]]

@@ -137,6 +137,11 @@ class Grid1D:
         if not 0 < self.length < math.inf:  # NaN fails too
             raise ParameterError(
                 f"grid length must be positive and finite, got {self.length}")
+        try:
+            operator.index(self.points)
+        except TypeError:
+            raise ParameterError(
+                f"points must be an integer, got {self.points!r}") from None
         if (not _MIN_POINTS <= self.points <= _MAX_POINTS
                 or self.points & (self.points - 1)):
             raise ParameterError(

@@ -57,12 +57,18 @@ class TestIonParams:
         with pytest.raises(ValueError):
             small_ion(n_fock=8)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
-    @pytest.mark.parametrize("name", ["eta", "omega1_tilde", "omega1",
-                                      "omega2_tilde", "delta_spread"])
+    @pytest.mark.parametrize("name, value", [
+        *(pytest.param(name, value, id=f"{name}-{value}")
+          for name in ("eta", "omega1_tilde", "omega1", "omega2_tilde",
+                       "delta_spread")
+          for value in (math.nan, math.inf)),
+        pytest.param("n_fock", 16.5, id="n_fock-float"),
+        pytest.param("reduce_ion2", "no", id="reduce_ion2-string"),
+    ])
     def test_refuses_non_finite_fields(self, name, value):
         # a NaN delta_spread once passed, and evolve_ion ended on numpy's
-        # "SVD did not converge"
+        # "SVD did not converge"; a float n_fock once built a state of
+        # non-integer dimension, and a string reduce_ion2 ran reduced
         with pytest.raises(ParameterError, match=f"^{name} must be"):
             small_ion(**{name: value})
 
@@ -73,6 +79,7 @@ class TestIonParams:
     def test_dimensions(self):
         assert small_ion().dim == 48
         assert small_ion(reduce_ion2=False).dim == 96
+        assert small_ion(reduce_ion2=np.False_, n_fock=np.int64(16)).dim == 96
 
     def test_packet_width(self):
         assert small_ion(delta_spread=2.0).packet_width == pytest.approx(

@@ -1,8 +1,10 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 import re
 from pathlib import Path
+from unittest.mock import MagicMock
 
 import pytest
 
@@ -41,14 +43,34 @@ def test_layer_tool_names_only_existing_attributes():
         assert hasattr(package, attribute), f"{module}.{attribute}"
 
 
-def test_bench_traced_names_resolve():
-    # bench/tracing.py wraps these lookups for `bench/run.py --trace 1`; a
-    # rename in the package would otherwise surface only there.  The module
-    # imports the standard library alone, so it loads by path.
+def _bench_tracing():
+    """``bench/tracing.py``, which imports the standard library alone and
+    so loads by path."""
     path = ROOT / "bench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("_bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_bench_traced_names_resolve():
+    # bench/tracing.py wraps these lookups for `bench/run.py --trace 1`; a
+    # rename in the package would otherwise surface only there
+    tracing = _bench_tracing()
     for module, attribute in tracing.TRACED + tracing.PARSE:
         target = getattr(importlib.import_module(module), attribute, None)
         assert callable(target), f"{module}.{attribute}"
+
+
+def test_bench_traced_arguments_are_parameters():
+    # the work counts read a traced call's arguments by name, through
+    # signature.bind; a renamed parameter would otherwise surface only as a
+    # KeyError in a `--trace 1` run
+    for name, counts in _bench_tracing()._COUNTS.items():
+        module, _, attribute = name.partition(".")
+        fn = getattr(importlib.import_module(f"maxwellsim.{module}"), attribute)
+        arguments = MagicMock()
+        counts(arguments)
+        read = {call.args[0] for call in arguments.__getitem__.call_args_list}
+        assert read, name
+        assert read <= set(inspect.signature(fn).parameters), name

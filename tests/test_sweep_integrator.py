@@ -7,9 +7,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 
-from dense_reference import couplings, spin_matrices
+from dense_reference import closed_projectors, couplings, spin_matrices
 from maxwellsim import (
     ConvergenceError,
+    NumericalGuardError,
     ParameterError,
     PhysicalParams,
     integrate_sweep,
@@ -24,7 +25,8 @@ from maxwellsim.spin_algebra import (
     rotor_matrix,
     rotor_product,
 )
-from maxwellsim.sweep_integrator import _magnus_chain
+from maxwellsim import sweep_integrator
+from maxwellsim.sweep_integrator import _band_table, _magnus_chain
 
 
 def _step_rotors(spin, params, mass, dt, k_mid):
@@ -147,6 +149,16 @@ class TestIntegratorProperties:
             integrate_sweep(0.5, params, math.sqrt(0.3),
                             endpoint_factor=20.0, dt=3.1 / e_max)
 
+    @pytest.mark.parametrize("spin", [1, 0.5], ids=["spin1", "spin-half"])
+    def test_norm_drift_rejected(self, spin, monkeypatch):
+        # a chain that grows by 1e-7 keeps its halving delta near 1e-7 but
+        # drifts the norm of U by 2e-7 or more, above the 1e-8 guard
+        chain = sweep_integrator._magnus_chain
+        monkeypatch.setattr(sweep_integrator, "_magnus_chain", lambda *args: tuple(
+            a * (1.0 + 1e-7) for a in chain(*args)))
+        with pytest.raises(NumericalGuardError, match="norm drift"):
+            integrate_sweep(spin, PhysicalParams(g=1.0), 0.6)
+
     def test_dt_precondition(self):
         # dt = 1.0, and a dt just outside the Magnus convergence radius
         params = PhysicalParams(m=1.0, g=2.0)
@@ -155,6 +167,29 @@ class TestIntegratorProperties:
         for dt in (1.0, 1.001 * math.pi / e_max):
             with pytest.raises(ValueError):
                 integrate_sweep(1, params, params.rest_energy, dt=dt)
+
+
+class TestBandReadout:
+
+    @pytest.mark.parametrize("spin", [1, 0.5], ids=["spin1", "spin-half"])
+    def test_is_the_projector_trace(self, spin):
+        # w[f, b] = tr(P_f U P_b U^dagger) with the dense rotor and the closed
+        # projectors of the unit fields (+-fx, 0, fz), whose E+ is 1
+        rng = np.random.default_rng(29)
+        cx, _, cz = couplings(spin)
+        dimension = cx.shape[0]
+        # the first axis is massless
+        for phi in np.concatenate([[0.0], rng.uniform(-np.pi, np.pi, 40)]):
+            q = rng.normal(size=4)
+            q /= np.linalg.norm(q)
+            fx, fz = math.cos(phi), math.sin(phi)
+            start, end = (closed_projectors(sign * fx * cx + fz * cz, 1.0)
+                          for sign in (1.0, -1.0))
+            u = rotor_matrix(q, dimension)
+            want = [[np.trace(pf @ u @ pb @ u.conj().T).real for pb in start]
+                    for pf in end]
+            got = _band_table(tuple(q), fx, fz, dimension)
+            assert np.max(np.abs(np.array(got) - want)) < 1e-14
 
 
 class TestPublicKernel:

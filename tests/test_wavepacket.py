@@ -82,11 +82,16 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid1D(10.0, 128)
 
-    @pytest.mark.parametrize("length", [np.nan, np.inf])
-    def test_refuses_non_finite_length(self, length):
-        # a NaN length once passed, and gaussian_packet then blamed the width
-        with pytest.raises(ParameterError, match="grid length"):
-            Grid1D(length, 256)
+    @pytest.mark.parametrize("length, points, field", [
+        pytest.param(np.nan, 256, "grid length", id="nan"),
+        pytest.param(np.inf, 256, "grid length", id="inf"),
+        pytest.param(10.0, 256.0, "points", id="float-points"),
+    ])
+    def test_refuses_non_finite_length(self, length, points, field):
+        # a NaN length once passed, and gaussian_packet then blamed the
+        # width; a float point count ended on a bare TypeError
+        with pytest.raises(ParameterError, match=f"^{field} must be"):
+            Grid1D(length, points)
 
     def test_point_cap(self):
         # refused in the constructor, before the lazy x and k exist
