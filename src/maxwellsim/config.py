@@ -9,8 +9,8 @@ numerics.
 
 from __future__ import annotations
 
+import collections
 import math
-from dataclasses import dataclass, field
 
 from .errors import ConfigError
 
@@ -19,11 +19,10 @@ __all__ = ["RunConfig", "parse_config", "COMMANDS"]
 _REQUIRED = object()
 
 
-@dataclass(frozen=True)
-class _Key:
-    parse: object                 # callable str -> value
-    default: object = _REQUIRED   # _REQUIRED, or the default value
-    check: object = None          # optional callable value -> error string or None
+# parse: callable str -> value; default: _REQUIRED, or the default value;
+# check: optional callable value -> error string or None
+_Key = collections.namedtuple("_Key", "parse default check",
+                              defaults=(_REQUIRED, None))
 
 
 def _parse_bool(text: str) -> bool:
@@ -136,13 +135,14 @@ COMMANDS: dict[str, dict[str, _Key]] = {
 }
 
 
-@dataclass
 class RunConfig:
     """A validated command plus its typed parameter map."""
 
-    command: str
-    values: dict = field(default_factory=dict)
-    output_path: str | None = None
+    def __init__(self, command: str, values: dict | None = None,
+                 output_path: str | None = None):
+        self.command = command
+        self.values = {} if values is None else values
+        self.output_path = output_path
 
 
 def parse_config(text: str, command: str | None = None) -> RunConfig:

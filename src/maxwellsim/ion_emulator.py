@@ -51,9 +51,9 @@ from __future__ import annotations
 import math
 import operator
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -116,8 +116,8 @@ _LEVEL_PAIRS = ("ab", "bc", "a'b'")
 _KINDS = ("carrier", "red", "blue")
 
 
-@dataclass(frozen=True)
-class IonParams:
+class IonParams(namedtuple("IonParams", "eta omega1_tilde omega1 omega2_tilde "
+                           "delta_spread n_fock reduce_ion2")):
     """Lamb-Dicke parameter, Rabi frequencies, mode spread and truncation.
 
     ``omega1_tilde`` drives both sideband pairs on ion 1 (the kinetic
@@ -127,41 +127,39 @@ class IonParams:
     explicit second ion, halving the Hilbert space.
     """
 
-    eta: float
-    omega1_tilde: float
-    omega1: float
-    omega2_tilde: float
-    delta_spread: float = 1.0
-    n_fock: int = 128
-    reduce_ion2: bool = True
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, eta: float, omega1_tilde: float, omega1: float,
+                omega2_tilde: float, delta_spread: float = 1.0,
+                n_fock: int = 128, reduce_ion2: bool = True):
         # each check written so that NaN and inf fail it
-        if not 0 < self.eta < math.inf:
-            raise ParameterError(f"eta must be positive and finite, got {self.eta}")
-        if self.eta > 0.2:
+        if not 0 < eta < math.inf:
+            raise ParameterError(f"eta must be positive and finite, got {eta}")
+        if eta > 0.2:
             warnings.warn(
-                f"eta = {self.eta} is outside the Lamb-Dicke regime; "
+                f"eta = {eta} is outside the Lamb-Dicke regime; "
                 "first-order sideband Hamiltonians become inaccurate",
                 stacklevel=2,
             )
-        for name in ("omega1_tilde", "omega1", "omega2_tilde"):
-            value = getattr(self, name)
+        for name, value in (("omega1_tilde", omega1_tilde), ("omega1", omega1),
+                            ("omega2_tilde", omega2_tilde)):
             if not 0 <= value < math.inf:
                 raise ParameterError(f"{name} must be nonnegative and finite, got {value}")
-        if not 0 < self.delta_spread < math.inf:
+        if not 0 < delta_spread < math.inf:
             raise ParameterError(
-                f"delta_spread must be positive and finite, got {self.delta_spread}")
+                f"delta_spread must be positive and finite, got {delta_spread}")
         try:
-            operator.index(self.n_fock)
+            operator.index(n_fock)
         except TypeError:
             raise ParameterError(
-                f"n_fock must be an integer, got {self.n_fock!r}") from None
-        if not 16 <= self.n_fock <= _MAX_FOCK:
+                f"n_fock must be an integer, got {n_fock!r}") from None
+        if not 16 <= n_fock <= _MAX_FOCK:
             raise ParameterError(f"n_fock must lie in [16, {_MAX_FOCK}]")
-        if not isinstance(self.reduce_ion2, (bool, np.bool_)):
+        if not isinstance(reduce_ion2, (bool, np.bool_)):
             raise ParameterError(
-                f"reduce_ion2 must be a bool, got {self.reduce_ion2!r}")
+                f"reduce_ion2 must be a bool, got {reduce_ion2!r}")
+        return super().__new__(cls, eta, omega1_tilde, omega1, omega2_tilde,
+                               delta_spread, n_fock, reduce_ion2)
 
     @property
     def n_ion2(self) -> int:
@@ -182,27 +180,24 @@ class IonParams:
         return np.ones(self.n_ion2) / math.sqrt(self.n_ion2)
 
 
-@dataclass
 class IonState:
     """Amplitudes over ``|ion1> x |ion2> x |n>``, shaped ``(3, n_ion2, n_fock)``."""
 
-    amplitudes: np.ndarray
-    params: IonParams
-    time: float = 0.0
-
-    def __post_init__(self):
-        expected = (3, self.params.n_ion2, self.params.n_fock)
-        if self.amplitudes.shape != expected:
+    def __init__(self, amplitudes: np.ndarray, params: IonParams, time: float = 0.0):
+        expected = (3, params.n_ion2, params.n_fock)
+        if amplitudes.shape != expected:
             raise ValueError(
-                f"amplitudes must have shape {expected}, got {self.amplitudes.shape}"
+                f"amplitudes must have shape {expected}, got {amplitudes.shape}"
             )
+        self.amplitudes = amplitudes
+        self.params = params
+        self.time = time
 
     def norm(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2))
 
 
-@dataclass
-class IonTrajectory:
+class IonTrajectory(NamedTuple):
     """Recorded ion evolution; trace rows follow :data:`ION_TRACE_COLUMNS`.
 
     ``norm_drift`` is the largest relative change of a record's norm from the
@@ -221,14 +216,14 @@ class IonTrajectory:
     matvecs: int
 
 
-@dataclass(frozen=True, eq=False)
 class LadderOperator:
     """``zero x 1 + up x a + up^dag x ad`` on (ion 1 x ion 2) x motion, with
     ``a`` the mode's annihilator and ``(3 n_ion2)``-square ``zero`` and
-    ``up``; ``zero`` is Hermitian."""
+    ``up``; ``zero`` is Hermitian.  Operators compare by identity."""
 
-    zero: np.ndarray
-    up: np.ndarray
+    def __init__(self, zero: np.ndarray, up: np.ndarray):
+        self.zero = zero
+        self.up = up
 
     def __add__(self, other: LadderOperator) -> LadderOperator:
         return LadderOperator(self.zero + other.zero, self.up + other.up)

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import collections
 import math
-from dataclasses import dataclass
 
 from .errors import ParameterError
 
@@ -67,29 +66,28 @@ _SPIN_MODELS = {
 }
 
 
-@dataclass(frozen=True)
-class PhysicalParams:
+class PhysicalParams(collections.namedtuple("PhysicalParams", "c m g hbar")):
     """Effective speed of light, rest mass, potential slope, and hbar.
 
     Natural units ``hbar = c = 1`` are the default; the trapped-ion module
-    produces instances in its own (hbar = 1, Delta = 1) units.
+    produces instances in its own (hbar = 1, Delta = 1) units.  A named
+    tuple, validated on construction.
     """
 
-    c: float = 1.0
-    m: float = 0.0
-    g: float = 0.0
-    hbar: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, c: float = 1.0, m: float = 0.0, g: float = 0.0,
+                hbar: float = 1.0):
         # each check written so that NaN and inf fail it
-        if not 0 < self.c < math.inf:
-            raise ParameterError(f"c must be positive and finite, got {self.c}")
-        if not 0 <= self.m < math.inf:
-            raise ParameterError(f"m must be nonnegative and finite, got {self.m}")
-        if not 0 <= self.g < math.inf:
-            raise ParameterError(f"g must be nonnegative and finite, got {self.g}")
-        if not 0 < self.hbar < math.inf:
-            raise ParameterError(f"hbar must be positive and finite, got {self.hbar}")
+        if not 0 < c < math.inf:
+            raise ParameterError(f"c must be positive and finite, got {c}")
+        if not 0 <= m < math.inf:
+            raise ParameterError(f"m must be nonnegative and finite, got {m}")
+        if not 0 <= g < math.inf:
+            raise ParameterError(f"g must be nonnegative and finite, got {g}")
+        if not 0 < hbar < math.inf:
+            raise ParameterError(f"hbar must be positive and finite, got {hbar}")
+        return super().__new__(cls, c, m, g, hbar)
 
     @property
     def rest_energy(self) -> float:
@@ -97,28 +95,27 @@ class PhysicalParams:
         return self.m * self.c**2
 
 
-@dataclass(frozen=True)
-class TransitionProbabilities:
+class TransitionProbabilities(collections.namedtuple(
+        "TransitionProbabilities", "gamma_pp gamma_p0 gamma_pm")):
     """Final-band occupations for a state entering on the positive band.
 
     ``gamma_pp`` stays on the incident band (reflection), ``gamma_p0`` ends
     on the flat band (localization), ``gamma_pm`` reaches the opposite band
-    (transmission through the sloped region).
+    (transmission through the sloped region).  Each must lie within 1e-12
+    of [0, 1], where it is clipped, and their sum within 1e-12 of 1.
     """
 
-    gamma_pp: float
-    gamma_p0: float
-    gamma_pm: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        total = self.gamma_pp + self.gamma_p0 + self.gamma_pm
+    def __new__(cls, gamma_pp: float, gamma_p0: float, gamma_pm: float):
+        total = gamma_pp + gamma_p0 + gamma_pm
         if abs(total - 1.0) > _CLAMP_TOL:
             raise ValueError(f"probabilities sum to {total}, not 1")
-        for name in ("gamma_pp", "gamma_p0", "gamma_pm"):
-            value = getattr(self, name)
+        values = (gamma_pp, gamma_p0, gamma_pm)
+        for name, value in zip(cls._fields, values):
             if not -_CLAMP_TOL <= value <= 1.0 + _CLAMP_TOL:
                 raise ValueError(f"{name} = {value} is not a probability")
-            object.__setattr__(self, name, min(max(value, 0.0), 1.0))
+        return super().__new__(cls, *map(_clamp, values))
 
     @property
     def transmission(self) -> float:
@@ -126,7 +123,7 @@ class TransitionProbabilities:
         return self.gamma_p0 + self.gamma_pm
 
     def as_tuple(self) -> tuple[float, float, float]:
-        return (self.gamma_pp, self.gamma_p0, self.gamma_pm)
+        return tuple(self)
 
 
 def spin_model(spin) -> SpinModel:

@@ -57,7 +57,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -125,28 +125,26 @@ _MAX_POINTS = 2**20
 _MAX_WORK = 10**9
 
 
-@dataclass(frozen=True)
-class Grid1D:
+class Grid1D(namedtuple("Grid1D", "length points")):
     """Uniform periodic grid on ``[-L/2, L/2)`` with a power-of-two point
     count from 256 to 2^20."""
 
-    length: float
-    points: int
+    # no __slots__: the instance dict holds the cached x and k
 
-    def __post_init__(self):
-        if not 0 < self.length < math.inf:  # NaN fails too
+    def __new__(cls, length: float, points: int):
+        if not 0 < length < math.inf:  # NaN fails too
             raise ParameterError(
-                f"grid length must be positive and finite, got {self.length}")
+                f"grid length must be positive and finite, got {length}")
         try:
-            operator.index(self.points)
+            operator.index(points)
         except TypeError:
             raise ParameterError(
-                f"points must be an integer, got {self.points!r}") from None
-        if (not _MIN_POINTS <= self.points <= _MAX_POINTS
-                or self.points & (self.points - 1)):
+                f"points must be an integer, got {points!r}") from None
+        if not _MIN_POINTS <= points <= _MAX_POINTS or points & (points - 1):
             raise ParameterError(
                 f"points must be a power of two from {_MIN_POINTS} to "
-                f"{_MAX_POINTS}, got {self.points}")
+                f"{_MAX_POINTS}, got {points}")
+        return super().__new__(cls, length, points)
 
     @property
     def dx(self) -> float:
@@ -162,7 +160,6 @@ class Grid1D:
         return 2.0 * np.pi * np.fft.fftfreq(self.points, d=self.dx)
 
 
-@dataclass
 class SpinorField:
     """State ``Psi(x)`` on a grid: ``amplitudes[i, s]`` is component s at x_i.
 
@@ -177,16 +174,14 @@ class SpinorField:
     dtype, at the cost of a conversion on every read.
     """
 
-    grid: Grid1D
-    amplitudes: np.ndarray
-    time: float = 0.0
-
-    def __post_init__(self):
-        if self.amplitudes.shape[0] != self.grid.points:
+    def __init__(self, grid: Grid1D, amplitudes: np.ndarray, time: float = 0.0):
+        if amplitudes.shape[0] != grid.points:
             raise ValueError("amplitude rows must match the grid point count")
-        if self.amplitudes.ndim != 2 or self.amplitudes.shape[1] not in (2, 3):
+        if amplitudes.ndim != 2 or amplitudes.shape[1] not in (2, 3):
             raise ValueError("amplitudes must have shape (points, 2 or 3)")
-        self.amplitudes = np.asfortranarray(self.amplitudes, dtype=complex)
+        self.grid = grid
+        self.amplitudes = np.asfortranarray(amplitudes, dtype=complex)
+        self.time = time
 
     @property
     def dimension(self) -> int:
@@ -202,8 +197,7 @@ class SpinorField:
         return SpinorField(self.grid, self.amplitudes.copy(order="K"), self.time)
 
 
-@dataclass(frozen=True)
-class BandPopulations:
+class BandPopulations(NamedTuple):
     """Weights carried by the three dispersion branches (flat slot 0 for spin 1/2)."""
 
     w_plus: float
@@ -211,11 +205,10 @@ class BandPopulations:
     w_minus: float
 
     def as_tuple(self) -> tuple[float, float, float]:
-        return (self.w_plus, self.w_zero, self.w_minus)
+        return tuple(self)
 
 
-@dataclass
-class EvolveResult:
+class EvolveResult(NamedTuple):
     """Recorded trajectory: trace rows follow :data:`TRACE_COLUMNS`.
 
     ``dt`` and ``steps`` are the step actually taken and their number

@@ -790,11 +790,11 @@ def _run_fresh(code: str) -> str:
     return done.stdout.strip()
 
 
-def _loaded_modules(code: str, package: str) -> str:
+def _loaded_modules(code: str, *packages: str) -> str:
     """Run ``code`` in a fresh interpreter that then prints the sorted names
-    of the loaded modules of ``package``; return that output."""
+    of the loaded modules of ``packages``; return that output."""
     return _run_fresh(code + "\nimport sys; print(sorted(m for m in sys.modules "
-                      f"if m.split('.')[0] == {package!r}))")
+                      f"if m.split('.')[0] in {packages!r}))")
 
 
 def test_cli_import_leaves_scipy_sparse_unloaded():
@@ -814,7 +814,8 @@ def test_sweep_transmission_runs_without_numpy(tmp_path):
     code = ("from maxwellsim.cli import main\n"
             f"assert main(['sweep-transmission', '--config', {str(cfg)!r}, "
             f"'--output', {str(tmp_path / 'sweep.csv')!r}]) == 0")
-    assert _loaded_modules(code, "numpy") == "[]"
+    # nor dataclasses, whose import brings inspect, ast, dis and tokenize
+    assert _loaded_modules(code, "numpy", "dataclasses", "inspect") == "[]"
     assert len(read_csv(tmp_path / "sweep.csv")[2]) == 21
 
 
@@ -828,19 +829,20 @@ def test_lz_oracle_loads_only_its_route(tmp_path):
     route = ["maxwellsim"] + [f"maxwellsim.{name}" for name in (
         "cli", "config", "errors", "landau_zener", "sweep_integrator")]
     assert _loaded_modules(code, "maxwellsim") == str(route)
-    assert _loaded_modules(code, "numpy") == "[]"
+    assert _loaded_modules(code, "numpy", "dataclasses", "inspect") == "[]"
     assert len(read_csv(tmp_path / "oracle.csv")[2]) == 1
 
 
 def _main_loads(tmp_path, command: str, text: str) -> list[str]:
-    """The maxwellsim modules loaded by one ``main`` run of ``command`` on
-    the config ``text``, in a fresh interpreter."""
+    """The maxwellsim modules, and ``dataclasses`` if it is loaded, after
+    one ``main`` run of ``command`` on the config ``text``, in a fresh
+    interpreter."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
     code = ("from maxwellsim.cli import main\n"
             f"assert main([{command!r}, '--config', {str(cfg)!r}, "
             f"'--output', {str(tmp_path / 'out.csv')!r}]) == 0")
-    return ast.literal_eval(_loaded_modules(code, "maxwellsim"))
+    return ast.literal_eval(_loaded_modules(code, "maxwellsim", "dataclasses"))
 
 
 @pytest.mark.parametrize("command, text, route", [
@@ -853,6 +855,8 @@ def _main_loads(tmp_path, command: str, text: str) -> list[str]:
     ("evolve", DEMO + "t_final = 1.0\ngrid_points = 512\n", ("wavepacket",)),
 ], ids=["ion-evolve", "ion-evolve-snapshot", "evolve"])
 def test_command_loads_only_its_route(tmp_path, command, text, route):
+    # and not dataclasses: numpy loads inspect anyway, but the value types
+    # need no generated code
     shared = ("cli", "config", "errors", "landau_zener", "spin_algebra")
     loaded = _main_loads(tmp_path, command, text.format(tmp=tmp_path))
     assert loaded == ["maxwellsim"] + [

@@ -73,8 +73,20 @@ class TestIonParams:
             small_ion(**{name: value})
 
     def test_lamb_dicke_warning(self):
-        with pytest.warns(UserWarning):
+        # the warning names the caller's line, not the constructor's
+        with pytest.warns(UserWarning) as record:
             small_ion(eta=0.3)
+        assert record[0].filename == __file__
+
+    def test_value_type_contract(self):
+        # equal fields are one lru_cache key; the repr is evolve_ion's message
+        ion = small_ion()
+        assert ion == small_ion() and hash(ion) == hash(small_ion())
+        assert repr(ion) == (
+            "IonParams(eta=0.05, omega1_tilde=1.0, omega1=0.5, omega2_tilde=0.8, "
+            "delta_spread=1.0, n_fock=16, reduce_ion2=True)")
+        with pytest.raises(AttributeError):
+            ion.n_fock = 32
 
     def test_dimensions(self):
         assert small_ion().dim == 48
@@ -160,6 +172,15 @@ class TestSidebandToolbox:
 
 
 class TestCompositeHamiltonian:
+
+    def test_ladder_operators_add_blockwise_and_compare_by_identity(self):
+        zero, up = np.eye(3), np.diag([1.0, 2.0, 3.0])
+        a = ion_emulator.LadderOperator(zero, up)
+        b = ion_emulator.LadderOperator(2 * zero, up)
+        total = a + b
+        assert np.array_equal(total.zero, 3 * zero)
+        assert np.array_equal(total.up, 2 * up)
+        assert a == a and a != ion_emulator.LadderOperator(zero, up)
 
     def test_pairwise_couplings_build_spin1(self):
         sx_ab = np.zeros((3, 3), dtype=complex)

@@ -170,6 +170,20 @@ class TestFormulaProperties:
     def test_clamp_guard(self):
         with pytest.raises(ValueError):
             TransitionProbabilities(0.5, 0.7, 0.2)  # sums beyond 1 by > 1e-12
+        with pytest.raises(ValueError, match="^gamma_p0 = -0.1 is not"):
+            TransitionProbabilities(0.6, -0.1, 0.5)
+        # a stray within 1e-12 of [0, 1] is clipped onto it
+        assert TransitionProbabilities(1.0 + 5e-13, -5e-13, 0.0).as_tuple() == (
+            1.0, 0.0, 0.0)
+
+    def test_value_type_contract(self):
+        probs = TransitionProbabilities(0.25, 0.5, 0.25)
+        assert probs == TransitionProbabilities(0.25, 0.5, 0.25)
+        assert hash(probs) == hash(TransitionProbabilities(0.25, 0.5, 0.25))
+        assert repr(probs) == ("TransitionProbabilities(gamma_pp=0.25, "
+                               "gamma_p0=0.5, gamma_pm=0.25)")
+        with pytest.raises(AttributeError):
+            probs.gamma_pp = 0.0
 
 
 _RATIOS = st.floats(0.0, 5.0)

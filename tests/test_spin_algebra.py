@@ -135,6 +135,15 @@ class TestPhysicalParams:
     def test_rest_energy(self):
         assert PhysicalParams(c=2.0, m=0.25).rest_energy == 1.0
 
+    def test_value_type_contract(self):
+        # equal fields are one key of the packet route's lru_caches
+        params = PhysicalParams(m=0.85, g=1.5)
+        assert params == PhysicalParams(1.0, 0.85, 1.5, 1.0)
+        assert hash(params) == hash(PhysicalParams(1.0, 0.85, 1.5, 1.0))
+        assert repr(params) == "PhysicalParams(c=1.0, m=0.85, g=1.5, hbar=1.0)"
+        with pytest.raises(AttributeError):
+            params.m = 1.0
+
 
 class TestBlochHamiltonian:
 

@@ -13,6 +13,7 @@ from scipy.signal import find_peaks
 
 from dense_reference import couplings
 from maxwellsim import (
+    BandPopulations,
     BoundaryContaminationError,
     Grid1D,
     NumericalGuardError,
@@ -104,6 +105,18 @@ class TestGrid:
         assert grid.dx == pytest.approx(80.0 / 1024)
         assert grid.x[0] == -40.0
         assert np.max(np.abs(grid.k)) == pytest.approx(np.pi / grid.dx)
+        # computed once per grid
+        assert grid.x is grid.x and grid.k is grid.k
+
+    def test_value_type_contract(self):
+        # equal grids are one lru_cache key, whatever each has cached
+        grid = Grid1D(80.0, 1024)
+        assert grid.x.size == 1024
+        assert grid == Grid1D(80.0, 1024)
+        assert hash(grid) == hash(Grid1D(80.0, 1024))
+        assert repr(grid) == "Grid1D(length=80.0, points=1024)"
+        with pytest.raises(AttributeError):
+            grid.points = 2048
 
 
 class TestGaussianPacket:
@@ -764,6 +777,15 @@ class TestPacketRunProperties:
 
 
 class TestBandStructureObservables:
+
+    def test_band_populations_value_type(self):
+        pops = BandPopulations(0.25, 0.5, 0.25)
+        assert pops == BandPopulations(0.25, 0.5, 0.25)
+        assert hash(pops) == hash(BandPopulations(0.25, 0.5, 0.25))
+        assert repr(pops) == "BandPopulations(w_plus=0.25, w_zero=0.5, w_minus=0.25)"
+        assert pops.as_tuple() == (0.25, 0.5, 0.25)
+        with pytest.raises(AttributeError):
+            pops.w_plus = 0.0
 
     def test_band_components_partition(self, grid):
         fld = gaussian_packet(grid, 6.0, 2.0, 0.0, (0.4, 0.2, 0.9), SCATTER)

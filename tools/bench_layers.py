@@ -38,7 +38,10 @@ the time per call, in microseconds.  Layers:
   runner imports (:data:`ROUTES`), over 21 processes per command taken in
   turn.  As in a benchmark child, the package is a copy without bytecode
   caches and ``PYTHONDONTWRITEBYTECODE=1`` is set, so every process
-  compiles the package afresh;
+  compiles the package afresh.  The ``startup_bare`` layer, a fresh
+  ``python -c pass`` in the same environment, runs in the same turns: a
+  command's layer minus ``startup_bare`` is the package's share of its
+  start-up, within one record;
 * interpreter exit, one layer per command: a fresh process of the same kind
   calls ``cli.main`` on a small config of that command (:data:`CONFIGS`)
   and stamps ``time.monotonic()`` once ``main`` returns; the layer is the
@@ -138,18 +141,21 @@ def _fresh_package(src: Path):
 
 def startup_layers(src: Path) -> dict:
     """Wall time of a fresh interpreter that imports ``maxwellsim.cli`` and
-    one command's route, per command, from a bytecode-free copy of ``src``."""
-    samples = {command: [] for command in ROUTES}
+    one command's route, per command, from a bytecode-free copy of ``src``,
+    and of a bare one (``bare``) in the same environment and turns."""
+    codes = {"bare": "pass"}
+    for command, modules in ROUTES.items():
+        codes[command] = "; ".join(f"import {name}"
+                                   for name in ("maxwellsim.cli", *modules))
+    samples = {name: [] for name in codes}
     with _fresh_package(src) as (_, env):
         for _ in range(STARTS):
-            for command, modules in ROUTES.items():
-                code = "; ".join(f"import {name}"
-                                 for name in ("maxwellsim.cli", *modules))
+            for name, code in codes.items():
                 start = time.perf_counter()
                 subprocess.run([sys.executable, "-c", code], env=env, check=True)
-                samples[command].append((time.perf_counter() - start) * 1e6)
-    return {f"startup_{command}": {**_summary_us(times), "processes": STARTS}
-            for command, times in samples.items()}
+                samples[name].append((time.perf_counter() - start) * 1e6)
+    return {f"startup_{name}": {**_summary_us(times), "processes": STARTS}
+            for name, times in samples.items()}
 
 
 def exit_layers(src: Path) -> dict:
