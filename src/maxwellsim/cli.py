@@ -135,9 +135,8 @@ def _run_lz_oracle(config: RunConfig) -> list[str]:
     params = PhysicalParams(c=v["c"], m=0.0, g=v["g"], hbar=v["hbar"])
     spin = _SPIN_VALUES[v["spin"]]
     oracle = sweep_integrator.integrate_sweep(
-        spin, params, v["mtilde_c2"], initial_band=v["initial_band"],
-        endpoint_factor=v["endpoint_factor"], dt=v["dt"] if v["dt"] > 0 else None,
-    )
+        spin, params, v["mtilde_c2"], endpoint_factor=v["endpoint_factor"],
+        dt=v["dt"] if v["dt"] > 0 else None)
     formula = landau_zener.lz_spin1 if spin == 1 else landau_zener.lz_spin_half
     analytic = formula(params, v["mtilde_c2"])
     ratio = landau_zener.gap_ratio(params, v["mtilde_c2"])

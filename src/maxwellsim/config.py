@@ -96,7 +96,6 @@ COMMANDS: dict[str, dict[str, _Key]] = {
         "spin": _Key(str, "1", _one_of("1", "1/2")),
         "mtilde_c2": _Key(_parse_float, check=_nonnegative),
         "g": _Key(_parse_float, check=_positive),
-        "initial_band": _Key(str, "+", _one_of("+", "0", "-")),
         "endpoint_factor": _Key(_parse_float, 30.0, _positive),
         "dt": _Key(_parse_float, 0.0, _nonnegative),  # 0: automatic step
         **_PHYSICAL,

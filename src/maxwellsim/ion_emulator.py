@@ -20,14 +20,17 @@ blue-sideband interactions (the Lamb-Dicke toolbox); the composite builder
 assembles them with the phase and Rabi choices that realize the
 correspondence above exactly.  Every toolbox term, and so ``H``, has the
 ladder form ``zero x 1 + up x a + up^dag x ad`` on (ion 1 x ion 2) x motion
-with ``(3 n_ion2)``-square ``zero`` and ``up``: :func:`sideband_toolbox`
-and :func:`build_maxwell_hamiltonian` return it as a
-:class:`LadderOperator`.  Propagation takes ``H`` from
-:func:`build_maxwell_hamiltonian` and applies it in that form, never
-assembling the full matrix: one application is one matrix product of
-the ``(3 n_ion2) x (9 n_ion2)`` block ``[zero | up | up^dag]`` with the
-state stacked over its two ladder shifts.  :func:`evolve_ion` expands
-``exp(-i H t / hbar)`` in Chebyshev polynomials.  Band readout and filtering
+with square ``zero`` and ``up`` over the internal levels (3 x 3, or 6 x 6
+with ion 2 explicit): :func:`sideband_toolbox` and
+:func:`build_maxwell_hamiltonian` return it as a :class:`LadderOperator`.
+Propagation takes ``H`` from :func:`build_maxwell_hamiltonian` and applies
+it in that form, never assembling the full matrix: one application is one
+matrix product of the block ``[zero | up | up^dag]`` with the state stacked
+over its two ladder shifts.  :func:`evolve_ion` expands
+``exp(-i H t / hbar)`` in Chebyshev polynomials.  ``H`` conserves
+sigma2_x, so a state (:class:`IonState`) is the spinor-by-Fock amplitudes
+``(3, n_fock)`` in every setup; :func:`evolve_ion` alone lifts it into ion
+2's +sigma2_x sector and folds every record back.  Band readout and filtering
 use the eigenbasis of the truncated ``p`` (the Gauss-Hermite discrete
 variable representation; Light, Hamilton & Lill, J. Chem. Phys. 82, 1400
 (1985)), on whose vector j ``H`` acts as the mapped ``H(k)`` at
@@ -93,9 +96,9 @@ _TAIL_LEVELS = 4
 _TAIL_TOL = 1e-6
 # Largest relative change of any record's norm before propagation is
 # declared broken (an underestimated spectral bound makes the Chebyshev
-# series diverge); also the largest relative gap between a record's band
-# weights and its norm before the readout is declared broken (a momentum
-# basis short of a vector).
+# series diverge); also the largest relative gap between a record's folded
+# and propagated norms (an H that moves ion 2 out of its sector), and
+# between its band weights and its norm (a momentum basis short of a vector).
 _NORM_TOL = 1e-10
 # Size caps, checked before any allocation.  At n_fock = 4096 the momentum
 # basis takes 3.4 s and 370 MiB; a record array of 2^22 complex entries
@@ -124,7 +127,7 @@ class IonParams(namedtuple("IonParams", "eta omega1_tilde omega1 omega2_tilde "
     coupling), ``omega1`` is the light-shift splitting (the mass term),
     ``omega2_tilde`` the sideband drive on ion 2 (the potential slope).
     With ``reduce_ion2`` the conserved ``sigma2_x = +1`` sector replaces the
-    explicit second ion, halving the Hilbert space.
+    explicit second ion, halving the propagated space (:attr:`dim`).
     """
 
     __slots__ = ()
@@ -181,14 +184,12 @@ class IonParams(namedtuple("IonParams", "eta omega1_tilde omega1 omega2_tilde "
 
 
 class IonState:
-    """Amplitudes over ``|ion1> x |ion2> x |n>``, shaped ``(3, n_ion2, n_fock)``."""
+    """Spinor-by-Fock amplitudes, shaped ``(3, n_fock)``; ion 2 is along +sigma2_x."""
 
     def __init__(self, amplitudes: np.ndarray, params: IonParams, time: float = 0.0):
-        expected = (3, params.n_ion2, params.n_fock)
-        if amplitudes.shape != expected:
-            raise ValueError(
-                f"amplitudes must have shape {expected}, got {amplitudes.shape}"
-            )
+        if amplitudes.shape != (3, params.n_fock):
+            raise ValueError(f"amplitudes must have shape (3, {params.n_fock}), "
+                             f"got {amplitudes.shape}")
         self.amplitudes = amplitudes
         self.params = params
         self.time = time
@@ -201,9 +202,11 @@ class IonTrajectory(NamedTuple):
     """Recorded ion evolution; trace rows follow :data:`ION_TRACE_COLUMNS`.
 
     ``norm_drift`` is the largest relative change of a record's norm from the
-    input's (guarded at 1e-10), ``band_sum_drift`` the largest gap between a
-    record's three band weights and its norm, relative to the input's norm
-    (guarded at 1e-10), ``fock_tail_max`` the largest ``fock_tail``
+    input's (guarded at 1e-10), ``sector_leak`` the largest relative gap
+    between a record's folded and propagated norms (guarded at 1e-10),
+    ``band_sum_drift`` the largest gap between a record's three band
+    weights and its norm, relative to the input's norm (guarded at 1e-10),
+    ``fock_tail_max`` the largest ``fock_tail``
     (guarded at 1e-6), and ``matvecs`` the number of Hamiltonian
     applications the Chebyshev expansion made.
     """
@@ -211,6 +214,7 @@ class IonTrajectory(NamedTuple):
     trace: np.ndarray
     final: IonState
     norm_drift: float
+    sector_leak: float
     band_sum_drift: float
     fock_tail_max: float
     matvecs: int
@@ -218,8 +222,8 @@ class IonTrajectory(NamedTuple):
 
 class LadderOperator:
     """``zero x 1 + up x a + up^dag x ad`` on (ion 1 x ion 2) x motion, with
-    ``a`` the mode's annihilator and ``(3 n_ion2)``-square ``zero`` and
-    ``up``; ``zero`` is Hermitian.  Operators compare by identity."""
+    ``a`` the mode's annihilator and ``zero`` and ``up`` square over the
+    internal levels; ``zero`` is Hermitian.  Operators compare by identity."""
 
     def __init__(self, zero: np.ndarray, up: np.ndarray):
         self.zero = zero
@@ -348,19 +352,15 @@ def coherent_initial_state(
         )
     motional = _coherent_amplitudes(alpha, ion.n_fock)
 
-    amps = xi[:, None, None] * ion.ion2_plus[None, :, None] * motional[None, None, :]
-    state = IonState(amps, ion)
-    _fock_tail(amps)
-
-    if project_band is not None:
-        state = _project_band(state, project_band)
-    return state
+    state = IonState(xi[:, None] * motional[None, :], ion)
+    _fock_tail(state.amplitudes)
+    return state if project_band is None else _project_band(state, project_band)
 
 
 def _fock_tail(amplitudes: np.ndarray) -> np.ndarray:
-    """Weight in the top Fock levels of each state in ``(..., 3, n_ion2,
-    n_fock)``; raises :class:`TruncationError` where it exceeds 1e-6."""
-    tail = np.sum(np.abs(amplitudes[..., -_TAIL_LEVELS:]) ** 2, axis=(-3, -2, -1))
+    """Weight in the top Fock levels of each state in ``(..., 3, n_fock)``;
+    raises :class:`TruncationError` where it exceeds 1e-6."""
+    tail = np.sum(np.abs(amplitudes[..., -_TAIL_LEVELS:]) ** 2, axis=(-2, -1))
     if not np.max(tail) <= _TAIL_TOL:  # a NaN tail fails too
         raise TruncationError(
             f"weight {np.max(tail):.3e} in the top {_TAIL_LEVELS} Fock levels "
@@ -369,7 +369,7 @@ def _fock_tail(amplitudes: np.ndarray) -> np.ndarray:
     return tail
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def _momentum_basis(ion: IonParams):
     """``(p, phase, vectors, projectors, packed)``: the eigenvalues ``p``
     (ascending) of the truncated momentum quadrature, the unitary ``to_p =
@@ -409,8 +409,8 @@ def _momentum_basis(ion: IonParams):
 
 
 def _ladder_block(h: LadderOperator, scale: complex = 1.0) -> np.ndarray:
-    """``scale [zero | up | up^dag]``, the ``(3 n_ion2) x (9 n_ion2)`` matrix
-    that :func:`_ladder_kernel`'s ``apply`` takes."""
+    """``scale [zero | up | up^dag]``, the ``rows x 3 rows`` matrix that
+    :func:`_ladder_kernel`'s ``apply`` takes."""
     return scale * np.concatenate([h.zero, h.up, h.up.conj().T], axis=1)
 
 
@@ -472,7 +472,7 @@ def _chebyshev_records(psi: np.ndarray, ion: IonParams, bound: float,
     """States ``exp(-i H t_r / hbar) psi`` at ``n_records`` uniform times
     from 0 to ``t_final``, and the number of ``H`` applications made.
 
-    ``psi`` has shape ``(3 n_ion2, n_fock)``.  With ``G = -i H / R`` and
+    ``psi`` has shape ``(rows, n_fock)``.  With ``G = -i H / R`` and
     ``S_k = (-i)^k T_k(H / R) psi`` (so ``S_{k+1} = 2 G S_k + S_{k-1}``),
     ``exp(-i z H / R) psi = sum_k (2 - delta_k0) J_k(z) S_k`` (Tal-Ezer &
     Kosloff, J. Chem. Phys. 81, 3967 (1984)).  The records are grouped into
@@ -536,19 +536,6 @@ def _real_matmul(z: np.ndarray, m: np.ndarray) -> np.ndarray:
     return (out[:len(rows)] + 1j * out[len(rows):]).reshape(z.shape[:-1] + (-1,))
 
 
-def _sector_amplitudes(state: IonState) -> np.ndarray:
-    """Spinor-by-Fock amplitudes ``(3, n_fock)`` of ion 2's +sigma2_x sector;
-    raises ``ValueError`` when more than 1e-10 of the weight lies outside it."""
-    fock = np.einsum("j,sjn->sn", state.params.ion2_plus, state.amplitudes)
-    discarded = state.norm() - float(np.sum(np.abs(fock) ** 2))
-    if discarded > 1e-10:
-        raise ValueError(
-            f"ion 2 carries weight {discarded:.3e} outside the +sigma2_x "
-            "sector; no spinor-field representation exists"
-        )
-    return fock
-
-
 def _project_band(state: IonState, band: str) -> IonState:
     """Filter onto one dispersion branch in the truncated momentum eigenbasis."""
     ion = state.params
@@ -556,18 +543,17 @@ def _project_band(state: IonState, band: str) -> IonState:
     if band not in labels:
         raise ParameterError(f"unknown band {band!r}")
     _, phase, vectors, projectors, _ = _momentum_basis(ion)
-    momentum = _real_matmul(_sector_amplitudes(state) * phase, vectors)  # (3, n_fock)
+    momentum = _real_matmul(state.amplitudes * phase, vectors)  # (3, n_fock)
     projected = apply_projectors(projectors[labels.index(band)], momentum.T).T
     weight = float(np.sum(np.abs(projected) ** 2))
     if weight < 1e-12:
         raise ParameterError(f"state has no weight on band {band!r}")
     fock = _real_matmul(projected, vectors.T) * phase.conj() / math.sqrt(weight)
-    amps = fock[:, None, :] * ion.ion2_plus[None, :, None]
-    _fock_tail(amps)
-    return IonState(amps, ion, state.time)
+    _fock_tail(fock)
+    return IonState(fock, ion, state.time)
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def _hermite_basis(grid: Grid1D, n_fock: int, delta_spread: float) -> np.ndarray:
     """Oscillator eigenfunctions on the grid, shape ``(n_fock, points)``.
 
@@ -587,11 +573,9 @@ def _hermite_basis(grid: Grid1D, n_fock: int, delta_spread: float) -> np.ndarray
 
 
 def position_wavefunction(state: IonState, grid: Grid1D) -> SpinorField:
-    """Continuum spinor field of the motional state (ion 2 contracted out).
+    """Continuum spinor field of the motional state.
 
-    Requires ion 2 (when present) to be polarized along +sigma2_x; weight in
-    the orthogonal sector would have no single-spinor representation.  The
-    grid must span the truncated Fock space,
+    The grid must span the truncated Fock space,
     ``L/2 >= (sqrt(2 n_fock) + 4) Delta``.
     """
     ion = state.params
@@ -600,12 +584,11 @@ def position_wavefunction(state: IonState, grid: Grid1D) -> SpinorField:
         raise GridCoverageError(
             f"grid half-length {grid.length / 2:.1f} below the required {needed:.1f}"
         )
-    fock = _sector_amplitudes(state)
     basis = _hermite_basis(grid, ion.n_fock, ion.delta_spread)
     from .wavepacket import SpinorField
 
     # (3, points) rows: the component-major layout SpinorField keeps
-    return SpinorField(grid, (fock @ basis).T, state.time)
+    return SpinorField(grid, (state.amplitudes @ basis).T, state.time)
 
 
 def evolve_ion(
@@ -613,21 +596,22 @@ def evolve_ion(
 ) -> IonTrajectory:
     """Evolution under the static composite Hamiltonian.
 
-    A Chebyshev expansion of ``exp(-i H t / hbar)`` (see
-    :func:`_chebyshev_records`) gives the state at ``n_records`` uniform
-    times from 0 to ``t_final`` to double precision, with ``H`` applied
-    in its ladder form; its work grows with ``R t_final`` for the spectral bound
-    ``R = hbar W1 + c max|p| + g max|x|``.  Every record is read at once:
+    The state, lifted into ion 2's +sigma2_x sector, is expanded in
+    Chebyshev polynomials of ``exp(-i H t / hbar)`` (see
+    :func:`_chebyshev_records`) at ``n_records`` uniform times from 0 to
+    ``t_final`` to double precision, with ``H`` applied in its ladder form;
+    the work grows with ``R t_final`` for the spectral bound ``R = hbar W1 +
+    c max|p| + g max|x|``.  Every record is folded back and read at once:
     internal populations, ``<x> = 2 Delta Re sum sqrt(n+1) c_n* c_{n+1}``,
     mapped-model band populations in the truncated momentum eigenbasis, and
-    the Fock-tail weight (guarded at 1e-6).  A record whose norm differs
-    from the input's by more than 1e-10 (relative), or whose band weights
-    sum to more than 1e-10 of the input's norm away from its own norm,
-    raises :class:`NumericalGuardError`.  ``H`` conserves sigma2_x, so only
-    the input state is checked to lie in ion 2's +sigma2_x sector.  The
-    record array, ``n_records x 3 n_ion2 n_fock`` complex entries, may hold
-    at most 2^22 of them.  An ``ion`` other than ``state.params``, a
-    non-finite or negative ``t_final`` or a non-integer ``n_records`` raises
+    the Fock-tail weight (guarded at 1e-6).  A propagated record whose norm
+    differs from the input's, a folded one whose norm differs from its
+    propagated norm (so an explicit ion 2 checks at every record that ``H``
+    conserves sigma2_x), or one whose band weights miss its norm, each by
+    more than 1e-10 of the norm, raises :class:`NumericalGuardError`.  The
+    propagated records, ``n_records x ion.dim`` complex entries, may hold at
+    most 2^22 of them.  An ``ion`` other than ``state.params``, a non-finite
+    or negative ``t_final`` or a non-integer ``n_records`` raises
     :class:`ParameterError`.
     """
     if ion != state.params:
@@ -646,30 +630,37 @@ def evolve_ion(
             f"{n_records} records of {ion.dim} amplitudes exceed the "
             f"{_MAX_RECORD_ENTRIES} entries a run may hold; ask for at most "
             f"{_MAX_RECORD_ENTRIES // ion.dim} records")
-    _sector_amplitudes(state)
     norm = state.norm()
     if norm == 0:
         raise ParameterError("state has zero norm")
     p, phase, vectors, _, packed = _momentum_basis(ion)
     bound = _spectral_bound(ion, float(np.max(np.abs(p))))
+    lifted = state.amplitudes[:, None, :] * ion.ion2_plus[:, None]
     records, matvecs = _chebyshev_records(
-        state.amplitudes.reshape(-1, ion.n_fock), ion, bound, t_final, n_records)
-
-    amps = records.reshape((n_records,) + state.amplitudes.shape)
-    pops = np.sum(np.abs(amps) ** 2, axis=(2, 3))
-    record_norms = pops.sum(axis=1)
-    drift = float(np.max(np.abs(record_norms / norm - 1.0)))
+        lifted.reshape(-1, ion.n_fock), ion, bound, t_final, n_records)
+    records = records.reshape((n_records,) + lifted.shape)
+    propagated = np.sum(np.abs(records) ** 2, axis=(2, 3)).sum(axis=1)
+    drift = float(np.max(np.abs(propagated / norm - 1.0)))
     if not drift <= _NORM_TOL:  # also catches a series that overflowed to nan
         raise NumericalGuardError(
             f"record norm drifted by {drift:.3e} (relative), above {_NORM_TOL}; "
             "the Chebyshev propagation is not converged"
         )
+    amps = np.einsum("j,rsjn->rsn", ion.ion2_plus, records)
+    del records  # its memory then serves the readout's arrays, sparing page faults
+    pops = np.sum(np.abs(amps) ** 2, axis=2)
+    record_norms = pops.sum(axis=1)
+    leak = float(np.max(np.abs(record_norms / propagated - 1.0)))
+    if not leak <= _NORM_TOL:
+        raise NumericalGuardError(
+            f"ion 2 left its +sigma2_x sector: a record's folded norm misses "
+            f"its propagated norm by {leak:.3e} (relative), above {_NORM_TOL}"
+        )
     tails = _fock_tail(amps)
     x_mean = 2.0 * ion.delta_spread * np.einsum(
-        "rsjn,n,rsjn->r", amps[..., :-1].conj(),
+        "rsn,n,rsn->r", amps[..., :-1].conj(),
         np.sqrt(np.arange(1.0, ion.n_fock)), amps[..., 1:]).real
-    momentum = _real_matmul(
-        np.einsum("j,rsjn->rsn", ion.ion2_plus, amps) * phase, vectors)
+    momentum = _real_matmul(amps * phase, vectors)
     bands = band_weights(momentum.transpose(0, 2, 1), packed)
     band_sum_drift = float(np.max(np.abs(bands.sum(axis=1) - record_norms))) / norm
     if not band_sum_drift <= _NORM_TOL:
@@ -681,7 +672,8 @@ def evolve_ion(
     times = state.time + np.linspace(0.0, t_final, n_records)
     rows = np.column_stack([times, pops, x_mean, bands, tails])
     return IonTrajectory(rows, IonState(amps[-1].copy(), ion, times[-1]),
-                         norm_drift=drift, band_sum_drift=band_sum_drift,
+                         norm_drift=drift, sector_leak=leak,
+                         band_sum_drift=band_sum_drift,
                          fock_tail_max=float(np.max(tails)), matvecs=matvecs)
 
 

@@ -238,7 +238,7 @@ class EvolveResult(NamedTuple):
     reference_steps: int
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=1)
 def _grid_projectors(grid: Grid1D, params: PhysicalParams, dimension: int):
     """Real ``(bands, N, d, d)`` band projectors of ``H(k)`` at the grid
     wavenumbers (:func:`~maxwellsim.spin_algebra.field_projectors`), and
@@ -268,7 +268,7 @@ def _corrected_rotors(k, params: PhysicalParams, dt: float, dimension: int):
     return rotor_product(half, rotor_product(u, half))
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=1)
 def _kinetic_propagator(
     grid: Grid1D, params: PhysicalParams, dt: float, dimension: int
 ) -> np.ndarray:
@@ -278,7 +278,7 @@ def _kinetic_propagator(
     return np.ascontiguousarray(u.transpose(1, 2, 0))
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=1)
 def _potential_half_phase(
     grid: Grid1D, params: PhysicalParams, dt: float
 ) -> np.ndarray:
@@ -298,15 +298,22 @@ def default_time_step(
     and otherwise this step scaled by the run's predicted error, at most
     2x.
     """
+    return _reference_steps(grid, params, t_final, dimension)[1]
+
+
+def _reference_steps(grid: Grid1D, params: PhysicalParams, t_final: float,
+                     dimension: int) -> tuple[int, float]:
+    """The step count n0 of :func:`default_time_step` and its ``t_final / n0``."""
     dt = _EDGE_CELLS * grid.dx / params.c
     rate = _splitting_rate(params, dimension)
     if rate > 0:
         dt = min(dt, (6.0 * _SPLIT_ERROR_TOL / rate) ** (1.0 / 3.0))
     if t_final <= 0:
-        return dt
+        return 0, dt
     # One step more than the limits need keeps dt strictly inside them,
     # whatever the rounding of t_final / dt.
-    return t_final / (math.floor(t_final / dt) + 1)
+    n_steps = math.floor(t_final / dt) + 1
+    return n_steps, t_final / n_steps
 
 
 def gaussian_packet(
@@ -578,7 +585,8 @@ def evolve(
     or a reference of more than 1e9 component-steps.  After those, a packet
     with more than 1e-6 of its weight where ``k0 - g t_final / hbar < -pi/dx``
     would wrap around in momentum, which no dt mends: it raises
-    :class:`BoundaryContaminationError` before the reference.
+    :class:`BoundaryContaminationError` before any step.  A run that the
+    edge guard ends builds the reference only if it predicted its dt.
 
     The run is made once; its measured splitting error (``split_error``) is
     the final state's distance from the reference.  Above 1e-4 it is a
@@ -600,8 +608,7 @@ def evolve(
     if not norm > 0:
         raise ParameterError("the field must have a nonzero norm")
     exact = _splitting_rate(params, fld.dimension) == 0
-    n0, dt0 = _whole_steps(
-        t_final, default_time_step(fld.grid, params, t_final, fld.dimension))
+    n0, dt0 = _reference_steps(fld.grid, params, t_final, fld.dimension)
     n_steps, dt_eff = (n0, dt0) if dt is None else _whole_steps(t_final, dt)
     _refuse_work(n_steps * fld.grid.points, "point-steps")
     if n_steps > n0:  # an explicit dt finer than dt0
@@ -617,11 +624,12 @@ def evolve(
         raise BoundaryContaminationError(
             f"{wrapped:.3e} of the packet would wrap around the grid's momentum "
             f"edge -pi/dx = {edge:.6g} by t = {t_final:.6g}; use more grid points")
-    reference, dropped = _exact_evolution(fld, params, spectrum, dt0, n0)
+    reference = None
     reference_steps = min(n0, 1) if exact else 4 * n0
     # where g m = 0 the splitting is exact, and a run of no step errs nowhere
     predicted = 0.0 if exact or not n0 else None
     if dt is None and predicted is None:
+        reference, dropped = _exact_evolution(fld, params, spectrum, dt0, n0)
         predicted = _predicted_error(fld, params, spectrum, reference, dt0, n0)
         if math.isfinite(predicted):
             scale = _MAX_STEP_SCALE
@@ -633,6 +641,8 @@ def evolve(
 
     trace, final, edge_max, cells = _run(fld, t_final, params, dt_eff, n_steps,
                                          norm, record_stride)
+    if reference is None:
+        reference, dropped = _exact_evolution(fld, params, spectrum, dt0, n0)
     error = _distance(final, reference) + math.sqrt(dropped)
     if not error <= _SPLIT_ERROR_TOL:
         message = (f"measured splitting error {error:.3e} (L2 distance from "
@@ -652,8 +662,7 @@ def _run(fld: SpinorField, t_final: float, params: PhysicalParams, dt: float,
          n_steps: int, norm: float, record_stride: int | None):
     """The step loop of :func:`evolve`: its trace, final state, largest
     edge weight and edge strip width."""
-    if record_stride is None:
-        record_stride = max(1, n_steps // 200) if n_steps else 1
+    record_stride = record_stride or max(1, n_steps // 200)
     cells = _edge_cells(fld.grid, params, dt) if n_steps else _EDGE_CELLS
     edges = np.r_[0:cells, -cells:0]
     current = fld.copy()

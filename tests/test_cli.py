@@ -19,7 +19,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import maxwellsim
-from maxwellsim import cli
+from maxwellsim import cli, ion_emulator, wavepacket
 from maxwellsim.cli import _format_value, main
 from maxwellsim.config import COMMANDS, RunConfig, _parse_float, parse_config
 from maxwellsim.errors import ConfigError, ParameterError
@@ -111,14 +111,13 @@ class TestParseConfig:
                          "spinor = 1,nan,0\n", command="evolve")
 
     def test_initial_band_none_rejected_with_line_number(self):
-        # `none` filters nothing in project_band; a sweep must start on a band
-        text = "mtilde_c2 = 1.0\ng = 1.0\ninitial_band = none\n"
-        with pytest.raises(ConfigError, match="line 3: initial_band must be one of"):
-            parse_config(text, command="lz-oracle")
-        for band in ("+", "0", "-"):
-            config = parse_config(f"mtilde_c2 = 1.0\ng = 1.0\ninitial_band = {band}\n",
-                                  command="lz-oracle")
-            assert config.values["initial_band"] == band
+        # the oracle row's analytic_* columns are for a start on band +, so
+        # its swept-level columns are too: no start band can be chosen
+        for band in ("none", "+", "0", "-"):
+            text = f"mtilde_c2 = 1.0\ng = 1.0\ninitial_band = {band}\n"
+            with pytest.raises(ConfigError,
+                               match="unknown keys for lz-oracle: initial_band"):
+                parse_config(text, command="lz-oracle")
 
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate"):
@@ -1040,6 +1039,44 @@ def _cheap_argv(tmp_path, command: str) -> tuple[list[str], list[Path]]:
     cfg.write_text(text.format(snapshot=snapshot))
     written = [out, snapshot] if "{snapshot}" in text else [out]
     return [command, "--config", str(cfg), "--output", str(out)], written
+
+
+# The route caches, and those a cheap run of each command asks for.
+_CACHES = {
+    "_grid_projectors": wavepacket._grid_projectors,
+    "_kinetic_propagator": wavepacket._kinetic_propagator,
+    "_potential_half_phase": wavepacket._potential_half_phase,
+    "_momentum_basis": ion_emulator._momentum_basis,
+    "_hermite_basis": ion_emulator._hermite_basis,
+}
+_PACKET_CACHES = {"_grid_projectors", "_kinetic_propagator", "_potential_half_phase"}
+_CACHED = {
+    "sweep-transmission": set(),
+    "lz-oracle": set(),
+    "evolve": _PACKET_CACHES,
+    "ion-evolve": {"_momentum_basis", "_hermite_basis", "_grid_projectors"},
+    "crosscheck": _PACKET_CACHES | {"_momentum_basis"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(CHEAP_RUNS))
+def test_each_run_asks_each_cache_for_one_key(tmp_path, command):
+    # a run makes one miss and no other key per cache, so a cache that
+    # holds one entry loses no hit; and a second run of other parameters
+    # leaves only its own entry, not the arrays of the run before it
+    for cache in _CACHES.values():
+        cache.cache_clear()
+    argv, _ = _cheap_argv(tmp_path, command)
+    # delta moves every key of an ion run, c every key of the others
+    for moved in ("", "delta = 1.1\n" if "delta" in COMMANDS[command] else "c = 1.1\n"):
+        config = Path(argv[2])
+        config.write_text(config.read_text() + moved)
+        before = {name: cache.cache_info().misses for name, cache in _CACHES.items()}
+        assert main(argv) == 0
+        for name, cache in _CACHES.items():
+            info = cache.cache_info()
+            used = name in _CACHED[command]
+            assert (info.misses - before[name], info.currsize) == (used, used), name
 
 
 @pytest.mark.parametrize("command", sorted(CHEAP_RUNS))

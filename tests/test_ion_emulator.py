@@ -262,12 +262,12 @@ class TestCoherentState:
 
     def test_rest_state(self):
         state = coherent_initial_state(small_ion(n_fock=32), 0.0, (1, 0, 0))
-        assert abs(state.amplitudes[0, 0, 0]) == pytest.approx(1.0)
+        assert abs(state.amplitudes[0, 0]) == pytest.approx(1.0)
 
     def test_poisson_statistics(self):
         ion = small_ion(n_fock=64)
         state = coherent_initial_state(ion, 4.0, (1, 0, 0))
-        weights = np.abs(state.amplitudes[0, 0]) ** 2
+        weights = np.abs(state.amplitudes[0]) ** 2
         n = np.arange(64)
         assert np.sum(n * weights) == pytest.approx(16.0, abs=1e-8)
         from scipy.special import gammaln
@@ -279,8 +279,8 @@ class TestCoherentState:
         state = coherent_initial_state(ion, 3.0, (0, 1, 0))
         x, p = quadratures(ion.delta_spread, ion.n_fock)
         amps = state.amplitudes
-        x_mean = np.real(np.einsum("sjn,nm,sjm->", amps.conj(), x, amps))
-        p_mean = np.real(np.einsum("sjn,nm,sjm->", amps.conj(), p, amps))
+        x_mean = np.real(np.einsum("sn,nm,sm->", amps.conj(), x, amps))
+        p_mean = np.real(np.einsum("sn,nm,sm->", amps.conj(), p, amps))
         assert x_mean == pytest.approx(0.0, abs=1e-8)
         assert p_mean == pytest.approx(3.0, abs=1e-8)
 
@@ -295,7 +295,7 @@ class TestCoherentState:
             coherent_initial_state(small_ion(n_fock=16), 4.0, (1, 0, 0))
         # a NaN tail fails the guard too, not only a large one
         with pytest.raises(TruncationError):
-            ion_emulator._fock_tail(np.full((3, 1, 16), np.nan))
+            ion_emulator._fock_tail(np.full((3, 16), np.nan))
 
     def test_band_projection(self):
         ion = IonParams(**PAPER_ION, n_fock=96)
@@ -395,7 +395,7 @@ class TestIonEvolution:
         assert np.array_equal(trajectory.trace,
                               np.tile(trajectory.trace[0], (4, 1)))
         assert np.array_equal(trajectory.trace[0, 1:4],
-                              np.sum(np.abs(state.amplitudes) ** 2, axis=(1, 2)))
+                              np.sum(np.abs(state.amplitudes) ** 2, axis=1))
         assert np.array_equal(trajectory.final.amplitudes, state.amplitudes)
 
     def test_trajectory_layout(self):
@@ -435,7 +435,7 @@ class TestMomentumReadout:
             x_mean = np.real(np.sum(current.amplitudes.conj()
                                     * (current.amplitudes @ x.T)))
             assert row[4] == pytest.approx(x_mean, rel=1e-12, abs=1e-12)
-            levels = np.sum(np.abs(current.amplitudes) ** 2, axis=(1, 2))
+            levels = np.sum(np.abs(current.amplitudes) ** 2, axis=1)
             assert np.max(np.abs(row[1:4] - levels)) < 1e-14
 
     def test_projection_matches_grid_filter(self):
@@ -449,14 +449,24 @@ class TestMomentumReadout:
         basis = _hermite_basis(grid, ion.n_fock, ion.delta_spread)
         fock = (basis @ comps[1]).T * grid.dx
         fock /= np.linalg.norm(fock)
-        assert np.max(np.abs(projected.amplitudes[:, 0] - fock)) < 1e-12
+        assert np.max(np.abs(projected.amplitudes - fock)) < 1e-12
 
-    def test_rejects_state_outside_ion2_sector(self):
+    def test_ion2_leaving_its_sector_is_a_guard_violation(self, monkeypatch):
+        # an a'b' carrier at phase pi/2 is -(rabi / 2) sigma2_y on ion 2,
+        # which turns it out of its +sigma2_x sector; the spectral bound
+        # grows by the term's norm, so the propagation itself stays sound
         ion = small_ion(n_fock=24, reduce_ion2=False)
         state = coherent_initial_state(ion, 1.0, (1, 0, 0))
-        state.amplitudes[:, 1] *= -1.0  # ion 2 along -sigma2_x
-        with pytest.raises(ValueError, match="sigma2_x"):
-            evolve_ion(state, ion, 0.1, n_records=2)
+        assert evolve_ion(state, ion, 1.0, n_records=3).sector_leak < 1e-14
+        build, bound = ion_emulator.build_maxwell_hamiltonian, ion_emulator._spectral_bound
+        monkeypatch.setattr(
+            ion_emulator, "build_maxwell_hamiltonian",
+            lambda ion: build(ion) + sideband_toolbox(ion, "a'b'", "carrier",
+                                                      0.2, math.pi / 2))
+        monkeypatch.setattr(ion_emulator, "_spectral_bound",
+                            lambda ion, p_max: bound(ion, p_max) + 0.1)
+        with pytest.raises(NumericalGuardError, match="sigma2_x"):
+            evolve_ion(state, ion, 1.0, n_records=3)
 
     @pytest.mark.parametrize("built, other", [
         # a (3, 2, 128) state under 256 Fock levels: once a numpy broadcast error
@@ -483,13 +493,21 @@ class TestMomentumReadout:
             evolve_ion(state, ion, **{"t_final": 0.1, "n_records": 2, **inputs})
 
 
+def _lifted(amplitudes, ion):
+    """``(3, n_fock)`` amplitudes with ion 2 along +sigma2_x, ``(3, n_ion2,
+    n_fock)``."""
+    return amplitudes[:, None, :] * ion.ion2_plus[None, :, None]
+
+
 def _dense_records(state, ion, times):
-    """Reference: dense ``expm(-i H t)`` of the assembled toolbox Hamiltonian."""
+    """Reference: dense ``expm(-i H t)`` of the assembled toolbox Hamiltonian
+    on the lifted state, shaped ``(3, n_ion2, n_fock)``."""
     from scipy.linalg import expm
 
     h = ladder_matrix(build_maxwell_hamiltonian(ion), ion.n_fock)
-    v = state.amplitudes.ravel()
-    return [(expm(-1j * h * t) @ v).reshape(state.amplitudes.shape) for t in times]
+    lifted = _lifted(state.amplitudes, ion)
+    return [(expm(-1j * h * t) @ lifted.ravel()).reshape(lifted.shape)
+            for t in times]
 
 
 class TestMatrixFreeHamiltonian:
@@ -581,7 +599,8 @@ class TestChebyshevPropagation:
         reference = _dense_records(state, ion, times)
         pops = [np.sum(np.abs(r) ** 2, axis=(1, 2)) for r in reference]
         assert np.max(np.abs(trajectory.trace[:, 1:4] - pops)) < 1e-12
-        assert np.max(np.abs(trajectory.final.amplitudes - reference[-1])) < 1e-12
+        assert np.max(np.abs(_lifted(trajectory.final.amplitudes, ion)
+                             - reference[-1])) < 1e-12
 
     @pytest.mark.parametrize("reduce_ion2", [True, False], ids=["reduced", "full"])
     def test_odd_fock_records_match_dense_expm(self, reduce_ion2):
@@ -606,7 +625,9 @@ class TestChebyshevPropagation:
             assert row[4] == pytest.approx(x_mean, abs=1e-12)
             assert np.max(np.abs(row[5:8] - bands)) < 1e-12
         assert trajectory.band_sum_drift < 1e-13
-        assert np.max(np.abs(trajectory.final.amplitudes - reference[-1])) < 1e-12
+        assert trajectory.sector_leak < 1e-14
+        assert np.max(np.abs(_lifted(trajectory.final.amplitudes, ion)
+                             - reference[-1])) < 1e-12
 
     def test_blocks_compose(self):
         # one run across several blocks equals three chained shorter runs
@@ -629,6 +650,7 @@ class TestChebyshevPropagation:
         assert trajectory.fock_tail_max == np.max(trajectory.trace[:, 8])
         assert 0.0 <= trajectory.norm_drift < 1e-12
         assert 0.0 <= trajectory.band_sum_drift < 1e-12
+        assert trajectory.sector_leak == 0.0  # reduced: nothing to fold
         assert trajectory.matvecs > 0
         idle = evolve_ion(state, ion, 0.0, n_records=3)
         assert (idle.matvecs, idle.norm_drift) == (0, 0.0)

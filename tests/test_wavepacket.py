@@ -344,6 +344,20 @@ class TestEvolve:
         with pytest.raises(BoundaryContaminationError):
             evolve(fld, 10.0, params, dt=0.02)
 
+    def test_run_ended_by_the_edge_guard_builds_no_reference(self):
+        # an explicit dt needs no reference before its steps, so a packet
+        # that reaches the grid edge mid-run costs no exact evolution
+        small = Grid1D(40.0, 512)
+        fld = gaussian_packet(small, 10.0, 1.0, 10.0, (1, 0, 0), SCATTER,
+                              project_band="+")
+        with mock.patch.object(wavepacket, "_exact_evolution",
+                               wraps=wavepacket._exact_evolution) as exact:
+            with pytest.raises(BoundaryContaminationError, match="grid edge"):
+                evolve(fld, 15.0, SCATTER, dt=0.02)
+            assert exact.call_count == 0
+            evolve(fld, 1.0, SCATTER, dt=0.02)  # a whole run builds it once
+            assert exact.call_count == 1
+
     def test_step_cannot_jump_the_edge_guard(self):
         # one 15-unit step would carry the packet across the periodic edge
         # between two checks (x_mean 10 -> -15); its guarded strip, c dt
