@@ -37,7 +37,6 @@ from __future__ import annotations
 import argparse
 import atexit
 import gc
-import numbers
 import sys
 from typing import TYPE_CHECKING
 
@@ -72,17 +71,15 @@ _SPIN_VALUES = {"1": 1, "1/2": 0.5}
 
 
 def _format_value(value) -> str:
+    """One CSV field.  Rows and config values arrive as Python floats,
+    ints, bools, strings and tuples; a float subclass (numpy's float64)
+    writes as the float it holds."""
     if type(value) is float:  # the bulk of every CSV: ``tolist()`` rows
         return repr(value)
     if isinstance(value, bool):
         return "true" if value else "false"
-    # numpy registers its integer and floating scalars with these ABCs;
-    # floats, numpy's float64 among them, take the cheaper check first
-    if isinstance(value, float) or (isinstance(value, numbers.Real)
-                                    and not isinstance(value, numbers.Integral)):
+    if isinstance(value, float):
         return repr(float(value))  # shortest round-trip representation
-    if isinstance(value, numbers.Integral):
-        return str(int(value))
     if isinstance(value, (tuple, list)):
         return ",".join(_format_value(v) for v in value)
     return str(value)

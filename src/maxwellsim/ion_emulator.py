@@ -293,8 +293,9 @@ def map_parameters(ion: IonParams) -> PhysicalParams:
     """Continuum parameters (hbar = 1, lengths in Delta) for an ion setup."""
     c = math.sqrt(2.0) * ion.eta * ion.delta_spread * ion.omega1_tilde
     if c**2 == 0:
-        raise ParameterError("mapping requires positive eta and omega1_tilde, "
-                             "with c^2 nonzero in floating point")
+        raise ParameterError(
+            f"mapping requires c = sqrt(2) eta delta_spread omega1_tilde with "
+            f"c^2 nonzero in floating point, got c = {c:.3g}")
     m = _HBAR * ion.omega1 / c**2
     g = _HBAR * ion.eta * ion.omega2_tilde / ion.delta_spread
     if not (math.isfinite(m) and math.isfinite(g)):
@@ -386,6 +387,11 @@ def _momentum_basis(ion: IonParams):
     row than odd columns, and the null vector ``u_0`` of ``B^T`` gives the
     eigenvector ``(u_0, 0)`` at ``p = 0``.
     """
+    # refused before numpy divides: an inf entry would stall the SVD
+    if not _HBAR * math.sqrt(ion.n_fock - 1) / (2.0 * ion.delta_spread) < math.inf:
+        raise ParameterError(
+            f"delta_spread = {ion.delta_spread} is too small: the momentum "
+            "quadrature's entries hbar sqrt(n) / (2 delta_spread) overflow")
     n = np.arange(ion.n_fock)
     off = _HBAR * np.sqrt(n[1:]) / (2.0 * ion.delta_spread)
     n_even, n_odd = (ion.n_fock + 1) // 2, ion.n_fock // 2
@@ -553,7 +559,6 @@ def _project_band(state: IonState, band: str) -> IonState:
     return IonState(fock, ion, state.time)
 
 
-@lru_cache(maxsize=1)
 def _hermite_basis(grid: Grid1D, n_fock: int, delta_spread: float) -> np.ndarray:
     """Oscillator eigenfunctions on the grid, shape ``(n_fock, points)``.
 

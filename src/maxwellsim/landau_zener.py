@@ -102,7 +102,8 @@ class TransitionProbabilities(collections.namedtuple(
     ``gamma_pp`` stays on the incident band (reflection), ``gamma_p0`` ends
     on the flat band (localization), ``gamma_pm`` reaches the opposite band
     (transmission through the sloped region).  Each must lie within 1e-12
-    of [0, 1], where it is clipped, and their sum within 1e-12 of 1.
+    of [0, 1], where it is clipped, and their sum within 1e-12 of 1.  A
+    named tuple: ``tuple(p)`` is ``(gamma_pp, gamma_p0, gamma_pm)``.
     """
 
     __slots__ = ()
@@ -121,9 +122,6 @@ class TransitionProbabilities(collections.namedtuple(
     def transmission(self) -> float:
         """T = gamma_p0 + gamma_pm."""
         return self.gamma_p0 + self.gamma_pm
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return tuple(self)
 
 
 def spin_model(spin) -> SpinModel:

@@ -69,13 +69,13 @@ def integrate_sweep(
     params: PhysicalParams,
     mtilde_c2: float,
     *,
-    initial_band: str = "+",
     endpoint_factor: float = _DEFAULT_ENDPOINT_FACTOR,
     dt: float | None = None,
 ) -> TransitionProbabilities:
-    """Sweep transition probabilities out of ``initial_band`` for spin 1
+    """Sweep transition probabilities out of the ``+`` band for spin 1
     (bands ``+``, ``0``, ``-``) or 0.5 (``+``, ``-``), for ``H = c hbar kx
-    Cx + mtilde_c2 Cz``.
+    Cx + mtilde_c2 Cz``: the start that ``lz_spin1`` and ``lz_spin_half``
+    describe.
 
     The window runs from ``kx_start`` to ``-kx_start``, with ``c hbar
     kx_start`` at ``endpoint_factor`` times the larger of the gap scale
@@ -87,20 +87,19 @@ def integrate_sweep(
     explicit one sets the count, raises :class:`ParameterError` before any
     work.
 
-    The sweep runs for every initial band at dt and dt/2, and raises
-    :class:`ConvergenceError` when any population moves by more than the
+    The sweep runs at dt and dt/2 and raises :class:`ConvergenceError`
+    when any entry of its whole band table moves by more than the
     convergence tolerance between the two.  The returned fields hold the
-    dt/2 run's final-band occupations (+, 0, -), normalized by their sum,
-    which the unitary sweep conserves (the column norms of U are guarded at
-    1e-8).  For spin 1/2 the flat-band slot is identically zero.
+    dt/2 run's final-band occupations (+, 0, -) of the ``+`` start,
+    normalized by their sum, which the unitary sweep conserves (the column
+    norms of U are guarded at 1e-8).  For spin 1/2 the flat-band slot is
+    identically zero.
     """
     labels = spin_model(spin).labels
     if mtilde_c2 < 0:
         raise ParameterError("effective rest energy must be nonnegative")
     if params.g <= 0:
         raise ParameterError("sweep requires a positive slope g")
-    if initial_band not in labels:
-        raise ParameterError(f"unknown initial band {initial_band!r}")
     chbar = params.c * params.hbar
     energy_scale = max(mtilde_c2, math.sqrt(params.hbar * params.c * params.g))
     kx_start = endpoint_factor * energy_scale / chbar
@@ -157,9 +156,8 @@ def integrate_sweep(
             f"norm drift {drift:.3e} exceeds {_NORM_DRIFT_TOL}; reduce dt"
         )
 
-    # w[final, initial]
-    col = labels.index(initial_band)
-    column = [row[col] for row in w_fine]
+    # w[final, initial]: the + start is the first column
+    column = [row[0] for row in w_fine]
     total = sum(column)
     weights = [x / total for x in column]
     if len(weights) == 2:

@@ -204,9 +204,6 @@ class BandPopulations(NamedTuple):
     w_zero: float
     w_minus: float
 
-    def as_tuple(self) -> tuple[float, float, float]:
-        return tuple(self)
-
 
 class EvolveResult(NamedTuple):
     """Recorded trajectory: trace rows follow :data:`TRACE_COLUMNS`.

@@ -84,7 +84,7 @@ def test_criterion_2_integrator_matches_closed_forms():
         oracle = integrate_sweep(1, params, mtilde)
         formula = lz_spin1(params, mtilde)
         worst1 = max(worst1, max(
-            abs(a - b) for a, b in zip(oracle.as_tuple(), formula.as_tuple())))
+            abs(a - b) for a, b in zip(tuple(oracle), tuple(formula))))
 
         half = integrate_sweep(0.5, params, mtilde)
         worst_half = max(worst_half,
@@ -97,8 +97,8 @@ def test_criterion_2_integrator_matches_closed_forms():
 
 def test_criterion_3_packet_dynamics_match_closed_forms(scattering_final):
     """Band-projected packet after the crossing lands on the closed forms."""
-    pops = band_populations(scattering_final, SCATTER).as_tuple()
-    exact = lz_spin1(SCATTER, SCATTER.rest_energy).as_tuple()
+    pops = tuple(band_populations(scattering_final, SCATTER))
+    exact = tuple(lz_spin1(SCATTER, SCATTER.rest_energy))
     deviation = max(abs(w - t) for w, t in zip(pops, exact))
     ok = deviation <= 1e-4
     report(3, "packet dynamics vs closed forms", ok,
@@ -175,9 +175,9 @@ def test_criterion_6_ion_continuum_equivalence():
     grid = Grid1D(40.0 * width, 2048)
     fld = gaussian_packet(grid, p0, width, 0.0, (1, 0, 0), physical,
                           project_band="+")
-    continuum = band_populations(evolve(fld, 1.0, physical).final,
-                                 physical).as_tuple()
-    formula = lz_spin1(physical, physical.rest_energy).as_tuple()
+    continuum = tuple(band_populations(evolve(fld, 1.0, physical).final,
+                                       physical))
+    formula = tuple(lz_spin1(physical, physical.rest_energy))
 
     dev_continuum = max(abs(a - b) for a, b in zip(ion_bands, continuum))
     dev_formula = max(abs(a - b) for a, b in zip(ion_bands, formula))

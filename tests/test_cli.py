@@ -1,6 +1,5 @@
 import ast
 import atexit
-import contextlib
 import gc
 import importlib
 import math
@@ -292,19 +291,25 @@ class TestCliProperties:
             assume(_affordable(parse_config(text, command)))
         except ConfigError:
             pass  # refused by the parser: main() must say so with exit 2
-        with tempfile.TemporaryDirectory() as work, contextlib.chdir(work):
-            Path("run.cfg").write_text(text)
-            # an escaping exception is exit 1 with a traceback
-            assert main([command, "--config", "run.cfg",
-                         "--output", "out.csv"]) in (0, 2, 3, 4)
+        # a drawn config may name relative snapshot or output paths
+        home = os.getcwd()
+        with tempfile.TemporaryDirectory() as work:
+            os.chdir(work)
+            try:
+                Path("run.cfg").write_text(text)
+                # an escaping exception is exit 1 with a traceback
+                assert main([command, "--config", "run.cfg",
+                             "--output", "out.csv"]) in (0, 2, 3, 4)
+            finally:
+                os.chdir(home)
 
 
 def _extreme_values():
-    """Every numeric key of every command, one at a time: floats at 1e300
-    and 1e-300, integers at 10^16."""
+    """Every numeric key of every command, one at a time: floats at 1e300,
+    1e-300 and the smallest subnormal 5e-324, integers at 10^16."""
     for command in sorted(COMMANDS):
         for key, spec in sorted(COMMANDS[command].items()):
-            values = (("1e300", "1e-300") if spec.parse is _parse_float
+            values = (("1e300", "1e-300", "5e-324") if spec.parse is _parse_float
                       else (str(10**16),) if spec.parse is int else ())
             for value in values:
                 yield pytest.param(command, key, value,
@@ -313,14 +318,16 @@ def _extreme_values():
 
 # extreme values that must be refused, with a part of their message: a
 # sweep of 10^16 angles, packets whose momentum lies far past the grid's
-# pi / dx, a packet width whose square underflows, and an ion mass term
-# whose band field squares past the float range
+# pi / dx, a packet width whose square underflows, an ion mass term whose
+# band field squares past the float range, and a mode spread whose momentum
+# quadrature overflows
 _MUST_REFUSE = {
     ("sweep-transmission", "theta_points", str(10**16)): "theta_points must be",
     ("evolve", "p0", "1e300"): "pi / dx",
     ("crosscheck", "p0", "1e300"): "pi / dx",
     ("evolve", "width", "1e-300"): "its square underflows",
     ("ion-evolve", "omega1", "1e300"): "squared magnitude overflows",
+    ("ion-evolve", "delta", "5e-324"): "delta",
 }
 
 
@@ -741,9 +748,7 @@ class TestExitCodes:
     (True, "true"), (False, "false"), (np.bool_(True), "True"),
     (3, "3"), (np.int64(-7), "-7"), (np.int32(5), "5"),
     (0.1, "0.1"), (1e-300, "1e-300"), (np.float64(0.1), "0.1"),
-    (np.float32(0.1), "0.10000000149011612"), (np.float16(0.1), "0.0999755859375"),
     ("abc", "abc"), ((1.0, 0.0, np.float64(0.5)), "1.0,0.0,0.5"),
-    ([np.float32(0.1), 2], "0.10000000149011612,2"),
 ])
 def test_format_value(value, text):
     # numpy scalars format as they did when the CLI imported numpy itself
@@ -813,8 +818,10 @@ def test_sweep_transmission_runs_without_numpy(tmp_path):
     code = ("from maxwellsim.cli import main\n"
             f"assert main(['sweep-transmission', '--config', {str(cfg)!r}, "
             f"'--output', {str(tmp_path / 'sweep.csv')!r}]) == 0")
-    # nor dataclasses, whose import brings inspect, ast, dis and tokenize
-    assert _loaded_modules(code, "numpy", "dataclasses", "inspect") == "[]"
+    # nor dataclasses, whose import brings inspect, ast, dis and tokenize,
+    # nor the numeric ABCs
+    assert _loaded_modules(code, "numpy", "dataclasses", "inspect",
+                           "numbers") == "[]"
     assert len(read_csv(tmp_path / "sweep.csv")[2]) == 21
 
 
@@ -828,7 +835,8 @@ def test_lz_oracle_loads_only_its_route(tmp_path):
     route = ["maxwellsim"] + [f"maxwellsim.{name}" for name in (
         "cli", "config", "errors", "landau_zener", "sweep_integrator")]
     assert _loaded_modules(code, "maxwellsim") == str(route)
-    assert _loaded_modules(code, "numpy", "dataclasses", "inspect") == "[]"
+    assert _loaded_modules(code, "numpy", "dataclasses", "inspect",
+                           "numbers") == "[]"
     assert len(read_csv(tmp_path / "oracle.csv")[2]) == 1
 
 
@@ -1047,14 +1055,13 @@ _CACHES = {
     "_kinetic_propagator": wavepacket._kinetic_propagator,
     "_potential_half_phase": wavepacket._potential_half_phase,
     "_momentum_basis": ion_emulator._momentum_basis,
-    "_hermite_basis": ion_emulator._hermite_basis,
 }
 _PACKET_CACHES = {"_grid_projectors", "_kinetic_propagator", "_potential_half_phase"}
 _CACHED = {
     "sweep-transmission": set(),
     "lz-oracle": set(),
     "evolve": _PACKET_CACHES,
-    "ion-evolve": {"_momentum_basis", "_hermite_basis", "_grid_projectors"},
+    "ion-evolve": {"_momentum_basis", "_grid_projectors"},
     "crosscheck": _PACKET_CACHES | {"_momentum_basis"},
 }
 

@@ -431,7 +431,7 @@ class TestMomentumReadout:
                              (trajectory.trace[-1], trajectory.final)):
             reference = band_populations(position_wavefunction(current, grid),
                                          physical)
-            assert np.max(np.abs(row[5:8] - reference.as_tuple())) < 1e-12
+            assert np.max(np.abs(row[5:8] - tuple(reference))) < 1e-12
             x_mean = np.real(np.sum(current.amplitudes.conj()
                                     * (current.amplitudes @ x.T)))
             assert row[4] == pytest.approx(x_mean, rel=1e-12, abs=1e-12)

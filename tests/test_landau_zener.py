@@ -47,7 +47,7 @@ class TestSpin1Formula:
     def test_overflowing_square_reflects(self):
         # the square of a finite rest energy overflows: r = inf, T = 0
         probs = lz_spin1(PhysicalParams(g=1.0), 1e200)
-        assert probs.as_tuple() == (1.0, 0.0, 0.0)
+        assert tuple(probs) == (1.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("formula", [lz_spin1, lz_spin_half])
     @pytest.mark.parametrize("mtilde_c2", [math.nan, math.inf])
@@ -102,7 +102,7 @@ class TestAngleSweep:
                 probs = formula(params, mtilde)
                 assert row[0] == theta
                 assert row[1:] == pytest.approx(
-                    [*probs.as_tuple(), probs.transmission], abs=1e-15)
+                    [*tuple(probs), probs.transmission], abs=1e-15)
 
     def test_large_transverse_term_reflects(self):
         # the transverse energy squared overflows: r = inf, T = 0, no error
@@ -173,7 +173,7 @@ class TestFormulaProperties:
         with pytest.raises(ValueError, match="^gamma_p0 = -0.1 is not"):
             TransitionProbabilities(0.6, -0.1, 0.5)
         # a stray within 1e-12 of [0, 1] is clipped onto it
-        assert TransitionProbabilities(1.0 + 5e-13, -5e-13, 0.0).as_tuple() == (
+        assert tuple(TransitionProbabilities(1.0 + 5e-13, -5e-13, 0.0)) == (
             1.0, 0.0, 0.0)
 
     def test_value_type_contract(self):
@@ -206,7 +206,7 @@ class TestClosedFormPropertySuite:
            g=st.floats(0.01, 10.0), p0=st.floats(0.0, 5.0), thetas=_ANGLES)
     def test_rows_sum_to_one(self, ratio, spin, m, g, p0, thetas):
         probs = _FORMULAS[spin](*_at_ratio(ratio))
-        assert sum(probs.as_tuple()) == pytest.approx(1.0, abs=1e-12)
+        assert sum(tuple(probs)) == pytest.approx(1.0, abs=1e-12)
         assert probs.transmission == probs.gamma_p0 + probs.gamma_pm
         rows = np.array(angle_sweep(PhysicalParams(m=m, g=g), spin, p0, thetas))
         assert np.allclose(rows[:, 1:4].sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
@@ -226,7 +226,7 @@ class TestClosedFormPropertySuite:
                                                       hbar, p0, thetas):
         unit = _FORMULAS[spin](*_at_ratio(ratio))
         scaled = _FORMULAS[spin](*_at_ratio(ratio, c, g, hbar))
-        assert scaled.as_tuple() == pytest.approx(unit.as_tuple(), abs=1e-12)
+        assert tuple(scaled) == pytest.approx(tuple(unit), abs=1e-12)
         # angle sweep: m c^2 and p0 c carry the energy unit sqrt(hbar c g)
         unit_energy = math.sqrt(hbar * c * g)
         base = PhysicalParams(m=math.sqrt(ratio), g=1.0)

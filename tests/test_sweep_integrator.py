@@ -43,11 +43,6 @@ class TestProblemValidation:
             integrate_sweep(1, PhysicalParams(g=1.0), 1.0,
                             endpoint_factor=10.0)
 
-    def test_unknown_band(self):
-        with pytest.raises(ValueError):
-            integrate_sweep(0.5, PhysicalParams(g=1.0), 1.0,
-                            initial_band="0")
-
     def test_needs_slope(self):
         with pytest.raises(ValueError):
             integrate_sweep(1, PhysicalParams(g=0.0), 1.0)
@@ -99,7 +94,7 @@ class TestAgainstClosedForms:
         assert probs.gamma_p0 == pytest.approx(0.4981, abs=0.01)
         assert probs.gamma_pm == pytest.approx(0.2202, abs=0.01)
         formula = lz_spin1(params, params.rest_energy)
-        for got, want in zip(probs.as_tuple(), formula.as_tuple()):
+        for got, want in zip(tuple(probs), tuple(formula)):
             assert got == pytest.approx(want, abs=1e-4)
 
     def test_spin_half_reference_ratio(self):
@@ -126,18 +121,27 @@ class TestIntegratorProperties:
         near = integrate_sweep(1, params, params.rest_energy)
         far = integrate_sweep(1, params, params.rest_energy,
                               endpoint_factor=60.0)
-        for a, b in zip(near.as_tuple(), far.as_tuple()):
+        for a, b in zip(tuple(near), tuple(far)):
             assert abs(a - b) < 1e-3
 
     def test_doubly_stochastic(self):
+        # the whole table w[final, initial] of the oracle's fine run in its
+        # own window: kx_start = 30 sqrt(hbar c g), dt / 2 of hbar / max|H|
         params = PhysicalParams(m=0.85, g=1.5)
-        # w[final, initial], one integration per initial band
-        w = np.array([integrate_sweep(
-            1, params, params.rest_energy, initial_band=band).as_tuple()
-            for band in ("+", "0", "-")]).T
-        assert np.allclose(w.sum(axis=0), 1.0, atol=1e-3)
-        assert np.allclose(w.sum(axis=1), 1.0, atol=1e-3)
+        mass, rate = params.rest_energy, 1.5
+        kx_start = 30.0 * math.sqrt(1.5)
+        e_max = math.hypot(kx_start, mass)
+        total_time = 2.0 * kx_start / rate
+        n_steps = math.ceil(total_time / (1.0 / e_max))
+        q = _magnus_chain(1, params, mass, kx_start, total_time / n_steps / 2.0,
+                          2 * n_steps)
+        w = np.array(_band_table(q, kx_start / e_max, mass / e_max, 3))
         assert w.shape == (3, 3)
+        assert np.max(np.abs(w.sum(axis=0) - 1.0)) < 1e-12
+        assert np.max(np.abs(w.sum(axis=1) - 1.0)) < 1e-12
+        # its + column is what the oracle returns
+        oracle = integrate_sweep(1, params, mass)
+        assert np.max(np.abs(w[:, 0] - tuple(oracle))) < 1e-14
 
     def test_coarse_dt_rejected(self):
         # a dt just inside the Magnus convergence radius moves the
@@ -302,7 +306,7 @@ class TestPropertySuite:
     def test_matches_closed_forms(self, ratio, spin):
         probs, params, mtilde = _oracle(ratio, spin)
         formula = (lz_spin1 if spin == 1 else lz_spin_half)(params, mtilde)
-        for got, want in zip(probs.as_tuple(), formula.as_tuple()):
+        for got, want in zip(tuple(probs), tuple(formula)):
             assert got == pytest.approx(want, abs=1e-4)
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -320,7 +324,7 @@ class TestPropertySuite:
         # rounded-up step count may differ by one, a change of order 1e-11
         scaled, _, _ = _oracle(ratio, spin, c, g, hbar)
         unit, _, _ = _oracle(ratio, spin)
-        for a, b in zip(scaled.as_tuple(), unit.as_tuple()):
+        for a, b in zip(tuple(scaled), tuple(unit)):
             assert a == pytest.approx(b, abs=1e-10)
 
 
@@ -352,5 +356,5 @@ class TestValidationPropertySuite:
                 integrate_sweep(spin, params, mtilde, endpoint_factor=factor)
             return
         probs = integrate_sweep(spin, params, mtilde, endpoint_factor=factor)
-        assert all(0.0 <= p <= 1.0 for p in probs.as_tuple())
-        assert sum(probs.as_tuple()) == pytest.approx(1.0, abs=1e-12)
+        assert all(0.0 <= p <= 1.0 for p in tuple(probs))
+        assert sum(tuple(probs)) == pytest.approx(1.0, abs=1e-12)

@@ -70,7 +70,7 @@ class TestTraceReadout:
         for state, row in zip(states, result.trace):
             rho = np.sum(np.abs(state.amplitudes) ** 2, axis=1)
             want = (state.time, state.norm(), np.sum(grid.x * rho) / np.sum(rho),
-                    *band_populations(state, SCATTER).as_tuple())
+                    *tuple(band_populations(state, SCATTER)))
             assert np.max(np.abs(row - want)) < 1e-14
             assert np.max(np.abs(density(state) - rho)) < 1e-15
 
@@ -212,8 +212,8 @@ class TestStep:
 
     def test_free_step_preserves_bands(self, grid):
         fld = gaussian_packet(grid, 10.0, 2.0, 0.0, (0.3, 0.1, 0.8), FREE)
-        before = band_populations(fld, FREE).as_tuple()
-        after = band_populations(step(fld, 0.05, FREE), FREE).as_tuple()
+        before = tuple(band_populations(fld, FREE))
+        after = tuple(band_populations(step(fld, 0.05, FREE), FREE))
         assert np.allclose(before, after, atol=1e-12)
 
     def test_massless_transport(self, grid):
@@ -728,7 +728,7 @@ class TestPacketRunProperties:
             assert distance <= result.split_error * (1.0 + 1e-12)
             assert result.split_error <= result.split_error_limit
             # |<P psi, psi> - <P phi, phi>| <= (|psi| + |phi|) |psi - phi|
-            want = band_populations(result.reference, params).as_tuple()
+            want = tuple(band_populations(result.reference, params))
             assert np.max(np.abs(result.trace[-1, 3:] - want)) <= (
                 2.0 * result.split_error + 1e-12)
             # the prediction follows the line, not the periodic grid, whose
@@ -797,7 +797,7 @@ class TestBandStructureObservables:
         assert pops == BandPopulations(0.25, 0.5, 0.25)
         assert hash(pops) == hash(BandPopulations(0.25, 0.5, 0.25))
         assert repr(pops) == "BandPopulations(w_plus=0.25, w_zero=0.5, w_minus=0.25)"
-        assert pops.as_tuple() == (0.25, 0.5, 0.25)
+        assert tuple(pops) == (0.25, 0.5, 0.25)
         with pytest.raises(AttributeError):
             pops.w_plus = 0.0
 
@@ -818,7 +818,7 @@ class TestBandStructureObservables:
         psi_k = np.fft.fft(fld.amplitudes, axis=0)
         reference = [np.einsum("ki,kij,kj->", psi_k.conj(), p, psi_k).real
                      * grid.dx / grid.points for p in projectors]
-        pops = band_populations(fld, SCATTER).as_tuple()
+        pops = tuple(band_populations(fld, SCATTER))
         if fld.dimension == 2:
             pops = (pops[0], pops[2])
         assert np.allclose(pops, reference, rtol=0, atol=1e-14)
@@ -899,7 +899,7 @@ class TestComponentMajorLayout:
         psi_k = np.fft.fft(a, axis=0)
         weights = np.einsum("ki,bkij,kj->b", psi_k.conj(), projectors,
                             psi_k).real * grid.dx / points
-        pops = band_populations(fld, SCATTER).as_tuple()
+        pops = tuple(band_populations(fld, SCATTER))
         if dimension == 2:
             pops = (pops[0], pops[2])
         assert np.max(np.abs(np.array(pops) - weights)) < 1e-14
@@ -962,7 +962,7 @@ class TestComponentMajorLayout:
         assert fld.norm() == pytest.approx(built.norm(), abs=1e-14)
         assert density(fld).shape == (grid.points,)
         assert np.max(np.abs(density(fld) - density(built))) < 1e-14
-        assert np.max(np.abs(np.subtract(band_populations(fld, SCATTER).as_tuple(),
-                                         band_populations(built, SCATTER).as_tuple()))) < 1e-14
+        assert np.max(np.abs(np.subtract(tuple(band_populations(fld, SCATTER)),
+                                         tuple(band_populations(built, SCATTER))))) < 1e-14
         assert np.max(np.abs(step(fld, 0.01, SCATTER).amplitudes
                              - step(built, 0.01, SCATTER).amplitudes)) < 1e-14

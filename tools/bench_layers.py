@@ -13,11 +13,10 @@ the time per call, in microseconds.  Layers:
   50 x 256, on the projectors of the feasibility working point;
 * the exact reference of the README demo at its reference step (the Magnus
   sweep along the characteristics that ``evolve`` measures its run
-  against), on trees that build it apart from the run;
+  against);
 * the step predictor of the README demo (``predict_step_demo``): the chain
   of the corrected steps' rotors along the same characteristics at the
-  reference step, and its distance from the reference, on trees that
-  predict the default dt;
+  reference step, and its distance from the reference;
 * ``evolve`` of the README demo (N = 4096, ``t_final = 14``; 146 steps, 239
   before the default dt was predicted) and of the packet benchmark's
   ``(1, 0, 1) / sqrt(2)`` packet at N = 2048 (``t_final = 14``; 148 steps,
@@ -235,23 +234,14 @@ def layers() -> dict:
                                      params, project_band="+")
     dt = wavepacket.default_time_step(grid, params, 14.0)
     n_steps = round(14.0 / dt)
-    # a tree that shares one spectrum per run passes it to both
-    shared = hasattr(wavepacket, "_Spectrum")
-
-    def spectrum():
-        return (wavepacket._kept_spectrum(fld),) if shared else ()
-
-    if hasattr(wavepacket, "_exact_evolution"):
-        out["exact_reference_demo"] = _per_call_us(
-            lambda: wavepacket._exact_evolution(fld, params, *spectrum(), dt,
-                                                n_steps))
-    if hasattr(wavepacket, "_predicted_error"):
-        kept = spectrum()
-        reference, _ = wavepacket._exact_evolution(fld, params, *kept, dt,
-                                                   n_steps)
-        out["predict_step_demo"] = _per_call_us(
-            lambda: wavepacket._predicted_error(fld, params, *kept, reference,
-                                                dt, n_steps))
+    out["exact_reference_demo"] = _per_call_us(
+        lambda: wavepacket._exact_evolution(
+            fld, params, wavepacket._kept_spectrum(fld), dt, n_steps))
+    kept = wavepacket._kept_spectrum(fld)
+    reference, _ = wavepacket._exact_evolution(fld, params, kept, dt, n_steps)
+    out["predict_step_demo"] = _per_call_us(
+        lambda: wavepacket._predicted_error(fld, params, kept, reference, dt,
+                                            n_steps))
     out["evolve_demo_N4096"] = _per_call_us(
         lambda: wavepacket.evolve(fld, 14.0, params))
     grid = wavepacket.Grid1D(80.0, 2048)
